@@ -5,7 +5,8 @@
                   [--budget N]
 
 Prints the result conjunction as one ``(and ...)`` (or ``true``) on stdout
-and an eliminated/remaining variable summary on stderr.  Exit codes: 0 ok,
+and an eliminated/remaining variable summary on stderr.  ``--budget`` caps
+the number of saturation rule applications of ``mbp``.  Exit codes: 0 ok,
 2 bad input, 3 failed --check, 4 saturation budget exhausted.
 """
 from __future__ import annotations
@@ -35,13 +36,10 @@ def main(argv=None) -> int:
                        help="verify the result with the finite-model oracle")
         p.add_argument("--dot", metavar="PREFIX",
                        help="write per-stage DOT dumps to PREFIX.<stage>.dot")
-        p.add_argument("--budget", type=int, default=10_000,
-                       help="saturation budget (mbp only)")
-        p.add_argument("--seed-order", choices=["id"], default="id",
-                       help="node iteration order (creation id is the only "
-                            "implemented discipline)")
         if name == "mbp":
             p.add_argument("--model", required=True, help="model file")
+            p.add_argument("--budget", type=int, default=10_000,
+                           help="cap on saturation rule applications")
     args = ap.parse_args(argv)
     try:
         return _run(args)

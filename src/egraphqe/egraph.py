@@ -5,6 +5,11 @@ keeps the oldest node id as class root, so class enumeration is
 deterministic.  Disequalities are recorded as node pairs; they never drive
 merging but make the graph reject inconsistent inputs, and they survive
 into formula extraction.
+
+Each class root keeps the list of recorded disequalities with an endpoint in
+the class.  A merge can only violate a disequality whose endpoints lie one in
+each merging class, so it scans the shorter of the two lists and appends it
+to the longer one; no assertion rescans every disequality.
 """
 from __future__ import annotations
 
@@ -39,6 +44,9 @@ class EGraph:
         self._cong = {}        # (label, child root ids) -> node id
         self._term_node = {}   # term id -> node id
         self.diseqs = []       # recorded (node id, node id) pairs
+        self._diseq_set = set()   # the same pairs, for duplicate checks
+        self._class_diseqs = {}   # root id -> recorded pairs touching the class
+        self._violation = None    # first disequal pair found merged
 
     # -- construction ------------------------------------------------------
 
@@ -85,8 +93,14 @@ class EGraph:
 
     def assert_diseq(self, t1: Term, t2: Term):
         a, b = self.add_term(t1), self.add_term(t2)
-        if (a, b) not in self.diseqs and (b, a) not in self.diseqs:
+        if (a, b) not in self._diseq_set and (b, a) not in self._diseq_set:
+            self._diseq_set.add((a, b))
             self.diseqs.append((a, b))
+            for n in (a, b):
+                self._class_diseqs.setdefault(self.find(n), []).append((a, b))
+        if self.find(a) == self.find(b):
+            self._violation = self._violation or (a, b)
+            self._check_consistent()
         marker = self.store.mk_app("distinct", (t1, t2))
         self.assert_eq(marker, self.store.top)
 
@@ -112,6 +126,9 @@ class EGraph:
             absorbed = self._members.pop(ry)
             self._uf[ry] = rx
             self._members[rx].extend(absorbed)
+            moved = self._class_diseqs.pop(ry, None)
+            if moved is not None:
+                self._move_diseqs(rx, moved)
             # re-canonicalize parents of the absorbed class
             for m in absorbed:
                 for p in self._parents[m]:
@@ -119,6 +136,21 @@ class EGraph:
                     q = self._cong.setdefault(key, p)
                     if self.find(q) != self.find(p):
                         queue.append((q, p))
+
+    def _move_diseqs(self, rx, moved):
+        """Give root rx the disequalities of a class merged into it, noting
+        the first one now violated.  A violated pair is in both lists, so
+        only the shorter one is scanned."""
+        kept = self._class_diseqs.setdefault(rx, [])
+        if len(kept) < len(moved):
+            kept, moved = moved, kept
+            self._class_diseqs[rx] = kept
+        if self._violation is None:
+            for a, b in moved:
+                if self.find(a) == self.find(b):
+                    self._violation = (a, b)
+                    break
+        kept.extend(moved)
 
     def congruence_key(self, n: int):
         """(label, child class roots): equal keys mean congruent nodes."""
@@ -132,11 +164,10 @@ class EGraph:
         bot = self._term_node.get(self.store.bot.id)
         if top is not None and bot is not None and self.find(top) == self.find(bot):
             raise InconsistentFormulaError("true and false were merged")
-        for a, b in self.diseqs:
-            if self.find(a) == self.find(b):
-                na, nb = self.nodes[a], self.nodes[b]
-                raise InconsistentFormulaError(
-                    f"disequal terms merged: {na.term!r} and {nb.term!r}")
+        if self._violation is not None:
+            na, nb = (self.nodes[n] for n in self._violation)
+            raise InconsistentFormulaError(
+                f"disequal terms merged: {na.term!r} and {nb.term!r}")
 
     # -- views ---------------------------------------------------------------
 

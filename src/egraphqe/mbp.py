@@ -3,8 +3,12 @@
 Saturates theory projection rules over the egraph of the input under a
 satisfying model, then runs the quantifier-reduction tail and drops every
 node whose extraction still mentions a projected array/datatype variable.
-Rules only ever add terms, merges, and disequalities; marking each node,
-pair, and disequality as seen keeps saturation terminating.
+Rules only ever add terms, merges, and disequalities.  Nodes are append-only,
+so one watermark per rule family (the node count at the start of its last
+pass) says which nodes and pairs were offered already; per-rule marks on
+the remaining keys keep saturation terminating.  Pairwise candidates are
+reads over one base node, grouped by that node, so a pass never looks at
+pairs that cannot match.
 
 The array rules rewrite read-over-write patterns, turn array equalities
 into partial-equality obligations, unwind writes out of those obligations,
@@ -17,6 +21,7 @@ the output, so no splitting is necessary.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .egraph import EGraph
@@ -95,8 +100,9 @@ class _State:
 
 @dataclass
 class SeenSets:
-    nodes: set = field(default_factory=set)
-    pairs: set = field(default_factory=set)
+    """Nodes below the watermark have been offered to the unary rules, and
+    every pair of them to the pairwise rules."""
+    watermark: int = 0
 
 
 def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
@@ -168,28 +174,26 @@ def _saturate_family(state, unary, pairwise, diseq_rules, seen) -> bool:
 
 def apply_rules(state: _State, unary, pairwise, diseq_rules,
                 seen: SeenSets) -> bool:
-    """One pass: offer unseen nodes (equality bookkeeping always, others
-    only when not constructively ground) to unary rules, unseen pairs to
-    pairwise rules, and unresolved disequalities to the splitting rules."""
+    """One pass over the nodes that exist when it starts.  Nodes from the
+    watermark on go to the unary rules (equality bookkeeping always, others
+    only when not constructively ground).  Pairs (a, b), a < b, of reads over
+    one base node with b at or past the watermark go to the pairwise rules,
+    in lexicographic order.  Unresolved disequalities go to the splitting
+    rules.  The watermark then moves to the end of the pass's nodes."""
     g = state.g
     progress = False
-    snapshot = list(g.node_ids())
+    w, size = seen.watermark, len(g.nodes)
     info = compute_cground(g)
-    offered = [n for n in snapshot
-               if n not in seen.nodes
-               and (g.nodes[n].label == "peq" or n not in info.cground)]
-    for n in offered:
-        for rule in unary:
-            if _UNARY[rule](state, n):
-                progress = True
+    for n in range(w, size):
+        if g.nodes[n].label == "peq" or n not in info.cground:
+            for rule in unary:
+                if _UNARY[rule](state, n):
+                    progress = True
     for rule in pairwise:
         fn = _PAIRWISE[rule]
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1:]:
-                if (a, b) in seen.pairs:
-                    continue
-                if fn(state, a, b):
-                    progress = True
+        for a, b in _read_pairs(g, w, size):
+            if fn(state, a, b):
+                progress = True
     for rule in diseq_rules:
         fn = _DISEQ[rule]
         for a, b in list(g.diseqs):
@@ -198,10 +202,24 @@ def apply_rules(state: _State, unary, pairwise, diseq_rules,
                 continue  # both sides become ground terms; no split needed
             if fn(state, a, b):
                 progress = True
-    seen.nodes.update(snapshot)
-    seen.pairs.update((a, b) for i, a in enumerate(snapshot)
-                      for b in snapshot[i + 1:])
+    seen.watermark = size
     return progress
+
+
+def _read_pairs(g: EGraph, w: int, size: int) -> list:
+    """Pairs (a, b), a < b < size, of reads over one base node with b >= w,
+    in lexicographic order."""
+    by_base = {}
+    for n in range(size):
+        node = g.nodes[n]
+        if node.label == "read":
+            by_base.setdefault(node.children[0], []).append(n)
+    pairs = []
+    for group in by_base.values():
+        new = bisect_left(group, w)
+        pairs += [(a, b) for i, a in enumerate(group)
+                  for b in group[max(i + 1, new):]]
+    return sorted(pairs)
 
 
 # -- array rules --------------------------------------------------------------
@@ -344,15 +362,12 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
 
 
 def _rule_ackermann(state: _State, a: int, b: int) -> bool:
-    """Two reads of one projected array variable at syntactically distinct
-    indices: record the index (dis)equality the model chooses; on equality
-    the reads merge by congruence."""
+    """Two reads a, b over one base node (the only pairs offered) that is a
+    projected array variable, at syntactically distinct indices: record the
+    index (dis)equality the model chooses; on equality the reads merge by
+    congruence."""
     g = state.g
     na, nb = g.nodes[a], g.nodes[b]
-    if na.label != "read" or nb.label != "read":
-        return False
-    if na.children[0] != nb.children[0]:
-        return False
     base = g.nodes[na.children[0]]
     if not (state.projected(base.label) and not base.children):
         return False

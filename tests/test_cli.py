@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from egraphqe import parse_formula
 from egraphqe.cli import main
 
@@ -95,6 +97,17 @@ def test_budget_exit_code(capsys):
     code = main(["mbp", _path("nested_pair_array.smt2"),
                  "--model", _path("nested_pair_array.model"), "--budget", "1"])
     assert code == 4
+
+
+def test_budget_and_seed_order_rejected_where_meaningless():
+    for argv in (["qel", _path("read_chain.smt2"), "--budget", "1"],
+                 ["qel", _path("read_chain.smt2"), "--seed-order", "id"],
+                 ["mbp", _path("nested_pair_array.smt2"),
+                  "--model", _path("nested_pair_array.model"),
+                  "--seed-order", "id"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 def test_failed_check_exit_code(tmp_path, capsys):

@@ -188,3 +188,68 @@ def test_merge_soundness_on_small_instances(rng):
                             g.nodes[m].term)])
                 assert find_model(sig, store, augmented,
                                   Bounds(universe=2)) is None
+
+
+def _random_assertions(rng, store, n_ops):
+    """Random assert_eq / assert_diseq steps over five constants, a unary
+    f, a binary h and a predicate P, so that congruence (and P's truth
+    values) can merge the sides of a disequality indirectly."""
+    pool = [store.mk_const(c) for c in "abcde"]
+    for _ in range(6):
+        if rng.random() < 0.5:
+            pool.append(store.mk_app("f", (rng.choice(pool),)))
+        else:
+            pool.append(store.mk_app("h", (rng.choice(pool), rng.choice(pool))))
+    steps = []
+    for _ in range(n_ops):
+        kind = rng.choice(("eq", "eq", "diseq", "diseq", "pred"))
+        if kind == "pred":
+            steps.append(("eq", store.mk_app("P", (rng.choice(pool),)),
+                          rng.choice((store.top, store.bot))))
+        else:
+            steps.append((kind, rng.choice(pool), rng.choice(pool)))
+    return steps
+
+
+def _rescan_finds_violation(g):
+    top, bot = g.node_of_term(g.store.top), g.node_of_term(g.store.bot)
+    if top is not None and bot is not None and g.find(top) == g.find(bot):
+        return True
+    return any(g.find(a) == g.find(b) for a, b in g.diseqs)
+
+
+def _replay(sig, store, steps):
+    """Apply steps to a fresh graph; return it, the number of steps that
+    went through, and the error message of the step that raised, if any."""
+    g = EGraph(sig, store)
+    for done, (kind, t1, t2) in enumerate(steps):
+        try:
+            (g.assert_eq if kind == "eq" else g.assert_diseq)(t1, t2)
+        except InconsistentFormulaError as e:
+            return g, done, str(e)
+        assert not _rescan_finds_violation(g)
+    return g, len(steps), None
+
+
+def test_inconsistency_raised_exactly_when_rescan_finds_violation(rng):
+    from egraphqe import Signature, TermStore
+    from egraphqe.terms import BOOL
+    sig = Signature()
+    u = sig.declare_sort("U")
+    for c in "abcde":
+        sig.declare_const(c, u)
+    sig.declare_fun("f", [u], u)
+    sig.declare_fun("h", [u, u], u)
+    sig.declare_fun("P", [u], BOOL)
+    store = TermStore(sig)
+    raised = 0
+    for _ in range(400):
+        steps = _random_assertions(rng, store, rng.randint(1, 20))
+        g, done, msg = _replay(sig, store, steps)
+        if msg is None:
+            continue
+        raised += 1
+        assert _rescan_finds_violation(g)
+        # the same steps report the same violation on every run
+        assert _replay(sig, store, steps)[1:] == (done, msg)
+    assert 50 < raised < 350  # both outcomes are well exercised

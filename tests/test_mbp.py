@@ -477,3 +477,45 @@ def test_nested_write_unwinds_twice():
     assert satisfies(res2.model, prob2.sig, res2.formula)
     assert implies_exists(prob2.sig, prob2.store, res2.formula, prob2.formula,
                           Bounds(int_window=(0, 2))).ok
+
+
+def _many_reads_instance(rng, n):
+    """n reads read(a, i_k) = e_k of the projected array a, and as many of a
+    kept array c at the same indices, under a planted model whose indices
+    take few values, so Ackermann yields both equalities and disequalities."""
+    decls = ["(declare-var a (Array Int Int))",
+             "(declare-const c (Array Int Int))"]
+    lits, values = [], []
+    arr_a = {v: rng.randrange(100) for v in range(8)}
+    arr_c = {v: rng.randrange(100) for v in range(8)}
+    for k in range(n):
+        iv = rng.randrange(8)
+        decls += [f"(declare-const i{k} Int)", f"(declare-const e{k} Int)",
+                  f"(declare-const f{k} Int)"]
+        lits += [f"(assert (= (read a i{k}) e{k}))",
+                 f"(assert (= (read c i{k}) f{k}))"]
+        values += [f"(define-value i{k} {iv})",
+                   f"(define-value e{k} {arr_a[iv]})",
+                   f"(define-value f{k} {arr_c[iv]})"]
+    for name, arr in (("a", arr_a), ("c", arr_c)):
+        rows = " ".join(f"({v} {x})" for v, x in sorted(arr.items()))
+        values.append(f"(define-value {name} (array (default 0) {rows}))")
+    prob = parse_problem("\n".join(decls + lits))
+    return prob, parse_model("\n".join(values), prob.sig)
+
+
+def test_many_reads_saturate_completely(rng):
+    for _ in range(3):
+        prob, model = _many_reads_instance(rng, 40)
+        res = mbp(prob.sig, prob.store, prob.formula, ["a"], model)
+        assert satisfies(res.model, prob.sig, res.formula)
+        assert "a" not in res.formula.free_vars
+        g = res.graph
+        disequal = {frozenset((g.find(x), g.find(y))) for x, y in g.diseqs}
+        reads = [n.children[1] for n in g.nodes
+                 if n.label == "read" and g.nodes[n.children[0]].label == "a"]
+        assert len(reads) == 40
+        for k, i in enumerate(reads):
+            for j in reads[k + 1:]:
+                assert g.find(i) == g.find(j) or \
+                    frozenset((g.find(i), g.find(j))) in disequal
