@@ -1,10 +1,11 @@
 """Egraph: a term DAG plus a congruence-closed equivalence on its nodes.
 
-Nodes are created in term order and never removed.  The union-find always
-keeps the oldest node id as class root, so class enumeration is
-deterministic.  Disequalities are recorded as node pairs; they never drive
-merging but make the graph reject inconsistent inputs, and they survive
-into formula extraction.
+Nodes are created in term order and never removed; ``add_term`` walks a
+term iteratively, once per distinct subterm, so depth is unbounded.  The
+union-find always keeps the oldest node id as class root, so class
+enumeration is deterministic.  Disequalities are recorded as node pairs;
+they never drive merging but make the graph reject inconsistent inputs,
+and they survive into formula extraction.
 
 Each class root keeps the list of recorded disequalities with an endpoint in
 the class.  A merge can only violate a disequality whose endpoints lie one in
@@ -13,7 +14,8 @@ to the longer one; no assertion rescans every disequality.
 """
 from __future__ import annotations
 
-from .terms import Formula, InputError, Signature, Term, TermStore
+from .terms import (Formula, InputError, Signature, Term, TermStore,
+                    post_order)
 
 
 class InconsistentFormulaError(InputError):
@@ -66,11 +68,23 @@ class EGraph:
         return g
 
     def add_term(self, term: Term) -> int:
-        """Ensure a node exists for term and all subterms; return its id."""
-        hit = self._term_node.get(term.id)
+        """Ensure a node exists for term and all subterms; return its id.
+
+        New nodes are numbered in post-order, children left to right, each
+        distinct subterm once."""
+        term_node = self._term_node
+        hit = term_node.get(term.id)
         if hit is not None:
             return hit
-        child_ids = tuple(self.add_term(c) for c in term.children)
+        if not term.children:
+            return self._add_node(term, ())
+        for t in post_order(term, term_node):
+            self._add_node(t, tuple([term_node[c.id] for c in t.children]))
+        return term_node[term.id]
+
+    def _add_node(self, term, child_ids) -> int:
+        """A node for term over existing child nodes, merged at once with a
+        congruent node if there is one."""
         nid = len(self.nodes)
         node = ENode(nid, term.label, child_ids, term)
         self.nodes.append(node)

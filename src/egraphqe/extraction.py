@@ -1,12 +1,13 @@
 """Representative functions and node-to-term / egraph-to-formula extraction.
 
 A representative function picks one node per class; extraction rebuilds a
-term for a node by recursively replacing every child with the extraction of
-its representative.  That recursion terminates exactly when the induced
-graph (node -> representative of child) is acyclic, which together with
-per-class uniqueness and root-consistency makes the function admissible.
-Extraction depth is capped at the class count: an admissible function can
-never exceed it, so blowing the budget doubles as a cycle detector.
+term for a node by replacing every child with the extraction of its
+representative.  That terminates exactly when the induced graph (node ->
+representative of child) is acyclic, which together with per-class
+uniqueness and root-consistency makes the function admissible.  Extraction
+is an iterative post-order walk memoized by node id, so it takes each
+representative once and any depth; it catches a cycle when a representative
+it meets is already on the current path from the start node.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ class InadmissibleReprError(Exception):
 
 
 class ExtractionBudgetError(InadmissibleReprError):
-    pass
+    """Extraction met a cycle in the representative graph."""
 
 
 class ReprFn:
@@ -138,34 +139,44 @@ def is_admissible_partial(g: EGraph, r: ReprFn) -> bool:
 
 def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
     """Term of node n with every child replaced by its representative's
-    extraction.  Raises ExtractionBudgetError when recursion exceeds the
-    class count, which signals an inadmissible representative function."""
-    budget = g.num_classes()
+    extraction.  Raises ExtractionBudgetError when the walk meets a
+    representative that is already on its current path from n: the repr
+    graph has a cycle, so r is not admissible."""
     memo = _memo if _memo is not None else {}
-
-    def rec(m, depth):
-        if depth > budget:
-            raise ExtractionBudgetError(
-                f"extraction exceeded depth {budget}; repr graph has a cycle")
-        hit = memo.get(m)
-        if hit is not None:
-            return hit
-        node = g.nodes[m]
-        if not node.children:
-            out = node.term
+    hit = memo.get(n)
+    if hit is not None:
+        return hit
+    nodes = g.nodes
+    node = nodes[n]
+    if not node.children:
+        memo[n] = node.term
+        return node.term
+    path = {n}
+    stack = [(node, iter(node.children))]
+    while stack:
+        node, it = stack[-1]
+        for c in it:
+            rep = r.get(c)
+            if rep is None:
+                raise InadmissibleReprError(f"representative undefined for node {c}")
+            if rep in memo:
+                continue
+            if rep in path:
+                raise ExtractionBudgetError(
+                    f"node {rep} is on its own extraction path; "
+                    "repr graph has a cycle")
+            child = nodes[rep]
+            if child.children:
+                path.add(rep)
+                stack.append((child, iter(child.children)))
+                break
+            memo[rep] = child.term
         else:
-            args = []
-            for c in node.children:
-                rep = r.get(c)
-                if rep is None:
-                    raise InadmissibleReprError(
-                        f"representative undefined for node {c}")
-                args.append(rec(rep, depth + 1))
-            out = g.store.mk_app(node.label, args)
-        memo[m] = out
-        return out
-
-    return rec(n, 0)
+            stack.pop()
+            path.discard(node.id)
+            memo[node.id] = g.store.mk_app(
+                node.label, [memo[r.get(c)] for c in node.children])
+    return memo[n]
 
 
 def extract_terms(g: EGraph, r: ReprFn, nodes: Iterable[int]) -> Mapping[int, Term]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sexpr import Atom, SExprError, read_all
-from .terms import InputError, Literal, Signature, Sort, SortKind, Term
+from .terms import (InputError, Literal, Signature, Sort, SortKind, Term,
+                    post_order)
 
 
 class ModelError(InputError):
@@ -125,8 +126,25 @@ def extend(model: Model, name, value: Value) -> Model:
 
 
 def eval_term(model: Model, sig: Signature, term: Term) -> Value:
+    return _eval(model, sig, term, {})
+
+
+def _eval(model, sig, term, memo) -> Value:
+    """Value of term, by an iterative post-order walk memoized by term id in
+    memo, so any depth evaluates and each distinct subterm once."""
+    if not term.children:
+        return _apply(model, sig, term, ())
+    hit = memo.get(term.id)
+    if hit is not None:
+        return hit
+    for t in post_order(term, memo):
+        memo[t.id] = _apply(model, sig, t, [memo[c.id] for c in t.children])
+    return memo[term.id]
+
+
+def _apply(model, sig, term, args) -> Value:
+    """Value of term's symbol applied to the values of its arguments."""
     label = term.label
-    args = [eval_term(model, sig, c) for c in term.children]
     if label.isdigit():
         return IntVal(int(label))
     if label == "true":
@@ -218,16 +236,18 @@ def _selector_or_tester(sig, term):
     return None
 
 
-def holds(model: Model, sig: Signature, lit: Literal) -> bool:
-    lhs = eval_term(model, sig, lit.lhs)
-    rhs = eval_term(model, sig, lit.rhs)
+def holds(model: Model, sig: Signature, lit: Literal, _memo=None) -> bool:
+    memo = {} if _memo is None else _memo
+    lhs = _eval(model, sig, lit.lhs, memo)
+    rhs = _eval(model, sig, lit.rhs, memo)
     if lit.kind == "diseq":
         return lhs != rhs
     return lhs == rhs
 
 
 def satisfies(model: Model, sig: Signature, formula) -> bool:
-    return all(holds(model, sig, lit) for lit in formula.literals)
+    memo = {}
+    return all(holds(model, sig, lit, memo) for lit in formula.literals)
 
 
 # -- model files -------------------------------------------------------------

@@ -144,16 +144,39 @@ def _need_bool(term, where):
 
 
 def _term(store, form):
+    """The term of form, built bottom-up and left to right by an explicit
+    stack of (application, arguments built so far), so any depth parses."""
     if isinstance(form, Atom):
-        store.sig.sort_of(form.text)  # raises for unknowns; auto-declares numerals
-        return store.mk_const(form.text)
-    if isinstance(form, list) and form and isinstance(form[0], Atom):
-        head = form[0].text
-        if head == "=":
-            raise ParseError(f"nested '=' at {form[0].line}:{form[0].col}")
-        args = [_term(store, f) for f in form[1:]]
-        return store.mk_app(head, args)
-    raise ParseError(f"bad term {_show(form)}")
+        return _const(store, form)
+    _check_app(form)
+    stack = [(form, [])]
+    while True:
+        form, args = stack[-1]
+        i, n = len(args) + 1, len(form)
+        while i < n and isinstance(form[i], Atom):
+            args.append(_const(store, form[i]))
+            i += 1
+        if i < n:
+            _check_app(form[i])
+            stack.append((form[i], []))
+            continue
+        stack.pop()
+        term = store.mk_app(form[0].text, args)
+        if not stack:
+            return term
+        stack[-1][1].append(term)
+
+
+def _const(store, atom):
+    store.sig.sort_of(atom.text)  # raises for unknowns; auto-declares numerals
+    return store.mk_const(atom.text)
+
+
+def _check_app(form):
+    if not (isinstance(form, list) and form and isinstance(form[0], Atom)):
+        raise ParseError(f"bad term {_show(form)}")
+    if form[0].text == "=":
+        raise ParseError(f"nested '=' at {form[0].line}:{form[0].col}")
 
 
 def _exact(form, n, what):
@@ -169,7 +192,20 @@ def _atom(form) -> str:
 
 
 def _show(form):
-    if isinstance(form, Atom):
-        return f"'{form.text}'"
-    inner = " ".join(_show(f) for f in form) if isinstance(form, list) else str(form)
-    return f"({inner})"
+    """form as text for an error message, by an explicit stack of pending
+    forms and strings, so a malformed form of any depth is shown."""
+    out, stack = [], [form]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):        # a closing parenthesis or a separator
+            out.append(f)
+        elif isinstance(f, Atom):
+            out.append(f"'{f.text}'")
+        else:
+            out.append("(")
+            stack.append(")")
+            for i in range(len(f) - 1, -1, -1):
+                stack.append(f[i])
+                if i:
+                    stack.append(" ")
+    return "".join(out)

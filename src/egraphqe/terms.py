@@ -6,6 +6,11 @@ Predicate applications are encoded as P(args) = true / P(args) = false, so
 the only Boolean structure is the top-level conjunction.  Arithmetic symbols
 (numerals, +, -, *, >, ...) are ordinary function symbols here; they only
 acquire meaning in the model evaluator and the finite-model oracle.
+
+Terms are hash-consed DAGs, and nothing here walks them as trees: the
+variable order and the printer are iterative post-order walks, left to
+right, memoized by term id, so a term of any depth is handled in time
+linear in its DAG (printing: in its output) and without recursion.
 """
 from __future__ import annotations
 
@@ -181,6 +186,25 @@ class Term:
         return term_to_sexpr(self)
 
 
+def post_order(term: Term, memo):
+    """Yield term and its subterms whose ids are not in memo, each once,
+    children before parents and left to right, term last.  The caller
+    enters each yielded term's id in memo before it asks for the next one.
+    An explicit stack replaces recursion, so any depth is walked."""
+    stack = [(term, iter(term.children))]
+    while stack:
+        t, it = stack[-1]
+        for c in it:
+            if c.id not in memo:
+                if c.children:
+                    stack.append((c, iter(c.children)))
+                    break
+                yield c
+        else:
+            stack.pop()
+            yield t
+
+
 class TermStore:
     """Hash-consing arena; one shared store per problem instance."""
 
@@ -188,15 +212,15 @@ class TermStore:
         self.sig = sig
         self._table = {}
         self.terms = []
-        self._var_cache = {}
+        self._var_order = {}   # term id -> var_order(term), filled by walks
 
     def mk_app(self, label: str, args: Sequence[Term] = ()) -> Term:
         args = tuple(args)
-        sort = self._resolve_sort(label, args)
-        key = (label, tuple(a.id for a in args))
+        key = (label, tuple([a.id for a in args]))
         hit = self._table.get(key)
         if hit is not None:
-            return hit
+            return hit  # its sorts were checked when it was made
+        sort = self._resolve_sort(label, args)
         ground = label not in self.sig.variables and all(a.ground for a in args)
         term = Term(len(self.terms), label, args, sort, ground)
         self.terms.append(term)
@@ -264,16 +288,31 @@ class TermStore:
 
     def free_vars(self, term: Term) -> frozenset:
         """Names of the to-eliminate variables occurring in term."""
-        cached = self._var_cache.get(term.id)
-        if cached is not None:
-            return cached
-        if not term.children:
-            out = frozenset((term.label,)) if term.label in self.sig.variables \
-                else frozenset()
-        else:
-            out = frozenset().union(*(self.free_vars(c) for c in term.children))
-        self._var_cache[term.id] = out
-        return out
+        return frozenset(self.var_order(term))
+
+    def var_order(self, term: Term) -> tuple:
+        """Names of the to-eliminate variables occurring in term, in the
+        order a left-to-right tree walk first meets them.  That order is the
+        children's orders merged left to right without repeats, so each
+        distinct subterm is visited once."""
+        if term.ground:
+            return ()
+        memo = self._var_order
+        hit = memo.get(term.id)
+        if hit is not None:
+            return hit
+        for t in post_order(term, memo):
+            if t.ground:
+                memo[t.id] = ()
+            elif not t.children:
+                memo[t.id] = (t.label,)
+            else:
+                orders = [memo[c.id] for c in t.children if not c.ground]
+                first = orders[0]
+                if any(o is not first for o in orders):
+                    first = tuple(dict.fromkeys(v for o in orders for v in o))
+                memo[t.id] = first
+        return memo[term.id]
 
 
 @dataclass(frozen=True)
@@ -297,51 +336,100 @@ class Formula:
 
 def mk_formula(store: TermStore, literals: Iterable[Literal]) -> Formula:
     literals = tuple(literals)
-    ordered = []
-    for lit in literals:
-        for side in (lit.lhs, lit.rhs):
-            ordered.extend(v for v in _var_occurrences(store, side) if v not in ordered)
+    ordered = dict.fromkeys(v for lit in literals for side in (lit.lhs, lit.rhs)
+                            for v in store.var_order(side))
     return Formula(literals, tuple(ordered))
 
 
-def _var_occurrences(store, term):
-    if not term.children:
-        return [term.label] if term.label in store.sig.variables else []
-    out = []
-    for c in term.children:
-        out.extend(_var_occurrences(store, c))
-    return out
-
+# The printers append string pieces to one list per call and join it once.
+# A subterm met for the first time is written piece by piece, and the memo
+# notes its span in the list; met again, the span is joined into its string
+# once, and that string is reused from then on.  So an unshared chain prints
+# in linear time and memory, and a shared tower in time linear in its output.
 
 def term_to_sexpr(term: Term) -> str:
     if not term.children:
         return term.label
-    return "(" + " ".join([term.label] + [term_to_sexpr(c) for c in term.children]) + ")"
+    out = []
+    _emit(term, out, {})
+    return "".join(out)
 
 
 def literal_to_sexpr(lit: Literal) -> str:
-    lhs, rhs = lit.lhs, lit.rhs
-    if lit.kind == "diseq":
-        return f"(distinct {term_to_sexpr(lhs)} {term_to_sexpr(rhs)})"
-    if lit.kind == "ueq":
-        return f"(ueq {term_to_sexpr(lhs)} {term_to_sexpr(rhs)})"
-    # equalities with a Bool constant print in predicate form
-    for a, b in ((lhs, rhs), (rhs, lhs)):
-        if a.label == "true" and not a.children and b is not a:
-            return _pred_to_sexpr(b)
-        if a.label == "false" and not a.children and b is not a:
-            return f"(not {_pred_to_sexpr(b)})"
-    return f"(= {term_to_sexpr(lhs)} {term_to_sexpr(rhs)})"
-
-
-def _pred_to_sexpr(term):
-    if term.label == "distinct":
-        return ("(distinct " + term_to_sexpr(term.children[0]) + " "
-                + term_to_sexpr(term.children[1]) + ")")
-    return term_to_sexpr(term)
+    out = []
+    _emit_literal(lit, out, {})
+    return "".join(out)
 
 
 def formula_to_sexpr(formula: Formula) -> str:
     if not formula.literals:
         return "true"
-    return "(and " + " ".join(literal_to_sexpr(l) for l in formula.literals) + ")"
+    out = ["(and"]
+    memo = {}
+    for lit in formula.literals:
+        out.append(" ")
+        _emit_literal(lit, out, memo)
+    out.append(")")
+    return "".join(out)
+
+
+def _emit_literal(lit, out, memo):
+    lhs, rhs = lit.lhs, lit.rhs
+    if lit.kind == "diseq":
+        out.append("(distinct ")
+    elif lit.kind == "ueq":
+        out.append("(ueq ")
+    else:
+        # equalities with a Bool constant print in predicate form
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            if a.label == "true" and not a.children and b is not a:
+                _emit(b, out, memo)
+                return
+            if a.label == "false" and not a.children and b is not a:
+                out.append("(not ")
+                _emit(b, out, memo)
+                out.append(")")
+                return
+        out.append("(= ")
+    _emit(lhs, out, memo)
+    out.append(" ")
+    _emit(rhs, out, memo)
+    out.append(")")
+
+
+def _emit(term, out, memo):
+    """Append the pieces of term's s-expression to out (see above)."""
+    if not term.children:
+        out.append(term.label)
+        return
+    hit = memo.get(term.id)
+    if hit is not None:
+        out.append(_reuse(term, hit, out, memo))
+        return
+    stack = [(term, iter(term.children), len(out))]
+    out.append("(" + term.label)
+    while stack:
+        t, it, start = stack[-1]
+        for c in it:
+            out.append(" ")
+            if not c.children:
+                out.append(c.label)
+                continue
+            hit = memo.get(c.id)
+            if hit is None:
+                stack.append((c, iter(c.children), len(out)))
+                out.append("(" + c.label)
+                break
+            out.append(_reuse(c, hit, out, memo))
+        else:
+            stack.pop()
+            out.append(")")
+            memo[t.id] = (start, len(out))
+
+
+def _reuse(term, hit, out, memo):
+    """The string of a subterm printed before: its span, joined once."""
+    if isinstance(hit, str):
+        return hit
+    s = memo[term.id] = "".join(out[hit[0]:hit[1]])
+    return s

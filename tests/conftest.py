@@ -196,3 +196,14 @@ def random_projection_instance(rng):
                 "eq", vt, store.mk_app("mk", (val_terms[0], idx_terms[0]))))
             lits.append(Literal("diseq", vt, store.mk_const("r0")))
     return sig, store, mk_formula(store, lits)
+
+
+def chain_problem(depth):
+    """Problem text asserting ``x = f(g(f(...(c))))``, a chain of the given
+    depth, and ``x != d``; with the chain's text, which qel keeps as
+    ``(and (distinct CHAIN d))`` once it has eliminated x."""
+    chain = "".join(f"({'fg'[i % 2]} " for i in range(depth)) + "c" + ")" * depth
+    text = ("(declare-sort S 0) (declare-fun f (S) S) (declare-fun g (S) S)\n"
+            "(declare-const c S) (declare-const d S) (declare-var x S)\n"
+            f"(assert (= x {chain}))\n(assert (distinct x d))\n")
+    return text, chain

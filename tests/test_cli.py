@@ -5,7 +5,7 @@ import pytest
 from egraphqe import parse_formula
 from egraphqe.cli import main
 
-from conftest import DEMOS
+from conftest import DEMOS, chain_problem
 
 
 def _path(name):
@@ -74,6 +74,26 @@ def test_deterministic_output(capsys):
     m1 = capsys.readouterr().out
     main(["mbp", _path("nested_pair_array.smt2"), "--model", _path("nested_pair_array.model")])
     assert capsys.readouterr().out == m1
+
+
+def test_qel_on_depth_3000_chain_file(tmp_path, capsys):
+    text, chain = chain_problem(3000)
+    path = tmp_path / "chain.smt2"
+    path.write_text(text)
+    assert main(["qel", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == f"(and (distinct {chain} d))"
+    assert "eliminated: x" in out.err
+
+
+def test_deep_malformed_term_is_an_input_error(tmp_path, capsys):
+    # a list in head position, around a depth-3000 chain
+    chain = "(f " * 3000 + "c" + ")" * 3000
+    path = tmp_path / "bad.smt2"
+    path.write_text("(declare-sort S 0) (declare-fun f (S) S) (declare-const c S)\n"
+                    f"(assert (= c ({chain})))\n")
+    assert main(["qel", str(path)]) == 2
+    assert "error: bad term (('f' ('f' " in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path, capsys):

@@ -3,10 +3,31 @@ import pytest
 from egraphqe import (Bounds, EGraph, ExtractionBudgetError,
                       InadmissibleReprError, ReprFn, build_repr_graph,
                       equiv_exists, find_defs, is_admissible,
-                      is_admissible_partial, term_to_sexpr, to_expr,
-                      to_formula)
+                      is_admissible_partial, parse_problem, term_to_sexpr,
+                      to_expr, to_formula)
 
 from conftest import load, random_euf_instance, random_total_repr
+
+DEEP_CHAIN = """
+(declare-sort S 0)
+(declare-fun f (S) S)
+(declare-fun g (S) S)
+(declare-const c S)
+(declare-var a S)
+(assert (= a {chain}))
+(assert (= c (g a)))
+"""
+
+
+def _deep_chain_graph(depth):
+    """``a = f(...(c))`` of the given depth and ``c = g(a)``, with its top
+    chain node and the node of ``g(a)``."""
+    chain = "(f " * depth + "c" + ")" * depth
+    prob = parse_problem(DEEP_CHAIN.format(chain=chain))
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    top = g.node_of_term(prob.formula.literals[0].rhs)
+    ga = g.node_of_term(prob.formula.literals[1].rhs)
+    return prob, g, top, ga
 
 
 def _graph(name):
@@ -112,6 +133,21 @@ def test_to_expr_budget_on_cycle():
     f = _node(g, "f")
     with pytest.raises(ExtractionBudgetError):
         to_expr(g, f, reprs["c"])
+
+
+def test_to_expr_deep_acyclic_chain():
+    prob, g, top, _ = _deep_chain_graph(5000)
+    r = find_defs(g)   # c's class is represented by c, so the chain is acyclic
+    assert to_expr(g, top, r) is prob.formula.literals[0].rhs
+
+
+def test_to_expr_cycle_deep_down_the_path():
+    # representing c's class by g(a) closes a cycle 5000 steps below the top
+    prob, g, top, ga = _deep_chain_graph(5000)
+    r = find_defs(g)
+    r.set_class(g, ga)
+    with pytest.raises(ExtractionBudgetError):
+        to_expr(g, top, r)
 
 
 def test_to_formula_read_chain_no_exclusions():

@@ -4,6 +4,7 @@ from egraphqe import (AdtVal, BoolVal, Elem, IntVal, Literal, Model,
                       Signature, TermStore, eval_term, extend, holds,
                       mk_array, parse_model, satisfies)
 from egraphqe.model import ModelError, array_read, array_write, default_value
+from egraphqe.terms import mk_formula
 
 from conftest import load, load_mbp
 
@@ -127,3 +128,22 @@ def test_missing_interpretation_detected_at_eval():
     sig.declare_const("w", sig.sorts["Int"])
     with pytest.raises(ModelError):
         eval_term(model, sig, store.mk_const("w"))
+
+
+def test_satisfies_deep_chain_under_planted_model():
+    sig = Signature()
+    u = sig.declare_sort("U")
+    sig.declare_fun("f", [u], u)
+    sig.declare_const("c", u)
+    sig.declare_var("x", u)
+    store = TermStore(sig)
+    chain = store.mk_const("c")
+    for _ in range(10_000):
+        chain = store.mk_app("f", (chain,))
+    formula = mk_formula(store, [Literal("eq", store.mk_const("x"), chain)])
+    # f swaps the two elements, so an even chain over c lands back on c
+    f = (Elem("U", 0), {(Elem("U", 0),): Elem("U", 1), (Elem("U", 1),): Elem("U", 0)})
+    planted = Model({"c": Elem("U", 0), "x": Elem("U", 0)}, {"f": f}, {"U": 2})
+    assert satisfies(planted, sig, formula)
+    wrong = Model({"c": Elem("U", 0), "x": Elem("U", 1)}, {"f": f}, {"U": 2})
+    assert not satisfies(wrong, sig, formula)

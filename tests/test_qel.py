@@ -1,9 +1,9 @@
 from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
-                      find_core, find_defs, is_admissible, is_maximally_ground,
-                      process, qel, refine_defs, to_expr)
+                      find_core, find_defs, formula_to_sexpr, is_admissible,
+                      is_maximally_ground, process, qel, refine_defs, to_expr)
 from egraphqe.parser import parse_problem
 
-from conftest import (load, random_euf_instance,
+from conftest import (chain_problem, load, random_euf_instance,
                       random_grounded_var_instance)
 
 
@@ -255,3 +255,11 @@ def test_unreachable_variables_never_survive(rng):
         for node in g.nodes:
             if node.label in formula.free_vars and node.id not in reached:
                 assert node.label not in out.free_vars
+
+
+def test_qel_on_depth_ten_thousand_chain():
+    text, chain = chain_problem(10_000)
+    prob = parse_problem(text)
+    out = qel(prob.sig, prob.store, prob.formula)
+    assert out.free_vars == ()
+    assert formula_to_sexpr(out) == f"(and (distinct {chain} d))"

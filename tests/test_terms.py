@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from egraphqe import (InputError, Signature, SortKind, TermStore,
-                      formula_to_sexpr, parse_formula, term_to_sexpr)
+from egraphqe import (InputError, Literal, Signature, SortKind, TermStore,
+                      formula_to_sexpr, parse_formula, parse_problem,
+                      term_to_sexpr)
 from egraphqe.parser import ParseError
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
-                            UnknownSymbolError)
+                            UnknownSymbolError, mk_formula)
 
 from conftest import load, same_literals
 
@@ -136,3 +139,151 @@ def test_print_parse_round_trip():
 def test_formula_print_forms():
     sig, formula = parse_formula("(declare-const c Int) (assert (= c c))")
     assert formula_to_sexpr(formula) == "(and (= c c))"
+
+
+# -- reference twins: the tree-recursive walks the iterative ones replace -----
+
+def _ref_term(term):
+    if not term.children:
+        return term.label
+    return "(" + " ".join([term.label] + [_ref_term(c) for c in term.children]) + ")"
+
+
+def _ref_literal(lit):
+    lhs, rhs = lit.lhs, lit.rhs
+    if lit.kind == "diseq":
+        return f"(distinct {_ref_term(lhs)} {_ref_term(rhs)})"
+    if lit.kind == "ueq":
+        return f"(ueq {_ref_term(lhs)} {_ref_term(rhs)})"
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        if a.label == "true" and not a.children and b is not a:
+            return _ref_term(b)
+        if a.label == "false" and not a.children and b is not a:
+            return f"(not {_ref_term(b)})"
+    return f"(= {_ref_term(lhs)} {_ref_term(rhs)})"
+
+
+def _ref_formula(formula):
+    if not formula.literals:
+        return "true"
+    return "(and " + " ".join(_ref_literal(l) for l in formula.literals) + ")"
+
+
+def _ref_occurrences(store, term):
+    if not term.children:
+        return [term.label] if term.label in store.sig.variables else []
+    out = []
+    for c in term.children:
+        out.extend(_ref_occurrences(store, c))
+    return out
+
+
+def _ref_free_vars(store, literals):
+    ordered = []
+    for lit in literals:
+        for side in (lit.lhs, lit.rhs):
+            ordered.extend(v for v in _ref_occurrences(store, side) if v not in ordered)
+    return tuple(ordered)
+
+
+DAG_DECLS = """
+(declare-sort U 0)
+(declare-fun f (U) U)
+(declare-fun h (U U) U)
+(declare-fun k (U U U) U)
+(declare-fun P (U) Bool)
+(declare-fun Q (U U) Bool)
+(declare-const c U)
+(declare-const d U)
+(declare-var x0 U)
+(declare-var x1 U)
+(declare-var x2 U)
+(declare-var x3 U)
+"""
+
+
+def _random_dag_formula(rng):
+    """A conjunction over a random shared DAG: h(t, t) towers, applications
+    of arity 1-3 over earlier terms, and variables entering at several
+    depths; every literal kind, predicates in both polarities."""
+    prob = parse_problem(DAG_DECLS)
+    store = prob.store
+    pool = [store.mk_const(rng.choice(("c", "d", "x0")))]
+    for _ in range(rng.randint(3, 9)):
+        step = rng.randrange(4)
+        if step == 0:                      # a tower of shared h(t, t)
+            t = rng.choice(pool)
+            for _ in range(rng.randint(1, 6)):
+                t = store.mk_app("h", (t, t))
+        elif step == 1:                    # a variable or constant, deep down
+            leaf = store.mk_const(rng.choice(("c", "d", "x0", "x1", "x2", "x3")))
+            t = store.mk_app("h", (rng.choice(pool), leaf))
+        else:
+            label = rng.choice(("f", "h", "k"))
+            arity = {"f": 1, "h": 2, "k": 3}[label]
+            t = store.mk_app(label, [rng.choice(pool) for _ in range(arity)])
+        pool.append(t)
+    pool += [store.mk_const(v) for v in ("c", "x1", "x3")]
+    literals = []
+    for _ in range(rng.randint(1, 5)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(5)
+        if kind < 3:
+            literals.append(Literal(("eq", "diseq", "ueq")[kind], a, b))
+        else:
+            pred = store.mk_app("P", (a,)) if kind == 3 else store.mk_app("Q", (a, b))
+            value = rng.choice((store.top, store.bot))
+            literals.append(Literal("eq", *rng.sample((pred, value), 2)))
+    rng.shuffle(literals)
+    return store, mk_formula(store, literals)
+
+
+def test_iterative_walks_match_tree_references():
+    rng = random.Random(20261017)
+    for _ in range(150):
+        store, formula = _random_dag_formula(rng)
+        assert formula.free_vars == _ref_free_vars(store, formula.literals)
+        printed = formula_to_sexpr(formula)
+        assert printed == _ref_formula(formula)
+        for lit in formula.literals:
+            for side in (lit.lhs, lit.rhs):
+                assert term_to_sexpr(side) == _ref_term(side)
+                assert store.free_vars(side) == frozenset(_ref_occurrences(store, side))
+        # printing, parsing and printing again is a fixed point
+        text = DAG_DECLS + "".join(f"(assert {lit!r})\n" for lit in formula.literals)
+        again = parse_problem(text).formula
+        assert formula_to_sexpr(again) == printed
+        assert again.free_vars == formula.free_vars
+
+
+def test_deep_chain_prints_and_orders_variables():
+    sig = Signature()
+    u = sig.declare_sort("U")
+    sig.declare_fun("f", [u], u)
+    sig.declare_var("x", u)
+    sig.declare_var("y", u)
+    store = TermStore(sig)
+    t = store.mk_const("y")
+    for _ in range(10_000):
+        t = store.mk_app("f", (t,))
+    top = store.mk_app("f", (t,))
+    formula = mk_formula(store, [Literal("eq", store.mk_const("x"), top)])
+    assert formula.free_vars == ("x", "y")
+    assert term_to_sexpr(top) == "(f " * 10_001 + "y" + ")" * 10_001
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("(= c (f nosuch))", UnknownSymbolError, "unknown symbol 'nosuch'"),
+    ("(= c (f (= c c)))", ParseError, "nested '=' at 3:17"),
+    ("(= c (f ()))", ParseError, "bad term ()"),
+    ("(= c ((f c) c))", ParseError, "bad term (('f' 'c') 'c')"),
+    # arguments are read left to right, so the first bad one is reported
+    ("(= c (h (= c c) nosuch))", ParseError, "nested '=' at 3:17"),
+    ("(= c (h nosuch (= c c)))", UnknownSymbolError, "unknown symbol 'nosuch'"),
+    ("(= c (h (f c c) nosuch))", SortMismatchError, "'f' expects 1 arguments, got 2"),
+])
+def test_term_errors_and_positions(body, error, message):
+    decls = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\n"
+    with pytest.raises(error) as exc:
+        parse_formula(decls + "(declare-const c S)\n(assert " + body + ")")
+    assert str(exc.value) == message
