@@ -13,7 +13,7 @@ from .extraction import (ExtractionBudgetError, InadmissibleReprError, ReprFn,
                          to_expr, to_formula)
 from .mbp import MbpResult, ModelMismatchError, SaturationBudgetError, mbp
 from .model import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Model, eval_term,
-                    extend, holds, mk_array, parse_model, satisfies)
+                    holds, mk_array, parse_model, satisfies)
 from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
 from .parser import ParseError, Problem, parse_formula, parse_problem
@@ -32,9 +32,8 @@ __all__ = [
     "ReprFn", "SaturationBudgetError", "SearchSpaceError", "Signature",
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",
     "compute_cground", "core_reachable_nodes", "equiv_exists", "eval_term",
-    "extend", "find_core",
-    "find_defs", "find_model", "formula_to_sexpr", "holds", "implies_exists",
-    "is_admissible", "is_admissible_partial", "is_maximally_ground",
+    "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",
+    "implies_exists", "is_admissible", "is_admissible_partial", "is_maximally_ground",
     "literal_to_sexpr", "mbp", "mk_array", "parse_formula", "parse_model",
     "parse_problem", "process", "qel", "refine_defs", "satisfies",
     "term_to_sexpr", "to_expr", "to_formula",

@@ -15,12 +15,11 @@ import argparse
 import sys
 
 from .egraph import EGraph
-from .extraction import to_formula
 from .mbp import SaturationBudgetError, mbp
 from .model import parse_model, satisfies
 from .oracle import Bounds, SearchSpaceError, equiv_exists, implies_exists
 from .parser import parse_problem
-from .qel import find_core, find_defs, refine_defs
+from .qel import reduce
 from .terms import InputError, formula_to_sexpr
 
 
@@ -62,10 +61,7 @@ def _run(args) -> int:
     if args.command == "qel":
         g = EGraph.from_formula(sig, store, formula)
         _dot(args, "initial", g)
-        r = find_defs(g)
-        r = refine_defs(g, r, formula.free_vars)
-        core = find_core(g, r, formula.free_vars)
-        out = to_formula(g, r, set(g.node_ids()) - core)
+        r, out = reduce(g, formula.free_vars)
         _dot(args, "final", g, r)
         check_ok = True
         if args.check:

@@ -46,14 +46,8 @@ class ReprFn:
         for m in g.class_of(rep):
             self.assignment[m] = rep
 
-    def is_rep(self, n) -> bool:
-        return self.assignment.get(n) == n
-
     def reps(self) -> set:
         return set(self.assignment.values())
-
-    def copy(self) -> "ReprFn":
-        return ReprFn(self.assignment)
 
     def __repr__(self):
         return f"ReprFn({self.assignment})"

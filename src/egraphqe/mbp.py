@@ -1,14 +1,14 @@
 """Model-based projection of array and datatype variables.
 
 Saturates theory projection rules over the egraph of the input under a
-satisfying model, then runs the quantifier-reduction tail and drops every
-node whose extraction still mentions a projected array/datatype variable.
-Rules only ever add terms, merges, and disequalities.  Nodes are append-only,
-so one watermark per rule family (the node count at the start of its last
-pass) says which nodes and pairs were offered already; per-rule marks on
-the remaining keys keep saturation terminating.  Pairwise candidates are
-reads over one base node, grouped by that node, so a pass never looks at
-pairs that cannot match.
+satisfying model, then runs the quantifier-reduction tail (``qel.reduce``)
+with every array/datatype variable as taint, which drops every node whose
+extraction still mentions one.  Rules only ever add terms, merges, and
+disequalities.  Nodes are append-only, so one integer watermark per rule
+family (the node count at the start of its last pass) says which nodes and
+pairs were offered already; per-rule marks on the remaining keys keep
+saturation terminating.  Pairwise candidates are reads over one base node,
+grouped by that node, so a pass never looks at pairs that cannot match.
 
 The array rules rewrite read-over-write patterns, turn array equalities
 into partial-equality obligations, unwind writes out of those obligations,
@@ -25,9 +25,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .egraph import EGraph
-from .extraction import ReprFn, extract_terms, to_formula
-from .model import Model, eval_term, extend, satisfies
-from .qel import compute_cground, find_core, find_defs, refine_defs
+from .extraction import ReprFn
+from .model import Model, eval_term, satisfies
+from .qel import compute_cground, reduce
 from .terms import Formula, InputError, Signature, SortKind, Term, TermStore
 
 
@@ -98,13 +98,6 @@ class _State:
                 return name
 
 
-@dataclass
-class SeenSets:
-    """Nodes below the watermark have been offered to the unary rules, and
-    every pair of them to the pairwise rules."""
-    watermark: int = 0
-
-
 def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
         model: Model, budget: int = 10_000) -> MbpResult:
     """Project the given array/datatype variables out of the conjunction.
@@ -129,81 +122,59 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
     _saturate(state)
 
     all_vars = g.var_names()  # original plus rule-introduced variables
-    r = find_defs(g)
-    r = refine_defs(g, r, all_vars)
-    core = find_core(g, r, all_vars)
-    adts_arrays = {v for v in all_vars
-                   if sig.variables[v].kind in (SortKind.ARRAY, SortKind.ADT)}
-    extractions = extract_terms(g, r, core)
-    keep = set()
-    for n in core:
-        rep = r.get(n)
-        if store.free_vars(extractions[n]) & adts_arrays:
-            continue
-        if rep != n and store.free_vars(extractions[rep]) & adts_arrays:
-            continue
-        keep.add(n)
-    out = to_formula(g, r, set(g.node_ids()) - keep)
+    taint = frozenset(v for v in all_vars if sig.variables[v].kind
+                      in (SortKind.ARRAY, SortKind.ADT))
+    r, out = reduce(g, all_vars, taint)
     return MbpResult(out, state.model, state.fires, g, r)
 
 
 # -- saturation loop ----------------------------------------------------------
 
-_ARRAY_RULES = ("elim_wr_rd", "partial_eq", "elim_wr", "elim_eq")
-_ADT_RULES = ("adt_deconstruct_eq",)
-
-
 def _saturate(state: _State):
-    array_seen = SeenSets()
-    adt_seen = SeenSets()
-    while True:
-        p1 = _saturate_family(state, _ARRAY_RULES, ("ackermann",), (),
-                              array_seen)
-        p2 = _saturate_family(state, _ADT_RULES, (), ("adt_split_diseq",),
-                              adt_seen)
-        if not (p1 or p2):
-            return
+    """Run the array family to its fixpoint, then the datatype family, and
+    repeat until neither makes progress."""
+    marks = dict.fromkeys(_FAMILIES, 0)
+    progress = True
+    while progress:
+        progress = False
+        for family in _FAMILIES:
+            fired = True
+            while fired:
+                fired, marks[family] = apply_rules(state, family, marks[family])
+                progress = progress or fired
 
 
-def _saturate_family(state, unary, pairwise, diseq_rules, seen) -> bool:
-    progress = False
-    while apply_rules(state, unary, pairwise, diseq_rules, seen):
-        progress = True
-    return progress
-
-
-def apply_rules(state: _State, unary, pairwise, diseq_rules,
-                seen: SeenSets) -> bool:
-    """One pass over the nodes that exist when it starts.  Nodes from the
-    watermark on go to the unary rules (equality bookkeeping always, others
-    only when not constructively ground).  Pairs (a, b), a < b, of reads over
-    one base node with b at or past the watermark go to the pairwise rules,
-    in lexicographic order.  Unresolved disequalities go to the splitting
-    rules.  The watermark then moves to the end of the pass's nodes."""
+def apply_rules(state: _State, family, watermark: int) -> tuple:
+    """One pass of a rule family (node rules, read-pair rules, disequality
+    rules) over the nodes that exist when it starts.  Nodes from the
+    watermark on go to the node rules (equality bookkeeping always, others
+    only when not constructively ground).  Pairs (a, b), a < b, of reads
+    over one base node with b at or past the watermark go to the read-pair
+    rules, in lexicographic order.  Unresolved disequalities go to the
+    disequality rules.  Returns whether a rule fired and the watermark for
+    the next pass: the node count at the start of this one."""
+    node_rules, pair_rules, diseq_rules = family
     g = state.g
     progress = False
-    w, size = seen.watermark, len(g.nodes)
+    size = len(g.nodes)
     info = compute_cground(g)
-    for n in range(w, size):
+    for n in range(watermark, size):
         if g.nodes[n].label == "peq" or n not in info.cground:
-            for rule in unary:
-                if _UNARY[rule](state, n):
+            for rule in node_rules:
+                if rule(state, n):
                     progress = True
-    for rule in pairwise:
-        fn = _PAIRWISE[rule]
-        for a, b in _read_pairs(g, w, size):
-            if fn(state, a, b):
+    for rule in pair_rules:
+        for a, b in _read_pairs(g, watermark, size):
+            if rule(state, a, b):
                 progress = True
     for rule in diseq_rules:
-        fn = _DISEQ[rule]
         for a, b in list(g.diseqs):
             if g.find(a) in info.ground_class and \
                     g.find(b) in info.ground_class:
                 continue  # both sides become ground terms; no split needed
-            if fn(state, a, b):
+            if rule(state, a, b):
                 progress = True
-    seen.watermark = size
-    return progress
+    return progress, size
 
 
 def _read_pairs(g: EGraph, w: int, size: int) -> list:
@@ -351,9 +322,8 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
             else:
                 sig.declare_const(name, value_sort)
             dterm = store.mk_const(name)
-            state.model = extend(
-                state.model, name,
-                state.meval(store.mk_app("read", (v.term, ix))))
+            state.model = state.model.with_constant(
+                name, state.meval(store.mk_app("read", (v.term, ix))))
             chain = store.mk_app("write", (chain, ix, dterm))
         g.assert_eq(v.term, chain)
         state.fired("elim_eq")
@@ -444,12 +414,9 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
     return False
 
 
-_UNARY = {
-    "elim_wr_rd": _rule_elim_wr_rd,
-    "partial_eq": _rule_partial_eq,
-    "elim_wr": _rule_elim_wr,
-    "elim_eq": _rule_elim_eq,
-    "adt_deconstruct_eq": _rule_adt_deconstruct_eq,
-}
-_PAIRWISE = {"ackermann": _rule_ackermann}
-_DISEQ = {"adt_split_diseq": _rule_adt_split_diseq}
+# -- rule families: (node rules, read-pair rules, disequality rules) ----------
+
+_ARRAY_RULES = ((_rule_elim_wr_rd, _rule_partial_eq, _rule_elim_wr,
+                 _rule_elim_eq), (_rule_ackermann,), ())
+_ADT_RULES = ((_rule_adt_deconstruct_eq,), (), (_rule_adt_split_diseq,))
+_FAMILIES = (_ARRAY_RULES, _ADT_RULES)

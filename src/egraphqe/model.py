@@ -121,10 +121,6 @@ class Model:
         return Model(consts, self.functions, self.universes)
 
 
-def extend(model: Model, name, value: Value) -> Model:
-    return model.with_constant(name, value)
-
-
 def eval_term(model: Model, sig: Signature, term: Term) -> Value:
     return _eval(model, sig, term, {})
 
@@ -286,7 +282,7 @@ def parse_model(text: str, sig: Signature) -> Model:
                 table[key] = parse_value(entry[1], sig)
             functions[name] = (default, table)
         elif head == "universe" and len(form) == 3:
-            universes[_name(form[1])] = int(_name(form[2]))
+            universes[_name(form[1])] = _int(form[2])
         else:
             raise ModelError(f"unknown model command '{head}'")
     return Model(constants, functions, universes)
@@ -300,7 +296,7 @@ def parse_value(form, sig: Signature) -> Value:
         if t == "false":
             return BoolVal(False)
         if t.lstrip("-").isdigit():
-            return IntVal(int(t))
+            return IntVal(_int(form))
         raise ModelError(f"bad value '{t}' at {form.line}:{form.col}")
     if not form or not isinstance(form[0], Atom):
         raise ModelError("bad value")
@@ -309,7 +305,7 @@ def parse_value(form, sig: Signature) -> Value:
         sort = _name(form[1])
         if sort not in sig.sorts:
             raise ModelError(f"unknown sort '{sort}' in element value")
-        return Elem(sort, int(_name(form[2])))
+        return Elem(sort, _int(form[2]))
     if head == "array" and len(form) >= 2:
         default = _parse_default(form[1], sig)
         mapping = {}
@@ -341,3 +337,12 @@ def _name(form) -> str:
     if not isinstance(form, Atom):
         raise ModelError("expected a symbol")
     return form.text
+
+
+def _int(form) -> int:
+    text = _name(form)
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelError(f"expected an integer, got '{text}' "
+                         f"at {form.line}:{form.col}") from None

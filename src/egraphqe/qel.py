@@ -6,7 +6,9 @@ constructively ground representative), refine variable representatives into
 variable-free ones where acyclicity allows it, shrink the node set to a
 core whose extraction keeps the existential closure, and extract.  Every
 variable equated (even implicitly, through transitivity and congruence) to
-a ground term is guaranteed to disappear.
+a ground term is guaranteed to disappear.  Everything after the build is
+``reduce``, the one reduction tail, which ``mbp`` runs on its saturated
+egraph as well.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .egraph import EGraph
-from .extraction import ReprFn, to_formula
+from .extraction import ReprFn, build_repr_graph, extract_terms, to_formula
 from .terms import Formula, Signature, TermStore
 
 
@@ -116,25 +118,20 @@ def refine_defs(g: EGraph, r: ReprFn, var_names) -> ReprFn:
 def _makes_cycle(g: EGraph, r: ReprFn, candidate: int) -> bool:
     """Would retargeting candidate's class onto candidate close a cycle?
     All new edges point into the candidate, so it suffices to look for a
-    path from the candidate back to itself in the updated graph."""
-    trial = r.copy()
-    trial.set_class(g, candidate)
-    succ = {}
-    for node in g.nodes:
-        for c in node.children:
-            rep = trial.get(c)
-            if rep is not None:
-                succ.setdefault(node.id, set()).add(rep)
-    stack = list(succ.get(candidate, ()))
+    path from the candidate back to itself.  The walk reads each child's
+    representative as it would be after the retarget: the candidate for a
+    child of the candidate's class, r's otherwise."""
+    root = g.find(candidate)
+    stack = [candidate]
     visited = set()
     while stack:
-        n = stack.pop()
-        if n == candidate:
-            return True
-        if n in visited:
-            continue
-        visited.add(n)
-        stack.extend(succ.get(n, ()))
+        for c in g.nodes[stack.pop()].children:
+            rep = candidate if g.find(c) == root else r.get(c)
+            if rep == candidate:
+                return True
+            if rep is not None and rep not in visited:
+                visited.add(rep)
+                stack.append(rep)
     return False
 
 
@@ -168,7 +165,6 @@ def core_reachable_nodes(g: EGraph, r: ReprFn, core) -> set:
     two or more core nodes.  Only such classes contribute output literals,
     so a variable node outside this set never appears in the result -- a
     diagnostic for the second elimination condition."""
-    from .extraction import build_repr_graph
     succ = {}
     for a, b in build_repr_graph(g, r):
         succ.setdefault(a, set()).add(b)
@@ -201,15 +197,28 @@ def is_maximally_ground(g: EGraph, r: ReprFn,
     return True
 
 
+def reduce(g: EGraph, var_names, taint=frozenset()):
+    """The reduction tail shared by qel and mbp: pick representatives,
+    refine them, shrink to the core and extract.  With a non-empty taint,
+    a core node is dropped when its extraction, or its representative's,
+    mentions a tainted variable.  Returns the representative function and
+    the formula."""
+    r = find_defs(g)
+    r = refine_defs(g, r, var_names)
+    core = find_core(g, r, var_names)
+    if taint:
+        free_vars = g.store.free_vars
+        extractions = extract_terms(g, r, core)
+        core = {n for n in core
+                if not free_vars(extractions[n]) & taint
+                and not free_vars(extractions[r.get(n)]) & taint}
+    return r, to_formula(g, r, set(g.node_ids()) - core)
+
+
 def qel(sig: Signature, store: TermStore, formula: Formula,
         var_names=None) -> Formula:
     """Quantifier reduction: returns a conjunction over a subset of the
     input's variables whose existential closure is equivalent."""
     if var_names is None:
         var_names = formula.free_vars
-    g = EGraph.from_formula(sig, store, formula)
-    r = find_defs(g)
-    r = refine_defs(g, r, var_names)
-    core = find_core(g, r, var_names)
-    exclude = set(g.node_ids()) - core
-    return to_formula(g, r, exclude)
+    return reduce(EGraph.from_formula(sig, store, formula), var_names)[1]

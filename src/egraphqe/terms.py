@@ -152,9 +152,6 @@ class Signature:
         self._check_fresh(name)
         self.variables[name] = sort
 
-    def is_variable(self, name) -> bool:
-        return name in self.variables
-
     def _ensure_numeral(self, name):
         if name not in self.functions:
             self.functions[name] = ((), INT)

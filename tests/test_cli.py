@@ -2,10 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import parse_formula
+from egraphqe import EGraph, parse_formula
 from egraphqe.cli import main
+from egraphqe.qel import reduce
 
-from conftest import DEMOS, chain_problem
+from conftest import DEMOS, chain_problem, load
 
 
 def _path(name):
@@ -149,6 +150,30 @@ def test_dot_output(tmp_path, capsys):
     final = Path(f"{prefix}.final.dot").read_text()
     assert "digraph" in initial
     assert "color=blue" in final
+    # the final dump is the graph and representatives reduce works with;
+    # the CLI ends each DOT file with a newline
+    prob = load("read_chain.smt2")
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    r, _ = reduce(g, prob.formula.free_vars)
+    assert final == g.dump_dot(r) + "\n"
     assert main(["mbp", _path("nested_pair_array.smt2"), "--model",
                  _path("nested_pair_array.model"), "--dot", str(prefix)]) == 0
     assert Path(f"{prefix}.saturated.dot").exists()
+
+
+@pytest.mark.parametrize("model", ["(universe S x)",
+                                   "(define-value c (elem S zero))",
+                                   "(define-value c \u00b2)"])
+def test_non_integer_in_model_is_an_input_error(tmp_path, capsys, model):
+    problem = tmp_path / "p.smt2"
+    problem.write_text("""
+    (declare-sort S 0)
+    (declare-const c S)
+    (declare-var a (Array Int S))
+    (assert (= (read a 0) c))
+    (mbp)
+    """)
+    model_file = tmp_path / "m.model"
+    model_file.write_text(model)
+    assert main(["mbp", str(problem), "--model", str(model_file)]) == 2
+    assert "error: expected an integer" in capsys.readouterr().err

@@ -375,19 +375,21 @@ def test_budget_exhaustion_is_an_error():
 def test_monotone_growth_and_second_pass_no_progress():
     prob, model = load_mbp()
     from egraphqe.egraph import EGraph
-    from egraphqe.mbp import SeenSets, _State, apply_rules, _ARRAY_RULES
+    from egraphqe.mbp import _ARRAY_RULES, _State, apply_rules
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     state = _State(g, model, 10_000)
-    seen = SeenSets()
     before = len(g.nodes)
-    assert apply_rules(state, _ARRAY_RULES, ("ackermann",), (), seen)
+    progress, watermark = apply_rules(state, _ARRAY_RULES, 0)
+    assert progress
+    assert watermark == before  # the next pass starts at this one's nodes
     assert len(g.nodes) >= before
     grown = len(g.nodes)
-    while apply_rules(state, _ARRAY_RULES, ("ackermann",), (), seen):
+    while progress:
+        progress, watermark = apply_rules(state, _ARRAY_RULES, watermark)
         assert len(g.nodes) >= grown
         grown = len(g.nodes)
     # saturated: one more pass does nothing
-    assert not apply_rules(state, _ARRAY_RULES, ("ackermann",), (), seen)
+    assert not apply_rules(state, _ARRAY_RULES, watermark)[0]
 
 
 def test_random_projection_contract(rng):

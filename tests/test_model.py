@@ -1,7 +1,7 @@
 import pytest
 
 from egraphqe import (AdtVal, BoolVal, Elem, IntVal, Literal, Model,
-                      Signature, TermStore, eval_term, extend, holds,
+                      Signature, TermStore, eval_term, holds,
                       mk_array, parse_model, satisfies)
 from egraphqe.model import ModelError, array_read, array_write, default_value
 from egraphqe.terms import mk_formula
@@ -67,14 +67,14 @@ def test_read_over_write_semantics():
 
 def test_extend_fresh_name_only():
     sig, store, model = _setup()
-    m2 = extend(model, "d!0", IntVal(4))
+    m2 = model.with_constant("d!0", IntVal(4))
     assert m2.constants["d!0"] == IntVal(4)
     assert eval_term(m2, sig, store.mk_const("x")) == IntVal(3)
     with pytest.raises(ModelError):
-        extend(m2, "d!0", IntVal(5))
+        m2.with_constant("d!0", IntVal(5))
     # extensions with distinct names commute
-    m3 = extend(extend(model, "u", IntVal(1)), "v", IntVal(2))
-    m4 = extend(extend(model, "v", IntVal(2)), "u", IntVal(1))
+    m3 = model.with_constant("u", IntVal(1)).with_constant("v", IntVal(2))
+    m4 = model.with_constant("v", IntVal(2)).with_constant("u", IntVal(1))
     assert m3 == m4
 
 
@@ -105,7 +105,7 @@ def test_parse_fun_values_and_universe():
     assert m.universes == {"U": 3}
     store = TermStore(sig)
     sig.declare_const("c", u)
-    m2 = extend(m, "c", Elem("U", 1))
+    m2 = m.with_constant("c", Elem("U", 1))
     t = store.mk_app("f", (store.mk_const("c"),))
     assert eval_term(m2, sig, t) == Elem("U", 2)
 

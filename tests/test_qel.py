@@ -1,10 +1,12 @@
 from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
                       find_core, find_defs, formula_to_sexpr, is_admissible,
-                      is_maximally_ground, process, qel, refine_defs, to_expr)
+                      is_maximally_ground, mbp, process, qel, refine_defs,
+                      to_expr)
 from egraphqe.parser import parse_problem
+from egraphqe.qel import _makes_cycle
 
-from conftest import (chain_problem, load, random_euf_instance,
-                      random_grounded_var_instance)
+from conftest import (DEMOS, chain_problem, load, load_mbp,
+                      random_euf_instance, random_grounded_var_instance)
 
 
 def _graph(name):
@@ -144,11 +146,78 @@ def test_refine_defs_order_insensitive():
             for m in g.class_of(n):
                 if m == n or g.nodes[m].label in prob.formula.free_vars:
                     continue
-                from egraphqe.qel import _makes_cycle
                 if not _makes_cycle(g, r2, m):
                     r2.set_class(g, m)
                     break
     assert r1.assignment == r2.assignment
+
+
+def _makes_cycle_reference(g, r, candidate):
+    """The cycle check as first written: retarget a copy of r, build the
+    successor map of the whole representative graph and search it for a
+    path from the candidate back to itself."""
+    trial = ReprFn(r.assignment)
+    trial.set_class(g, candidate)
+    succ = {}
+    for node in g.nodes:
+        for c in node.children:
+            rep = trial.get(c)
+            if rep is not None:
+                succ.setdefault(node.id, set()).add(rep)
+    stack = list(succ.get(candidate, ()))
+    visited = set()
+    while stack:
+        n = stack.pop()
+        if n == candidate:
+            return True
+        if n in visited:
+            continue
+        visited.add(n)
+        stack.extend(succ.get(n, ()))
+    return False
+
+
+def _refine_with_reference(g, var_names, verdicts):
+    """refine_defs' loop with the reference check; at every candidate it
+    tries, asserts that the library's walk gives the same verdict, and
+    counts the verdicts."""
+    r = find_defs(g)
+    var_names = set(var_names)
+    for node in g.nodes:
+        if r.get(node.id) != node.id or node.label not in var_names:
+            continue
+        for m in g.class_of(node.id):
+            if m == node.id or g.nodes[m].label in var_names:
+                continue
+            cycles = _makes_cycle_reference(g, r, m)
+            assert _makes_cycle(g, r, m) == cycles
+            verdicts[cycles] += 1
+            if not cycles:
+                r.set_class(g, m)
+                break
+    return r
+
+
+def _refine_cases(rng):
+    for _ in range(300):
+        _, _, formula, g = random_euf_instance(rng, max_nodes=12)
+        yield g, formula.free_vars
+    for path in sorted(DEMOS.glob("*.smt2")):
+        prob, g = _graph(path.name)
+        yield g, prob.formula.free_vars
+    for model in ("nested_pair_array.model", "nested_pair_array_alt.model"):
+        prob, m = load_mbp(model=model)
+        res = mbp(prob.sig, prob.store, prob.formula, prob.formula.free_vars, m)
+        yield res.graph, res.graph.var_names()
+
+
+def test_makes_cycle_agrees_with_reference(rng):
+    verdicts = {True: 0, False: 0}
+    for g, var_names in _refine_cases(rng):
+        expected = _refine_with_reference(g, var_names, verdicts)
+        refined = refine_defs(g, find_defs(g), var_names)
+        assert refined.assignment == expected.assignment
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_find_core_read_chain():
