@@ -3,9 +3,11 @@
 Nodes are created in term order and never removed; ``add_term`` walks a
 term iteratively, once per distinct subterm, so depth is unbounded.  The
 union-find always keeps the oldest node id as class root, so class
-enumeration is deterministic.  Disequalities are recorded as node pairs;
-they never drive merging but make the graph reject inconsistent inputs,
-and they survive into formula extraction.
+enumeration is deterministic.  A disequality is recorded once, as a node
+pair in ``diseqs``, and adds no node beyond its two sides; a ``distinct``
+term in the input is an ordinary Bool term.  Disequalities never drive
+merging but make the graph reject inconsistent inputs, and extraction
+emits them from ``diseqs``.
 
 Each class root keeps the list of recorded disequalities with an endpoint in
 the class.  A merge can only violate a disequality whose endpoints lie one in
@@ -115,8 +117,6 @@ class EGraph:
         if self.find(a) == self.find(b):
             self._violation = self._violation or (a, b)
             self._check_consistent()
-        marker = self.store.mk_app("distinct", (t1, t2))
-        self.assert_eq(marker, self.store.top)
 
     # -- union-find + congruence closure ------------------------------------
 

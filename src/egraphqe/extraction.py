@@ -16,11 +16,6 @@ from typing import Iterable, Mapping, Optional
 from .egraph import EGraph
 from .terms import Formula, Literal, Term, mk_formula
 
-# labels that are internal bookkeeping of the projection rules; their
-# content is always present elsewhere in the graph (see mbp), so extraction
-# never emits literals for them
-_INTERNAL_LABELS = ("peq",)
-
 
 class InadmissibleReprError(Exception):
     pass
@@ -182,7 +177,8 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
     """Formula of the egraph under r, omitting literals for excluded nodes.
 
     Per class, emits representative-extraction = member-extraction for each
-    non-excluded member; recorded disequalities are emitted over the
+    non-excluded member other than mbp's ``peq`` obligations; the recorded
+    disequalities (``g.diseqs``, their only record) are emitted over the
     representative extractions whenever both endpoint classes keep at least
     one non-excluded node.  Duplicate and reflexive literals are dropped.
     With an empty exclusion set the result's existential closure matches the
@@ -212,15 +208,10 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
         for m in members:
             if m == node.id or m in exclude:
                 continue
-            mnode = g.nodes[m]
-            if mnode.label in _INTERNAL_LABELS:
-                continue
-            if mnode.label == "distinct":
-                # a recorded disequality held in the true-class; emit it in
-                # disequality form so it merges with the channel below
-                lhs = to_expr(g, r.get(mnode.children[0]), r, _memo=memo)
-                rhs = to_expr(g, r.get(mnode.children[1]), r, _memo=memo)
-                emit("diseq", lhs, rhs)
+            if g.nodes[m].label == "peq":
+                # mbp's partial-equality obligations: the rules have already
+                # put their content into the graph, and the parser keeps
+                # peq out of problem input
                 continue
             emit("eq", rep_term, to_expr(g, m, r, _memo=memo))
 

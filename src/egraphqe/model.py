@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .sexpr import Atom, SExprError, read_all
 from .terms import (InputError, Literal, Signature, Sort, SortKind, Term,
-                    post_order)
+                    is_numeral, post_order)
 
 
 class ModelError(InputError):
@@ -141,7 +141,7 @@ def _eval(model, sig, term, memo) -> Value:
 def _apply(model, sig, term, args) -> Value:
     """Value of term's symbol applied to the values of its arguments."""
     label = term.label
-    if label.isdigit():
+    if is_numeral(label):
         return IntVal(int(label))
     if label == "true":
         return BoolVal(True)
@@ -172,8 +172,6 @@ def _apply(model, sig, term, args) -> Value:
         return BoolVal(args[0] == args[1])
     if label == "distinct":
         return BoolVal(args[0] != args[1])
-    if label == "peq":
-        return BoolVal(_partial_eq(args[0], args[1], args[2:]))
     ctor = _constructor_of(sig, term)
     if ctor is not None:
         return AdtVal(label, tuple(args))
@@ -186,18 +184,6 @@ def _apply(model, sig, term, args) -> Value:
         default, table = model.functions[label]
         return table.get(tuple(args), default)
     raise ModelError(f"symbol '{label}' has no interpretation")
-
-
-def _partial_eq(a: ArrayVal, b: ArrayVal, off) -> bool:
-    keys = {k for k, _ in a.entries} | {k for k, _ in b.entries} | set(off)
-    if a.default != b.default:
-        return False
-    for k in keys:
-        if k in off:
-            continue
-        if array_read(a, k) != array_read(b, k):
-            return False
-    return True
 
 
 def _constructor_of(sig, term):

@@ -6,7 +6,9 @@ per interpretation, searching assignments for the eliminated variables.
 Integers range over a window derived from the numerals in the formulas;
 arithmetic that escapes the window skips that interpretation (a soundness
 note, reported in the verdict).  Deliberately independent of the egraph
-machinery: plain recursive evaluation over plain Python values.
+machinery: plain evaluation over plain Python values.  Each formula's
+subterms are listed once, by iterative post-order walks, and evaluated in
+that order, each distinct subterm once, so terms of any depth are checked.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
-from .terms import Formula, Sort, SortKind
+from .terms import Formula, Sort, SortKind, is_numeral, post_order
 
 _BUILTIN = {"true", "false", "+", "-", "*", ">", "<", ">=", "<=",
-            "read", "write", "ueq", "distinct", "peq"}
+            "read", "write", "ueq", "distinct"}
 
 
 class SearchSpaceError(Exception):
@@ -93,8 +95,9 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
         functions = {}
         for name, val in itertools.chain(interp.items(), assign.items()):
             if isinstance(val, dict):
-                functions[name] = (_to_model_value(next(iter(val.values()))),
-                                   {k: _to_model_value(v) for k, v in val.items()})
+                table = {tuple(map(_to_model_value, k)): _to_model_value(v)
+                         for k, v in val.items()}
+                functions[name] = (next(iter(table.values())), table)
             else:
                 constants[name] = _to_model_value(val)
         universes = dict(ctx._sizes)
@@ -110,8 +113,9 @@ class _Context:
         self.store = store
         self.bounds = bounds
         self.formulas = formulas
-        self.window = bounds.int_window or self._derive_window(formulas)
-        self.consts, self.funcs, self.vars_per_formula = self._symbols(formulas)
+        self.plans = [_plan(f) for f in formulas]
+        self.window = bounds.int_window or self._derive_window()
+        self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
         self._uninterp = sorted(s.name for s in self.sorts_used
                                 if s.kind is SortKind.UNINTERPRETED)
@@ -119,32 +123,23 @@ class _Context:
         self._domains = {}
         self._guard()
 
-    def _derive_window(self, formulas):
-        nums = set()
-        for f in formulas:
-            for lit in f.literals:
-                for side in (lit.lhs, lit.rhs):
-                    self._collect_numerals(side, nums)
+    def _derive_window(self):
+        nums = {int(t.label) for plan in self.plans for *_, terms in plan
+                for t in terms if is_numeral(t.label)}
         pad = max(1, self.bounds.int_pad)
         if not nums:
             return (-1, pad - 1)
         return (min(nums) - pad, max(nums) + pad)
 
-    def _collect_numerals(self, term, out):
-        if term.label.isdigit():
-            out.add(int(term.label))
-        for c in term.children:
-            self._collect_numerals(c, out)
-
-    def _symbols(self, formulas):
+    def _symbols(self):
         consts = {}
         funcs = {}
         vars_per = []
-        for f in formulas:
+        for plan in self.plans:
             fvars = {}
-            for lit in f.literals:
-                for side in (lit.lhs, lit.rhs):
-                    self._scan(side, consts, funcs, fvars)
+            for *_, terms in plan:
+                for term in terms:
+                    self._scan(term, consts, funcs, fvars)
             vars_per.append(fvars)
         return consts, funcs, vars_per
 
@@ -152,15 +147,13 @@ class _Context:
         label = term.label
         if label in self.sig.variables:
             fvars.setdefault(label, self.sig.variables[label])
-        elif label not in _BUILTIN and not label.isdigit() \
+        elif label not in _BUILTIN and not is_numeral(label) \
                 and not self._is_adt_symbol(term):
             arg_sorts, result = self.sig.functions[label]
             if arg_sorts:
                 funcs.setdefault(label, (arg_sorts, result))
             else:
                 consts.setdefault(label, result)
-        for c in term.children:
-            self._scan(c, consts, funcs, fvars)
 
     def _is_adt_symbol(self, term):
         decl = self.sig.functions.get(term.label)
@@ -305,29 +298,33 @@ class _Context:
         fvars = self.vars_per_formula[idx]
         names = sorted(fvars)
         doms = [self.domain(fvars[n]) for n in names]
-        lits = [(l.kind, l.lhs, l.rhs) for l in formula.literals]
+        plan = self.plans[idx]
         for combo in itertools.product(*doms):
             assign = dict(zip(names, combo))
-            memo = {}
-            ok = True
-            for kind, lhs, rhs in lits:
-                lv = self._eval(lhs, interp, assign, memo)
-                rv = self._eval(rhs, interp, assign, memo)
-                holds = (lv != rv) if kind == "diseq" else (lv == rv)
-                if not holds:
-                    ok = False
-                    break
-            if ok:
+            val = {}
+            for kind, lhs, rhs, terms in plan:
+                for t in terms:
+                    val[t.id] = self._apply(t, [val[c.id] for c in t.children],
+                                            interp, assign)
+                if (val[lhs] == val[rhs]) == (kind == "diseq"):
+                    break  # the literal fails
+            else:
                 return assign if want_assignment else True
         return None if want_assignment else False
 
-    def _eval(self, term, interp, assign, memo):
-        hit = memo.get(term.id)
-        if hit is not None:
-            return hit
+    def _apply(self, term, args, interp, assign):
+        """Value of term's symbol applied to the values of its arguments."""
         label = term.label
-        args = [self._eval(c, interp, assign, memo) for c in term.children]
-        if label.isdigit():
+        # declared symbols first: they label most terms, and no declared
+        # name is a numeral or a builtin
+        if label in assign:
+            out = assign[label]
+        elif label in interp:
+            val = interp[label]
+            out = val.get(tuple(args)) if isinstance(val, dict) else val
+            if out is None:
+                raise SearchSpaceError(f"missing table entry for '{label}'")
+        elif is_numeral(label):
             out = int(label)
         elif label == "true":
             out = True
@@ -351,18 +348,8 @@ class _Context:
             out = args[0] == args[1]
         elif label == "distinct":
             out = args[0] != args[1]
-        elif label == "peq":
-            out = _partial_eq(args[0], args[1], args[2:])
-        elif label in assign:
-            out = assign[label]
-        elif label in interp:
-            val = interp[label]
-            out = val.get(tuple(args)) if isinstance(val, dict) else val
-            if out is None:
-                raise SearchSpaceError(f"missing table entry for '{label}'")
         else:
             out = self._eval_adt(term, label, args)
-        memo[term.id] = out
         return out
 
     def _eval_adt(self, term, label, args):
@@ -398,6 +385,25 @@ class _Context:
                 tuple(self._default(s) for _, s in ctor.selectors))
 
 
+def _plan(formula):
+    """Per literal, (kind, lhs id, rhs id, terms): terms are the subterms of
+    the literal that no earlier literal has, children before parents and
+    left to right.  Evaluating them in order gives each distinct subterm of
+    the formula one value, and a literal's sides are valued once its terms
+    are, so a check can stop at the first literal that fails."""
+    seen = set()
+    plan = []
+    for lit in formula.literals:
+        terms = []
+        for side in (lit.lhs, lit.rhs):
+            if side.id not in seen:
+                for t in post_order(side, seen):
+                    seen.add(t.id)
+                    terms.append(t)
+        plan.append((lit.kind, lit.lhs.id, lit.rhs.id, terms))
+    return plan
+
+
 def _canon_array(default, entries):
     mapping = {}
     for k, v in entries:
@@ -412,15 +418,6 @@ def _array_read(arr, key):
         if k == key:
             return v
     return arr[1]
-
-
-def _partial_eq(a, b, off):
-    if a[1] != b[1]:
-        return False
-    keys = {k for k, _ in a[2]} | {k for k, _ in b[2]}
-    off = set(off)
-    return all(_array_read(a, k) == _array_read(b, k)
-               for k in keys if k not in off)
 
 
 def _to_model_value(v):

@@ -12,7 +12,9 @@ Supported commands:
 
 Literals are (= t u), (distinct t u), (ueq t u), Bool applications, and
 negated Bool applications.  Terms use read/write for array access and the
-usual prefix arithmetic symbols; numerals are auto-declared.
+usual prefix arithmetic symbols; numerals are auto-declared.  Inside a term,
+(distinct t u) is an ordinary Bool term.  ``peq`` is reserved for the
+partial equalities of array projection and rejected in input.
 """
 from __future__ import annotations
 
@@ -177,6 +179,8 @@ def _check_app(form):
         raise ParseError(f"bad term {_show(form)}")
     if form[0].text == "=":
         raise ParseError(f"nested '=' at {form[0].line}:{form[0].col}")
+    if form[0].text == "peq":
+        raise ParseError(f"'peq' is reserved at {form[0].line}:{form[0].col}")
 
 
 def _exact(form, n, what):

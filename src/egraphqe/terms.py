@@ -74,7 +74,8 @@ INT = Sort("Int", SortKind.INT)
 
 # Polymorphic builtins resolved structurally in mk_app rather than held in
 # the function table: array access, disequality, explicit equality, and the
-# partial-equality bookkeeping predicate used by array projection.
+# partial-equality bookkeeping predicate used by array projection (which
+# only mbp makes; the parser rejects it in input).
 POLYMORPHIC = ("read", "write", "distinct", "ueq", "peq")
 
 ARITH_FUNS = {
@@ -86,6 +87,11 @@ ARITH_FUNS = {
     ">=": ((INT, INT), BOOL),
     "<=": ((INT, INT), BOOL),
 }
+
+
+def is_numeral(label: str) -> bool:
+    """An Int numeral: a non-empty run of ASCII digits."""
+    return label.isdigit() and label.isascii()
 
 
 def array_sort(index: Sort, value: Sort) -> Sort:
@@ -110,7 +116,7 @@ class Signature:
     def _check_fresh(self, name):
         if name in self.functions or name in self.variables:
             raise DuplicateDeclarationError(f"'{name}' is already declared")
-        if name in POLYMORPHIC:
+        if name in POLYMORPHIC or is_numeral(name):
             raise DuplicateDeclarationError(f"'{name}' is reserved")
 
     def declare_sort(self, name) -> Sort:
@@ -160,7 +166,7 @@ class Signature:
         """Sort of a nullary symbol (variable, constant, or numeral)."""
         if name in self.variables:
             return self.variables[name]
-        if name.isdigit():
+        if is_numeral(name):
             self._ensure_numeral(name)
         if name in self.functions:
             args, result = self.functions[name]
@@ -261,7 +267,7 @@ class TermStore:
             if args:
                 raise SortMismatchError(f"variable '{label}' applied to arguments")
             return sig.variables[label]
-        if label.isdigit():
+        if is_numeral(label):
             sig._ensure_numeral(label)
         if label not in sig.functions:
             raise UnknownSymbolError(f"unknown symbol '{label}'")

@@ -6,6 +6,7 @@ import pytest
 
 from egraphqe import (EGraph, Literal, Signature, TermStore, parse_model,
                       parse_problem, term_to_sexpr)
+from egraphqe.sexpr import read_all
 from egraphqe.terms import mk_formula
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -29,6 +30,18 @@ def same_literals(f1, f2):
     """Equal as literal multisets, ignoring order and equality orientation."""
     return Counter(map(literal_key, f1.literals)) == \
         Counter(map(literal_key, f2.literals))
+
+
+def reparse(decls, printed):
+    """The formula of a printed ``(and ...)`` result, each conjunct read
+    back in as an assert under the declarations decls."""
+    def text(form):
+        if isinstance(form, list):
+            return "(" + " ".join(text(f) for f in form) + ")"
+        return form.text
+    (conj,) = read_all(printed)
+    return parse_problem(decls + "".join(f"(assert {text(lit)})"
+                                         for lit in conj[1:])).formula
 
 
 def formula_of(store, pairs):
@@ -207,3 +220,15 @@ def chain_problem(depth):
             "(declare-const c S) (declare-const d S) (declare-var x S)\n"
             f"(assert (= x {chain}))\n(assert (distinct x d))\n")
     return text, chain
+
+
+# A `distinct` subterm is an ordinary Bool term: equated to a Bool constant,
+# and in addition under a predicate.  qel must keep the equality.
+DISTINCT_TERM_PROBLEMS = [
+    "(declare-sort S 0) (declare-const a S) (declare-const q Bool)\n"
+    "(declare-var x S)\n"
+    "(assert (= q (distinct a x)))\n",
+    "(declare-sort S 0) (declare-const a S) (declare-const q Bool)\n"
+    "(declare-fun P (Bool) Bool) (declare-var x S)\n"
+    "(assert (P (distinct a x)))\n(assert (= q (distinct a x)))\n",
+]

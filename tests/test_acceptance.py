@@ -24,8 +24,8 @@ GOLDEN_QEL = [
 GOLDEN_MBP = ("(and (= i (read (fst (read p2 j)) i))"
               " (= l (snd (read p2 j)))"
               " (= p2 (write p1 j (read p2 j)))"
-              " (distinct (read p2 j) q)"
-              " (= (read p2 j) (pair (fst (read p2 j)) l)))")
+              " (= (read p2 j) (pair (fst (read p2 j)) l))"
+              " (distinct (read p2 j) q))")
 
 
 def _report(n, ok, detail):

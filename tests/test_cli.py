@@ -2,11 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import EGraph, parse_formula
+from egraphqe import EGraph
 from egraphqe.cli import main
 from egraphqe.qel import reduce
 
-from conftest import DEMOS, chain_problem, load
+from conftest import DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem, load, reparse
 
 
 def _path(name):
@@ -52,18 +52,7 @@ def test_output_reparses(capsys):
     (declare-const k Int)
     (declare-var x Int)
     """
-    # re-wrap each conjunct of the printed (and ...) as its own assert
-    from egraphqe.sexpr import read_all
-    (conj,) = read_all(printed)
-    asserts = "".join(f"(assert {_unparse(lit)})" for lit in conj[1:])
-    sig, formula = parse_formula(decls + asserts)
-    assert len(formula.literals) == 2
-
-
-def _unparse(form):
-    if isinstance(form, list):
-        return "(" + " ".join(_unparse(f) for f in form) + ")"
-    return form.text
+    assert len(reparse(decls, printed).literals) == 2
 
 
 def test_deterministic_output(capsys):
@@ -177,3 +166,29 @@ def test_non_integer_in_model_is_an_input_error(tmp_path, capsys, model):
     model_file.write_text(model)
     assert main(["mbp", str(problem), "--model", str(model_file)]) == 2
     assert "error: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", DISTINCT_TERM_PROBLEMS)
+def test_distinct_term_passes_check(tmp_path, capsys, text):
+    path = tmp_path / "p.smt2"
+    path.write_text(text)
+    assert main(["qel", str(path), "--check"]) == 0
+    assert "check passed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_peq_in_input_is_an_input_error(tmp_path, capsys, check):
+    path = tmp_path / "p.smt2"
+    path.write_text("(declare-sort S 0) (declare-const a (Array S S))\n"
+                    "(declare-const b (Array S S)) (declare-var x (Array S S))\n"
+                    "(assert (peq a b))\n(assert (= x a))\n")
+    assert main(["qel", str(path), *check]) == 2
+    assert "error: 'peq' is reserved at 3:9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_non_ascii_digit_is_an_input_error(tmp_path, capsys, check):
+    path = tmp_path / "p.smt2"
+    path.write_text("(declare-var x Int) (assert (= x \u00b2)) (qel)")
+    assert main(["qel", str(path), *check]) == 2
+    assert "error: unknown symbol '\u00b2'" in capsys.readouterr().err

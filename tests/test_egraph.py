@@ -253,3 +253,15 @@ def test_inconsistency_raised_exactly_when_rescan_finds_violation(rng):
         # the same steps report the same violation on every run
         assert _replay(sig, store, steps)[1:] == (done, msg)
     assert 50 < raised < 350  # both outcomes are well exercised
+
+
+def test_disequality_adds_no_node_beyond_its_sides():
+    prob = parse_problem("(declare-sort S 0) (declare-fun f (S) S)"
+                         " (declare-const a S) (declare-const b S)")
+    store = prob.store
+    g = EGraph(prob.sig, store)
+    g.assert_diseq(store.mk_const("a"),
+                   store.mk_app("f", (store.mk_const("b"),)))
+    assert [n.label for n in g.nodes] == ["a", "b", "f"]
+    assert g.diseqs == [(0, 2)]
+    assert g.num_classes() == 3

@@ -5,13 +5,23 @@ from egraphqe import (Bounds, EGraph, InputError, IntVal, Model,
                       implies_exists, mbp, parse_model, qel, satisfies)
 from egraphqe.parser import parse_problem
 
-from conftest import load_mbp, random_projection_instance, same_literals
+from conftest import (DEMOS, load_mbp, random_projection_instance, reparse,
+                      same_literals)
 
 MBP_EXPECTED = ("(and (= i (read (fst (read p2 j)) i))"
                 " (= l (snd (read p2 j)))"
                 " (= p2 (write p1 j (read p2 j)))"
-                " (distinct (read p2 j) q)"
-                " (= (read p2 j) (pair (fst (read p2 j)) l)))")
+                " (= (read p2 j) (pair (fst (read p2 j)) l))"
+                " (distinct (read p2 j) q))")
+
+# The same literals in the order they had while a disequality was also
+# kept as a `distinct(t, u) = true` node in the egraph; that node put the
+# disequality among the true-class literals instead of after them.
+MBP_EXPECTED_MARKER_ORDER = ("(and (= i (read (fst (read p2 j)) i))"
+                             " (= l (snd (read p2 j)))"
+                             " (= p2 (write p1 j (read p2 j)))"
+                             " (distinct (read p2 j) q)"
+                             " (= (read p2 j) (pair (fst (read p2 j)) l)))")
 
 
 def _run(prob, model, **kw):
@@ -24,6 +34,17 @@ def test_projection_example_output():
     res = _run(prob, model)
     assert repr(res.formula) == MBP_EXPECTED
     assert res.formula.free_vars == ()
+    decls = "".join(line for line in
+                    (DEMOS / "nested_pair_array.smt2").read_text().splitlines(True)
+                    if line.startswith("(declare"))
+    assert same_literals(res.formula, reparse(decls, MBP_EXPECTED_MARKER_ORDER))
+
+
+def test_saturated_projection_graph_has_no_distinct_node():
+    prob, model = load_mbp()
+    g = _run(prob, model).graph
+    assert g.diseqs
+    assert all(node.label != "distinct" for node in g.nodes)
 
 
 def test_projection_example_model_independent():

@@ -5,7 +5,7 @@ from egraphqe import (Bounds, Literal, SearchSpaceError, Signature, TermStore,
 from egraphqe.parser import parse_formula, parse_problem
 from egraphqe.terms import mk_formula
 
-from conftest import load
+from conftest import chain_problem, load
 
 
 def _euf():
@@ -136,3 +136,18 @@ def test_implication_reflexive_and_transitive_on_samples(rng):
         assert implies_exists(sig, store, formula, once, bounds).ok
         assert implies_exists(sig, store, once, twice, bounds).ok
         assert implies_exists(sig, store, formula, twice, bounds).ok
+
+
+def test_depth_3000_chain_is_checked():
+    text, _ = chain_problem(3000)
+    prob = parse_problem(text)
+    sig, store = prob.sig, prob.store
+    out = qel(sig, store, prob.formula)
+    for universe in (1, 2):
+        bounds = Bounds(universe=universe)
+        assert equiv_exists(sig, store, prob.formula, out, bounds).ok
+        for formula in (prob.formula, out):
+            model = find_model(sig, store, formula, bounds)
+            # x = CHAIN and x != d need a second element
+            assert (model is None) == (universe == 1)
+            assert model is None or satisfies(model, sig, formula)

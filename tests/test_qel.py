@@ -1,3 +1,5 @@
+import pytest
+
 from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
                       find_core, find_defs, formula_to_sexpr, is_admissible,
                       is_maximally_ground, mbp, process, qel, refine_defs,
@@ -5,8 +7,9 @@ from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
 from egraphqe.parser import parse_problem
 from egraphqe.qel import _makes_cycle
 
-from conftest import (DEMOS, chain_problem, load, load_mbp,
-                      random_euf_instance, random_grounded_var_instance)
+from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem, load,
+                      load_mbp, random_euf_instance,
+                      random_grounded_var_instance)
 
 
 def _graph(name):
@@ -332,3 +335,11 @@ def test_qel_on_depth_ten_thousand_chain():
     out = qel(prob.sig, prob.store, prob.formula)
     assert out.free_vars == ()
     assert formula_to_sexpr(out) == f"(and (distinct {chain} d))"
+
+
+@pytest.mark.parametrize("text", DISTINCT_TERM_PROBLEMS)
+def test_distinct_term_keeps_its_equality(text):
+    prob = parse_problem(text)
+    out = qel(prob.sig, prob.store, prob.formula)
+    assert "(= q (distinct a x))" in formula_to_sexpr(out)
+    assert equiv_exists(prob.sig, prob.store, prob.formula, out, Bounds()).ok

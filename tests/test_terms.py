@@ -88,6 +88,9 @@ def test_sort_mismatch_and_unknown_symbol():
         store.mk_const("nosuch")
     with pytest.raises(DuplicateDeclarationError):
         sig.declare_const("a", sig.sorts["Int"])
+    # a numeral always denotes its Int value
+    with pytest.raises(DuplicateDeclarationError):
+        sig.declare_var("3", sig.sorts["Int"])
 
 
 def test_parse_read_chain():
@@ -281,6 +284,9 @@ def test_deep_chain_prints_and_orders_variables():
     ("(= c (h (= c c) nosuch))", ParseError, "nested '=' at 3:17"),
     ("(= c (h nosuch (= c c)))", UnknownSymbolError, "unknown symbol 'nosuch'"),
     ("(= c (h (f c c) nosuch))", SortMismatchError, "'f' expects 1 arguments, got 2"),
+    # peq is mbp's internal partial equality; numerals are ASCII digits only
+    ("(= c (f (peq c c)))", ParseError, "'peq' is reserved at 3:17"),
+    ("(= c (f \u00b2))", UnknownSymbolError, "unknown symbol '\u00b2'"),
 ])
 def test_term_errors_and_positions(body, error, message):
     decls = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\n"
