@@ -2,13 +2,17 @@
 
 The oracle enumerates every interpretation of the kept symbols over small
 finite universes and compares satisfiability of the existential closures.
-It is the independent referee the test suite uses against the egraph
-pipeline.
+The interpretations are enumerated in full; per interpretation, the
+assignments of the existential variables are searched by backtracking,
+each literal checked as soon as its last variable is bound.  Declared
+variables passed as ``free`` are kept symbols too.  It is the independent
+referee the test suite uses against the egraph pipeline.
 """
 from pathlib import Path
 
 from egraphqe import (Bounds, equiv_exists, find_model, implies_exists,
                       parse_problem, qel, satisfies)
+from egraphqe.terms import mk_formula
 
 HERE = Path(__file__).resolve().parent
 
@@ -42,3 +46,20 @@ weaker = qel(prob2.sig, prob2.store, prob2.formula)
 print("reduction implies input:",
       implies_exists(prob2.sig, prob2.store, weaker, prob2.formula,
                      Bounds(universe=2)).ok)
+
+# a declared variable passed as free is a shared symbol, enumerated with f
+# rather than closed: every x is f of some y only when f is onto
+prob3 = parse_problem("""
+(declare-sort U 0)
+(declare-fun f (U) U)
+(declare-var x U)
+(declare-var y U)
+(assert (= (f y) x))
+""")
+true = mk_formula(prob3.store, [])
+for free in (set(), {"x"}):
+    verdict = implies_exists(prob3.sig, prob3.store, true, prob3.formula,
+                             Bounds(universe=2), free=free)
+    print(f"true implies the closure, free {sorted(free)}:", verdict.ok)
+    if not verdict.ok:
+        print("  witness:", verdict.witness)

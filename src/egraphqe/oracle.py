@@ -1,14 +1,22 @@
 """Brute-force semantic checker over small finite interpretations.
 
 Decides entailment and equivalence of existential closures by enumerating
-every interpretation of the shared (kept) symbols within given bounds and,
-per interpretation, searching assignments for the eliminated variables.
-Integers range over a window derived from the numerals in the formulas;
-arithmetic that escapes the window skips that interpretation (a soundness
-note, reported in the verdict).  Deliberately independent of the egraph
-machinery: plain evaluation over plain Python values.  Each formula's
-subterms are listed once, by iterative post-order walks, and evaluated in
-that order, each distinct subterm once, so terms of any depth are checked.
+every interpretation of the shared symbols within given bounds and, per
+interpretation, searching assignments for the existential variables.  The
+interpretations are enumerated in full.  The assignment search backtracks:
+it binds the variables one at a time in sorted name order and checks each
+literal as soon as its last variable is bound (forward checking), so a
+failing literal prunes every assignment that extends the bound prefix.  It
+visits assignments in the order of the full product, so the first model it
+finds is the first model of the product.  Declared variables passed as
+``free`` are shared symbols: enumerated with the interpretation, not closed
+existentially.  Integers range over a window derived from the numerals in
+the formulas; arithmetic that escapes the window skips that interpretation
+(a soundness note, reported in the verdict).  Deliberately independent of
+the egraph machinery: plain evaluation over plain Python values.  Each
+formula's subterms are listed once, by iterative post-order walks, and each
+distinct subterm is valued once per binding of its last variable, so terms
+of any depth are checked.
 """
 from __future__ import annotations
 
@@ -38,6 +46,15 @@ class Bounds:
     int_pad: int = 2                    # derived window: numerals +- pad
     max_cost: int = 20_000_000          # interpretations x assignments guard
 
+    def __post_init__(self):
+        # an empty universe or window enumerates no interpretation, and
+        # every check would pass vacuously
+        if self.universe < 1:
+            raise ValueError(f"universe must be at least 1, got {self.universe}")
+        if self.int_window is not None and \
+                self.int_window[0] > self.int_window[1]:
+            raise ValueError(f"empty int_window {self.int_window}")
+
 
 @dataclass
 class Verdict:
@@ -50,19 +67,24 @@ class Verdict:
 
 
 def equiv_exists(sig, store, f1: Formula, f2: Formula,
-                 bounds: Bounds = None) -> Verdict:
-    """Existential closures agree on every enumerated interpretation."""
-    return _compare(sig, store, f1, f2, bounds or Bounds(), both_ways=True)
+                 bounds: Bounds = None, free=frozenset()) -> Verdict:
+    """Existential closures agree on every enumerated interpretation.  The
+    declared variables in free are shared symbols, not closed."""
+    return _compare(sig, store, f1, f2, bounds or Bounds(), True, free)
 
 
 def implies_exists(sig, store, f1: Formula, f2: Formula,
-                   bounds: Bounds = None) -> Verdict:
-    """Existential closure of f1 entails that of f2 on every interpretation."""
-    return _compare(sig, store, f1, f2, bounds or Bounds(), both_ways=False)
+                   bounds: Bounds = None, free=frozenset()) -> Verdict:
+    """Existential closure of f1 entails that of f2 on every interpretation.
+    The declared variables in free are shared symbols, not closed."""
+    return _compare(sig, store, f1, f2, bounds or Bounds(), False, free)
 
 
-def _compare(sig, store, f1, f2, bounds, both_ways):
-    ctx = _Context(sig, store, (f1, f2), bounds)
+def _compare(sig, store, f1, f2, bounds, both_ways, free):
+    unknown = set(free) - sig.variables.keys()
+    if unknown:
+        raise ValueError(f"free names no declared variable: {sorted(unknown)}")
+    ctx = _Context(sig, store, (f1, f2), bounds, free)
     skipped = 0
     for interp in ctx.interpretations():
         try:
@@ -108,12 +130,13 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
 # -- internals ----------------------------------------------------------------
 
 class _Context:
-    def __init__(self, sig, store, formulas, bounds):
+    def __init__(self, sig, store, formulas, bounds, free=frozenset()):
         self.sig = sig
         self.store = store
         self.bounds = bounds
         self.formulas = formulas
-        self.plans = [_plan(f) for f in formulas]
+        self.variables = sig.variables.keys() - free
+        self.plans = [_plan(f, self.variables) for f in formulas]
         self.window = bounds.int_window or self._derive_window()
         self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
@@ -124,8 +147,8 @@ class _Context:
         self._guard()
 
     def _derive_window(self):
-        nums = {int(t.label) for plan in self.plans for *_, terms in plan
-                for t in terms if is_numeral(t.label)}
+        nums = {int(t.label) for _, _, terms in self.plans for t in terms
+                if is_numeral(t.label)}
         pad = max(1, self.bounds.int_pad)
         if not nums:
             return (-1, pad - 1)
@@ -134,19 +157,19 @@ class _Context:
     def _symbols(self):
         consts = {}
         funcs = {}
-        vars_per = []
-        for plan in self.plans:
-            fvars = {}
-            for *_, terms in plan:
-                for term in terms:
-                    self._scan(term, consts, funcs, fvars)
-            vars_per.append(fvars)
+        for _, _, terms in self.plans:
+            for term in terms:
+                self._scan(term, consts, funcs)
+        vars_per = [{n: self.sig.variables[n] for n in names}
+                    for names, _, _ in self.plans]
         return consts, funcs, vars_per
 
-    def _scan(self, term, consts, funcs, fvars):
+    def _scan(self, term, consts, funcs):
         label = term.label
-        if label in self.sig.variables:
-            fvars.setdefault(label, self.sig.variables[label])
+        if label in self.variables:
+            return
+        if label in self.sig.variables:  # free: a shared symbol
+            consts.setdefault(label, self.sig.variables[label])
         elif label not in _BUILTIN and not is_numeral(label) \
                 and not self._is_adt_symbol(term):
             arg_sorts, result = self.sig.functions[label]
@@ -231,7 +254,7 @@ class _Context:
             lo, hi = self.window
             return hi - lo + 1
         if sort.kind is SortKind.UNINTERPRETED:
-            return max(1, self.bounds.universe)
+            return self.bounds.universe
         if sort.kind is SortKind.ARRAY:
             return self._domain_size(sort.value) ** self._domain_size(sort.index)
         if sort.kind is SortKind.ADT:
@@ -294,23 +317,55 @@ class _Context:
                 yield dict(zip(names, combo))
 
     def sat(self, formula, interp, want_assignment=False):
+        """Whether the formula holds under interp for some assignment of its
+        variables (with want_assignment: the first such assignment, or None).
+        Depth-first over the variables in plan order, without recursion:
+        after names[d] is bound to the next value of its domain, level d + 1
+        is checked, and the search backtracks at the first literal that
+        fails.  Assignments are tried in itertools.product order."""
         idx = self.formulas.index(formula)
+        names, levels, _ = self.plans[idx]
         fvars = self.vars_per_formula[idx]
-        names = sorted(fvars)
         doms = [self.domain(fvars[n]) for n in names]
-        plan = self.plans[idx]
-        for combo in itertools.product(*doms):
-            assign = dict(zip(names, combo))
-            val = {}
-            for kind, lhs, rhs, terms in plan:
-                for t in terms:
-                    val[t.id] = self._apply(t, [val[c.id] for c in t.children],
-                                            interp, assign)
-                if (val[lhs] == val[rhs]) == (kind == "diseq"):
-                    break  # the literal fails
-            else:
-                return assign if want_assignment else True
-        return None if want_assignment else False
+        assign = {}
+        val = {}
+        found = assign if want_assignment else True
+        failed = None if want_assignment else False
+        if not self._holds(levels[0], val, interp, assign):
+            return failed
+        if not names:
+            return found
+        last = len(names) - 1
+        pos = [0] * len(names)  # per depth, the next domain index to try
+        d = 0
+        while d >= 0:
+            i = pos[d]
+            if i == len(doms[d]):
+                pos[d] = 0  # unbind names[d]: its next binding starts over
+                d -= 1
+                continue
+            pos[d] = i + 1
+            assign[names[d]] = doms[d][i]
+            if self._holds(levels[d + 1], val, interp, assign):
+                if d == last:
+                    return found
+                d += 1
+        return failed
+
+    def _holds(self, level, val, interp, assign):
+        """Check the level's literals in order, each once its new terms are
+        valued; then value the level's other terms."""
+        entries, rest = level
+        apply = self._apply
+        for terms, kind, lhs, rhs in entries:
+            for t in terms:
+                val[t.id] = apply(t, [val[c.id] for c in t.children],
+                                  interp, assign)
+            if (val[lhs] == val[rhs]) == (kind == "diseq"):
+                return False
+        for t in rest:
+            val[t.id] = apply(t, [val[c.id] for c in t.children], interp, assign)
+        return True
 
     def _apply(self, term, args, interp, assign):
         """Value of term's symbol applied to the values of its arguments."""
@@ -385,23 +440,52 @@ class _Context:
                 tuple(self._default(s) for _, s in ctor.selectors))
 
 
-def _plan(formula):
-    """Per literal, (kind, lhs id, rhs id, terms): terms are the subterms of
-    the literal that no earlier literal has, children before parents and
-    left to right.  Evaluating them in order gives each distinct subterm of
-    the formula one value, and a literal's sides are valued once its terms
-    are, so a check can stop at the first literal that fails."""
+def _plan(formula, variables):
+    """(names, levels, terms).  terms are the formula's distinct subterms,
+    children before parents.  names are its variables (those in variables)
+    in sorted order, the order the search binds them.  A term's level is 0
+    when it has no variable and d + 1 when names[d] is its last variable; a
+    literal's level is that of its sides.  levels[d] is (entries, rest):
+    per literal of level d in formula order, (new, kind, lhs id, rhs id),
+    new being its subterms not listed before it; then rest, the level's
+    other terms, which later levels need.  Each list runs children before
+    parents, and each term is listed once, at its own level, so it is
+    valued as soon as its variables are bound, and a literal is checked as
+    soon as its sides are valued."""
     seen = set()
-    plan = []
+    terms = [t for lit in formula.literals for t in _new_subterms(lit, seen)]
+    names = sorted({t.label for t in terms if t.label in variables})
+    depth = {name: d + 1 for d, name in enumerate(names)}
+    level = {}
+    own = [[] for _ in range(len(names) + 1)]
+    for t in terms:
+        lv = max([depth.get(t.label, 0)] + [level[c.id] for c in t.children])
+        level[t.id] = lv
+        own[lv].append(t)
+    lits = [[] for _ in own]
     for lit in formula.literals:
-        terms = []
-        for side in (lit.lhs, lit.rhs):
-            if side.id not in seen:
-                for t in post_order(side, seen):
-                    seen.add(t.id)
-                    terms.append(t)
-        plan.append((lit.kind, lit.lhs.id, lit.rhs.id, terms))
-    return plan
+        lits[max(level[lit.lhs.id], level[lit.rhs.id])].append(lit)
+    listed = set()
+    levels = []
+    for level_terms, level_lits in zip(own, lits):
+        # every term of a lower level is listed by now, so a literal of
+        # this level yields only terms of this level
+        entries = [(list(_new_subterms(lit, listed)), lit.kind, lit.lhs.id,
+                    lit.rhs.id) for lit in level_lits]
+        rest = [t for t in level_terms if t.id not in listed]
+        listed.update(t.id for t in rest)
+        levels.append((entries, rest))
+    return names, levels, terms
+
+
+def _new_subterms(lit, seen):
+    """The subterms of lit's sides whose ids are not in seen, children
+    before parents and left to right; each is entered in seen."""
+    for side in (lit.lhs, lit.rhs):
+        if side.id not in seen:
+            for t in post_order(side, seen):
+                seen.add(t.id)
+                yield t
 
 
 def _canon_array(default, entries):

@@ -1,11 +1,18 @@
+import itertools
+import random
+from functools import partial
+
 import pytest
 
-from egraphqe import (Bounds, Literal, SearchSpaceError, Signature, TermStore,
-                      equiv_exists, find_model, implies_exists, qel, satisfies)
+from egraphqe import (Bounds, Literal, SearchSpaceError, Signature,
+                      TermStore, equiv_exists, find_model, implies_exists, mbp,
+                      qel, satisfies, term_to_sexpr)
+from egraphqe import oracle
 from egraphqe.parser import parse_formula, parse_problem
-from egraphqe.terms import mk_formula
+from egraphqe.terms import formula_to_sexpr, mk_formula, post_order
 
-from conftest import chain_problem, load
+from conftest import (DEMOS, chain_problem, load, load_mbp,
+                      random_euf_instance, random_projection_instance)
 
 
 def _euf():
@@ -151,3 +158,197 @@ def test_depth_3000_chain_is_checked():
             # x = CHAIN and x != d need a second element
             assert (model is None) == (universe == 1)
             assert model is None or satisfies(model, sig, formula)
+
+
+def test_free_variable_is_a_shared_symbol():
+    sig = Signature()
+    idx, val = sig.declare_sort("I"), sig.declare_sort("V")
+    arr = sig.ensure_array_sort(idx, val)
+    sig.declare_const("i", idx)
+    sig.declare_const("e", val)
+    sig.declare_var("a", arr)
+    sig.declare_var("c", arr)
+    store = TermStore(sig)
+    a, c = store.mk_const("a"), store.mk_const("c")
+    read = store.mk_app("read", (a, store.mk_const("i")))
+    closure = mk_formula(store, [Literal("eq", read, store.mk_const("e")),
+                                 Literal("eq", a, c)])
+    true = mk_formula(store, [])
+    # with c closed as well, some a = c always has read(a, i) = e
+    assert implies_exists(sig, store, true, closure).ok
+    verdict = implies_exists(sig, store, true, closure, free={"c"})
+    assert not verdict.ok
+    assert verdict.witness is not None and "c" in verdict.witness
+    with pytest.raises(ValueError):
+        implies_exists(sig, store, true, closure, free={"i"})
+
+
+def test_empty_bounds_are_refused():
+    sig, store = _euf()
+    a, b = store.mk_const("a"), store.mk_const("b")
+    f1 = mk_formula(store, [Literal("eq", a, b)])
+    # no interpretation at universe 0: the check would pass vacuously
+    assert not equiv_exists(sig, store, f1, mk_formula(store, []),
+                            Bounds(universe=2)).ok
+    for bad in (dict(universe=0), dict(universe=-1), dict(int_window=(3, 1))):
+        with pytest.raises(ValueError):
+            Bounds(**bad)
+    Bounds(universe=1, int_window=(2, 2))
+
+
+def test_plan_checks_each_literal_at_its_last_variable():
+    prob = load("read_chain.smt2")
+    names, levels, _ = oracle._plan(prob.formula, prob.sig.variables.keys())
+    assert names == ["x", "y", "z"]
+    index = {(lit.lhs.id, lit.rhs.id): i
+             for i, lit in enumerate(prob.formula.literals)}
+    checked = [[index[lhs, rhs] for _, _, lhs, rhs in entries]
+               for entries, _ in levels]
+    # z = (read a x), (+ k 1) = (read a y), x = y, (> 3 z) = true
+    assert checked == [[], [], [1, 2], [0, 3]]
+    valued = [[term_to_sexpr(t) for terms, *_ in entries for t in terms] +
+              [term_to_sexpr(t) for t in rest] for entries, rest in levels]
+    assert valued == [["a", "k", "1", "(+ k 1)", "3", "true"],
+                      ["x", "(read a x)"], ["y", "(read a y)"],
+                      ["z", "(> 3 z)"]]
+
+
+# -- the backtracking search against the product search it replaced -----------
+
+def _literal_plan(formula):
+    """Per literal, (kind, lhs id, rhs id, terms): the literal's subterms
+    that no earlier literal has, children before parents."""
+    seen = set()
+    plan = []
+    for lit in formula.literals:
+        terms = []
+        for side in (lit.lhs, lit.rhs):
+            if side.id not in seen:
+                for t in post_order(side, seen):
+                    seen.add(t.id)
+                    terms.append(t)
+        plan.append((lit.kind, lit.lhs.id, lit.rhs.id, terms))
+    return plan
+
+
+def _product_sat(self, formula, interp, want_assignment=False):
+    """Reference for ``_Context.sat``: every assignment of the formula's
+    variables in itertools.product order, each evaluated literal by literal
+    until one fails."""
+    idx = self.formulas.index(formula)
+    fvars = self.vars_per_formula[idx]
+    names = sorted(fvars)
+    doms = [self.domain(fvars[n]) for n in names]
+    plan = _literal_plan(formula)
+    for combo in itertools.product(*doms):
+        assign = dict(zip(names, combo))
+        val = {}
+        for kind, lhs, rhs, terms in plan:
+            for t in terms:
+                val[t.id] = self._apply(t, [val[c.id] for c in t.children],
+                                        interp, assign)
+            if (val[lhs] == val[rhs]) == (kind == "diseq"):
+                break
+        else:
+            return assign if want_assignment else True
+    return None if want_assignment else False
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except SearchSpaceError as e:
+        return ("refused", str(e))
+    if isinstance(out, oracle.Verdict):
+        return (out.ok, out.witness, out.skipped)
+    return out
+
+
+def _assert_twins(monkeypatch, calls):
+    """Each oracle call gives the same verdict, witness, skip count, model
+    or refusal with the backtracking search as with the product search."""
+    fast = [_outcome(c) for c in calls]
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Context, "sat", _product_sat)
+        slow = [_outcome(c) for c in calls]
+    assert len(fast) == len(slow)
+    for i, (f, s) in enumerate(zip(fast, slow)):
+        assert f == s, f"call {i}: {f} != {s}"
+    return fast
+
+
+def _both_ways(sig, store, f, g, bounds):
+    return [partial(equiv_exists, sig, store, f, g, bounds),
+            partial(implies_exists, sig, store, f, g, bounds),
+            partial(implies_exists, sig, store, g, f, bounds),
+            partial(find_model, sig, store, g, bounds)]
+
+
+def test_backtracking_matches_product_search_on_euf(monkeypatch):
+    rng = random.Random(6)
+    calls = []
+    for _ in range(300):
+        sig, store, formula, _ = random_euf_instance(rng)
+        half = mk_formula(store, formula.literals[:len(formula.literals) // 2])
+        for bounds in (Bounds(), Bounds(universe=2)):
+            calls.append(partial(find_model, sig, store, formula, bounds))
+            for other in (qel(sig, store, formula), half):
+                calls += _both_ways(sig, store, formula, other, bounds)
+    outcomes = _assert_twins(monkeypatch, calls)
+    assert any(isinstance(o, tuple) and o[0] is False for o in outcomes)
+
+
+def test_backtracking_matches_product_search_on_projections(monkeypatch):
+    rng = random.Random(6)
+    calls = []
+    for _ in range(200):
+        sig, store, formula = random_projection_instance(rng)
+        bounds = Bounds(universe=2)
+        calls.append(partial(find_model, sig, store, formula, bounds))
+        model = calls[-1]()
+        if model is not None:
+            out = mbp(sig, store, formula, formula.free_vars, model).formula
+            calls += _both_ways(sig, store, formula, out, bounds)
+    outcomes = _assert_twins(monkeypatch, calls)
+    assert any(isinstance(o, tuple) and o[0] is False for o in outcomes)
+
+
+def _cli_check(run):
+    """A check at the CLI's bounds: the first that the oracle accepts."""
+    def call():
+        for bounds in (Bounds(), Bounds(universe=2, int_pad=1)):
+            try:
+                return run(bounds)
+            except SearchSpaceError:
+                pass
+        raise SearchSpaceError("refused at every bound")
+    return call
+
+
+QEL_DEMOS = sorted(p.name for p in DEMOS.glob("*.smt2")
+                   if p.read_text().rstrip().endswith("(qel)"))
+
+
+@pytest.mark.parametrize("name", QEL_DEMOS)
+def test_backtracking_matches_product_search_on_qel_demos(monkeypatch, name):
+    prob = load(name)
+    sig, store, formula = prob.sig, prob.store, prob.formula
+    out = qel(sig, store, formula)
+    (ok, _, skipped), = _assert_twins(monkeypatch, [_cli_check(
+        lambda b: equiv_exists(sig, store, formula, out, b))])
+    assert ok
+    # k + 1 leaves the window when k is its top value
+    assert skipped == (3125 if name == "read_chain.smt2" else 0)
+
+
+def test_backtracking_matches_product_search_on_mbp_demo(monkeypatch):
+    outs = []
+    for model_file in sorted(DEMOS.glob("nested_pair_array*.model")):
+        prob, model = load_mbp(model=model_file.name)
+        sig, store, formula = prob.sig, prob.store, prob.formula
+        outs.append(mbp(sig, store, formula, formula.free_vars, model).formula)
+    # the output is the same under either demo model, and so is its check
+    assert len({formula_to_sexpr(out) for out in outs}) == 1
+    (ok, _, _), = _assert_twins(monkeypatch, [_cli_check(
+        lambda b: implies_exists(sig, store, outs[-1], formula, b))])
+    assert ok
