@@ -8,21 +8,26 @@ it binds the variables one at a time in sorted name order and checks each
 literal as soon as its last variable is bound (forward checking), so a
 failing literal prunes every assignment that extends the bound prefix.  It
 visits assignments in the order of the full product, so the first model it
-finds is the first model of the product.  Declared variables passed as
-``free`` are shared symbols: enumerated with the interpretation, not closed
-existentially.  Integers range over a window derived from the numerals in
-the formulas; arithmetic that escapes the window skips that interpretation
-(a soundness note, reported in the verdict).  Deliberately independent of
-the egraph machinery: plain evaluation over plain Python values.  Each
-formula's subterms are listed once, by iterative post-order walks, and each
-distinct subterm is valued once per binding of its last variable, so terms
-of any depth are checked.
+finds is the first model of the product.  A term is valued once its
+variables are bound, which can be before the product search, checking
+literal by literal, would reach it; so a failed evaluation (arithmetic out
+of the window, a function applied outside its table) is kept as the term's
+value and raised only where the product search meets it first.  Verdicts,
+witnesses, skip counts and refusals are those of the product search.
+Declared variables passed as ``free`` are shared symbols: enumerated with
+the interpretation, not closed existentially.  Integers range over a window
+derived from the numerals in the formulas; arithmetic that escapes the
+window skips that interpretation (a soundness note, reported in the
+verdict).  Deliberately independent of the egraph machinery: plain
+evaluation over plain Python values.  Each formula's subterms are listed
+once, by iterative post-order walks, and each distinct subterm is valued
+once per binding of its last variable, so terms of any depth are checked.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
 from .terms import Formula, Sort, SortKind, is_numeral, post_order
@@ -37,6 +42,9 @@ class SearchSpaceError(Exception):
 
 class _OutOfWindow(Exception):
     pass
+
+
+_ARITH = ("+", "-", "*")
 
 
 @dataclass
@@ -136,8 +144,10 @@ class _Context:
         self.bounds = bounds
         self.formulas = formulas
         self.variables = sig.variables.keys() - free
-        self.plans = [_plan(f, self.variables) for f in formulas]
+        self.terms = [_subterms(f) for f in formulas]
         self.window = bounds.int_window or self._derive_window()
+        self.plans = [_plan(f, terms, self.variables, self.window)
+                      for f, terms in zip(formulas, self.terms)]
         self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
         self._uninterp = sorted(s.name for s in self.sorts_used
@@ -147,7 +157,7 @@ class _Context:
         self._guard()
 
     def _derive_window(self):
-        nums = {int(t.label) for _, _, terms in self.plans for t in terms
+        nums = {int(t.label) for terms in self.terms for t in terms
                 if is_numeral(t.label)}
         pad = max(1, self.bounds.int_pad)
         if not nums:
@@ -157,11 +167,11 @@ class _Context:
     def _symbols(self):
         consts = {}
         funcs = {}
-        for _, _, terms in self.plans:
+        for terms in self.terms:
             for term in terms:
                 self._scan(term, consts, funcs)
-        vars_per = [{n: self.sig.variables[n] for n in names}
-                    for names, _, _ in self.plans]
+        vars_per = [{n: self.sig.variables[n] for n in plan.names}
+                    for plan in self.plans]
         return consts, funcs, vars_per
 
     def _scan(self, term, consts, funcs):
@@ -321,22 +331,27 @@ class _Context:
         variables (with want_assignment: the first such assignment, or None).
         Depth-first over the variables in plan order, without recursion:
         after names[d] is bound to the next value of its domain, level d + 1
-        is checked, and the search backtracks at the first literal that
-        fails.  Assignments are tried in itertools.product order."""
+        is checked, and the search backtracks as soon as every extension of
+        the bound prefix is known to fail.  Assignments are tried in
+        itertools.product order, and an error (_OutOfWindow included) is
+        raised exactly when the product search, valuing each assignment
+        literal by literal, would meet it first."""
         idx = self.formulas.index(formula)
-        names, levels, _ = self.plans[idx]
+        names, levels, fallible = self.plans[idx]
         fvars = self.vars_per_formula[idx]
         doms = [self.domain(fvars[n]) for n in names]
         assign = {}
         val = {}
         found = assign if want_assignment else True
         failed = None if want_assignment else False
-        if not self._holds(levels[0], val, interp, assign):
+        first = self._check(levels[0], fallible, val, interp, assign, None)
+        if first is False:
             return failed
         if not names:
             return found
         last = len(names) - 1
         pos = [0] * len(names)  # per depth, the next domain index to try
+        pending = [first] + [None] * last  # per depth d: first, levels 0..d
         d = 0
         while d >= 0:
             i = pos[d]
@@ -346,26 +361,67 @@ class _Context:
                 continue
             pos[d] = i + 1
             assign[names[d]] = doms[d][i]
-            if self._holds(levels[d + 1], val, interp, assign):
+            first = self._check(levels[d + 1], fallible, val, interp, assign,
+                                pending[d])
+            if first is not False:
                 if d == last:
                     return found
                 d += 1
+                pending[d] = first
         return failed
 
-    def _holds(self, level, val, interp, assign):
-        """Check the level's literals in order, each once its new terms are
-        valued; then value the level's other terms."""
-        entries, rest = level
-        apply = self._apply
-        for terms, kind, lhs, rhs in entries:
+    def _check(self, level, fallible, val, interp, assign, first):
+        """Value the level's terms and check its literals.  The product
+        search takes an assignment's outcome from its first literal, in
+        formula order, that does not pass: one that fails, or one whose
+        sides fail to evaluate (arithmetic leaving the window, say).  first
+        is the earliest such literal of the lower levels, (index, error or
+        None), or None.  A failing literal decides every extension of the
+        bound prefix when no fallible literal before it is still unchecked;
+        one with an error when no literal before it is.  Returns False when
+        every extension fails, raises the error when every extension meets
+        it, and else returns the new first."""
+        entries, rest, unchecked, unchecked_fallible = level
+        apply, guarded = self._apply, self._apply_guarded
+        for index, terms, kind, lhs, rhs in entries:
             for t in terms:
-                val[t.id] = apply(t, [val[c.id] for c in t.children],
-                                  interp, assign)
-            if (val[lhs] == val[rhs]) == (kind == "diseq"):
-                return False
+                val[t.id] = (guarded if t.id in fallible else apply)(
+                    t, [val[c.id] for c in t.children], interp, assign)
+            if first is not None and first[0] < index:
+                continue
+            a, b = val[lhs], val[rhs]
+            error = a if isinstance(a, Exception) else \
+                b if isinstance(b, Exception) else None
+            if error is not None:
+                if index < unchecked:
+                    raise error
+                first = (index, error)
+            elif (a == b) == (kind == "diseq"):
+                if index < unchecked_fallible:
+                    return False
+                first = (index, None)
         for t in rest:
-            val[t.id] = apply(t, [val[c.id] for c in t.children], interp, assign)
-        return True
+            val[t.id] = (guarded if t.id in fallible else apply)(
+                t, [val[c.id] for c in t.children], interp, assign)
+        # a first of a lower level can be decided by this level's literals
+        if first is not None and \
+                first[0] < (unchecked if first[1] else unchecked_fallible):
+            if first[1]:
+                raise first[1]
+            return False
+        return first
+
+    def _apply_guarded(self, term, args, interp, assign):
+        """_apply for a fallible term.  A failed evaluation, its own or
+        that of its first failed argument, is returned as its value: it is
+        raised only where the product search would meet it (_check)."""
+        for a in args:
+            if isinstance(a, Exception):
+                return a
+        try:
+            return self._apply(term, args, interp, assign)
+        except (_OutOfWindow, SearchSpaceError) as e:
+            return e.with_traceback(None)
 
     def _apply(self, term, args, interp, assign):
         """Value of term's symbol applied to the values of its arguments."""
@@ -385,7 +441,7 @@ class _Context:
             out = True
         elif label == "false":
             out = False
-        elif label in ("+", "-", "*"):
+        elif label in _ARITH:
             a, b = args
             out = a + b if label == "+" else a - b if label == "-" else a * b
             lo, hi = self.window
@@ -440,42 +496,100 @@ class _Context:
                 tuple(self._default(s) for _, s in ctor.selectors))
 
 
-def _plan(formula, variables):
-    """(names, levels, terms).  terms are the formula's distinct subterms,
-    children before parents.  names are its variables (those in variables)
-    in sorted order, the order the search binds them.  A term's level is 0
-    when it has no variable and d + 1 when names[d] is its last variable; a
-    literal's level is that of its sides.  levels[d] is (entries, rest):
-    per literal of level d in formula order, (new, kind, lhs id, rhs id),
-    new being its subterms not listed before it; then rest, the level's
-    other terms, which later levels need.  Each list runs children before
-    parents, and each term is listed once, at its own level, so it is
-    valued as soon as its variables are bound, and a literal is checked as
-    soon as its sides are valued."""
+class _Plan(NamedTuple):
+    names: list          # the formula's variables, in binding order
+    levels: list         # (entries, rest, unchecked, unchecked_fallible)
+    fallible: frozenset  # ids of the terms whose evaluation may fail
+
+
+def _subterms(formula):
+    """The formula's distinct subterms, children before parents."""
     seen = set()
-    terms = [t for lit in formula.literals for t in _new_subterms(lit, seen)]
+    return [t for lit in formula.literals for t in _new_subterms(lit, seen)]
+
+
+def _plan(formula, terms, variables, window) -> _Plan:
+    """The search plan of formula, whose subterms are terms.  names are
+    its variables (those in variables) in sorted order, the order the
+    search binds them.  A term's level is 0 when it has no variable and
+    d + 1 when names[d] is its last variable; a literal's level is that of
+    its sides.  levels[d] is (entries, rest, unchecked, unchecked_fallible):
+    per literal of level d in formula order, (index in formula, new, kind,
+    lhs id, rhs id), new being its subterms not listed before it; then
+    rest, the level's other terms, which later levels need; then the index
+    of the first literal of a higher level, and of the first such literal
+    with a fallible side (len(formula.literals) when there is none).  Each
+    list runs children before parents, and each term is listed once, at
+    its own level, so it is valued as soon as its variables are bound, and
+    a literal is checked as soon as its sides are valued.  A term is
+    fallible when it, or a term below it, may leave the enumerated domains
+    (_leaves_domains): only then can evaluating it raise."""
     names = sorted({t.label for t in terms if t.label in variables})
     depth = {name: d + 1 for d, name in enumerate(names)}
     level = {}
+    fallible = set()
     own = [[] for _ in range(len(names) + 1)]
     for t in terms:
         lv = max([depth.get(t.label, 0)] + [level[c.id] for c in t.children])
         level[t.id] = lv
         own[lv].append(t)
+        if _leaves_domains(t, window) or \
+                any(c.id in fallible for c in t.children):
+            fallible.add(t.id)
+    n = len(formula.literals)
     lits = [[] for _ in own]
-    for lit in formula.literals:
-        lits[max(level[lit.lhs.id], level[lit.rhs.id])].append(lit)
+    heads = [[n, n] for _ in own]  # per level: first literal, first fallible
+    for index, lit in enumerate(formula.literals):
+        lv = max(level[lit.lhs.id], level[lit.rhs.id])
+        lits[lv].append((index, lit))
+        head = heads[lv]
+        head[0] = min(head[0], index)
+        if lit.lhs.id in fallible or lit.rhs.id in fallible:
+            head[1] = min(head[1], index)
+    above = [(n, n)] * len(own)  # the same over every higher level
+    for d in range(len(own) - 2, -1, -1):
+        above[d] = tuple(map(min, above[d + 1], heads[d + 1]))
     listed = set()
     levels = []
-    for level_terms, level_lits in zip(own, lits):
+    for d, (level_terms, level_lits) in enumerate(zip(own, lits)):
         # every term of a lower level is listed by now, so a literal of
         # this level yields only terms of this level
-        entries = [(list(_new_subterms(lit, listed)), lit.kind, lit.lhs.id,
-                    lit.rhs.id) for lit in level_lits]
+        entries = [(index, list(_new_subterms(lit, listed)), lit.kind,
+                    lit.lhs.id, lit.rhs.id) for index, lit in level_lits]
         rest = [t for t in level_terms if t.id not in listed]
         listed.update(t.id for t in rest)
-        levels.append((entries, rest))
-    return names, levels, terms
+        levels.append((entries, rest) + above[d])
+    return _Plan(names, levels, frozenset(fallible))
+
+
+def _leaves_domains(term, window):
+    """Whether evaluating term may fail, or give a value outside the
+    enumerated domains that fails a term above it (as a function argument),
+    though its arguments' values lie inside them: arithmetic may leave the
+    window, so may a numeral, and a selector applied to another constructor
+    gives a default that holds 0 (_Context._default)."""
+    label = term.label
+    if label in _ARITH:
+        return True
+    if is_numeral(label):
+        return not window[0] <= int(label) <= window[1]
+    if len(term.children) == 1 and \
+            term.children[0].sort.kind is SortKind.ADT and \
+            any(label == sel for ctor in term.children[0].sort.constructors
+                for sel, _ in ctor.selectors):
+        return _default_holds_int(term.sort)
+    return False
+
+
+def _default_holds_int(sort):
+    if sort.kind is SortKind.INT:
+        return True
+    if sort.kind is SortKind.ARRAY:
+        return _default_holds_int(sort.value)
+    if sort.kind is SortKind.ADT:
+        return any(_default_holds_int(s)
+                   for _, s in sort.constructors[0].selectors)
+    return False
 
 
 def _new_subterms(lit, seen):

@@ -198,19 +198,30 @@ def test_empty_bounds_are_refused():
 
 def test_plan_checks_each_literal_at_its_last_variable():
     prob = load("read_chain.smt2")
-    names, levels, _ = oracle._plan(prob.formula, prob.sig.variables.keys())
-    assert names == ["x", "y", "z"]
-    index = {(lit.lhs.id, lit.rhs.id): i
-             for i, lit in enumerate(prob.formula.literals)}
-    checked = [[index[lhs, rhs] for _, _, lhs, rhs in entries]
-               for entries, _ in levels]
+    terms = oracle._subterms(prob.formula)
+    plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
+                        (-1, 5))
+    assert plan.names == ["x", "y", "z"]
+    checked = [[index for index, *_ in entries] for entries, *_ in plan.levels]
     # z = (read a x), (+ k 1) = (read a y), x = y, (> 3 z) = true
     assert checked == [[], [], [1, 2], [0, 3]]
-    valued = [[term_to_sexpr(t) for terms, *_ in entries for t in terms] +
-              [term_to_sexpr(t) for t in rest] for entries, rest in levels]
+    valued = [[term_to_sexpr(t) for _, terms, *_ in entries for t in terms] +
+              [term_to_sexpr(t) for t in rest]
+              for entries, rest, *_ in plan.levels]
     assert valued == [["a", "k", "1", "(+ k 1)", "3", "true"],
                       ["x", "(read a x)"], ["y", "(read a y)"],
                       ["z", "(> 3 z)"]]
+    # per level, the first literal of a higher level, and of those with a
+    # fallible side: only (+ k 1), in literal 1, may leave the window
+    assert [tuple(rest) for _, _, *rest in plan.levels] == \
+        [(0, 1), (0, 1), (0, 4), (4, 4)]
+    assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
+        {"(+ k 1)"}
+    # a numeral outside the window is fallible too
+    plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
+                        (0, 2))
+    assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
+        {"3", "(> 3 z)", "(+ k 1)"}
 
 
 # -- the backtracking search against the product search it replaced -----------
@@ -311,6 +322,62 @@ def test_backtracking_matches_product_search_on_projections(monkeypatch):
             calls += _both_ways(sig, store, formula, out, bounds)
     outcomes = _assert_twins(monkeypatch, calls)
     assert any(isinstance(o, tuple) and o[0] is False for o in outcomes)
+
+
+def _random_int_instance(rng):
+    """Random conjunction over Int variables x, y, z, a kept k and
+    f : Int -> Int, whose sums and differences often leave a small window,
+    as does the numeral 2 at (-1, 1): f(2) is then refused."""
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return rng.choice(("x", "y", "z", "k", "0", "1", "2"))
+        if roll < 0.8:
+            return f"({rng.choice('+-')} {term(depth - 1)} {term(depth - 1)})"
+        return f"(f {term(depth - 1)})"
+    asserts = [f"(assert ({rng.choice(('=', 'distinct', '<'))} "
+               f"{term(2)} {term(2)}))" for _ in range(rng.randint(1, 4))]
+    prob = parse_problem("(declare-const k Int) (declare-fun f (Int) Int) "
+                         "(declare-var x Int) (declare-var y Int) "
+                         "(declare-var z Int)" + "".join(asserts))
+    return prob.sig, prob.store, prob.formula
+
+
+def test_backtracking_matches_product_search_on_arithmetic(monkeypatch):
+    # the product search skips an interpretation, or refuses the check, at
+    # the first assignment whose first literal not to pass, in formula
+    # order, leaves the window or the domains; a term valued early must not
+    # decide that
+    calls = []
+    for text in (
+            # z != z fails on every assignment before x + 1 is reached,
+            # which leaves the window (-1, 3) at x = 3
+            "(declare-var x Int) (declare-var y Int) (declare-var z Int)"
+            "(assert (distinct z z)) (assert (= y (+ x 1)))",
+            # y != y fails before f is applied to (fld nil): that is 0,
+            # outside the window (3, 7), where f has no table entry
+            "(declare-datatype P ((mk (fld Int)) (nil)))"
+            "(declare-fun f (Int) Int) (declare-var x P) (declare-var y Int)"
+            "(assert (distinct y y)) (assert (= (f (fld x)) 5))"):
+        prob = parse_problem(text)
+        calls.append(partial(equiv_exists, prob.sig, prob.store, prob.formula,
+                             mk_formula(prob.store, [])))
+    rng = random.Random(6)
+    for _ in range(120):
+        sig, store, formula = _random_int_instance(rng)
+        lits = formula.literals
+        others = (mk_formula(store, lits[:len(lits) // 2]),
+                  mk_formula(store, lits[::-1]))
+        for bounds in (Bounds(int_window=(0, 2)), Bounds(int_window=(-1, 1))):
+            calls.append(partial(find_model, sig, store, formula, bounds))
+            for other in others:
+                calls += _both_ways(sig, store, formula, other, bounds)
+    outcomes = _assert_twins(monkeypatch, calls)
+    assert [(ok, n) for ok, _, n in outcomes[:2]] == [(False, 0)] * 2
+    verdicts = [o for o in outcomes if isinstance(o, tuple) and len(o) == 3]
+    assert any(ok is False for ok, _, _ in verdicts[2:])
+    assert any(skipped for _, _, skipped in verdicts)
+    assert any(o[0] == "refused" for o in outcomes if isinstance(o, tuple))
 
 
 def _cli_check(run):
