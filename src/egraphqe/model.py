@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sexpr import Atom, SExprError, read_all
+from .sexpr import LocatedError, read_all
 from .terms import (InputError, Literal, Signature, Sort, SortKind, Term,
                     is_numeral, post_order)
 
@@ -237,98 +237,126 @@ def satisfies(model: Model, sig: Signature, formula) -> bool:
 def parse_model(text: str, sig: Signature) -> Model:
     """Read a model file
     ``(define-value name value)`` / ``(define-fun-values name (default v)
-    ((arg ...) v) ...)`` / ``(universe S k)``."""
+    ((arg ...) v) ...)`` / ``(universe S k)``.  Each name must be declared
+    in sig, and each value is read against the sort it is declared with."""
     try:
-        forms = read_all(text)
-    except SExprError as e:
-        raise ModelError(str(e)) from e
+        return _model(read_all(text), sig)
+    except LocatedError as e:
+        raise ModelError(e.located(text)) from None
+
+
+def _model(forms, sig) -> Model:
     constants = {}
     functions = {}
     universes = {}
     for form in forms:
-        if not isinstance(form, list) or not form or not isinstance(form[0], Atom):
+        if not isinstance(form, list) or not form or not isinstance(form[0], str):
             raise ModelError("expected a model command")
-        head = form[0].text
+        head = form[0]
         if head == "define-value" and len(form) == 3:
             name = _name(form[1])
+            args, sort = _declared(sig, name)
+            if args:
+                raise ModelError(f"'{name}' takes arguments: use define-fun-values")
             if name in constants:
                 raise ModelError(f"duplicate value for '{name}'")
-            constants[name] = parse_value(form[2], sig)
+            constants[name] = _value(form, 2, sort)
         elif head == "define-fun-values" and len(form) >= 3:
             name = _name(form[1])
-            default = _parse_default(form[2], sig)
+            args, result = _declared(sig, name)
+            default = _default(form, 2, result)
             table = {}
             for entry in form[3:]:
                 if not isinstance(entry, list) or len(entry) != 2 \
-                        or not isinstance(entry[0], list):
+                        or not isinstance(entry[0], list) \
+                        or len(entry[0]) != len(args):
                     raise ModelError(f"bad table entry for '{name}'")
-                key = tuple(parse_value(a, sig) for a in entry[0])
+                key = tuple(_value(entry[0], i, s) for i, s in enumerate(args))
                 if key in table:
                     raise ModelError(f"duplicate table entry for '{name}'")
-                table[key] = parse_value(entry[1], sig)
+                table[key] = _value(entry, 1, result)
             functions[name] = (default, table)
         elif head == "universe" and len(form) == 3:
-            universes[_name(form[1])] = _int(form[2])
+            universes[_name(form[1])] = _int(form, 2)
         else:
             raise ModelError(f"unknown model command '{head}'")
     return Model(constants, functions, universes)
 
 
-def parse_value(form, sig: Signature) -> Value:
-    if isinstance(form, Atom):
-        t = form.text
-        if t == "true":
-            return BoolVal(True)
-        if t == "false":
-            return BoolVal(False)
-        if t.lstrip("-").isdigit():
-            return IntVal(_int(form))
-        raise ModelError(f"bad value '{t}' at {form.line}:{form.col}")
-    if not form or not isinstance(form[0], Atom):
+def _declared(sig, name):
+    """(argument sorts, result sort) of the symbol name declared in sig."""
+    if name in sig.variables:
+        return (), sig.variables[name]
+    try:
+        return sig.functions[name]
+    except KeyError:
+        raise ModelError(f"'{name}' is not declared") from None
+
+
+def _value(form, index, sort) -> Value:
+    """The value written as child index of form, read against sort.  Each
+    level must have its sort's shape, so a value is never read deeper than
+    its sort is nested."""
+    v = form[index]
+    if isinstance(v, str):
+        if v in ("true", "false"):
+            if sort.kind is SortKind.BOOL:
+                return BoolVal(v == "true")
+        elif v.lstrip("-").isdigit():
+            n = _int(form, index)
+            if sort.kind is SortKind.INT:
+                return IntVal(n)
+        else:
+            raise LocatedError(f"bad value '{v}'", form, index)
+    elif not v or not isinstance(v[0], str):
         raise ModelError("bad value")
-    head = form[0].text
-    if head == "elem" and len(form) == 3:
-        sort = _name(form[1])
-        if sort not in sig.sorts:
-            raise ModelError(f"unknown sort '{sort}' in element value")
-        return Elem(sort, _int(form[2]))
-    if head == "array" and len(form) >= 2:
-        default = _parse_default(form[1], sig)
-        mapping = {}
-        for entry in form[2:]:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ModelError("array entry must be (key value)")
-            key = parse_value(entry[0], sig)
-            if key in mapping:
-                raise ModelError(f"duplicate array key {key!r}")
-            mapping[key] = parse_value(entry[1], sig)
-        return mk_array(default, mapping)
-    # constructor application
-    for sort in sig.sorts.values():
+    elif v[0] == "elem" and len(v) == 3:
+        name = _name(v[1])
+        n = _int(v, 2)
+        if sort.kind is SortKind.UNINTERPRETED and sort.name == name:
+            return Elem(name, n)
+    elif v[0] == "array" and len(v) >= 2:
+        if sort.kind is SortKind.ARRAY:
+            default = _default(v, 1, sort.value)
+            mapping = {}
+            for entry in v[2:]:
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise ModelError("array entry must be (key value)")
+                key = _value(entry, 0, sort.index)
+                if key in mapping:
+                    raise ModelError(f"duplicate array key {key!r}")
+                mapping[key] = _value(entry, 1, sort.value)
+            return mk_array(default, mapping)
+    else:
         for ctor in sort.constructors:
-            if ctor.name == head:
-                if len(form) != 1 + ctor.arity:
-                    raise ModelError(f"constructor '{head}' expects {ctor.arity} values")
-                return AdtVal(head, tuple(parse_value(a, sig) for a in form[1:]))
-    raise ModelError(f"bad value head '{head}'")
+            if ctor.name == v[0]:
+                if len(v) != 1 + ctor.arity:
+                    raise ModelError(f"constructor '{ctor.name}' expects "
+                                     f"{ctor.arity} values")
+                return AdtVal(ctor.name, tuple(
+                    _value(v, i, s)
+                    for i, (_, s) in enumerate(ctor.selectors, start=1)))
+    raise LocatedError(f"expected a value of sort {sort!r}", form, index)
 
 
-def _parse_default(form, sig):
-    if not isinstance(form, list) or len(form) != 2 or _name(form[0]) != "default":
+def _default(form, index, sort):
+    """The value v of ``(default v)`` at child index of form."""
+    d = form[index]
+    if not isinstance(d, list) or len(d) != 2 or _name(d[0]) != "default":
         raise ModelError("expected (default value)")
-    return parse_value(form[1], sig)
+    return _value(d, 1, sort)
 
 
 def _name(form) -> str:
-    if not isinstance(form, Atom):
+    if not isinstance(form, str):
         raise ModelError("expected a symbol")
-    return form.text
+    return form
 
 
-def _int(form) -> int:
-    text = _name(form)
+def _int(form, index) -> int:
+    text = _name(form[index])
     try:
         return int(text)
     except ValueError:
-        raise ModelError(f"expected an integer, got '{text}' "
-                         f"at {form.line}:{form.col}") from None
+        raise LocatedError(f"expected an integer, got '{text}'",
+                           form, index) from None

@@ -11,17 +11,19 @@ Supported commands:
     (qel) | (mbp)                 ; optional trailing command marker
 
 Literals are (= t u), (distinct t u), (ueq t u), Bool applications, and
-negated Bool applications.  Terms use read/write for array access and the
-usual prefix arithmetic symbols; numerals are auto-declared.  Inside a term,
-(distinct t u) is an ordinary Bool term.  ``peq`` is reserved for the
-partial equalities of array projection and rejected in input.
+negated Bool applications; (not (distinct t u)) is read as (= t u), and
+distinct takes exactly two arguments in both forms.  Terms use read/write
+for array access and the usual prefix arithmetic symbols; numerals are
+auto-declared.  Inside a term, (distinct t u) is an ordinary Bool term.
+``peq`` is reserved for the partial equalities of array projection and
+rejected in input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .sexpr import Atom, SExprError, read_all
+from .sexpr import LocatedError, read_all
 from .terms import (BOOL, Formula, InputError, Literal, Signature,
                     TermStore, mk_formula)
 
@@ -40,9 +42,12 @@ class Problem:
 
 def parse_problem(text: str) -> Problem:
     try:
-        forms = read_all(text)
-    except SExprError as e:
-        raise ParseError(str(e)) from e
+        return _problem(read_all(text))
+    except LocatedError as e:
+        raise ParseError(e.located(text)) from None
+
+
+def _problem(forms) -> Problem:
     sig = Signature()
     store = TermStore(sig)
     literals = []
@@ -50,9 +55,9 @@ def parse_problem(text: str) -> Problem:
     for form in forms:
         if command is not None:
             raise ParseError(f"content after ({command})")
-        if not isinstance(form, list) or not form or not isinstance(form[0], Atom):
+        if not isinstance(form, list) or not form or not isinstance(form[0], str):
             raise ParseError(f"expected a command, got {_show(form)}")
-        head = form[0].text
+        head = form[0]
         if head == "declare-sort":
             name, arity = _exact(form, 2, "declare-sort (name arity)")
             if _atom(arity) != "0":
@@ -62,17 +67,18 @@ def parse_problem(text: str) -> Problem:
             name, ctors = _exact(form, 2, "declare-datatype (name ctor-list)")
             sig.declare_datatype(_atom(name), _parse_ctors(sig, ctors))
         elif head == "declare-fun":
-            name, args, res = _exact(form, 3, "declare-fun (name args result)")
+            name, args, _ = _exact(form, 3, "declare-fun (name args result)")
             if not isinstance(args, list):
                 raise ParseError("declare-fun needs an argument sort list")
-            sig.declare_fun(_atom(name), [_sort(sig, s) for s in args],
-                            _sort(sig, res))
+            sig.declare_fun(_atom(name),
+                            [_sort(sig, args, i) for i in range(len(args))],
+                            _sort(sig, form, 3))
         elif head == "declare-const":
-            name, srt = _exact(form, 2, "declare-const (name sort)")
-            sig.declare_const(_atom(name), _sort(sig, srt))
+            name, _ = _exact(form, 2, "declare-const (name sort)")
+            sig.declare_const(_atom(name), _sort(sig, form, 2))
         elif head == "declare-var":
-            name, srt = _exact(form, 2, "declare-var (name sort)")
-            sig.declare_var(_atom(name), _sort(sig, srt))
+            name, _ = _exact(form, 2, "declare-var (name sort)")
+            sig.declare_var(_atom(name), _sort(sig, form, 2))
         elif head == "assert":
             (body,) = _exact(form, 1, "assert (literal)")
             literals.append(_literal(store, body))
@@ -81,7 +87,7 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError(f"({head}) takes no arguments")
             command = head
         else:
-            raise ParseError(f"unknown command '{head}' at {form[0].line}:{form[0].col}")
+            raise LocatedError(f"unknown command '{head}'", form, 0)
     return Problem(sig, store, mk_formula(store, literals), command)
 
 
@@ -103,25 +109,27 @@ def _parse_ctors(sig, ctors):
         for s in c[1:]:
             if not isinstance(s, list) or len(s) != 2:
                 raise ParseError(f"selector of '{cname}' must be (name Sort)")
-            sels.append((_atom(s[0]), _sort(sig, s[1])))
+            sels.append((_atom(s[0]), _sort(sig, s, 1)))
         out.append((cname, sels))
     return out
 
 
-def _sort(sig, form):
-    if isinstance(form, Atom):
+def _sort(sig, parent, index):
+    """The sort written as child index of parent."""
+    form = parent[index]
+    if isinstance(form, str):
         try:
-            return sig.sorts[form.text]
+            return sig.sorts[form]
         except KeyError:
-            raise ParseError(f"unknown sort '{form.text}' at {form.line}:{form.col}")
+            raise LocatedError(f"unknown sort '{form}'", parent, index) from None
     if isinstance(form, list) and len(form) == 3 and _atom(form[0]) == "Array":
-        return sig.ensure_array_sort(_sort(sig, form[1]), _sort(sig, form[2]))
+        return sig.ensure_array_sort(_sort(sig, form, 1), _sort(sig, form, 2))
     raise ParseError(f"bad sort {_show(form)}")
 
 
 def _literal(store, form) -> Literal:
-    if isinstance(form, list) and form and isinstance(form[0], Atom):
-        head = form[0].text
+    if isinstance(form, list) and form and isinstance(form[0], str):
+        head = form[0]
         if head == "=" and len(form) == 3:
             return Literal("eq", _term(store, form[1]), _term(store, form[2]))
         if head == "distinct" and len(form) == 3:
@@ -131,6 +139,9 @@ def _literal(store, form) -> Literal:
         if head == "not" and len(form) == 2:
             inner = form[1]
             if isinstance(inner, list) and inner and _atom(inner[0]) == "distinct":
+                if len(inner) != 3:
+                    raise ParseError("'distinct' takes two arguments, "
+                                     f"got {len(inner) - 1}")
                 return Literal("eq", _term(store, inner[1]), _term(store, inner[2]))
             app = _term(store, inner)
             _need_bool(app, form[0])
@@ -148,14 +159,14 @@ def _need_bool(term, where):
 def _term(store, form):
     """The term of form, built bottom-up and left to right by an explicit
     stack of (application, arguments built so far), so any depth parses."""
-    if isinstance(form, Atom):
+    if isinstance(form, str):
         return _const(store, form)
     _check_app(form)
     stack = [(form, [])]
     while True:
         form, args = stack[-1]
         i, n = len(args) + 1, len(form)
-        while i < n and isinstance(form[i], Atom):
+        while i < n and isinstance(form[i], str):
             args.append(_const(store, form[i]))
             i += 1
         if i < n:
@@ -163,24 +174,29 @@ def _term(store, form):
             stack.append((form[i], []))
             continue
         stack.pop()
-        term = store.mk_app(form[0].text, args)
+        term = store.mk_app(form[0], args)
         if not stack:
             return term
         stack[-1][1].append(term)
 
 
 def _const(store, atom):
-    store.sig.sort_of(atom.text)  # raises for unknowns; auto-declares numerals
-    return store.mk_const(atom.text)
+    try:
+        return store.mk_const(atom)
+    except InputError:
+        # sort_of rejects every label that mk_const rejects, with the
+        # message for a symbol used as a constant
+        store.sig.sort_of(atom)
+        raise
 
 
 def _check_app(form):
-    if not (isinstance(form, list) and form and isinstance(form[0], Atom)):
+    if not (isinstance(form, list) and form and isinstance(form[0], str)):
         raise ParseError(f"bad term {_show(form)}")
-    if form[0].text == "=":
-        raise ParseError(f"nested '=' at {form[0].line}:{form[0].col}")
-    if form[0].text == "peq":
-        raise ParseError(f"'peq' is reserved at {form[0].line}:{form[0].col}")
+    if form[0] == "=":
+        raise LocatedError("nested '='", form, 0)
+    if form[0] == "peq":
+        raise LocatedError("'peq' is reserved", form, 0)
 
 
 def _exact(form, n, what):
@@ -190,26 +206,29 @@ def _exact(form, n, what):
 
 
 def _atom(form) -> str:
-    if not isinstance(form, Atom):
+    if not isinstance(form, str):
         raise ParseError(f"expected a symbol, got {_show(form)}")
-    return form.text
+    return form
 
 
 def _show(form):
     """form as text for an error message, by an explicit stack of pending
-    forms and strings, so a malformed form of any depth is shown."""
-    out, stack = [], [form]
+    forms and output strings (atoms already quoted), so a malformed form of
+    any depth is shown."""
+    out, stack = [], [_quoted(form)]
     while stack:
         f = stack.pop()
-        if isinstance(f, str):        # a closing parenthesis or a separator
+        if isinstance(f, str):
             out.append(f)
-        elif isinstance(f, Atom):
-            out.append(f"'{f.text}'")
         else:
             out.append("(")
             stack.append(")")
             for i in range(len(f) - 1, -1, -1):
-                stack.append(f[i])
+                stack.append(_quoted(f[i]))
                 if i:
                     stack.append(" ")
     return "".join(out)
+
+
+def _quoted(form):
+    return f"'{form}'" if isinstance(form, str) else form

@@ -38,7 +38,7 @@ def reparse(decls, printed):
     def text(form):
         if isinstance(form, list):
             return "(" + " ".join(text(f) for f in form) + ")"
-        return form.text
+        return form
     (conj,) = read_all(printed)
     return parse_problem(decls + "".join(f"(assert {text(lit)})"
                                          for lit in conj[1:])).formula

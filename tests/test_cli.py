@@ -192,3 +192,40 @@ def test_non_ascii_digit_is_an_input_error(tmp_path, capsys, check):
     path.write_text("(declare-var x Int) (assert (= x \u00b2)) (qel)")
     assert main(["qel", str(path), *check]) == 2
     assert "error: unknown symbol '\u00b2'" in capsys.readouterr().err
+
+
+ARRAY_PROBLEM = """
+(declare-sort V 0)
+(declare-const c V)
+(declare-var a (Array Int V))
+(assert (= (read a 0) c))
+(mbp)
+"""
+DEEP_VALUE = "(array (default " * 3000 + "(elem V 0)" + "))" * 3000
+
+
+@pytest.mark.parametrize("problem, model, message", [
+    ("(declare-sort S 0) (declare-const a S) (declare-var x S)\n"
+     "(assert (not (distinct a))) (assert (= x a))",
+     None, "'distinct' takes two arguments, got 1"),
+    ("(declare-sort S 0) (declare-const a S) (declare-const b S)\n"
+     "(declare-const c S) (declare-var x S)\n"
+     "(assert (not (distinct a b c))) (assert (= x a))",
+     None, "'distinct' takes two arguments, got 3"),
+    (ARRAY_PROBLEM, "(universe V 2) (define-value c (elem V 0))\n"
+     "(define-value a (elem V 1))", "expected a value of sort (Array Int V) at 2:16"),
+    (ARRAY_PROBLEM, f"(define-value a {DEEP_VALUE})", "expected a value of sort V at 1:32"),
+    (ARRAY_PROBLEM, f"(define-value zz {DEEP_VALUE})", "'zz' is not declared"),
+], ids=["not-distinct-1", "not-distinct-3", "ill-sorted", "deep-declared",
+        "deep-undeclared"])
+def test_malformed_input_exits_2(tmp_path, capsys, problem, model, message):
+    path = tmp_path / "p.smt2"
+    path.write_text(problem)
+    args = ["qel", str(path)]
+    if model is not None:
+        (tmp_path / "m.model").write_text(model)
+        args = ["mbp", str(path), "--model", str(tmp_path / "m.model")]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"

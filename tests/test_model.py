@@ -2,7 +2,7 @@ import pytest
 
 from egraphqe import (AdtVal, BoolVal, Elem, IntVal, Literal, Model,
                       Signature, TermStore, eval_term, holds,
-                      mk_array, parse_model, satisfies)
+                      mk_array, parse_model, parse_problem, satisfies)
 from egraphqe.model import ModelError, array_read, array_write, default_value
 from egraphqe.terms import mk_formula
 
@@ -90,7 +90,8 @@ def test_parse_model_empty_ok():
 
 def test_parse_model_duplicate_array_key_rejected():
     sig = Signature()
-    with pytest.raises(ModelError):
+    sig.declare_const("a", sig.ensure_array_sort(sig.sorts["Int"], sig.sorts["Int"]))
+    with pytest.raises(ModelError, match="duplicate array key 1"):
         parse_model("(define-value a (array (default 0) (1 2) (1 3)))", sig)
 
 
@@ -147,3 +148,67 @@ def test_satisfies_deep_chain_under_planted_model():
     assert satisfies(planted, sig, formula)
     wrong = Model({"c": Elem("U", 0), "x": Elem("U", 1)}, {"f": f}, {"U": 2})
     assert not satisfies(wrong, sig, formula)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(define-value c foo)", "bad value 'foo' at 1:16"),
+    ("; a (comment)\n(define-value c (elem S 1)) (define-value d bar)",
+     "bad value 'bar' at 2:44"),
+    ("(universe S x)", "expected an integer, got 'x' at 1:12"),
+    ("(universe S 2)\n\t(universe T\r\n  y)", "expected an integer, got 'y' at 3:2"),
+    ("\n  (define-value c (elem S zero))", "expected an integer, got 'zero' at 2:26"),
+    ("(define-value c ²)", "expected an integer, got '²' at 1:16"),
+    ("(define-value c (elem S 1)))", "unbalanced ')' at 1:27"),
+])
+def test_positional_model_errors(text, message):
+    prob = parse_problem("(declare-sort S 0) (declare-sort T 0)\n"
+                         "(declare-const c S) (declare-const d S)")
+    with pytest.raises(ModelError) as exc:
+        parse_model(text, prob.sig)
+    assert str(exc.value) == message
+
+
+DEEP = "(array (default " * 3000 + "0" + "))" * 3000
+
+
+@pytest.mark.parametrize("text, message", [
+    # a value of the wrong shape for its symbol's sort
+    ("(define-value a (elem V 1))", "expected a value of sort (Array Int V) at 1:16"),
+    ("(define-value i true)", "expected a value of sort Int at 1:16"),
+    ("(define-value i (elem Int 3))", "expected a value of sort Int at 1:16"),
+    ("(define-value a (array (default (elem V 0)) ((elem V 1) (elem V 0))))",
+     "expected a value of sort Int at 1:45"),
+    ("(define-value p (mk 1 1))", "expected a value of sort V at 1:20"),
+    ("(define-value p (nope 1 1))", "expected a value of sort P at 1:16"),
+    ("(define-fun-values f (default 1))", "expected a value of sort Bool at 1:30"),
+    ("(define-fun-values f (default true) (((elem V 0) true) false))",
+     "expected a value of sort Int at 1:49"),
+    ("(define-fun-values f (default true) (((elem V 0)) false))",
+     "bad table entry for 'f'"),
+    ("(define-value f true)", "'f' takes arguments: use define-fun-values"),
+    # a value nested deeper than its sort
+    ("(define-value a (array (default (array (default (elem V 0))))))",
+     "expected a value of sort V at 1:32"),
+    pytest.param(f"(define-value a {DEEP})", "expected a value of sort V at 1:32",
+                 id="deep-declared"),
+    # a value for a symbol the problem does not declare
+    ("(define-value b 1)", "'b' is not declared"),
+    pytest.param(f"(define-value zz {DEEP})", "'zz' is not declared",
+                 id="deep-undeclared"),
+    ("(define-fun-values g (default 1))", "'g' is not declared"),
+])
+def test_model_values_fit_declared_sorts(text, message):
+    sig = parse_problem(
+        "(declare-sort V 0) (declare-const a (Array Int V)) (declare-var i Int)\n"
+        "(declare-fun f (V Int) Bool) (declare-datatype P ((mk (fst V) (snd Int))))"
+        "(declare-const p P)").sig
+    with pytest.raises(ModelError) as exc:
+        parse_model(text, sig)
+    assert str(exc.value) == message
+
+
+def test_comments_at_either_end_are_skipped():
+    prob = parse_problem("; (lead\n(declare-sort S 0) (declare-const c S) ; trailing (x")
+    assert set(prob.sig.sorts) == {"Bool", "Int", "S"}
+    model = parse_model("(define-value c (elem S 1)) ; (y z", prob.sig)
+    assert model.constants == {"c": Elem("S", 1)}

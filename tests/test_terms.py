@@ -1,15 +1,19 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egraphqe import (InputError, Literal, Signature, SortKind, TermStore,
-                      formula_to_sexpr, parse_formula, parse_problem,
-                      term_to_sexpr)
+                      formula_to_sexpr, parse_formula, parse_model,
+                      parse_problem, term_to_sexpr)
 from egraphqe.parser import ParseError
+from egraphqe.sexpr import LocatedError, read_all, where
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
                             UnknownSymbolError, mk_formula)
 
-from conftest import load, same_literals
+from conftest import DEMOS, load, same_literals
 
 
 def _store():
@@ -293,3 +297,134 @@ def test_term_errors_and_positions(body, error, message):
     with pytest.raises(error) as exc:
         parse_formula(decls + "(declare-const c S)\n(assert " + body + ")")
     assert str(exc.value) == message
+
+
+DECLS = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun g (S) S)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(declare-sort S 0))", "unbalanced ')' at 1:18"),
+    ("(declare-sort S 0)\n(assert (= a\n  (f b)", "unclosed '(' at 2:8"),
+    ("   (foo a b)", "unknown command 'foo' at 1:4"),
+    ("\n  (declare-sort S 0)\n    (frob)", "unknown command 'frob' at 3:5"),
+    (DECLS + "(declare-fun h (S T) S)", "unknown sort 'T' at 2:18"),
+    (DECLS + "(declare-fun h (S S)\nU)", "unknown sort 'U' at 3:0"),
+    (DECLS + "(declare-const c T)", "unknown sort 'T' at 2:17"),
+    (DECLS + "(declare-var x T)", "unknown sort 'T' at 2:15"),
+    (DECLS + "(declare-const a (Array S (Array Int V)))", "unknown sort 'V' at 2:37"),
+    (DECLS + "(declare-datatype P ((mk (fst S) (snd W))))",
+     "unknown sort 'W' at 2:38"),
+    # a tab and a CRLF line ending count as one column each
+    (DECLS + "(declare-const c S)\n\t(assert (= c (f\t(= c c))))", "nested '=' at 3:18"),
+    (DECLS + "(declare-const c S)\r\n(assert (= c (g (peq c c))))",
+     "'peq' is reserved at 3:17"),
+    # parentheses inside a comment are not tokens
+    (DECLS + "; comment (with (parens\n(declare-const c S) ; more ((\n"
+     "(assert (= c (g (= c c))))", "nested '=' at 4:17"),
+    ("(declare-sort S 0) ; ) ( ;\n  (declare-const c Q)", "unknown sort 'Q' at 2:19"),
+])
+def test_positional_parse_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("(not (distinct a))", "'distinct' takes two arguments, got 1"),
+    ("(not (distinct a b c))", "'distinct' takes two arguments, got 3"),
+])
+def test_negated_distinct_takes_two_arguments(literal, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem("(declare-sort S 0) (declare-const a S) (declare-const b S)\n"
+                      f"(declare-const c S) (assert {literal})")
+    assert str(exc.value) == message
+
+
+DEMO_INPUTS = sorted(DEMOS.glob("*.smt2")) + sorted(DEMOS.glob("*.model"))
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DEMO_INPUTS), st.booleans(), st.data())
+def test_truncated_or_token_deleted_demo_is_read_or_rejected(path, truncate, data):
+    """A demo input cut short, or with one token deleted, is read or
+    rejected with an InputError, never another exception."""
+    text = path.read_text()
+    if truncate:
+        text = text[:data.draw(st.integers(0, len(text)), label="cut")]
+    else:
+        spans = [m.span() for m in _TOKEN.finditer(text)]
+        i, j = spans[data.draw(st.integers(0, len(spans) - 1), label="token")]
+        text = text[:i] + text[j:]
+    try:
+        if path.suffix == ".model":
+            # every demo model is a model of nested_pair_array.smt2
+            parse_model(text, load("nested_pair_array.smt2").sig)
+        else:
+            parse_problem(text)
+    except InputError:
+        pass
+
+
+def _reference_tokens(text):
+    """(token, "line:col") pairs of text, read one character at a time: a
+    reference for the regular-expression reader."""
+    out, line, col, i = [], 1, 0, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 0, i + 1
+        elif ch in " \t\r":
+            col, i = col + 1, i + 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            out.append((ch, f"{line}:{col}"))
+            col, i = col + 1, i + 1
+        else:
+            start = i
+            while i < len(text) and text[i] not in " \t\r\n();":
+                i += 1
+            out.append((text[start:i], f"{line}:{col}"))
+            col += i - start
+    return out
+
+
+def _located_tokens(text, form):
+    """The tokens of form with their positions, each found by where()."""
+    out = []
+    for i, child in enumerate(form):
+        if isinstance(child, list):
+            out.append(("(", where(text, form, i)))
+            out += _located_tokens(text, child)
+            out.append((")", where(text, child, len(child))))
+        else:
+            out.append((child, where(text, form, i)))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=" \t\r\n;()ab\u00b2", max_size=40))
+def test_reader_matches_character_reference(text):
+    """read_all and where() give the tokens, nesting and positions of a
+    character-by-character reading, and the same unbalanced/unclosed
+    error positions."""
+    tokens, opens, error = _reference_tokens(text), [], None
+    for tok, pos in tokens:
+        if tok == "(":
+            opens.append(pos)
+        elif tok == ")":
+            if not opens:
+                error = f"unbalanced ')' at {pos}"
+                break
+            opens.pop()
+    if error is None and opens:
+        error = f"unclosed '(' at {opens[-1]}"
+    try:
+        forms = read_all(text)
+    except LocatedError as e:
+        assert e.located(text) == error
+    else:
+        assert error is None
+        assert _located_tokens(text, forms) == tokens
