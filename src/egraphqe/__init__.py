@@ -18,8 +18,7 @@ from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
 from .parser import ParseError, Problem, parse_formula, parse_problem
 from .qel import (CGroundInfo, compute_cground, core_reachable_nodes,
-                  find_core, find_defs, is_maximally_ground, process, qel,
-                  refine_defs)
+                  find_core, find_defs, process, qel, refine_defs)
 from .terms import (Formula, InputError, Literal, Signature, Sort, SortKind,
                     Term, TermStore, formula_to_sexpr, literal_to_sexpr,
                     term_to_sexpr)
@@ -33,7 +32,7 @@ __all__ = [
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",
     "compute_cground", "core_reachable_nodes", "equiv_exists", "eval_term",
     "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",
-    "implies_exists", "is_admissible", "is_admissible_partial", "is_maximally_ground",
+    "implies_exists", "is_admissible", "is_admissible_partial",
     "literal_to_sexpr", "mbp", "mk_array", "parse_formula", "parse_model",
     "parse_problem", "process", "qel", "refine_defs", "satisfies",
     "term_to_sexpr", "to_expr", "to_formula",

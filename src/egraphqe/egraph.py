@@ -212,18 +212,6 @@ class EGraph:
                 out.append(node.label)
         return out
 
-    def check_congruence(self) -> bool:
-        """Exhaustive Def-style congruence scan, for tests."""
-        by_key = {}
-        for node in self.nodes:
-            if not node.children:
-                continue
-            key = self._canon_key(node)
-            other = by_key.setdefault(key, node.id)
-            if self.find(other) != self.find(node.id):
-                return False
-        return True
-
     def dump_dot(self, repr_fn=None) -> str:
         """DOT rendering: solid child edges, dashed red root edges, and
         dotted blue representative edges when a repr function is given."""

@@ -361,16 +361,16 @@ def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
     node = g.nodes[n]
     if not (state.projected(node.label) and not node.children):
         return False
-    sort = node.term.sort
-    if sort.kind is not SortKind.ADT:
+    if node.term.sort.kind is not SortKind.ADT:
         return False
     store = state.store
     fired = False
     for m in g.class_of(n):
         mnode = g.nodes[m]
-        ctor = next((c for c in sort.constructors if c.name == mnode.label), None)
-        if ctor is None or ctor.arity == 0:
+        role = state.sig.datatype.get(mnode.label)
+        if role is None or role[0] != "constructor" or role[1].arity == 0:
             continue
+        ctor = role[1]
         if not state.mark("adt_deconstruct_eq", (n, m)):
             continue
         for (sel, _), arg in zip(ctor.selectors, mnode.children):
@@ -389,8 +389,7 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
     for v, t in ((na, nb), (nb, na)):
         if not (state.projected(v.label) and not v.children):
             continue
-        sort = v.term.sort
-        if sort.kind is not SortKind.ADT:
+        if v.term.sort.kind is not SortKind.ADT:
             continue
         if not state.mark("adt_split_diseq", (min(a, b), max(a, b))):
             return False
@@ -400,7 +399,7 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
         if vv == tv:
             raise ModelMismatchError(
                 f"model equates disequal terms {v.term!r} and {t.term!r}")
-        vctor = next(c for c in sort.constructors if c.name == vv.ctor)
+        vctor = state.sig.datatype[vv.ctor][1]
         if vv.ctor != tv.ctor:
             g.assert_eq(store.mk_app(vctor.tester, (v.term,)), store.top)
             g.assert_eq(store.mk_app(vctor.tester, (t.term,)), store.bot)

@@ -5,15 +5,18 @@ default to functions, and sizes to uninterpreted sorts.  Arrays are finite
 maps plus a default (entries equal to the default are normalized away, so
 structural equality is extensional equality); datatype values are
 constructor trees.  Applying a selector to the wrong constructor returns a
-fixed per-sort default value.
+fixed per-sort default value.  What a symbol denotes is looked up in the
+Signature: a model interprets only the variables and the uninterpreted
+symbols (sig.uninterpreted), and constructors, testers and selectors are
+told apart by sig.datatype, the table the finite-model oracle reads too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .sexpr import LocatedError, read_all
-from .terms import (InputError, Literal, Signature, Sort, SortKind, Term,
-                    is_numeral, post_order)
+from .terms import (ARITH_FUNS, InputError, Literal, Signature, Sort,
+                    SortKind, Term, is_numeral, post_order)
 
 
 class ModelError(InputError):
@@ -147,7 +150,7 @@ def _apply(model, sig, term, args) -> Value:
         return BoolVal(True)
     if label == "false":
         return BoolVal(False)
-    if label in ("+", "-", "*", ">", "<", ">=", "<="):
+    if label in ARITH_FUNS:
         a, b = args
         if not isinstance(a, IntVal) or not isinstance(b, IntVal):
             raise ModelError(f"arithmetic on non-integers in {term!r}")
@@ -172,50 +175,21 @@ def _apply(model, sig, term, args) -> Value:
         return BoolVal(args[0] == args[1])
     if label == "distinct":
         return BoolVal(args[0] != args[1])
-    ctor = _constructor_of(sig, term)
-    if ctor is not None:
-        return AdtVal(label, tuple(args))
-    hit = _selector_or_tester(sig, term)
-    if hit is not None:
-        return hit(args[0])
+    role = sig.datatype.get(label)
+    if role is not None:
+        kind, ctor, i = role
+        if kind == "constructor":
+            return AdtVal(label, tuple(args))
+        matches = isinstance(args[0], AdtVal) and args[0].ctor == ctor.name
+        if kind == "tester":
+            return BoolVal(matches)
+        return args[0].args[i] if matches else default_value(ctor.selectors[i][1])
     if label in model.constants:
         return model.constants[label]
     if label in model.functions:
         default, table = model.functions[label]
         return table.get(tuple(args), default)
     raise ModelError(f"symbol '{label}' has no interpretation")
-
-
-def _constructor_of(sig, term):
-    decl = sig.functions.get(term.label)
-    if decl is None:
-        return None
-    _, result = decl
-    if result.kind is SortKind.ADT:
-        for ctor in result.constructors:
-            if ctor.name == term.label:
-                return ctor
-    return None
-
-
-def _selector_or_tester(sig, term):
-    if not term.children:
-        return None
-    arg_sort = term.children[0].sort
-    if arg_sort.kind is not SortKind.ADT:
-        return None
-    label = term.label
-    for ctor in arg_sort.constructors:
-        if label == ctor.tester:
-            return lambda v: BoolVal(isinstance(v, AdtVal) and v.ctor == ctor.name)
-        for i, (sel, sel_sort) in enumerate(ctor.selectors):
-            if label == sel:
-                def apply(v, i=i, ctor=ctor, sel_sort=sel_sort):
-                    if isinstance(v, AdtVal) and v.ctor == ctor.name:
-                        return v.args[i]
-                    return default_value(sel_sort)
-                return apply
-    return None
 
 
 def holds(model: Model, sig: Signature, lit: Literal, _memo=None) -> bool:
@@ -237,8 +211,10 @@ def satisfies(model: Model, sig: Signature, formula) -> bool:
 def parse_model(text: str, sig: Signature) -> Model:
     """Read a model file
     ``(define-value name value)`` / ``(define-fun-values name (default v)
-    ((arg ...) v) ...)`` / ``(universe S k)``.  Each name must be declared
-    in sig, and each value is read against the sort it is declared with."""
+    ((arg ...) v) ...)`` / ``(universe S k)``.  Each name must be a
+    variable or an uninterpreted symbol declared in sig, not a builtin,
+    numeral, constructor, tester or selector, and each value is read
+    against the sort it is declared with."""
     try:
         return _model(read_all(text), sig)
     except LocatedError as e:
@@ -284,13 +260,13 @@ def _model(forms, sig) -> Model:
 
 
 def _declared(sig, name):
-    """(argument sorts, result sort) of the symbol name declared in sig."""
+    """(argument sorts, result sort) of name, a variable or an
+    uninterpreted symbol declared in sig: the names a model defines."""
     if name in sig.variables:
         return (), sig.variables[name]
-    try:
-        return sig.functions[name]
-    except KeyError:
-        raise ModelError(f"'{name}' is not declared") from None
+    if name not in sig.uninterpreted:
+        raise ModelError(f"'{name}' is not declared")
+    return sig.functions[name]
 
 
 def _value(form, index, sort) -> Value:

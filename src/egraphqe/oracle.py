@@ -19,7 +19,10 @@ the interpretation, not closed existentially.  Integers range over a window
 derived from the numerals in the formulas; arithmetic that escapes the
 window skips that interpretation (a soundness note, reported in the
 verdict).  Deliberately independent of the egraph machinery: plain
-evaluation over plain Python values.  Each formula's subterms are listed
+evaluation over plain Python values.  Only the declarations are shared
+with the model evaluator: the symbols enumerated are the variables and the
+signature's uninterpreted symbols, and constructors, testers and selectors
+are told apart by its datatype table.  Each formula's subterms are listed
 once, by iterative post-order walks, and each distinct subterm is valued
 once per binding of its last variable, so terms of any depth are checked.
 """
@@ -31,9 +34,6 @@ from typing import NamedTuple, Optional
 
 from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
 from .terms import Formula, Sort, SortKind, is_numeral, post_order
-
-_BUILTIN = {"true", "false", "+", "-", "*", ">", "<", ">=", "<=",
-            "read", "write", "ueq", "distinct"}
 
 
 class SearchSpaceError(Exception):
@@ -146,7 +146,8 @@ class _Context:
         self.variables = sig.variables.keys() - free
         self.terms = [_subterms(f) for f in formulas]
         self.window = bounds.int_window or self._derive_window()
-        self.plans = [_plan(f, terms, self.variables, self.window)
+        self.plans = [_plan(f, terms, self.variables, self.window,
+                            sig.datatype)
                       for f, terms in zip(formulas, self.terms)]
         self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
@@ -180,28 +181,12 @@ class _Context:
             return
         if label in self.sig.variables:  # free: a shared symbol
             consts.setdefault(label, self.sig.variables[label])
-        elif label not in _BUILTIN and not is_numeral(label) \
-                and not self._is_adt_symbol(term):
+        elif label in self.sig.uninterpreted:
             arg_sorts, result = self.sig.functions[label]
             if arg_sorts:
                 funcs.setdefault(label, (arg_sorts, result))
             else:
                 consts.setdefault(label, result)
-
-    def _is_adt_symbol(self, term):
-        decl = self.sig.functions.get(term.label)
-        if decl is None:
-            return False
-        arg_sorts, result = decl
-        if result.kind is SortKind.ADT and \
-                any(c.name == term.label for c in result.constructors):
-            return True
-        if arg_sorts and arg_sorts[0].kind is SortKind.ADT:
-            for ctor in arg_sorts[0].constructors:
-                if term.label == ctor.tester or \
-                        any(term.label == s for s, _ in ctor.selectors):
-                    return True
-        return False
 
     def _sorts_used(self):
         out = set()
@@ -460,27 +445,20 @@ class _Context:
         elif label == "distinct":
             out = args[0] != args[1]
         else:
-            out = self._eval_adt(term, label, args)
+            out = self._eval_adt(label, args)
         return out
 
-    def _eval_adt(self, term, label, args):
-        decl = self.sig.functions.get(label)
-        if decl is None:
+    def _eval_adt(self, label, args):
+        role = self.sig.datatype.get(label)
+        if role is None:
             raise SearchSpaceError(f"symbol '{label}' not enumerable")
-        arg_sorts, result = decl
-        if result.kind is SortKind.ADT and \
-                any(c.name == label for c in result.constructors):
+        kind, ctor, i = role
+        if kind == "constructor":
             return ("adt", label, tuple(args))
-        adt_sort = arg_sorts[0]
-        for ctor in adt_sort.constructors:
-            if label == ctor.tester:
-                return args[0][0] == "adt" and args[0][1] == ctor.name
-            for i, (sel, sel_sort) in enumerate(ctor.selectors):
-                if label == sel:
-                    if args[0][1] == ctor.name:
-                        return args[0][2][i]
-                    return self._default(sel_sort)
-        raise SearchSpaceError(f"symbol '{label}' not enumerable")
+        matches = args[0][1] == ctor.name
+        if kind == "tester":
+            return matches
+        return args[0][2][i] if matches else self._default(ctor.selectors[i][1])
 
     def _default(self, sort: Sort):
         if sort.kind is SortKind.INT:
@@ -508,7 +486,7 @@ def _subterms(formula):
     return [t for lit in formula.literals for t in _new_subterms(lit, seen)]
 
 
-def _plan(formula, terms, variables, window) -> _Plan:
+def _plan(formula, terms, variables, window, datatype) -> _Plan:
     """The search plan of formula, whose subterms are terms.  names are
     its variables (those in variables) in sorted order, the order the
     search binds them.  A term's level is 0 when it has no variable and
@@ -533,7 +511,7 @@ def _plan(formula, terms, variables, window) -> _Plan:
         lv = max([depth.get(t.label, 0)] + [level[c.id] for c in t.children])
         level[t.id] = lv
         own[lv].append(t)
-        if _leaves_domains(t, window) or \
+        if _leaves_domains(t, window, datatype) or \
                 any(c.id in fallible for c in t.children):
             fallible.add(t.id)
     n = len(formula.literals)
@@ -562,7 +540,7 @@ def _plan(formula, terms, variables, window) -> _Plan:
     return _Plan(names, levels, frozenset(fallible))
 
 
-def _leaves_domains(term, window):
+def _leaves_domains(term, window, datatype):
     """Whether evaluating term may fail, or give a value outside the
     enumerated domains that fails a term above it (as a function argument),
     though its arguments' values lie inside them: arithmetic may leave the
@@ -573,10 +551,8 @@ def _leaves_domains(term, window):
         return True
     if is_numeral(label):
         return not window[0] <= int(label) <= window[1]
-    if len(term.children) == 1 and \
-            term.children[0].sort.kind is SortKind.ADT and \
-            any(label == sel for ctor in term.children[0].sort.constructors
-                for sel, _ in ctor.selectors):
+    role = datatype.get(label)
+    if role is not None and role[0] == "selector":
         return _default_holds_int(term.sort)
     return False
 

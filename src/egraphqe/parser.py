@@ -12,7 +12,8 @@ Supported commands:
 
 Literals are (= t u), (distinct t u), (ueq t u), Bool applications, and
 negated Bool applications; (not (distinct t u)) is read as (= t u), and
-distinct takes exactly two arguments in both forms.  Terms use read/write
+distinct takes exactly two arguments in both forms.  The two sides of
+every literal have one sort.  Terms use read/write
 for array access and the usual prefix arithmetic symbols; numerals are
 auto-declared.  Inside a term, (distinct t u) is an ordinary Bool term.
 ``peq`` is reserved for the partial equalities of array projection and
@@ -127,31 +128,40 @@ def _sort(sig, parent, index):
     raise ParseError(f"bad sort {_show(form)}")
 
 
+_KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
+
+
 def _literal(store, form) -> Literal:
     if isinstance(form, list) and form and isinstance(form[0], str):
         head = form[0]
-        if head == "=" and len(form) == 3:
-            return Literal("eq", _term(store, form[1]), _term(store, form[2]))
-        if head == "distinct" and len(form) == 3:
-            return Literal("diseq", _term(store, form[1]), _term(store, form[2]))
-        if head == "ueq" and len(form) == 3:
-            return Literal("ueq", _term(store, form[1]), _term(store, form[2]))
+        if head in _KINDS and len(form) == 3:
+            return _binary(store, _KINDS[head], form)
         if head == "not" and len(form) == 2:
             inner = form[1]
             if isinstance(inner, list) and inner and _atom(inner[0]) == "distinct":
                 if len(inner) != 3:
                     raise ParseError("'distinct' takes two arguments, "
                                      f"got {len(inner) - 1}")
-                return Literal("eq", _term(store, inner[1]), _term(store, inner[2]))
+                return _binary(store, "eq", inner)
             app = _term(store, inner)
-            _need_bool(app, form[0])
+            _need_bool(app)
             return Literal("eq", app, store.bot)
     app = _term(store, form)
-    _need_bool(app, None)
+    _need_bool(app)
     return Literal("eq", app, store.top)
 
 
-def _need_bool(term, where):
+def _binary(store, kind, form) -> Literal:
+    """The literal of the given kind between the two arguments of form,
+    which must have one sort."""
+    lhs, rhs = _term(store, form[1]), _term(store, form[2])
+    if lhs.sort != rhs.sort:
+        raise ParseError(f"'{form[0]}' needs two arguments of one sort, "
+                         f"got {lhs.sort!r} and {rhs.sort!r}")
+    return Literal(kind, lhs, rhs)
+
+
+def _need_bool(term):
     if term.sort != BOOL:
         raise ParseError(f"literal '{term!r}' is not Bool-sorted")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .egraph import EGraph
 from .extraction import ReprFn, build_repr_graph, extract_terms, to_formula
@@ -25,9 +25,6 @@ from .terms import Formula, Signature, TermStore
 class CGroundInfo:
     cground: set        # node ids that rewrite into ground terms
     ground_class: set   # roots of classes containing such a node
-
-    def is_ground_class(self, g: EGraph, n: int) -> bool:
-        return g.find(n) in self.ground_class
 
 
 def compute_cground(g: EGraph) -> CGroundInfo:
@@ -182,19 +179,6 @@ def core_reachable_nodes(g: EGraph, r: ReprFn, core) -> set:
                 reached.add(m)
                 stack.append(m)
     return reached
-
-
-def is_maximally_ground(g: EGraph, r: ReprFn,
-                        info: Optional[CGroundInfo] = None) -> bool:
-    """Every node of a ground class has a constructively ground
-    representative (diagnostic used by the property suites)."""
-    info = info or compute_cground(g)
-    for node in g.nodes:
-        if g.find(node.id) in info.ground_class:
-            rep = r.get(node.id)
-            if rep is None or rep not in info.cground:
-                return False
-    return True
 
 
 def reduce(g: EGraph, var_names, taint=frozenset()):

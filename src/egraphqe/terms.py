@@ -105,6 +105,12 @@ class Signature:
     Constants are 0-ary functions.  Names flagged via declare_var are the
     free variables a reduction is allowed to remove; every other symbol is
     kept.  Numerals are auto-declared nullary Int functions on first use.
+
+    This is the one place that says what a name denotes.  uninterpreted
+    holds the names from declare_fun/declare_const, the only functions a
+    model interprets; datatype maps each constructor, tester and selector
+    name to (kind, Constructor, field index), the index None but for a
+    selector.  Every other function is a builtin with a fixed meaning.
     """
 
     def __init__(self):
@@ -112,6 +118,8 @@ class Signature:
         self.functions = {"true": ((), BOOL), "false": ((), BOOL)}
         self.functions.update(ARITH_FUNS)
         self.variables = {}
+        self.uninterpreted = set()
+        self.datatype = {}
 
     def _check_fresh(self, name):
         if name in self.functions or name in self.variables:
@@ -138,18 +146,23 @@ class Signature:
         sort = Sort(name, SortKind.ADT, constructors=ctors)
         self.sorts[name] = sort
         for ctor in ctors:
-            self._check_fresh(ctor.name)
-            self.functions[ctor.name] = (tuple(s for _, s in ctor.selectors), sort)
-            self._check_fresh(ctor.tester)
-            self.functions[ctor.tester] = ((sort,), BOOL)
-            for sel_name, sel_sort in ctor.selectors:
-                self._check_fresh(sel_name)
-                self.functions[sel_name] = ((sort,), sel_sort)
+            self._declare_adt(ctor.name, tuple(s for _, s in ctor.selectors),
+                              sort, ("constructor", ctor, None))
+            self._declare_adt(ctor.tester, (sort,), BOOL, ("tester", ctor, None))
+            for i, (sel_name, sel_sort) in enumerate(ctor.selectors):
+                self._declare_adt(sel_name, (sort,), sel_sort,
+                                  ("selector", ctor, i))
         return sort
+
+    def _declare_adt(self, name, arg_sorts, result, role):
+        self._check_fresh(name)
+        self.functions[name] = (arg_sorts, result)
+        self.datatype[name] = role
 
     def declare_fun(self, name, arg_sorts: Sequence[Sort], result: Sort):
         self._check_fresh(name)
         self.functions[name] = (tuple(arg_sorts), result)
+        self.uninterpreted.add(name)
 
     def declare_const(self, name, sort: Sort):
         self.declare_fun(name, (), sort)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import (EGraph, Literal, Signature, TermStore, parse_model,
-                      parse_problem, term_to_sexpr)
+from egraphqe import (EGraph, Literal, Signature, TermStore, compute_cground,
+                      parse_model, parse_problem, term_to_sexpr)
 from egraphqe.sexpr import read_all
 from egraphqe.terms import mk_formula
 
@@ -20,6 +20,37 @@ def load_mbp(problem="nested_pair_array.smt2", model="nested_pair_array.model"):
     prob = load(problem)
     m = parse_model((DEMOS / model).read_text(), prob.sig)
     return prob, m
+
+
+def check_congruence(g):
+    """Exhaustive Def-style congruence scan: congruent nodes share a class."""
+    by_key = {}
+    for node in g.nodes:
+        if not node.children:
+            continue
+        key = g.congruence_key(node.id)
+        other = by_key.setdefault(key, node.id)
+        if g.find(other) != g.find(node.id):
+            return False
+    return True
+
+
+def is_ground_class(info, g, n):
+    """Whether n's class holds a constructively ground node (info is
+    compute_cground(g))."""
+    return g.find(n) in info.ground_class
+
+
+def is_maximally_ground(g, r):
+    """Every node of a ground class has a constructively ground
+    representative."""
+    info = compute_cground(g)
+    for node in g.nodes:
+        if g.find(node.id) in info.ground_class:
+            rep = r.get(node.id)
+            if rep is None or rep not in info.cground:
+                return False
+    return True
 
 
 def literal_key(lit):

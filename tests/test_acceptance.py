@@ -7,10 +7,11 @@ import time
 
 from egraphqe import (Bounds, EGraph, InadmissibleReprError, SortKind,
                       compute_cground, equiv_exists, find_defs, find_model,
-                      implies_exists, is_admissible, is_maximally_ground, mbp,
-                      qel, refine_defs, satisfies, to_expr, to_formula)
+                      implies_exists, is_admissible, mbp, qel, refine_defs,
+                      satisfies, to_expr, to_formula)
 
-from conftest import (load, load_mbp, random_euf_instance,
+from conftest import (is_ground_class, is_maximally_ground, load, load_mbp,
+                      random_euf_instance,
                       random_grounded_var_instance,
                       random_projection_instance, random_total_repr)
 
@@ -97,7 +98,7 @@ def test_criterion_3_ground_definitions_eliminated():
         info = compute_cground(g)
         v0 = next(n.id for n in g.nodes if n.label == "v0")
         rep = r.get(v0)
-        assert info.is_ground_class(g, v0), "class of v0 not ground"
+        assert is_ground_class(info, g, v0), "class of v0 not ground"
         assert rep in info.cground, "representative not constructively ground"
         assert to_expr(g, rep, r).ground, "extraction not ground"
         out = qel(sig, store, formula)

@@ -216,8 +216,13 @@ DEEP_VALUE = "(array (default " * 3000 + "(elem V 0)" + "))" * 3000
      "(define-value a (elem V 1))", "expected a value of sort (Array Int V) at 2:16"),
     (ARRAY_PROBLEM, f"(define-value a {DEEP_VALUE})", "expected a value of sort V at 1:32"),
     (ARRAY_PROBLEM, f"(define-value zz {DEEP_VALUE})", "'zz' is not declared"),
+    ("(declare-sort S 0) (declare-const c S) (declare-var x S)\n"
+     "(assert (= c 5)) (assert (= x c))",
+     None, "'=' needs two arguments of one sort, got S and Int"),
+    (ARRAY_PROBLEM, "(universe V 2) (define-value c (elem V 0))\n"
+     "(define-value true false)", "'true' is not declared"),
 ], ids=["not-distinct-1", "not-distinct-3", "ill-sorted", "deep-declared",
-        "deep-undeclared"])
+        "deep-undeclared", "ill-sorted-literal", "defines-builtin"])
 def test_malformed_input_exits_2(tmp_path, capsys, problem, model, message):
     path = tmp_path / "p.smt2"
     path.write_text(problem)

@@ -196,12 +196,20 @@ DEEP = "(array (default " * 3000 + "0" + "))" * 3000
     pytest.param(f"(define-value zz {DEEP})", "'zz' is not declared",
                  id="deep-undeclared"),
     ("(define-fun-values g (default 1))", "'g' is not declared"),
+    # a builtin, numeral, constructor, tester or selector: its meaning is fixed
+    ("(define-value true false)", "'true' is not declared"),
+    ("(define-fun-values + (default 0))", "'+' is not declared"),
+    ("(define-value 1 7)", "'1' is not declared"),
+    ("(define-value nil (mk (elem V 0) 5))", "'nil' is not declared"),
+    ("(define-fun-values is-mk (default true))", "'is-mk' is not declared"),
+    ("(define-fun-values fst (default (elem V 0)))", "'fst' is not declared"),
 ])
 def test_model_values_fit_declared_sorts(text, message):
     sig = parse_problem(
         "(declare-sort V 0) (declare-const a (Array Int V)) (declare-var i Int)\n"
-        "(declare-fun f (V Int) Bool) (declare-datatype P ((mk (fst V) (snd Int))))"
-        "(declare-const p P)").sig
+        "(declare-fun f (V Int) Bool)\n"
+        "(declare-datatype P ((mk (fst V) (snd Int)) (nil)))"
+        "(declare-const p P) (assert (= i 1))").sig
     with pytest.raises(ModelError) as exc:
         parse_model(text, sig)
     assert str(exc.value) == message

@@ -4,9 +4,9 @@ from functools import partial
 
 import pytest
 
-from egraphqe import (Bounds, Literal, SearchSpaceError, Signature,
-                      TermStore, equiv_exists, find_model, implies_exists, mbp,
-                      qel, satisfies, term_to_sexpr)
+from egraphqe import (Bounds, Literal, Model, SearchSpaceError, Signature,
+                      TermStore, equiv_exists, eval_term, find_model,
+                      implies_exists, mbp, qel, satisfies, term_to_sexpr)
 from egraphqe import oracle
 from egraphqe.parser import parse_formula, parse_problem
 from egraphqe.terms import formula_to_sexpr, mk_formula, post_order
@@ -200,7 +200,7 @@ def test_plan_checks_each_literal_at_its_last_variable():
     prob = load("read_chain.smt2")
     terms = oracle._subterms(prob.formula)
     plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
-                        (-1, 5))
+                        (-1, 5), prob.sig.datatype)
     assert plan.names == ["x", "y", "z"]
     checked = [[index for index, *_ in entries] for entries, *_ in plan.levels]
     # z = (read a x), (+ k 1) = (read a y), x = y, (> 3 z) = true
@@ -219,7 +219,7 @@ def test_plan_checks_each_literal_at_its_last_variable():
         {"(+ k 1)"}
     # a numeral outside the window is fallible too
     plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
-                        (0, 2))
+                        (0, 2), prob.sig.datatype)
     assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
         {"3", "(> 3 z)", "(+ k 1)"}
 
@@ -419,3 +419,39 @@ def test_backtracking_matches_product_search_on_mbp_demo(monkeypatch):
     (ok, _, _), = _assert_twins(monkeypatch, [_cli_check(
         lambda b: implies_exists(sig, store, outs[-1], formula, b))])
     assert ok
+
+
+# -- the oracle and the model evaluator on datatype symbols --------------------
+
+def test_evaluators_agree_on_every_datatype_symbol():
+    """Both evaluators read what a constructor, tester or selector does from
+    the signature's datatype table: on every value of the oracle's domain
+    they agree on each of them, a selector of the other constructor too."""
+    sig = parse_problem(
+        "(declare-sort U 0)\n"
+        "(declare-datatype D ((mk (num Int) (flag Bool) (elt U)) (none)))\n"
+        "(declare-const x D) (declare-const n Int) (declare-const b Bool)\n"
+        "(declare-const e U)").sig
+    store = TermStore(sig)
+    x, n, b, e = (store.mk_const(s) for s in "xnbe")
+    terms = [store.mk_app("mk", (n, b, e)), store.mk_const("none")] + \
+        [store.mk_app(f, (x,))
+         for f in ("is-mk", "is-none", "num", "flag", "elt")]
+    assert {t.label for t in terms} == set(sig.datatype)
+    formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
+    ctx = oracle._Context(sig, store, (formula,), Bounds(universe=2))
+    values = ctx.domain(sig.sorts["D"])
+    assert len(values) == 3 * 2 * 2 + 1  # Int window (-1, 1), U of two
+    first = [ctx.domain(t.sort)[0] for t in (n, b, e)]
+    for v in values:
+        # mk(n, b, e) is v itself when v is an mk value
+        interp = dict(zip("nbe", v[2] if v[1] == "mk" else first), x=v)
+        model = Model({name: oracle._to_model_value(w)
+                       for name, w in interp.items()}, {}, {"U": 2})
+        for t in terms:
+            got = ctx._apply(t, [interp[c.label] for c in t.children],
+                             interp, {})
+            assert oracle._to_model_value(got) == \
+                eval_term(model, sig, t), (v, term_to_sexpr(t))
+        assert ctx._apply(terms[0], [interp[c] for c in "nbe"], interp, {}) \
+            == (v if v[1] == "mk" else ("adt", "mk", tuple(first)))

@@ -2,14 +2,13 @@ import pytest
 
 from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
                       find_core, find_defs, formula_to_sexpr, is_admissible,
-                      is_maximally_ground, mbp, process, qel, refine_defs,
-                      to_expr)
+                      mbp, process, qel, refine_defs, to_expr)
 from egraphqe.parser import parse_problem
 from egraphqe.qel import _makes_cycle
 
-from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem, load,
-                      load_mbp, random_euf_instance,
-                      random_grounded_var_instance)
+from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem,
+                      is_ground_class, is_maximally_ground, load, load_mbp,
+                      random_euf_instance, random_grounded_var_instance)
 
 
 def _graph(name):
@@ -45,9 +44,9 @@ def test_cground_read_chain():
     for n in _nodes(g, "read"):
         assert n not in info.cground
     z = _node(g, "z")
-    assert info.is_ground_class(g, z)
+    assert is_ground_class(info, g, z)
     x = _node(g, "x")
-    assert not info.is_ground_class(g, x)
+    assert not is_ground_class(info, g, x)
 
 
 def test_cground_all_ground_formula():
@@ -303,7 +302,7 @@ def test_ground_definition_always_eliminates(rng):
         r = find_defs(g)
         info = compute_cground(g)
         v0 = next(n.id for n in g.nodes if n.label == "v0")
-        assert info.is_ground_class(g, v0)
+        assert is_ground_class(info, g, v0)
         rep = r.get(v0)
         assert rep in info.cground
         assert to_expr(g, rep, r).ground

@@ -291,6 +291,16 @@ def test_deep_chain_prints_and_orders_variables():
     # peq is mbp's internal partial equality; numerals are ASCII digits only
     ("(= c (f (peq c c)))", ParseError, "'peq' is reserved at 3:17"),
     ("(= c (f \u00b2))", UnknownSymbolError, "unknown symbol '\u00b2'"),
+    # the two sides of every literal have one sort
+    ("(= c 5)", ParseError, "'=' needs two arguments of one sort, got S and Int"),
+    ("(= 5 c)", ParseError, "'=' needs two arguments of one sort, got Int and S"),
+    ("(= c (distinct c c))", ParseError,
+     "'=' needs two arguments of one sort, got S and Bool"),
+    ("(distinct c 5)", ParseError,
+     "'distinct' needs two arguments of one sort, got S and Int"),
+    ("(not (distinct c 5))", ParseError,
+     "'distinct' needs two arguments of one sort, got S and Int"),
+    ("(ueq c 5)", ParseError, "'ueq' needs two arguments of one sort, got S and Int"),
 ])
 def test_term_errors_and_positions(body, error, message):
     decls = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\n"
