@@ -3,9 +3,10 @@
 Nodes are created in term order and never removed; ``add_term`` walks a
 term iteratively, once per distinct subterm, so depth is unbounded.  The
 union-find always keeps the oldest node id as class root, so class
-enumeration is deterministic.  A disequality is recorded once, as a node
-pair in ``diseqs``, and adds no node beyond its two sides; a ``distinct``
-term in the input is an ordinary Bool term.  Disequalities never drive
+enumeration is deterministic; ``class_of`` sorts a class once and hands out
+that list until a merge touches the class.  A disequality is recorded once,
+as a node pair in ``diseqs``, and adds no node beyond its two sides; a
+``distinct`` term in the input is an ordinary Bool term.  Disequalities never drive
 merging but make the graph reject inconsistent inputs, and extraction
 emits them from ``diseqs``.
 
@@ -44,6 +45,7 @@ class EGraph:
         self.nodes = []
         self._uf = []          # union-find parent per node id
         self._members = {}     # root id -> list of member ids
+        self._class_view = {}  # root id -> sorted members, until a merge
         self._parents = {}     # node id -> set of structural parent ids
         self._cong = {}        # (label, child root ids) -> node id
         self._term_node = {}   # term id -> node id
@@ -139,6 +141,8 @@ class EGraph:
                 rx, ry = ry, rx  # the older id stays root
             absorbed = self._members.pop(ry)
             self._uf[ry] = rx
+            self._class_view.pop(rx, None)
+            self._class_view.pop(ry, None)
             self._members[rx].extend(absorbed)
             moved = self._class_diseqs.pop(ry, None)
             if moved is not None:
@@ -171,7 +175,7 @@ class EGraph:
         return self._canon_key(self.nodes[n])
 
     def _canon_key(self, node: ENode):
-        return (node.label, tuple(self.find(c) for c in node.children))
+        return (node.label, tuple([self.find(c) for c in node.children]))
 
     def _check_consistent(self):
         top = self._term_node.get(self.store.top.id)
@@ -186,11 +190,20 @@ class EGraph:
     # -- views ---------------------------------------------------------------
 
     def class_of(self, n: int) -> list:
-        """Member ids of n's class, in creation order."""
-        return sorted(self._members[self.find(n)])
+        """Member ids of n's class, in creation order.  The list is sorted
+        once per class between merges and shared by every caller, so it is
+        read-only; a merge leaves a list returned before it unchanged."""
+        root = self.find(n)
+        view = self._class_view.get(root)
+        if view is None:
+            view = self._class_view[root] = sorted(self._members[root])
+        return view
 
     def parents(self, n: int) -> set:
-        return set(self._parents[n])
+        """Ids of the nodes that have n as a child.  This is the graph's own
+        set, not a copy: it is read-only, and it grows when a parent of n
+        is added."""
+        return self._parents[n]
 
     def node_ids(self) -> range:
         return range(len(self.nodes))

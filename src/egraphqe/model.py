@@ -214,7 +214,9 @@ def parse_model(text: str, sig: Signature) -> Model:
     ((arg ...) v) ...)`` / ``(universe S k)``.  Each name must be a
     variable or an uninterpreted symbol declared in sig, not a builtin,
     numeral, constructor, tester or selector, and each value is read
-    against the sort it is declared with."""
+    against the sort it is declared with.  A universe is given at most
+    once, for a declared uninterpreted sort S, and has k >= 1 elements;
+    every ``(elem S n)`` in a value then has 0 <= n < k."""
     try:
         return _model(read_all(text), sig)
     except LocatedError as e:
@@ -224,7 +226,7 @@ def parse_model(text: str, sig: Signature) -> Model:
 def _model(forms, sig) -> Model:
     constants = {}
     functions = {}
-    universes = {}
+    universes = _universes(forms, sig)
     for form in forms:
         if not isinstance(form, list) or not form or not isinstance(form[0], str):
             raise ModelError("expected a model command")
@@ -236,27 +238,48 @@ def _model(forms, sig) -> Model:
                 raise ModelError(f"'{name}' takes arguments: use define-fun-values")
             if name in constants:
                 raise ModelError(f"duplicate value for '{name}'")
-            constants[name] = _value(form, 2, sort)
+            constants[name] = _value(form, 2, sort, universes)
         elif head == "define-fun-values" and len(form) >= 3:
             name = _name(form[1])
             args, result = _declared(sig, name)
-            default = _default(form, 2, result)
+            default = _default(form, 2, result, universes)
             table = {}
             for entry in form[3:]:
                 if not isinstance(entry, list) or len(entry) != 2 \
                         or not isinstance(entry[0], list) \
                         or len(entry[0]) != len(args):
                     raise ModelError(f"bad table entry for '{name}'")
-                key = tuple(_value(entry[0], i, s) for i, s in enumerate(args))
+                key = tuple(_value(entry[0], i, s, universes)
+                            for i, s in enumerate(args))
                 if key in table:
                     raise ModelError(f"duplicate table entry for '{name}'")
-                table[key] = _value(entry, 1, result)
+                table[key] = _value(entry, 1, result, universes)
             functions[name] = (default, table)
         elif head == "universe" and len(form) == 3:
-            universes[_name(form[1])] = _int(form, 2)
+            pass  # read by _universes
         else:
             raise ModelError(f"unknown model command '{head}'")
     return Model(constants, functions, universes)
+
+
+def _universes(forms, sig) -> dict:
+    """Sort name -> size for each ``(universe S k)`` in forms, read before
+    any value so that an element is checked wherever it appears."""
+    universes = {}
+    for form in forms:
+        if isinstance(form, list) and len(form) == 3 and form[0] == "universe":
+            k = _int(form, 2)
+            name = _name(form[1])
+            sort = sig.sorts.get(name)
+            if sort is None or sort.kind is not SortKind.UNINTERPRETED:
+                raise LocatedError(
+                    f"'{name}' is not a declared uninterpreted sort", form, 1)
+            if k < 1:
+                raise LocatedError(f"universe of '{name}' is empty", form, 2)
+            if name in universes:
+                raise LocatedError(f"duplicate universe for '{name}'", form, 1)
+            universes[name] = k
+    return universes
 
 
 def _declared(sig, name):
@@ -269,10 +292,11 @@ def _declared(sig, name):
     return sig.functions[name]
 
 
-def _value(form, index, sort) -> Value:
+def _value(form, index, sort, universes) -> Value:
     """The value written as child index of form, read against sort.  Each
     level must have its sort's shape, so a value is never read deeper than
-    its sort is nested."""
+    its sort is nested.  An element must lie in its sort's universe when
+    the model gives one."""
     v = form[index]
     if isinstance(v, str):
         if v in ("true", "false"):
@@ -290,18 +314,22 @@ def _value(form, index, sort) -> Value:
         name = _name(v[1])
         n = _int(v, 2)
         if sort.kind is SortKind.UNINTERPRETED and sort.name == name:
+            size = universes.get(name)
+            if size is not None and not 0 <= n < size:
+                raise LocatedError(f"element {n} is outside the universe of "
+                                   f"'{name}' (size {size})", v, 2)
             return Elem(name, n)
     elif v[0] == "array" and len(v) >= 2:
         if sort.kind is SortKind.ARRAY:
-            default = _default(v, 1, sort.value)
+            default = _default(v, 1, sort.value, universes)
             mapping = {}
             for entry in v[2:]:
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise ModelError("array entry must be (key value)")
-                key = _value(entry, 0, sort.index)
+                key = _value(entry, 0, sort.index, universes)
                 if key in mapping:
                     raise ModelError(f"duplicate array key {key!r}")
-                mapping[key] = _value(entry, 1, sort.value)
+                mapping[key] = _value(entry, 1, sort.value, universes)
             return mk_array(default, mapping)
     else:
         for ctor in sort.constructors:
@@ -310,17 +338,17 @@ def _value(form, index, sort) -> Value:
                     raise ModelError(f"constructor '{ctor.name}' expects "
                                      f"{ctor.arity} values")
                 return AdtVal(ctor.name, tuple(
-                    _value(v, i, s)
+                    _value(v, i, s, universes)
                     for i, (_, s) in enumerate(ctor.selectors, start=1)))
     raise LocatedError(f"expected a value of sort {sort!r}", form, index)
 
 
-def _default(form, index, sort):
+def _default(form, index, sort, universes):
     """The value v of ``(default v)`` at child index of form."""
     d = form[index]
     if not isinstance(d, list) or len(d) != 2 or _name(d[0]) != "default":
         raise ModelError("expected (default value)")
-    return _value(d, 1, sort)
+    return _value(d, 1, sort, universes)
 
 
 def _name(form) -> str:

@@ -116,16 +116,28 @@ def _parse_ctors(sig, ctors):
 
 
 def _sort(sig, parent, index):
-    """The sort written as child index of parent."""
-    form = parent[index]
-    if isinstance(form, str):
-        try:
-            return sig.sorts[form]
-        except KeyError:
-            raise LocatedError(f"unknown sort '{form}'", parent, index) from None
-    if isinstance(form, list) and len(form) == 3 and _atom(form[0]) == "Array":
-        return sig.ensure_array_sort(_sort(sig, form, 1), _sort(sig, form, 2))
-    raise ParseError(f"bad sort {_show(form)}")
+    """The sort written as child index of parent.  The forms are visited
+    left to right, an array's index sort before its value sort, by an
+    explicit stack of pending forms (None marks an array whose two sorts
+    are built), so a sort of any nesting depth parses."""
+    pending, built = [(parent, index)], []
+    while pending:
+        parent, index = pending.pop()
+        if parent is None:
+            value = built.pop()
+            built.append(sig.ensure_array_sort(built.pop(), value))
+            continue
+        form = parent[index]
+        if isinstance(form, str):
+            try:
+                built.append(sig.sorts[form])
+            except KeyError:
+                raise LocatedError(f"unknown sort '{form}'", parent, index) from None
+        elif isinstance(form, list) and len(form) == 3 and _atom(form[0]) == "Array":
+            pending += [(None, None), (form, 2), (form, 1)]
+        else:
+            raise ParseError(f"bad sort {_show(form)}")
+    return built[0]
 
 
 _KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
@@ -155,14 +167,14 @@ def _binary(store, kind, form) -> Literal:
     """The literal of the given kind between the two arguments of form,
     which must have one sort."""
     lhs, rhs = _term(store, form[1]), _term(store, form[2])
-    if lhs.sort != rhs.sort:
+    if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
         raise ParseError(f"'{form[0]}' needs two arguments of one sort, "
                          f"got {lhs.sort!r} and {rhs.sort!r}")
     return Literal(kind, lhs, rhs)
 
 
 def _need_bool(term):
-    if term.sort != BOOL:
+    if term.sort is not BOOL and term.sort != BOOL:
         raise ParseError(f"literal '{term!r}' is not Bool-sorted")
 
 

@@ -7,10 +7,11 @@ the only Boolean structure is the top-level conjunction.  Arithmetic symbols
 (numerals, +, -, *, >, ...) are ordinary function symbols here; they only
 acquire meaning in the model evaluator and the finite-model oracle.
 
-Terms are hash-consed DAGs, and nothing here walks them as trees: the
-variable order and the printer are iterative post-order walks, left to
-right, memoized by term id, so a term of any depth is handled in time
-linear in its DAG (printing: in its output) and without recursion.
+Terms are hash-consed DAGs, and nothing here walks them as trees.  A term's
+variable order is computed when the term is made, from its children's
+orders, so no walk is needed to read it.  The printer is an iterative
+post-order walk, left to right, memoized by term id, so a term of any depth
+prints in time linear in its output and without recursion.
 """
 from __future__ import annotations
 
@@ -189,14 +190,22 @@ class Signature:
         raise UnknownSymbolError(f"unknown symbol '{name}'")
 
 
-@dataclass(frozen=True, eq=False)
 class Term:
-    """Hash-consed term; identity comparison is structural equality."""
-    id: int
-    label: str
-    children: tuple
-    sort: Sort
-    ground: bool
+    """Hash-consed term; identity comparison is structural equality.
+
+    vars holds the names of the to-eliminate variables occurring in the
+    term, in the order a left-to-right tree walk first meets them; ground is
+    ``not vars``.  Terms are made only by TermStore.mk_app, and their fields,
+    vars included, are read-only."""
+    __slots__ = ("id", "label", "children", "sort", "ground", "vars")
+
+    def __init__(self, id, label, children, sort, vars):
+        self.id = id
+        self.label = label
+        self.children = children
+        self.sort = sort
+        self.ground = not vars
+        self.vars = vars
 
     def __repr__(self):
         return term_to_sexpr(self)
@@ -226,25 +235,33 @@ class TermStore:
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self._table = {}
+        self._table = {}       # (label, child terms) -> term
         self.terms = []
-        self._var_order = {}   # term id -> var_order(term), filled by walks
 
     def mk_app(self, label: str, args: Sequence[Term] = ()) -> Term:
         args = tuple(args)
-        key = (label, tuple([a.id for a in args]))
+        key = (label, args)
         hit = self._table.get(key)
         if hit is not None:
             return hit  # its sorts were checked when it was made
         sort = self._resolve_sort(label, args)
-        ground = label not in self.sig.variables and all(a.ground for a in args)
-        term = Term(len(self.terms), label, args, sort, ground)
+        if label in self.sig.variables:
+            order = (label,)
+        else:
+            # the children's orders merged left to right without repeats;
+            # a single non-empty order is shared, not copied
+            orders = [a.vars for a in args if a.vars]
+            order = orders[0] if orders else ()
+            if any(o is not order for o in orders):
+                order = tuple(dict.fromkeys(v for o in orders for v in o))
+        term = Term(len(self.terms), label, args, sort, order)
         self.terms.append(term)
         self._table[key] = term
         return term
 
     def mk_const(self, label: str) -> Term:
-        return self.mk_app(label, ())
+        hit = self._table.get((label, ()))
+        return hit if hit is not None else self.mk_app(label, ())
 
     @property
     def top(self) -> Term:
@@ -255,6 +272,21 @@ class TermStore:
         return self.mk_const("false")
 
     def _resolve_sort(self, label, args) -> Sort:
+        entry = self.sig.functions.get(label)
+        if entry is None:
+            return self._resolve_builtin(label, args)
+        arg_sorts, result = entry
+        if len(arg_sorts) != len(args):
+            raise SortMismatchError(
+                f"'{label}' expects {len(arg_sorts)} arguments, got {len(args)}")
+        for got, want in zip(args, arg_sorts):
+            self._check(label, got.sort, want)
+        return result
+
+    def _resolve_builtin(self, label, args) -> Sort:
+        """The sort of a label that is not in the function table: a
+        polymorphic builtin, a variable, or a numeral met for the first
+        time."""
         sig = self.sig
         if label == "read":
             arr = self._need_array(label, args, 2)
@@ -266,7 +298,8 @@ class TermStore:
             self._check(label, args[2].sort, arr.value)
             return arr
         if label in ("distinct", "ueq"):
-            if len(args) != 2 or args[0].sort != args[1].sort:
+            if len(args) != 2 or (args[0].sort is not args[1].sort
+                                  and args[0].sort != args[1].sort):
                 raise SortMismatchError(f"'{label}' needs two arguments of one sort")
             return BOOL
         if label == "peq":
@@ -280,17 +313,10 @@ class TermStore:
             if args:
                 raise SortMismatchError(f"variable '{label}' applied to arguments")
             return sig.variables[label]
-        if is_numeral(label):
-            sig._ensure_numeral(label)
-        if label not in sig.functions:
+        if not is_numeral(label):
             raise UnknownSymbolError(f"unknown symbol '{label}'")
-        arg_sorts, result = sig.functions[label]
-        if len(arg_sorts) != len(args):
-            raise SortMismatchError(
-                f"'{label}' expects {len(arg_sorts)} arguments, got {len(args)}")
-        for got, want in zip(args, arg_sorts):
-            self._check(label, got.sort, want)
-        return result
+        sig._ensure_numeral(label)
+        return self._resolve_sort(label, args)
 
     def _need_array(self, label, args, arity) -> Sort:
         if len(args) != arity or args[0].sort.kind is not SortKind.ARRAY:
@@ -299,36 +325,13 @@ class TermStore:
 
     @staticmethod
     def _check(label, got, want):
-        if got != want:
+        if got is not want and got != want:
             raise SortMismatchError(f"'{label}': expected {want}, got {got}")
 
-    def free_vars(self, term: Term) -> frozenset:
+    @staticmethod
+    def free_vars(term: Term) -> frozenset:
         """Names of the to-eliminate variables occurring in term."""
-        return frozenset(self.var_order(term))
-
-    def var_order(self, term: Term) -> tuple:
-        """Names of the to-eliminate variables occurring in term, in the
-        order a left-to-right tree walk first meets them.  That order is the
-        children's orders merged left to right without repeats, so each
-        distinct subterm is visited once."""
-        if term.ground:
-            return ()
-        memo = self._var_order
-        hit = memo.get(term.id)
-        if hit is not None:
-            return hit
-        for t in post_order(term, memo):
-            if t.ground:
-                memo[t.id] = ()
-            elif not t.children:
-                memo[t.id] = (t.label,)
-            else:
-                orders = [memo[c.id] for c in t.children if not c.ground]
-                first = orders[0]
-                if any(o is not first for o in orders):
-                    first = tuple(dict.fromkeys(v for o in orders for v in o))
-                memo[t.id] = first
-        return memo[term.id]
+        return frozenset(term.vars)
 
 
 @dataclass(frozen=True)
@@ -353,7 +356,7 @@ class Formula:
 def mk_formula(store: TermStore, literals: Iterable[Literal]) -> Formula:
     literals = tuple(literals)
     ordered = dict.fromkeys(v for lit in literals for side in (lit.lhs, lit.rhs)
-                            for v in store.var_order(side))
+                            for v in side.vars)
     return Formula(literals, tuple(ordered))
 
 

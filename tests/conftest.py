@@ -7,7 +7,7 @@ import pytest
 from egraphqe import (EGraph, Literal, Signature, TermStore, compute_cground,
                       parse_model, parse_problem, term_to_sexpr)
 from egraphqe.sexpr import read_all
-from egraphqe.terms import mk_formula
+from egraphqe.terms import mk_formula, post_order
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -51,6 +51,21 @@ def is_maximally_ground(g, r):
             if rep is None or rep not in info.cground:
                 return False
     return True
+
+
+def ref_var_order(sig, term, memo):
+    """Reference for term.vars: the memoized post-order walk that computed
+    the variable order before terms carried it.  A variable is its own
+    order, another leaf has none, and an application merges its children's
+    orders left to right without repeats.  memo maps term id to order."""
+    if term.id not in memo:
+        for t in post_order(term, memo):
+            if not t.children:
+                memo[t.id] = (t.label,) if t.label in sig.variables else ()
+            else:
+                memo[t.id] = tuple(dict.fromkeys(
+                    v for c in t.children for v in memo[c.id]))
+    return memo[term.id]
 
 
 def literal_key(lit):

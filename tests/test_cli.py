@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import EGraph
+from egraphqe import EGraph, parse_problem
 from egraphqe.cli import main
 from egraphqe.qel import reduce
 
@@ -221,8 +221,15 @@ DEEP_VALUE = "(array (default " * 3000 + "(elem V 0)" + "))" * 3000
      None, "'=' needs two arguments of one sort, got S and Int"),
     (ARRAY_PROBLEM, "(universe V 2) (define-value c (elem V 0))\n"
      "(define-value true false)", "'true' is not declared"),
+    (ARRAY_PROBLEM, "(universe Zork 2) (define-value c (elem V 0))\n"
+     "(define-value a (array (default (elem V 0))))",
+     "'Zork' is not a declared uninterpreted sort at 1:10"),
+    (ARRAY_PROBLEM, "(universe V 1) (define-value c (elem V 5))\n"
+     "(define-value a (array (default (elem V 5))))",
+     "element 5 is outside the universe of 'V' (size 1) at 1:39"),
 ], ids=["not-distinct-1", "not-distinct-3", "ill-sorted", "deep-declared",
-        "deep-undeclared", "ill-sorted-literal", "defines-builtin"])
+        "deep-undeclared", "ill-sorted-literal", "defines-builtin",
+        "universe-of-undeclared-sort", "element-outside-universe"])
 def test_malformed_input_exits_2(tmp_path, capsys, problem, model, message):
     path = tmp_path / "p.smt2"
     path.write_text(problem)
@@ -234,3 +241,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, problem, model, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("nest", [
+    lambda s: f"(Array Int {s})",     # the value sort nests
+    lambda s: f"(Array {s} Int)",     # the index sort nests
+], ids=["value", "index"])
+def test_sort_nested_2000_deep_parses_and_reduces(tmp_path, capsys, nest):
+    sort = "Int"
+    for _ in range(2000):
+        sort = nest(sort)
+    text = f"(declare-var a {sort}) (declare-var b {sort}) (assert (= a b))"
+    sig = parse_problem(text).sig
+    assert sig.variables["a"].name == sort
+    assert sig.variables["b"] is sig.variables["a"]
+    path = tmp_path / "p.smt2"
+    path.write_text(text)
+    assert main(["qel", str(path)]) == 0
+    assert capsys.readouterr().out == "true\n"

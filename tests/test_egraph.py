@@ -265,3 +265,65 @@ def test_disequality_adds_no_node_beyond_its_sides():
     assert [n.label for n in g.nodes] == ["a", "b", "f"]
     assert g.diseqs == [(0, 2)]
     assert g.num_classes() == 3
+
+
+class _RefClasses:
+    """Test-only union-find over node ids that closes under congruence by
+    rescanning every pair of nodes after each merge."""
+
+    def __init__(self):
+        self.parent = []
+
+    def find(self, n):
+        while self.parent[n] != n:
+            n = self.parent[n]
+        return n
+
+    def merge(self, g, a, b):
+        self.parent += range(len(self.parent), len(g.nodes))
+        pending = [(a, b)]
+        while pending:
+            x, y = map(self.find, pending.pop())
+            if x != y:
+                self.parent[max(x, y)] = min(x, y)
+            if not pending:
+                pending = [(p.id, q.id) for p in g.nodes for q in g.nodes
+                           if self._congruent(p, q) and self.find(p.id) != self.find(q.id)]
+
+    def _congruent(self, p, q):
+        return p.label == q.label and p.children and \
+            len(p.children) == len(q.children) and \
+            all(self.find(c) == self.find(d) for c, d in zip(p.children, q.children))
+
+    def class_of(self, n):
+        return [m for m in range(len(self.parent)) if self.find(m) == self.find(n)]
+
+
+def test_class_lists_and_parents_match_a_reference(rng):
+    """On seeded random sequences of new terms and merges: class_of is the
+    reference's sorted class, one list per class until a merge touches it,
+    and a list returned before a merge is unchanged after it; parents holds
+    exactly the structural parents."""
+    prob = parse_problem("(declare-sort U 0) (declare-fun f (U) U)"
+                         " (declare-fun h (U U) U)"
+                         + "".join(f" (declare-const {c} U)" for c in "abcde"))
+    store = prob.store
+    for _ in range(60):
+        g, ref = EGraph(prob.sig, store), _RefClasses()
+        pool = [store.mk_const(c) for c in "abcde"]
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.4:
+                pool.append(store.mk_app("f", (rng.choice(pool),)) if rng.random() < 0.5
+                            else store.mk_app("h", (rng.choice(pool), rng.choice(pool))))
+                g.add_term(pool[-1])
+            given = {n: g.class_of(n) for n in g.node_ids()}
+            copies = {n: list(view) for n, view in given.items()}
+            a, b = rng.choice(pool), rng.choice(pool)
+            g.assert_eq(a, b)
+            ref.merge(g, g.node_of_term(a), g.node_of_term(b))
+            assert given == copies
+            for n in g.node_ids():
+                members = g.class_of(n)
+                assert members == ref.class_of(n)
+                assert all(g.class_of(m) is members for m in members)
+                assert g.parents(n) == {p.id for p in g.nodes if n in p.children}

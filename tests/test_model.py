@@ -215,6 +215,41 @@ def test_model_values_fit_declared_sorts(text, message):
     assert str(exc.value) == message
 
 
+UNIVERSE_PROBLEM = ("(declare-sort V 0) (declare-const c V)"
+                    " (declare-var a (Array Int V)) (assert (= (read a 0) c))")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(universe Zork 2)", "'Zork' is not a declared uninterpreted sort at 1:10"),
+    ("(universe Int 2)", "'Int' is not a declared uninterpreted sort at 1:10"),
+    ("(universe V -3)", "universe of 'V' is empty at 1:12"),
+    ("(universe V 0)", "universe of 'V' is empty at 1:12"),
+    ("(universe V 3) (universe V 1)", "duplicate universe for 'V' at 1:25"),
+    ("(universe V 1) (define-value c (elem V 5))",
+     "element 5 is outside the universe of 'V' (size 1) at 1:39"),
+    # universes are read first, wherever they stand in the file
+    ("(define-value c (elem V 5)) (universe V 1)",
+     "element 5 is outside the universe of 'V' (size 1) at 1:24"),
+    ("(universe V 2) (define-value c (elem V -1))",
+     "element -1 is outside the universe of 'V' (size 2) at 1:39"),
+    ("(define-value a (array (default (elem V 0)) (3 (elem V 2))))\n"
+     "(universe V 2)", "element 2 is outside the universe of 'V' (size 2) at 1:55"),
+])
+def test_universe_is_declared_nonempty_and_holds_every_element(text, message):
+    sig = parse_problem(UNIVERSE_PROBLEM).sig
+    with pytest.raises(ModelError) as exc:
+        parse_model(text, sig)
+    assert str(exc.value) == message
+
+
+def test_elements_inside_the_universe_are_accepted():
+    prob = parse_problem(UNIVERSE_PROBLEM)
+    m = parse_model("(define-value a (array (default (elem V 0)) (3 (elem V 1))))\n"
+                    "(define-value c (elem V 0)) (universe V 2)", prob.sig)
+    assert m.universes == {"V": 2}
+    assert satisfies(m, prob.sig, prob.formula)
+
+
 def test_comments_at_either_end_are_skipped():
     prob = parse_problem("; (lead\n(declare-sort S 0) (declare-const c S) ; trailing (x")
     assert set(prob.sig.sorts) == {"Bool", "Int", "S"}

@@ -13,7 +13,7 @@ from egraphqe.sexpr import LocatedError, read_all, where
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
                             UnknownSymbolError, mk_formula)
 
-from conftest import DEMOS, load, same_literals
+from conftest import DEMOS, load, ref_var_order, same_literals
 
 
 def _store():
@@ -277,6 +277,51 @@ def test_deep_chain_prints_and_orders_variables():
     formula = mk_formula(store, [Literal("eq", store.mk_const("x"), top)])
     assert formula.free_vars == ("x", "y")
     assert term_to_sexpr(top) == "(f " * 10_001 + "y" + ")" * 10_001
+
+
+_LEAVES = ("c", "d", "x0", "x1", "x2", "x3")
+_DAG_STEP = st.tuples(st.sampled_from(("leaf", "f", "h", "tower")),
+                      st.integers(0, 63), st.integers(0, 63), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_DAG_STEP, min_size=1, max_size=25))
+def test_each_term_carries_its_variable_order(steps):
+    """On random shared DAGs (variables and constants, f and h applications
+    over earlier terms, towers of h(t, t)), every term made carries the
+    reference walk's variable order and is ground exactly when that order
+    is empty; mk_app returns the same object for equal label and children,
+    given as a list or as a tuple."""
+    prob = parse_problem(DAG_DECLS)
+    sig, store = prob.sig, prob.store
+
+    def app(label, args):
+        term = store.mk_app(label, list(args))
+        assert store.mk_app(label, tuple(args)) is term
+        return term
+
+    pool = []
+    for kind, i, j, height in steps:
+        if kind == "leaf" or not pool:
+            t = store.mk_const(_LEAVES[i % len(_LEAVES)])
+        elif kind == "f":
+            t = app("f", (pool[i % len(pool)],))
+        elif kind == "h":
+            t = app("h", (pool[i % len(pool)], pool[j % len(pool)]))
+        else:
+            t = pool[i % len(pool)]
+            for _ in range(height):
+                t = app("h", (t, t))
+        pool.append(t)
+    memo = {}
+    for t in store.terms:
+        assert t.vars == ref_var_order(sig, t, memo)
+        assert t.ground == (not t.vars)
+        assert app(t.label, t.children) is t
+        # children that all bring one order lend it: it is not copied
+        lent = {id(c.vars): c.vars for c in t.children if c.vars}
+        if len(lent) == 1:
+            assert t.vars is next(iter(lent.values()))
 
 
 @pytest.mark.parametrize("body, error, message", [
