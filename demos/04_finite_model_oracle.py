@@ -4,8 +4,10 @@ The oracle enumerates every interpretation of the kept symbols over small
 finite universes and compares satisfiability of the existential closures.
 The interpretations are enumerated in full; per interpretation, the
 assignments of the existential variables are searched by backtracking,
-each literal checked as soon as its last variable is bound.  Declared
-variables passed as ``free`` are kept symbols too.  It is the independent
+each literal checked as soon as its last variable is bound.  A term that
+leaves the integer window is undefined, and an interpretation on which the
+comparison stays undefined is skipped and counted.  Declared variables
+passed as ``free`` are kept symbols too.  It is the independent
 referee the test suite uses against the egraph pipeline.
 """
 from pathlib import Path
@@ -26,7 +28,7 @@ print("output:", out)
 verdict = equiv_exists(prob.sig, prob.store, prob.formula, out,
                        Bounds(int_window=(0, 3)))
 print("closures equivalent:", verdict.ok,
-      f"({verdict.skipped} interpretations skipped by the arithmetic window)")
+      f"({verdict.skipped} interpretations undefined: k + 1 leaves the window)")
 
 # the oracle can also hunt for models; useful to seed projections
 prob2 = parse_problem("""

@@ -8,23 +8,25 @@ it binds the variables one at a time in sorted name order and checks each
 literal as soon as its last variable is bound (forward checking), so a
 failing literal prunes every assignment that extends the bound prefix.  It
 visits assignments in the order of the full product, so the first model it
-finds is the first model of the product.  A term is valued once its
-variables are bound, which can be before the product search, checking
-literal by literal, would reach it; so a failed evaluation (arithmetic out
-of the window, a function applied outside its table) is kept as the term's
-value and raised only where the product search meets it first.  Verdicts,
-witnesses, skip counts and refusals are those of the product search.
-Declared variables passed as ``free`` are shared symbols: enumerated with
-the interpretation, not closed existentially.  Integers range over a window
-derived from the numerals in the formulas; arithmetic that escapes the
-window skips that interpretation (a soundness note, reported in the
-verdict).  Deliberately independent of the egraph machinery: plain
+finds is the first model of the product.  Declared variables passed as
+``free`` are shared symbols: enumerated with the interpretation, not closed
+existentially.  Integers range over a window derived from the numerals in
+the formulas.  Evaluation is three-valued (Kleene): a term whose value
+leaves the enumerated domains (arithmetic out of the window, a function
+applied outside its table) is undefined, as is every term and literal above
+it.  An assignment fails when some literal fails and holds when all hold; a
+formula holds when some assignment holds and fails when all fail; else each
+is undefined, whatever the order of the literals.  An interpretation on
+which the comparison is undefined is skipped (a soundness note, reported in
+the verdict).  Deliberately independent of the egraph machinery: plain
 evaluation over plain Python values.  Only the declarations are shared
 with the model evaluator: the symbols enumerated are the variables and the
 signature's uninterpreted symbols, and constructors, testers and selectors
 are told apart by its datatype table.  Each formula's subterms are listed
 once, by iterative post-order walks, and each distinct subterm is valued
-once per binding of its last variable, so terms of any depth are checked.
+once per binding of its last variable, so terms of any depth are checked;
+sorts are walked with an explicit stack and sized by saturating products,
+so sorts of any depth are sized too.
 """
 from __future__ import annotations
 
@@ -40,9 +42,8 @@ class SearchSpaceError(Exception):
     pass
 
 
-class _OutOfWindow(Exception):
-    pass
-
+# the value of a term that leaves the enumerated domains
+_UNDEFINED = object()
 
 _ARITH = ("+", "-", "*")
 
@@ -68,7 +69,7 @@ class Bounds:
 class Verdict:
     ok: bool
     witness: Optional[dict] = None      # failing shared interpretation
-    skipped: int = 0                    # interpretations skipped (arith window)
+    skipped: int = 0                    # interpretations left undefined
 
     def __bool__(self):
         return self.ok
@@ -95,16 +96,17 @@ def _compare(sig, store, f1, f2, bounds, both_ways, free):
     ctx = _Context(sig, store, (f1, f2), bounds, free)
     skipped = 0
     for interp in ctx.interpretations():
-        try:
-            s1 = ctx.sat(f1, interp)
-            if not s1 and not both_ways:
-                continue
-            s2 = ctx.sat(f2, interp)
-        except _OutOfWindow:
-            skipped += 1
+        s1 = ctx.sat(f1, interp)
+        if s1 is False and not both_ways:
+            continue  # a false premise decides the implication
+        # an undefined side leaves an equivalence undefined, but not an
+        # implication whose conclusion holds
+        s2 = ctx.sat(f2, interp) if s1 is not None or not both_ways else None
+        if s2 is True and not both_ways:
             continue
-        bad = (s1 != s2) if both_ways else (s1 and not s2)
-        if bad:
+        if s1 is None or s2 is None:
+            skipped += 1
+        elif s1 != s2:
             return Verdict(False, witness=dict(interp), skipped=skipped)
     return Verdict(True, skipped=skipped)
 
@@ -115,10 +117,7 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
     bounds = bounds or Bounds()
     ctx = _Context(sig, store, (formula,), bounds)
     for interp in ctx.interpretations():
-        try:
-            assign = ctx.sat(formula, interp, want_assignment=True)
-        except _OutOfWindow:
-            continue
+        assign = ctx.sat(formula, interp, want_assignment=True)
         if assign is None:
             continue
         constants = {}
@@ -151,7 +150,7 @@ class _Context:
                       for f, terms in zip(formulas, self.terms)]
         self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
-        self._uninterp = sorted(s.name for s in self.sorts_used
+        self._uninterp = sorted(name for name, s in self.sorts_used.items()
                                 if s.kind is SortKind.UNINTERPRETED)
         self._sizes = {name: bounds.universe for name in self._uninterp}
         self._domains = {}
@@ -189,28 +188,28 @@ class _Context:
                 consts.setdefault(label, result)
 
     def _sorts_used(self):
-        out = set()
-
-        def visit(sort):
-            if sort in out:
-                return
-            out.add(sort)
-            if sort.kind is SortKind.ARRAY:
-                visit(sort.index)
-                visit(sort.value)
-            for ctor in sort.constructors:
-                for _, s in ctor.selectors:
-                    visit(s)
-
-        for s in self.consts.values():
-            visit(s)
+        """The sorts of the enumerated symbols and every sort inside them,
+        by name, each after the sorts inside it.  Walked with an explicit
+        stack and keyed by name, so no sort is hashed, however deep."""
+        roots = list(self.consts.values())
         for args, res in self.funcs.values():
-            for s in args:
-                visit(s)
-            visit(res)
+            roots += (*args, res)
         for fvars in self.vars_per_formula:
-            for s in fvars.values():
-                visit(s)
+            roots += fvars.values()
+        out = {}
+        stack = [(sort, False) for sort in reversed(roots)]
+        while stack:
+            sort, expanded = stack.pop()
+            if sort.name in out:
+                continue
+            if expanded:
+                out[sort.name] = sort
+                continue
+            stack.append((sort, True))
+            if sort.kind is SortKind.ARRAY:
+                stack += [(sort.value, False), (sort.index, False)]
+            for ctor in sort.constructors:
+                stack += [(s, False) for _, s in ctor.selectors]
         return out
 
     def domain(self, sort: Sort) -> list:
@@ -242,47 +241,57 @@ class _Context:
         self._domains[sort.name] = dom
         return dom
 
-    def _domain_size(self, sort: Sort) -> int:
+    def _domain_size(self, sort: Sort, size, cap) -> int:
+        """The size of sort's domain, saturated at cap; size holds the
+        sizes of the sorts inside it."""
         if sort.kind is SortKind.BOOL:
             return 2
         if sort.kind is SortKind.INT:
             lo, hi = self.window
-            return hi - lo + 1
+            return min(cap, hi - lo + 1)
         if sort.kind is SortKind.UNINTERPRETED:
-            return self.bounds.universe
+            return min(cap, self.bounds.universe)
         if sort.kind is SortKind.ARRAY:
-            return self._domain_size(sort.value) ** self._domain_size(sort.index)
+            return _capped_pow(size[sort.value.name], size[sort.index.name],
+                               cap)
         if sort.kind is SortKind.ADT:
             total = 0
             for ctor in sort.constructors:
                 n = 1
                 for _, s in ctor.selectors:
-                    n *= self._domain_size(s)
-                total += n
+                    n = min(cap, n * size[s.name])
+                total = min(cap, total + n)
             return total
         raise SearchSpaceError(f"cannot enumerate sort {sort}")
 
     def _guard(self):
         # worst case: every uninterpreted sort at its full size, times the
-        # number of size vectors enumerated
-        total = len(list(self._size_vectors()))
+        # number of size vectors enumerated.  Every size is at least 1, so
+        # saturating each product at max_cost + 1 keeps the verdict and
+        # keeps the numbers small
+        cap = self.bounds.max_cost + 1
+        size = {}
+        for name, sort in self.sorts_used.items():  # inner sorts first
+            size[name] = self._domain_size(sort, size, cap)
+        total = _capped_pow(self.bounds.universe, len(self._uninterp), cap)
         for sort in self.consts.values():
-            total *= self._domain_size(sort)
+            total = min(cap, total * size[sort.name])
         for arg_sorts, result in self.funcs.values():
             keys = 1
             for s in arg_sorts:
-                keys *= self._domain_size(s)
-            total *= self._domain_size(result) ** keys
+                keys = min(cap, keys * size[s.name])
+            total = min(cap, total * _capped_pow(size[result.name], keys, cap))
         assigns = 0
         for fvars in self.vars_per_formula:
             a = 1
             for s in fvars.values():
-                a *= self._domain_size(s)
-            assigns += a
+                a = min(cap, a * size[s.name])
+            assigns = min(cap, assigns + a)
         if total * max(1, assigns) > self.bounds.max_cost:
             raise SearchSpaceError(
-                f"search space too large: {total} interpretations x "
-                f"{assigns} assignments exceeds {self.bounds.max_cost}")
+                f"search space too large: {_at_most(total, cap)} "
+                f"interpretations x {_at_most(assigns, cap)} assignments "
+                f"exceeds {self.bounds.max_cost}")
 
     def _size_vectors(self):
         return itertools.product(range(1, self.bounds.universe + 1),
@@ -313,14 +322,16 @@ class _Context:
 
     def sat(self, formula, interp, want_assignment=False):
         """Whether the formula holds under interp for some assignment of its
-        variables (with want_assignment: the first such assignment, or None).
+        variables: True, False, or None when it is undefined, that is, no
+        assignment holds and some assignment is undefined (with
+        want_assignment: the first assignment that holds, or None).
         Depth-first over the variables in plan order, without recursion:
         after names[d] is bound to the next value of its domain, level d + 1
-        is checked, and the search backtracks as soon as every extension of
-        the bound prefix is known to fail.  Assignments are tried in
-        itertools.product order, and an error (_OutOfWindow included) is
-        raised exactly when the product search, valuing each assignment
-        literal by literal, would meet it first."""
+        is checked, and the search backtracks when a literal fails.  An
+        undefined prefix is searched only until an assignment is found
+        undefined: no extension of it can hold, and the formula is then
+        undefined at best.  Assignments are tried in itertools.product
+        order."""
         idx = self.formulas.index(formula)
         names, levels, fallible = self.plans[idx]
         fvars = self.vars_per_formula[idx]
@@ -328,15 +339,19 @@ class _Context:
         assign = {}
         val = {}
         found = assign if want_assignment else True
-        failed = None if want_assignment else False
-        first = self._check(levels[0], fallible, val, interp, assign, None)
-        if first is False:
-            return failed
+        # set once some assignment is undefined: the formula is then at best
+        # undefined, and an undefined prefix is pruned like a failing one;
+        # from the start when only an assignment that holds is wanted
+        undefined = want_assignment
+        outcome = self._check(levels[0], fallible, val, interp, assign)
+        if outcome is False or (outcome is None and undefined):
+            return None if undefined else False
         if not names:
-            return found
+            return found if outcome else None
         last = len(names) - 1
         pos = [0] * len(names)  # per depth, the next domain index to try
-        pending = [first] + [None] * last  # per depth d: first, levels 0..d
+        # per depth d, the outcome of levels 0..d: True, or None (undefined)
+        holds = [outcome] + [None] * last
         d = 0
         while d >= 0:
             i = pos[d]
@@ -346,70 +361,52 @@ class _Context:
                 continue
             pos[d] = i + 1
             assign[names[d]] = doms[d][i]
-            first = self._check(levels[d + 1], fallible, val, interp, assign,
-                                pending[d])
-            if first is not False:
-                if d == last:
-                    return found
+            outcome = self._check(levels[d + 1], fallible, val, interp, assign)
+            if outcome is False:
+                continue
+            outcome = holds[d] and outcome
+            if outcome is None and undefined:
+                continue
+            if d < last:
                 d += 1
-                pending[d] = first
-        return failed
+                holds[d] = outcome
+            elif outcome:
+                return found
+            else:
+                undefined = True
+        return None if undefined else False
 
-    def _check(self, level, fallible, val, interp, assign, first):
-        """Value the level's terms and check its literals.  The product
-        search takes an assignment's outcome from its first literal, in
-        formula order, that does not pass: one that fails, or one whose
-        sides fail to evaluate (arithmetic leaving the window, say).  first
-        is the earliest such literal of the lower levels, (index, error or
-        None), or None.  A failing literal decides every extension of the
-        bound prefix when no fallible literal before it is still unchecked;
-        one with an error when no literal before it is.  Returns False when
-        every extension fails, raises the error when every extension meets
-        it, and else returns the new first."""
-        entries, rest, unchecked, unchecked_fallible = level
+    def _check(self, level, fallible, val, interp, assign):
+        """Value the level's terms and check its literals, in formula order:
+        False as soon as one fails, else True when every one holds and None
+        when some side is undefined."""
+        entries, rest = level
         apply, guarded = self._apply, self._apply_guarded
-        for index, terms, kind, lhs, rhs in entries:
+        outcome = True
+        for terms, kind, lhs, rhs in entries:
             for t in terms:
                 val[t.id] = (guarded if t.id in fallible else apply)(
                     t, [val[c.id] for c in t.children], interp, assign)
-            if first is not None and first[0] < index:
-                continue
             a, b = val[lhs], val[rhs]
-            error = a if isinstance(a, Exception) else \
-                b if isinstance(b, Exception) else None
-            if error is not None:
-                if index < unchecked:
-                    raise error
-                first = (index, error)
+            if a is _UNDEFINED or b is _UNDEFINED:
+                outcome = None
             elif (a == b) == (kind == "diseq"):
-                if index < unchecked_fallible:
-                    return False
-                first = (index, None)
+                return False
         for t in rest:
             val[t.id] = (guarded if t.id in fallible else apply)(
                 t, [val[c.id] for c in t.children], interp, assign)
-        # a first of a lower level can be decided by this level's literals
-        if first is not None and \
-                first[0] < (unchecked if first[1] else unchecked_fallible):
-            if first[1]:
-                raise first[1]
-            return False
-        return first
+        return outcome
 
     def _apply_guarded(self, term, args, interp, assign):
-        """_apply for a fallible term.  A failed evaluation, its own or
-        that of its first failed argument, is returned as its value: it is
-        raised only where the product search would meet it (_check)."""
+        """_apply for a fallible term: undefined when an argument is."""
         for a in args:
-            if isinstance(a, Exception):
+            if a is _UNDEFINED:
                 return a
-        try:
-            return self._apply(term, args, interp, assign)
-        except (_OutOfWindow, SearchSpaceError) as e:
-            return e.with_traceback(None)
+        return self._apply(term, args, interp, assign)
 
     def _apply(self, term, args, interp, assign):
-        """Value of term's symbol applied to the values of its arguments."""
+        """Value of term's symbol applied to the values of its arguments;
+        undefined when it leaves the enumerated domains."""
         label = term.label
         # declared symbols first: they label most terms, and no declared
         # name is a numeral or a builtin
@@ -417,9 +414,8 @@ class _Context:
             out = assign[label]
         elif label in interp:
             val = interp[label]
-            out = val.get(tuple(args)) if isinstance(val, dict) else val
-            if out is None:
-                raise SearchSpaceError(f"missing table entry for '{label}'")
+            out = val.get(tuple(args), _UNDEFINED) \
+                if isinstance(val, dict) else val
         elif is_numeral(label):
             out = int(label)
         elif label == "true":
@@ -431,7 +427,7 @@ class _Context:
             out = a + b if label == "+" else a - b if label == "-" else a * b
             lo, hi = self.window
             if out < lo or out > hi:
-                raise _OutOfWindow()
+                out = _UNDEFINED
         elif label in (">", "<", ">=", "<="):
             a, b = args
             out = {">": a > b, "<": a < b, ">=": a >= b, "<=": a <= b}[label]
@@ -476,8 +472,8 @@ class _Context:
 
 class _Plan(NamedTuple):
     names: list          # the formula's variables, in binding order
-    levels: list         # (entries, rest, unchecked, unchecked_fallible)
-    fallible: frozenset  # ids of the terms whose evaluation may fail
+    levels: list         # per level, (entries, rest)
+    fallible: frozenset  # ids of the terms that may be undefined
 
 
 def _subterms(formula):
@@ -491,17 +487,15 @@ def _plan(formula, terms, variables, window, datatype) -> _Plan:
     its variables (those in variables) in sorted order, the order the
     search binds them.  A term's level is 0 when it has no variable and
     d + 1 when names[d] is its last variable; a literal's level is that of
-    its sides.  levels[d] is (entries, rest, unchecked, unchecked_fallible):
-    per literal of level d in formula order, (index in formula, new, kind,
-    lhs id, rhs id), new being its subterms not listed before it; then
-    rest, the level's other terms, which later levels need; then the index
-    of the first literal of a higher level, and of the first such literal
-    with a fallible side (len(formula.literals) when there is none).  Each
-    list runs children before parents, and each term is listed once, at
-    its own level, so it is valued as soon as its variables are bound, and
-    a literal is checked as soon as its sides are valued.  A term is
-    fallible when it, or a term below it, may leave the enumerated domains
-    (_leaves_domains): only then can evaluating it raise."""
+    its sides.  levels[d] is (entries, rest): per literal of level d in
+    formula order, (new, kind, lhs id, rhs id), new being its subterms not
+    listed before it; then rest, the level's other terms, which later
+    levels need.  Each list runs children before parents, and each term is
+    listed once, at its own level, so it is valued as soon as its
+    variables are bound, and a literal is checked as soon as its sides are
+    valued.  A term is fallible when it, or a term below it, may leave the
+    enumerated domains (_leaves_domains): only a fallible term can be
+    undefined, so only those pay for the check."""
     names = sorted({t.label for t in terms if t.label in variables})
     depth = {name: d + 1 for d, name in enumerate(names)}
     level = {}
@@ -514,38 +508,28 @@ def _plan(formula, terms, variables, window, datatype) -> _Plan:
         if _leaves_domains(t, window, datatype) or \
                 any(c.id in fallible for c in t.children):
             fallible.add(t.id)
-    n = len(formula.literals)
     lits = [[] for _ in own]
-    heads = [[n, n] for _ in own]  # per level: first literal, first fallible
-    for index, lit in enumerate(formula.literals):
-        lv = max(level[lit.lhs.id], level[lit.rhs.id])
-        lits[lv].append((index, lit))
-        head = heads[lv]
-        head[0] = min(head[0], index)
-        if lit.lhs.id in fallible or lit.rhs.id in fallible:
-            head[1] = min(head[1], index)
-    above = [(n, n)] * len(own)  # the same over every higher level
-    for d in range(len(own) - 2, -1, -1):
-        above[d] = tuple(map(min, above[d + 1], heads[d + 1]))
+    for lit in formula.literals:
+        lits[max(level[lit.lhs.id], level[lit.rhs.id])].append(lit)
     listed = set()
     levels = []
-    for d, (level_terms, level_lits) in enumerate(zip(own, lits)):
+    for level_terms, level_lits in zip(own, lits):
         # every term of a lower level is listed by now, so a literal of
         # this level yields only terms of this level
-        entries = [(index, list(_new_subterms(lit, listed)), lit.kind,
-                    lit.lhs.id, lit.rhs.id) for index, lit in level_lits]
+        entries = [(list(_new_subterms(lit, listed)), lit.kind,
+                    lit.lhs.id, lit.rhs.id) for lit in level_lits]
         rest = [t for t in level_terms if t.id not in listed]
         listed.update(t.id for t in rest)
-        levels.append((entries, rest) + above[d])
+        levels.append((entries, rest))
     return _Plan(names, levels, frozenset(fallible))
 
 
 def _leaves_domains(term, window, datatype):
-    """Whether evaluating term may fail, or give a value outside the
-    enumerated domains that fails a term above it (as a function argument),
-    though its arguments' values lie inside them: arithmetic may leave the
-    window, so may a numeral, and a selector applied to another constructor
-    gives a default that holds 0 (_Context._default)."""
+    """Whether term may be undefined, or have a value outside the
+    enumerated domains that makes a term above it undefined (as a function
+    argument), though its arguments' values lie inside them: arithmetic may
+    leave the window, so may a numeral, and a selector applied to another
+    constructor gives a default that holds 0 (_Context._default)."""
     label = term.label
     if label in _ARITH:
         return True
@@ -576,6 +560,18 @@ def _new_subterms(lit, seen):
             for t in post_order(side, seen):
                 seen.add(t.id)
                 yield t
+
+
+def _capped_pow(base, exp, cap):
+    """min(cap, base ** exp) for base, exp >= 1, without the power when it
+    is huge: 2 ** cap.bit_length() exceeds cap."""
+    if base == 1:
+        return 1
+    return cap if exp >= cap.bit_length() else min(cap, base ** exp)
+
+
+def _at_most(n, cap):
+    return f"over {cap - 1}" if n == cap else str(n)
 
 
 def _canon_array(default, entries):

@@ -259,3 +259,17 @@ def test_sort_nested_2000_deep_parses_and_reduces(tmp_path, capsys, nest):
     path.write_text(text)
     assert main(["qel", str(path)]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("depth", [8, 16, 2000])
+def test_check_on_deeply_nested_sort_is_skipped(tmp_path, capsys, depth):
+    # the domain of S is a power tower of height depth: the oracle sizes it
+    # with saturating products and an explicit stack, and refuses the check
+    sort = "(Array I " * depth + "I" + ")" * depth
+    path = tmp_path / "p.smt2"
+    path.write_text(f"(declare-sort I 0) (declare-var a {sort}) "
+                    f"(declare-var b {sort}) (assert (= a b))")
+    assert main(["qel", str(path), "--check"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "true\n"
+    assert "check skipped: search space too large" in out.err

@@ -202,19 +202,19 @@ def test_plan_checks_each_literal_at_its_last_variable():
     plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
                         (-1, 5), prob.sig.datatype)
     assert plan.names == ["x", "y", "z"]
-    checked = [[index for index, *_ in entries] for entries, *_ in plan.levels]
+    lits = [(lit.kind, lit.lhs.id, lit.rhs.id)
+            for lit in prob.formula.literals]
+    checked = [[lits.index((kind, lhs, rhs)) for _, kind, lhs, rhs in entries]
+               for entries, _ in plan.levels]
     # z = (read a x), (+ k 1) = (read a y), x = y, (> 3 z) = true
     assert checked == [[], [], [1, 2], [0, 3]]
-    valued = [[term_to_sexpr(t) for _, terms, *_ in entries for t in terms] +
+    valued = [[term_to_sexpr(t) for terms, *_ in entries for t in terms] +
               [term_to_sexpr(t) for t in rest]
-              for entries, rest, *_ in plan.levels]
+              for entries, rest in plan.levels]
     assert valued == [["a", "k", "1", "(+ k 1)", "3", "true"],
                       ["x", "(read a x)"], ["y", "(read a y)"],
                       ["z", "(> 3 z)"]]
-    # per level, the first literal of a higher level, and of those with a
-    # fallible side: only (+ k 1), in literal 1, may leave the window
-    assert [tuple(rest) for _, _, *rest in plan.levels] == \
-        [(0, 1), (0, 1), (0, 4), (4, 4)]
+    # only (+ k 1), in literal 1, may leave the window
     assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
         {"(+ k 1)"}
     # a numeral outside the window is fallible too
@@ -224,7 +224,7 @@ def test_plan_checks_each_literal_at_its_last_variable():
         {"3", "(> 3 z)", "(+ k 1)"}
 
 
-# -- the backtracking search against the product search it replaced -----------
+# -- the backtracking search against a three-valued product search -----------
 
 def _literal_plan(formula):
     """Per literal, (kind, lhs id, rhs id, terms): the literal's subterms
@@ -243,26 +243,39 @@ def _literal_plan(formula):
 
 
 def _product_sat(self, formula, interp, want_assignment=False):
-    """Reference for ``_Context.sat``: every assignment of the formula's
-    variables in itertools.product order, each evaluated literal by literal
-    until one fails."""
+    """Three-valued reference for ``_Context.sat``: every assignment of the
+    formula's variables in itertools.product order, each evaluated literal
+    by literal until one fails.  A term with an undefined argument is
+    undefined, and so is a literal with an undefined side.  An assignment
+    fails at its first failing literal, holds when every literal holds, and
+    is undefined otherwise.  The first assignment that holds decides
+    (True); else the formula is undefined (None) when some assignment is,
+    and False when none is."""
     idx = self.formulas.index(formula)
     fvars = self.vars_per_formula[idx]
     names = sorted(fvars)
     doms = [self.domain(fvars[n]) for n in names]
     plan = _literal_plan(formula)
+    undef = oracle._UNDEFINED
+    undefined = False
     for combo in itertools.product(*doms):
         assign = dict(zip(names, combo))
         val = {}
+        outcome = True
         for kind, lhs, rhs, terms in plan:
             for t in terms:
-                val[t.id] = self._apply(t, [val[c.id] for c in t.children],
-                                        interp, assign)
-            if (val[lhs] == val[rhs]) == (kind == "diseq"):
+                args = [val[c.id] for c in t.children]
+                val[t.id] = undef if undef in args else \
+                    self._apply(t, args, interp, assign)
+            if val[lhs] is undef or val[rhs] is undef:
+                outcome = None
+            elif (val[lhs] == val[rhs]) == (kind == "diseq"):
+                outcome = False
                 break
-        else:
+        if outcome:
             return assign if want_assignment else True
-    return None if want_assignment else False
+        undefined = undefined or outcome is None
+    return None if want_assignment or undefined else False
 
 
 def _outcome(call):
@@ -277,7 +290,8 @@ def _outcome(call):
 
 def _assert_twins(monkeypatch, calls):
     """Each oracle call gives the same verdict, witness, skip count, model
-    or refusal with the backtracking search as with the product search."""
+    or refusal with the backtracking search as with the three-valued product
+    search."""
     fast = [_outcome(c) for c in calls]
     with monkeypatch.context() as m:
         m.setattr(oracle._Context, "sat", _product_sat)
@@ -327,7 +341,7 @@ def test_backtracking_matches_product_search_on_projections(monkeypatch):
 def _random_int_instance(rng):
     """Random conjunction over Int variables x, y, z, a kept k and
     f : Int -> Int, whose sums and differences often leave a small window,
-    as does the numeral 2 at (-1, 1): f(2) is then refused."""
+    as does the numeral 2 at (-1, 1): f(2) is then undefined."""
     def term(depth):
         roll = rng.random()
         if depth == 0 or roll < 0.4:
@@ -344,40 +358,62 @@ def _random_int_instance(rng):
 
 
 def test_backtracking_matches_product_search_on_arithmetic(monkeypatch):
-    # the product search skips an interpretation, or refuses the check, at
-    # the first assignment whose first literal not to pass, in formula
-    # order, leaves the window or the domains; a term valued early must not
-    # decide that
+    # a literal that fails decides its assignment, whatever the order of the
+    # literals and wherever a term leaves the window or the domains
     calls = []
     for text in (
-            # z != z fails on every assignment before x + 1 is reached,
-            # which leaves the window (-1, 3) at x = 3
+            # z != z fails on every assignment; x + 1 leaves the window
+            # (-1, 3) at x = 3
             "(declare-var x Int) (declare-var y Int) (declare-var z Int)"
             "(assert (distinct z z)) (assert (= y (+ x 1)))",
-            # y != y fails before f is applied to (fld nil): that is 0,
-            # outside the window (3, 7), where f has no table entry
+            # y != y fails on every assignment; f is applied to (fld nil),
+            # that is 0, outside the window (3, 7), where f has no table entry
             "(declare-datatype P ((mk (fld Int)) (nil)))"
             "(declare-fun f (Int) Int) (declare-var x P) (declare-var y Int)"
             "(assert (distinct y y)) (assert (= (f (fld x)) 5))"):
         prob = parse_problem(text)
         calls.append(partial(equiv_exists, prob.sig, prob.store, prob.formula,
                              mk_formula(prob.store, [])))
+    # z + 1 leaves the window (0, 2) at z = 2, in either literal order
+    for order in ("(assert (distinct z z)) (assert (= y (+ z 1)))",
+                  "(assert (= y (+ z 1))) (assert (distinct z z))"):
+        prob = parse_problem("(declare-var y Int) (declare-var z Int)" + order)
+        calls.append(partial(equiv_exists, prob.sig, prob.store, prob.formula,
+                             prob.formula, Bounds(int_window=(0, 2))))
+    # (f (fld nil)) is undefined at the window (3, 7): the assignment
+    # x = nil, y = 5 is undefined, and decides nothing
+    prob = parse_problem(
+        "(declare-datatype P ((mk (fld Int)) (nil)))"
+        "(declare-fun f (Int) Int) (declare-var x P) (declare-var y Int)"
+        "(assert (= y 5)) (assert (= (f (fld x)) y))")
+    calls.append(partial(equiv_exists, prob.sig, prob.store, prob.formula,
+                         mk_formula(prob.store, []),
+                         Bounds(int_window=(3, 7))))
     rng = random.Random(6)
+    pairs = []  # indices of equiv_exists(f, g) and equiv_exists(reversed f, g)
     for _ in range(120):
         sig, store, formula = _random_int_instance(rng)
         lits = formula.literals
-        others = (mk_formula(store, lits[:len(lits) // 2]),
-                  mk_formula(store, lits[::-1]))
+        half = mk_formula(store, lits[:len(lits) // 2])
+        backwards = mk_formula(store, lits[::-1])
         for bounds in (Bounds(int_window=(0, 2)), Bounds(int_window=(-1, 1))):
+            start = len(calls)
             calls.append(partial(find_model, sig, store, formula, bounds))
-            for other in others:
+            for other in (half, backwards):
                 calls += _both_ways(sig, store, formula, other, bounds)
+            calls.append(partial(equiv_exists, sig, store, backwards, half,
+                                 bounds))
+            pairs.append((start + 1, len(calls) - 1))
     outcomes = _assert_twins(monkeypatch, calls)
     assert [(ok, n) for ok, _, n in outcomes[:2]] == [(False, 0)] * 2
+    assert [(ok, n) for ok, _, n in outcomes[2:4]] == [(True, 0)] * 2
+    # f misses 5 on 4 ** 5 of its 5 ** 5 tables
+    assert outcomes[4] == (True, None, 1024)
+    for i, j in pairs:
+        assert outcomes[i][::2] == outcomes[j][::2], (i, j)
     verdicts = [o for o in outcomes if isinstance(o, tuple) and len(o) == 3]
-    assert any(ok is False for ok, _, _ in verdicts[2:])
+    assert any(ok is False for ok, _, _ in verdicts[5:])
     assert any(skipped for _, _, skipped in verdicts)
-    assert any(o[0] == "refused" for o in outcomes if isinstance(o, tuple))
 
 
 def _cli_check(run):
