@@ -9,16 +9,15 @@ theory rules under a model to eliminate array/datatype variables entirely.
 
 from .egraph import EGraph, InconsistentFormulaError
 from .extraction import (ExtractionBudgetError, InadmissibleReprError, ReprFn,
-                         build_repr_graph, is_admissible, is_admissible_partial,
-                         to_expr, to_formula)
+                         build_repr_graph, is_admissible, to_expr, to_formula)
 from .mbp import MbpResult, ModelMismatchError, SaturationBudgetError, mbp
 from .model import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Model, eval_term,
                     holds, mk_array, parse_model, satisfies)
 from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
 from .parser import ParseError, Problem, parse_formula, parse_problem
-from .qel import (CGroundInfo, compute_cground, core_reachable_nodes,
-                  find_core, find_defs, process, qel, refine_defs)
+from .qel import (CGroundInfo, compute_cground, find_core, find_defs, process,
+                  qel, refine_defs)
 from .terms import (Formula, InputError, Literal, Signature, Sort, SortKind,
                     Term, TermStore, formula_to_sexpr, literal_to_sexpr,
                     term_to_sexpr)
@@ -30,9 +29,9 @@ __all__ = [
     "MbpResult", "Model", "ModelMismatchError", "ParseError", "Problem",
     "ReprFn", "SaturationBudgetError", "SearchSpaceError", "Signature",
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",
-    "compute_cground", "core_reachable_nodes", "equiv_exists", "eval_term",
+    "compute_cground", "equiv_exists", "eval_term",
     "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",
-    "implies_exists", "is_admissible", "is_admissible_partial",
+    "implies_exists", "is_admissible",
     "literal_to_sexpr", "mbp", "mk_array", "parse_formula", "parse_model",
     "parse_problem", "process", "qel", "refine_defs", "satisfies",
     "term_to_sexpr", "to_expr", "to_formula",

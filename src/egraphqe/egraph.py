@@ -14,6 +14,10 @@ Each class root keeps the list of recorded disequalities with an endpoint in
 the class.  A merge can only violate a disequality whose endpoints lie one in
 each merging class, so it scans the shorter of the two lists and appends it
 to the longer one; no assertion rescans every disequality.
+
+``merge_log`` lists the surviving root of every merge in order, so a client
+that remembers its length (and the node count) can later visit only what
+changed since: ``qel.compute_cground`` updates its result that way.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ class EGraph:
         self._diseq_set = set()   # the same pairs, for duplicate checks
         self._class_diseqs = {}   # root id -> recorded pairs touching the class
         self._violation = None    # first disequal pair found merged
+        self.merge_log = []       # surviving root of each merge, in order
 
     # -- construction ------------------------------------------------------
 
@@ -141,6 +146,7 @@ class EGraph:
                 rx, ry = ry, rx  # the older id stays root
             absorbed = self._members.pop(ry)
             self._uf[ry] = rx
+            self.merge_log.append(rx)
             self._class_view.pop(rx, None)
             self._class_view.pop(ry, None)
             self._members[rx].extend(absorbed)

@@ -41,9 +41,6 @@ class ReprFn:
         for m in g.class_of(rep):
             self.assignment[m] = rep
 
-    def reps(self) -> set:
-        return set(self.assignment.values())
-
     def __repr__(self):
         return f"ReprFn({self.assignment})"
 
@@ -87,43 +84,20 @@ def has_cycle(g: EGraph, r: ReprFn) -> bool:
     return False
 
 
-def _class_consistent(g: EGraph, r: ReprFn, require_total: bool) -> bool:
+def _class_consistent(g: EGraph, r: ReprFn) -> bool:
+    """Every member of every class is assigned, all to one member."""
     for root in g.roots():
         members = g.class_of(root)
-        assigned = [m for m in members if r.defined(m)]
-        if require_total and len(assigned) != len(members):
+        reps = {r.get(m) for m in members}
+        if len(reps) != 1 or reps.pop() not in members:
             return False
-        if not assigned:
-            continue
-        reps = {r.get(m) for m in assigned}
-        if len(reps) != 1:
-            return False
-        rep = reps.pop()
-        if rep not in members:
-            return False
-        if not require_total and len(assigned) != len(members):
-            return False  # partially assigned class
     return True
 
 
 def is_admissible(g: EGraph, r: ReprFn) -> bool:
     """Total admissibility: unique in-class representative per class,
     representative equivalence = root equivalence, acyclic repr graph."""
-    if not _class_consistent(g, r, require_total=True):
-        return False
-    return not has_cycle(g, r)
-
-
-def is_admissible_partial(g: EGraph, r: ReprFn) -> bool:
-    """Admissibility for partial functions: defined classes are fully and
-    consistently assigned, the defined repr graph is acyclic, and every
-    representative has all children defined."""
-    if not _class_consistent(g, r, require_total=False):
-        return False
-    for rep in r.reps():
-        if any(not r.defined(c) for c in g.nodes[rep].children):
-            return False
-    return not has_cycle(g, r)
+    return _class_consistent(g, r) and not has_cycle(g, r)
 
 
 def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
@@ -184,7 +158,7 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
     With an empty exclusion set the result's existential closure matches the
     input formula's.
     """
-    if not _class_consistent(g, r, require_total=True):
+    if not _class_consistent(g, r):
         raise InadmissibleReprError("not a unique in-class assignment per class")
     exclude = set(exclude)
     memo = {}
@@ -200,13 +174,17 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
         seen_pairs.add(key)
         literals.append(Literal(kind, lhs, rhs))
 
+    kept = set()  # representatives of the classes with a non-excluded member
     for node in g.nodes:
         if r.get(node.id) != node.id:
             continue
         members = g.class_of(node.id)
         rep_term = to_expr(g, node.id, r, _memo=memo)
         for m in members:
-            if m == node.id or m in exclude:
+            if m in exclude:
+                continue
+            kept.add(node.id)
+            if m == node.id:
                 continue
             if g.nodes[m].label == "peq":
                 # mbp's partial-equality obligations: the rules have already
@@ -216,14 +194,9 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
             emit("eq", rep_term, to_expr(g, m, r, _memo=memo))
 
     for a, b in g.diseqs:
-        if _class_all_excluded(g, a, exclude) or _class_all_excluded(g, b, exclude):
-            continue
-        lhs = to_expr(g, r.get(a), r, _memo=memo)
-        rhs = to_expr(g, r.get(b), r, _memo=memo)
-        emit("diseq", lhs, rhs)
+        ra, rb = r.get(a), r.get(b)
+        if ra in kept and rb in kept:
+            emit("diseq", to_expr(g, ra, r, _memo=memo),
+                 to_expr(g, rb, r, _memo=memo))
 
     return mk_formula(g.store, literals)
-
-
-def _class_all_excluded(g, n, exclude):
-    return all(m in exclude for m in g.class_of(n))

@@ -5,29 +5,32 @@ satisfying model, then runs the quantifier-reduction tail (``qel.reduce``)
 with every array/datatype variable as taint, which drops every node whose
 extraction still mentions one.  Rules only ever add terms, merges, and
 disequalities.  Nodes are append-only, so one integer watermark per rule
-family (the node count at the start of its last pass) says which nodes and
-pairs were offered already; per-rule marks on the remaining keys keep
-saturation terminating.  Pairwise candidates are reads over one base node,
-grouped by that node, so a pass never looks at pairs that cannot match.
+family (the node count at the start of its last pass) says which nodes
+were offered already; per-rule marks on the remaining keys keep saturation
+terminating.  The constructive-groundness analysis that tells a pass which
+nodes to skip is carried from pass to pass and takes in only the nodes and
+merges since the last one.
 
 The array rules rewrite read-over-write patterns, turn array equalities
 into partial-equality obligations, unwind writes out of those obligations,
-solve them for projected variables with fresh write values, and Ackermannize
-pairs of reads over one projected array.  The datatype rules split
-projected-variable equalities into selector equalities and resolve
-disequalities by the model, except that a disequality whose both sides sit
-in ground classes is skipped: its operands are rewritten to ground terms in
-the output, so no splitting is necessary.
+solve them for projected variables with fresh write values, and
+Ackermannize the reads over one projected array: the reads are split into
+classes by the model value of their index, as in Spacer's array MBP, so a
+read costs one index equality, or one disequality per class seen before.
+The datatype rules split projected-variable equalities into selector
+equalities and resolve disequalities by the model, except that a
+disequality whose both sides sit in ground classes is skipped: its
+operands are rewritten to ground terms in the output, so no splitting is
+necessary.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .egraph import EGraph
 from .extraction import ReprFn
 from .model import Model, eval_term, satisfies
-from .qel import compute_cground, reduce
+from .qel import CGroundInfo, compute_cground, reduce
 from .terms import Formula, InputError, Signature, SortKind, Term, TermStore
 
 
@@ -57,6 +60,9 @@ class _State:
     total: int = 0
     fresh: int = 0
     marks: dict = field(default_factory=dict)  # rule name -> set of keys
+    cground: CGroundInfo = None   # as of the start of the last pass
+    # projected base node id -> {index value: (first read id, index term)}
+    index_classes: dict = field(default_factory=dict)
 
     @property
     def sig(self):
@@ -145,27 +151,28 @@ def _saturate(state: _State):
 
 
 def apply_rules(state: _State, family, watermark: int) -> tuple:
-    """One pass of a rule family (node rules, read-pair rules, disequality
+    """One pass of a rule family (node rules, read rules, disequality
     rules) over the nodes that exist when it starts.  Nodes from the
     watermark on go to the node rules (equality bookkeeping always, others
-    only when not constructively ground).  Pairs (a, b), a < b, of reads
-    over one base node with b at or past the watermark go to the read-pair
-    rules, in lexicographic order.  Unresolved disequalities go to the
-    disequality rules.  Returns whether a rule fired and the watermark for
-    the next pass: the node count at the start of this one."""
-    node_rules, pair_rules, diseq_rules = family
+    only when not constructively ground).  The reads among them, in id
+    order, go to each read rule at once, ground or not.  Unresolved
+    disequalities go to the disequality rules.  Returns whether a rule
+    fired and the watermark for the next pass: the node count at the start
+    of this one."""
+    node_rules, read_rules, diseq_rules = family
     g = state.g
     progress = False
     size = len(g.nodes)
-    info = compute_cground(g)
+    info = state.cground = compute_cground(g, state.cground)
     for n in range(watermark, size):
         if g.nodes[n].label == "peq" or n not in info.cground:
             for rule in node_rules:
                 if rule(state, n):
                     progress = True
-    for rule in pair_rules:
-        for a, b in _read_pairs(g, watermark, size):
-            if rule(state, a, b):
+    if read_rules:
+        reads = [n for n in range(watermark, size) if g.nodes[n].label == "read"]
+        for rule in read_rules:
+            if rule(state, reads):
                 progress = True
     for rule in diseq_rules:
         for a, b in list(g.diseqs):
@@ -175,22 +182,6 @@ def apply_rules(state: _State, family, watermark: int) -> tuple:
             if rule(state, a, b):
                 progress = True
     return progress, size
-
-
-def _read_pairs(g: EGraph, w: int, size: int) -> list:
-    """Pairs (a, b), a < b < size, of reads over one base node with b >= w,
-    in lexicographic order."""
-    by_base = {}
-    for n in range(size):
-        node = g.nodes[n]
-        if node.label == "read":
-            by_base.setdefault(node.children[0], []).append(n)
-    pairs = []
-    for group in by_base.values():
-        new = bisect_left(group, w)
-        pairs += [(a, b) for i, a in enumerate(group)
-                  for b in group[max(i + 1, new):]]
-    return sorted(pairs)
 
 
 # -- array rules --------------------------------------------------------------
@@ -331,25 +322,41 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
     return False
 
 
-def _rule_ackermann(state: _State, a: int, b: int) -> bool:
-    """Two reads a, b over one base node (the only pairs offered) that is a
-    projected array variable, at syntactically distinct indices: record the
-    index (dis)equality the model chooses; on equality the reads merge by
-    congruence."""
+def _rule_ackermann(state: _State, reads) -> bool:
+    """Ackermannize the new reads over projected array variables, split by
+    the model: per base node, state.index_classes maps each index value met
+    so far to the first read at it and that read's index term.  A read at a
+    known value gets its index equated with that first index (the reads
+    then merge by congruence); a read at a new value gets its index made
+    disequal to the first index of every class before it and starts a
+    class.  That is one fire per read plus one per pair of values, where
+    all pairs of reads would be n(n-1)/2.  The decisions are applied in
+    (older read, newer read) order, the order in which a pass over all pairs
+    meets them, so the graph and its disequality record come out the same."""
     g = state.g
-    na, nb = g.nodes[a], g.nodes[b]
-    base = g.nodes[na.children[0]]
-    if not (state.projected(base.label) and not base.children):
-        return False
-    e1, e2 = g.nodes[na.children[1]].term, g.nodes[nb.children[1]].term
-    if e1 is e2:
-        return False
-    if state.meval(e1) == state.meval(e2):
-        g.assert_eq(e1, e2)
-    else:
-        g.assert_diseq(e1, e2)
-    state.fired("ackermann")
-    return True
+    decisions = []
+    for b in reads:
+        base_id, idx = g.nodes[b].children
+        base = g.nodes[base_id]
+        if not (state.projected(base.label) and not base.children):
+            continue
+        classes = state.index_classes.setdefault(base_id, {})
+        term = g.nodes[idx].term
+        value = state.meval(term)
+        first = classes.get(value)
+        if first is not None:
+            decisions.append((first[0], b, True, first[1], term))
+        else:
+            decisions += [(a, b, False, t, term) for a, t in classes.values()]
+            classes[value] = (b, term)
+    decisions.sort(key=lambda d: d[:2])
+    for _, _, equal, t1, t2 in decisions:
+        if equal:
+            g.assert_eq(t1, t2)
+        else:
+            g.assert_diseq(t1, t2)
+        state.fired("ackermann")
+    return bool(decisions)
 
 
 # -- datatype rules -----------------------------------------------------------
@@ -413,7 +420,7 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
     return False
 
 
-# -- rule families: (node rules, read-pair rules, disequality rules) ----------
+# -- rule families: (node rules, read rules, disequality rules) ---------------
 
 _ARRAY_RULES = ((_rule_elim_wr_rd, _rule_partial_eq, _rule_elim_wr,
                  _rule_elim_eq), (_rule_ackermann,), ())

@@ -296,7 +296,31 @@ def _value(form, index, sort, universes) -> Value:
     """The value written as child index of form, read against sort.  Each
     level must have its sort's shape, so a value is never read deeper than
     its sort is nested.  An element must lie in its sort's universe when
-    the model gives one."""
+    the model gives one.  The readers of the arrays and datatype values
+    being read wait on an explicit stack, so a value of any depth reads,
+    depth first and left to right as a recursive reader would."""
+    value = _read(form, index, sort, universes)
+    if isinstance(value, Value):
+        return value
+    readers = [value]
+    value = None
+    while readers:
+        try:
+            value = readers[-1].send(value)
+        except StopIteration as done:
+            readers.pop()
+            value = done.value
+        else:  # a compound part: read it first
+            readers.append(value)
+            value = None
+    return value
+
+
+def _read(form, index, sort, universes):
+    """The value at child index of form if it is an atom or an element,
+    else a reader of its parts: a generator that reads each part in turn,
+    yields the reader of a part that is compound itself and is sent back
+    its value, and returns the whole."""
     v = form[index]
     if isinstance(v, str):
         if v in ("true", "false"):
@@ -321,34 +345,57 @@ def _value(form, index, sort, universes) -> Value:
             return Elem(name, n)
     elif v[0] == "array" and len(v) >= 2:
         if sort.kind is SortKind.ARRAY:
-            default = _default(v, 1, sort.value, universes)
-            mapping = {}
-            for entry in v[2:]:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ModelError("array entry must be (key value)")
-                key = _value(entry, 0, sort.index, universes)
-                if key in mapping:
-                    raise ModelError(f"duplicate array key {key!r}")
-                mapping[key] = _value(entry, 1, sort.value, universes)
-            return mk_array(default, mapping)
+            return _array_reader(v, sort, universes)
     else:
         for ctor in sort.constructors:
             if ctor.name == v[0]:
                 if len(v) != 1 + ctor.arity:
                     raise ModelError(f"constructor '{ctor.name}' expects "
                                      f"{ctor.arity} values")
-                return AdtVal(ctor.name, tuple(
-                    _value(v, i, s, universes)
-                    for i, (_, s) in enumerate(ctor.selectors, start=1)))
+                return _adt_reader(v, ctor, universes)
     raise LocatedError(f"expected a value of sort {sort!r}", form, index)
+
+
+def _array_reader(v, sort, universes):
+    default = _read(_default_form(v, 1), 1, sort.value, universes)
+    if not isinstance(default, Value):
+        default = yield default
+    mapping = {}
+    for entry in v[2:]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ModelError("array entry must be (key value)")
+        key = _read(entry, 0, sort.index, universes)
+        if not isinstance(key, Value):
+            key = yield key
+        if key in mapping:
+            raise ModelError(f"duplicate array key {key!r}")
+        value = _read(entry, 1, sort.value, universes)
+        if not isinstance(value, Value):
+            value = yield value
+        mapping[key] = value
+    return mk_array(default, mapping)
+
+
+def _adt_reader(v, ctor, universes):
+    args = []
+    for i, (_, s) in enumerate(ctor.selectors, start=1):
+        arg = _read(v, i, s, universes)
+        if not isinstance(arg, Value):
+            arg = yield arg
+        args.append(arg)
+    return AdtVal(ctor.name, tuple(args))
 
 
 def _default(form, index, sort, universes):
     """The value v of ``(default v)`` at child index of form."""
+    return _value(_default_form(form, index), 1, sort, universes)
+
+
+def _default_form(form, index):
     d = form[index]
     if not isinstance(d, list) or len(d) != 2 or _name(d[0]) != "default":
         raise ModelError("expected (default value)")
-    return _value(d, 1, sort, universes)
+    return d
 
 
 def _name(form) -> str:
@@ -358,9 +405,11 @@ def _name(form) -> str:
 
 
 def _int(form, index) -> int:
-    text = _name(form[index])
+    text = form[index]
     try:
         return int(text)
+    except TypeError:  # a list, not an atom
+        raise ModelError("expected a symbol") from None
     except ValueError:
         raise LocatedError(f"expected an integer, got '{text}'",
                            form, index) from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .egraph import EGraph
-from .extraction import ReprFn, build_repr_graph, extract_terms, to_formula
+from .extraction import ReprFn, extract_terms, to_formula
 from .terms import Formula, Signature, TermStore
 
 
@@ -25,32 +25,55 @@ from .terms import Formula, Signature, TermStore
 class CGroundInfo:
     cground: set        # node ids that rewrite into ground terms
     ground_class: set   # roots of classes containing such a node
+    nodes: int = 0      # the graph's node count when computed
+    merges: int = 0     # the length of its merge log then
 
 
-def compute_cground(g: EGraph) -> CGroundInfo:
+def compute_cground(g: EGraph, info: CGroundInfo = None) -> CGroundInfo:
     """Least fixpoint of: a node is constructively ground if its own term is
-    ground, or it has children and every child's class contains one."""
-    info = CGroundInfo(set(), set())
+    ground, or it has children and every child's class contains one.
+
+    Given info, an earlier result for g (which has since only gained nodes
+    and merged classes), updates it in place from the nodes added and the
+    merges logged since, and returns it.  A merged class that holds an
+    earlier ground root is ground: its absorbed roots leave ground_class,
+    and the parents of all its members are re-queued, since members of the
+    side that was not ground now sit in a ground class (either side may be
+    the one absorbed)."""
+    if info is None:  # no class is ground yet, so no merge needs a look
+        info = CGroundInfo(set(), set(), 0, len(g.merge_log))
+    ground_class = info.ground_class
     pending = deque()
 
     def mark(n):
         info.cground.add(n)
         root = g.find(n)
-        if root not in info.ground_class:
-            info.ground_class.add(root)
+        if root not in ground_class:
+            ground_class.add(root)
             for m in g.class_of(root):
                 pending.extend(g.parents(m))
 
-    for node in g.nodes:
-        if node.term.ground:
-            mark(node.id)
+    for root in {g.find(r) for r in g.merge_log[info.merges:]}:
+        members = g.class_of(root)
+        old_roots = [m for m in members if m in ground_class]
+        if old_roots:
+            ground_class.difference_update(old_roots)
+            ground_class.add(root)
+            for m in members:
+                pending.extend(g.parents(m))
+    for n in range(info.nodes, len(g.nodes)):
+        if g.nodes[n].term.ground:
+            mark(n)
+        else:
+            pending.append(n)
     while pending:
         p = pending.popleft()
         node = g.nodes[p]
         if p in info.cground or not node.children:
             continue
-        if all(g.find(c) in info.ground_class for c in node.children):
+        if all(g.find(c) in ground_class for c in node.children):
             mark(p)
+    info.nodes, info.merges = len(g.nodes), len(g.merge_log)
     return info
 
 
@@ -155,30 +178,6 @@ def find_core(g: EGraph, r: ReprFn, var_names) -> set:
             keys.add(key)
             core.add(m)
     return core
-
-
-def core_reachable_nodes(g: EGraph, r: ReprFn, core) -> set:
-    """Nodes reachable in the representative graph from classes that keep
-    two or more core nodes.  Only such classes contribute output literals,
-    so a variable node outside this set never appears in the result -- a
-    diagnostic for the second elimination condition."""
-    succ = {}
-    for a, b in build_repr_graph(g, r):
-        succ.setdefault(a, set()).add(b)
-    seeds = set()
-    for root in g.roots():
-        kept = [m for m in g.class_of(root) if m in core]
-        if len(kept) >= 2:
-            seeds.update(kept)
-    reached = set(seeds)
-    stack = list(seeds)
-    while stack:
-        n = stack.pop()
-        for m in succ.get(n, ()):
-            if m not in reached:
-                reached.add(m)
-                stack.append(m)
-    return reached
 
 
 def reduce(g: EGraph, var_names, taint=frozenset()):

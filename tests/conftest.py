@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import (EGraph, Literal, Signature, TermStore, compute_cground,
-                      parse_model, parse_problem, term_to_sexpr)
+from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
+                      compute_cground, parse_model, parse_problem,
+                      term_to_sexpr)
+from egraphqe.extraction import has_cycle
 from egraphqe.sexpr import read_all
 from egraphqe.terms import mk_formula, post_order
 
@@ -51,6 +53,53 @@ def is_maximally_ground(g, r):
             if rep is None or rep not in info.cground:
                 return False
     return True
+
+
+def is_admissible_partial(g, r):
+    """Admissibility for partial functions: defined classes are fully and
+    consistently assigned, the defined repr graph is acyclic, and every
+    representative has all children defined."""
+    for root in g.roots():
+        members = g.class_of(root)
+        assigned = [m for m in members if r.defined(m)]
+        if not assigned:
+            continue
+        reps = {r.get(m) for m in assigned}
+        if len(reps) != 1:
+            return False
+        rep = reps.pop()
+        if rep not in members:
+            return False
+        if len(assigned) != len(members):
+            return False  # partially assigned class
+    for rep in set(r.assignment.values()):
+        if any(not r.defined(c) for c in g.nodes[rep].children):
+            return False
+    return not has_cycle(g, r)
+
+
+def core_reachable_nodes(g, r, core):
+    """Nodes reachable in the representative graph from classes that keep
+    two or more core nodes.  Only such classes contribute output literals,
+    so a variable node outside this set never appears in the result -- a
+    diagnostic for the second elimination condition."""
+    succ = {}
+    for a, b in build_repr_graph(g, r):
+        succ.setdefault(a, set()).add(b)
+    seeds = set()
+    for root in g.roots():
+        kept = [m for m in g.class_of(root) if m in core]
+        if len(kept) >= 2:
+            seeds.update(kept)
+    reached = set(seeds)
+    stack = list(seeds)
+    while stack:
+        n = stack.pop()
+        for m in succ.get(n, ()):
+            if m not in reached:
+                reached.add(m)
+                stack.append(m)
+    return reached
 
 
 def ref_var_order(sig, term, memo):

@@ -2,11 +2,11 @@ import pytest
 
 from egraphqe import (Bounds, EGraph, ExtractionBudgetError,
                       InadmissibleReprError, ReprFn, build_repr_graph,
-                      equiv_exists, find_defs, is_admissible,
-                      is_admissible_partial, parse_problem, term_to_sexpr,
-                      to_expr, to_formula)
+                      equiv_exists, find_defs, is_admissible, parse_problem,
+                      term_to_sexpr, to_expr, to_formula)
 
-from conftest import load, random_euf_instance, random_total_repr
+from conftest import (is_admissible_partial, load, random_euf_instance,
+                      random_total_repr)
 
 DEEP_CHAIN = """
 (declare-sort S 0)

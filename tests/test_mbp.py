@@ -1,12 +1,20 @@
+import importlib
+import random
+
 import pytest
 
 from egraphqe import (Bounds, EGraph, InputError, IntVal, Model,
-                      ModelMismatchError, SaturationBudgetError, find_model,
-                      implies_exists, mbp, parse_model, qel, satisfies)
+                      ModelMismatchError, SaturationBudgetError, Signature,
+                      TermStore, compute_cground, find_model,
+                      formula_to_sexpr, implies_exists, mbp, parse_model, qel,
+                      satisfies)
 from egraphqe.parser import parse_problem
 
 from conftest import (DEMOS, load_mbp, random_projection_instance, reparse,
                       same_literals)
+
+# the package exports the function mbp under the module's name
+mbp_module = importlib.import_module("egraphqe.mbp")
 
 MBP_EXPECTED = ("(and (= i (read (fst (read p2 j)) i))"
                 " (= l (snd (read p2 j)))"
@@ -542,3 +550,183 @@ def test_many_reads_saturate_completely(rng):
             for j in reads[k + 1:]:
                 assert g.find(i) == g.find(j) or \
                     frozenset((g.find(i), g.find(j))) in disequal
+
+
+# -- the model-partitioned Ackermann rule against all pairs ---------------------
+
+def _all_pairs_rule_ackermann(state, a, b):
+    """Reference: the all-pairs Ackermann rule.  Two reads a, b over one base
+    node that is a projected array variable, at syntactically distinct
+    indices: record the index (dis)equality the model chooses."""
+    g = state.g
+    na, nb = g.nodes[a], g.nodes[b]
+    base = g.nodes[na.children[0]]
+    if not (state.projected(base.label) and not base.children):
+        return False
+    e1, e2 = g.nodes[na.children[1]].term, g.nodes[nb.children[1]].term
+    if e1 is e2:
+        return False
+    if state.meval(e1) == state.meval(e2):
+        g.assert_eq(e1, e2)
+    else:
+        g.assert_diseq(e1, e2)
+    state.fired("ackermann")
+    return True
+
+
+def _read_pairs(g, new_reads):
+    """Pairs (a, b), a < b, of reads over one base node with b among the
+    pass's new reads (so b below the pass's node count), in lexicographic
+    order."""
+    new = set(new_reads)
+    by_base = {}
+    for n in range(max(new_reads, default=-1) + 1):
+        node = g.nodes[n]
+        if node.label == "read":
+            by_base.setdefault(node.children[0], []).append(n)
+    return sorted((a, b) for group in by_base.values()
+                  for i, a in enumerate(group) for b in group[i + 1:]
+                  if b in new)
+
+
+def _all_pairs_ackermann(state, reads):
+    fired = False
+    for a, b in _read_pairs(state.g, reads):
+        if _all_pairs_rule_ackermann(state, a, b):
+            fired = True
+    return fired
+
+
+def _twin_instances():
+    """(name, build) pairs; build() makes a fresh (sig, store, formula,
+    var_names, model), since mbp declares its fresh constants in the
+    signature.  200 criterion-5 projections, the many-reads instance at 10,
+    40 and 120 reads, and the projection demo under both models."""
+    out = []
+    rng = random.Random(5)
+    while len(out) < 200:
+        state = rng.getstate()
+        sig, store, formula = random_projection_instance(rng)
+        nvars = len(sig.variables)
+        bounds = Bounds(universe=3 if nvars <= 2 else 2)
+        model = find_model(sig, store, formula, bounds)
+        if model is None:
+            continue
+
+        def build(state=state, bounds=bounds):
+            again = random.Random()
+            again.setstate(state)
+            sig, store, formula = random_projection_instance(again)
+            model = find_model(sig, store, formula, bounds)
+            return sig, store, formula, formula.free_vars, model
+        out.append((f"criterion-5 #{len(out)}", build))
+    for n in (10, 40, 120):
+        def build(n=n):
+            prob, model = _many_reads_instance(random.Random(n), n)
+            return prob.sig, prob.store, prob.formula, ["a"], model
+        out.append((f"{n} reads", build))
+    for name in ("nested_pair_array.model", "nested_pair_array_alt.model"):
+        def build(name=name):
+            prob, model = load_mbp(model=name)
+            return (prob.sig, prob.store, prob.formula, prob.formula.free_vars,
+                    model)
+        out.append((name, build))
+    return out
+
+
+def _projection_facts(build):
+    sig, store, formula, var_names, model = build()
+    res = mbp(sig, store, formula, var_names, model)
+    g = res.graph
+    partition = [g.find(n) for n in g.node_ids()]
+    diseqs = {frozenset((g.find(a), g.find(b))) for a, b in g.diseqs}
+    return formula_to_sexpr(res.formula), partition, diseqs
+
+
+def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
+    instances = _twin_instances()
+    partitioned = [_projection_facts(build) for _, build in instances]
+    node_rules, _, diseq_rules = mbp_module._ARRAY_RULES
+    monkeypatch.setattr(mbp_module, "_FAMILIES", (
+        (node_rules, (_all_pairs_ackermann,), diseq_rules),
+        mbp_module._ADT_RULES))
+    for (name, build), got in zip(instances, partitioned):
+        text, partition, diseqs = _projection_facts(build)
+        assert got[0] == text, name
+        assert got[1] == partition, name
+        assert got[2] == diseqs, name
+
+
+def test_320_reads_fit_the_default_budget():
+    prob, model = _many_reads_instance(random.Random(320), 320)
+    res = mbp(prob.sig, prob.store, prob.formula, ["a"], model)
+    assert 0 < res.rule_fires["ackermann"] <= 400
+    assert "a" not in res.formula.free_vars
+    assert satisfies(res.model, prob.sig, res.formula)
+
+
+# -- constructive groundness carried across saturation passes --------------------
+
+def test_carried_cground_equals_a_fresh_one(monkeypatch):
+    """At the start of every pass, and on the saturated graph, the analysis
+    mbp carries equals one computed from scratch."""
+    def checked(g, info=None):
+        got = compute_cground(g, info)
+        fresh = compute_cground(g)
+        assert got.cground == fresh.cground
+        assert got.ground_class == fresh.ground_class
+        carried.append(got)
+        return got
+
+    monkeypatch.setattr(mbp_module, "compute_cground", checked)
+    for name, build in _twin_instances():
+        carried = []
+        sig, store, formula, var_names, model = build()
+        g = mbp(sig, store, formula, var_names, model).graph
+        assert carried, name
+        checked(g, carried[-1])
+
+
+def test_carried_cground_takes_in_merges_either_way():
+    sig = Signature()
+    u = sig.declare_sort("U")
+    sig.declare_const("c", u)
+    sig.declare_var("x", u)
+    sig.declare_fun("f", [u], u)
+    sig.declare_fun("h", [u], u)
+    store = TermStore(sig)
+    c, x = store.mk_const("c"), store.mk_const("x")
+    fx, hx = store.mk_app("f", (x,)), store.mk_app("h", (x,))
+
+    def same_as_fresh(g, info):
+        fresh = compute_cground(g)
+        assert (info.cground, info.ground_class) == \
+            (fresh.cground, fresh.ground_class)
+
+    # the ground class has the older root and absorbs x, whose member has
+    # the parent f(x): re-canonicalizing the ground roots alone misses it
+    g = EGraph(sig, store)
+    g.add_term(c)
+    g.add_term(fx)
+    info = compute_cground(g)
+    assert info.ground_class == {g.node_of_term(c)}
+    g.assert_eq(c, x)
+    info = compute_cground(g, info)
+    assert g.node_of_term(fx) in info.cground
+    same_as_fresh(g, info)
+    # a node added later over a child that is ground already
+    g.add_term(hx)
+    info = compute_cground(g, info)
+    assert g.node_of_term(hx) in info.cground
+    same_as_fresh(g, info)
+
+    # the other way round: x's class has the older root and absorbs c
+    g = EGraph(sig, store)
+    g.add_term(fx)
+    g.add_term(c)
+    info = compute_cground(g)
+    g.assert_eq(x, c)
+    info = compute_cground(g, info)
+    assert info.ground_class == {g.find(g.node_of_term(x)),
+                                 g.find(g.node_of_term(fx))}
+    same_as_fresh(g, info)

@@ -1,6 +1,6 @@
 import pytest
 
-from egraphqe import (AdtVal, BoolVal, Elem, IntVal, Literal, Model,
+from egraphqe import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Literal, Model,
                       Signature, TermStore, eval_term, holds,
                       mk_array, parse_model, parse_problem, satisfies)
 from egraphqe.model import ModelError, array_read, array_write, default_value
@@ -255,3 +255,20 @@ def test_comments_at_either_end_are_skipped():
     assert set(prob.sig.sorts) == {"Bool", "Int", "S"}
     model = parse_model("(define-value c (elem S 1)) ; (y z", prob.sig)
     assert model.constants == {"c": Elem("S", 1)}
+
+
+def test_model_values_2000_deep_read_without_recursion():
+    depth = 2000
+    sort = "(Array Int " * depth + "V" + ")" * depth
+    sig = parse_problem(f"(declare-sort V 0) (declare-var a {sort})").sig
+    head = "(define-value a " + "(array (default " * depth
+    model = parse_model(head + "(elem V 1)" + "))" * depth + ")", sig)
+    value = model.constants["a"]
+    for _ in range(depth):
+        assert isinstance(value, ArrayVal) and value.entries == ()
+        value = value.default
+    assert value == Elem("V", 1)
+    # an error at the bottom is reported where it stands
+    with pytest.raises(ModelError) as exc:
+        parse_model(head + "(elem W 1)" + "))" * depth + ")", sig)
+    assert str(exc.value) == f"expected a value of sort V at 1:{len(head)}"

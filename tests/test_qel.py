@@ -2,12 +2,12 @@ import pytest
 
 from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
                       find_core, find_defs, formula_to_sexpr, is_admissible,
-                      mbp, process, qel, refine_defs, to_expr)
+                      mbp, process, qel, refine_defs, to_expr, to_formula)
 from egraphqe.parser import parse_problem
 from egraphqe.qel import _makes_cycle
 
 from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem,
-                      is_ground_class, is_maximally_ground, load, load_mbp,
+                      core_reachable_nodes, is_ground_class, is_maximally_ground, load, load_mbp,
                       random_euf_instance, random_grounded_var_instance)
 
 
@@ -316,7 +316,6 @@ def test_unreachable_variables_never_survive(rng):
     """Diagnostic for the second elimination condition: a variable node the
     representative graph cannot reach from any class with two or more core
     nodes is absent from the output."""
-    from egraphqe import core_reachable_nodes, to_formula
     for _ in range(80):
         sig, store, formula, g = random_euf_instance(rng)
         r = refine_defs(g, find_defs(g), formula.free_vars)
