@@ -2,9 +2,11 @@
 
 The oracle enumerates every interpretation of the kept symbols over small
 finite universes and compares satisfiability of the existential closures.
-The interpretations are enumerated in full; per interpretation, the
-assignments of the existential variables are searched by backtracking,
-each literal checked as soon as its last variable is bound.  A term that
+The interpretations are enumerated up to a renaming of the elements of
+the uninterpreted sorts, each counted with the number it stands for; per
+interpretation, the assignments of the existential variables are searched
+by backtracking, each literal checked as soon as its last variable is
+bound.  A term that
 leaves the integer window is undefined, and an interpretation on which the
 comparison stays undefined is skipped and counted.  Declared variables
 passed as ``free`` are kept symbols too.  It is the independent

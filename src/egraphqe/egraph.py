@@ -220,9 +220,6 @@ class EGraph:
     def num_classes(self) -> int:
         return len(self._members)
 
-    def node_of_term(self, term: Term):
-        return self._term_node.get(term.id)
-
     def var_names(self) -> list:
         """Variable labels present in the graph, in node-id order."""
         out = []

@@ -405,11 +405,11 @@ def _name(form) -> str:
 
 
 def _int(form, index) -> int:
+    """The integer at child index of form: an optional '-' and a numeral of
+    ASCII digits, as in problem input (terms.is_numeral)."""
     text = form[index]
-    try:
-        return int(text)
-    except TypeError:  # a list, not an atom
-        raise ModelError("expected a symbol") from None
-    except ValueError:
-        raise LocatedError(f"expected an integer, got '{text}'",
-                           form, index) from None
+    if not isinstance(text, str):
+        raise ModelError("expected a symbol")
+    if not is_numeral(text[1:] if text.startswith("-") else text):
+        raise LocatedError(f"expected an integer, got '{text}'", form, index)
+    return int(text)

@@ -3,7 +3,13 @@
 Decides entailment and equivalence of existential closures by enumerating
 every interpretation of the shared symbols within given bounds and, per
 interpretation, searching assignments for the existential variables.  The
-interpretations are enumerated in full.  The assignment search backtracks:
+interpretations are enumerated up to renaming: two that differ by a
+renaming of the elements of an uninterpreted sort get the same verdict, so
+one stands for the others and counts with their number (its weight).  The
+first interpretation in product order with a given verdict is always
+enumerated, so witnesses and models are those of the full product.  Int,
+Bool, array and datatype values are enumerated in full.  The assignment
+search backtracks:
 it binds the variables one at a time in sorted name order and checks each
 literal as soon as its last variable is bound (forward checking), so a
 failing literal prunes every assignment that extends the bound prefix.  It
@@ -67,9 +73,18 @@ class Bounds:
 
 @dataclass
 class Verdict:
+    """ok: whether the comparison holds on every interpretation on which it
+    is defined.  witness: the first failing interpretation in product
+    order.  skipped: how many interpretations the comparison is undefined
+    on, each enumerated one counted with its weight
+    (_Context.interpretations).  On a passing verdict that is the number in
+    the full product.  On a failing one it is the weighted count of those
+    enumerated before the witness, which may include renamings that come
+    after it in product order; it is exactly the number before the witness
+    when no constant or function value lies in an uninterpreted sort."""
     ok: bool
-    witness: Optional[dict] = None      # failing shared interpretation
-    skipped: int = 0                    # interpretations left undefined
+    witness: Optional[dict] = None
+    skipped: int = 0
 
     def __bool__(self):
         return self.ok
@@ -95,7 +110,7 @@ def _compare(sig, store, f1, f2, bounds, both_ways, free):
         raise ValueError(f"free names no declared variable: {sorted(unknown)}")
     ctx = _Context(sig, store, (f1, f2), bounds, free)
     skipped = 0
-    for interp in ctx.interpretations():
+    for interp, weight in ctx.interpretations():
         s1 = ctx.sat(f1, interp)
         if s1 is False and not both_ways:
             continue  # a false premise decides the implication
@@ -105,7 +120,7 @@ def _compare(sig, store, f1, f2, bounds, both_ways, free):
         if s2 is True and not both_ways:
             continue
         if s1 is None or s2 is None:
-            skipped += 1
+            skipped += weight
         elif s1 != s2:
             return Verdict(False, witness=dict(interp), skipped=skipped)
     return Verdict(True, skipped=skipped)
@@ -116,7 +131,7 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
     Model usable by the evaluator; None when unsatisfiable in bounds."""
     bounds = bounds or Bounds()
     ctx = _Context(sig, store, (formula,), bounds)
-    for interp in ctx.interpretations():
+    for interp, _ in ctx.interpretations():
         assign = ctx.sat(formula, interp, want_assignment=True)
         if assign is None:
             continue
@@ -153,6 +168,18 @@ class _Context:
         self._uninterp = sorted(name for name, s in self.sorts_used.items()
                                 if s.kind is SortKind.UNINTERPRETED)
         self._sizes = {name: bounds.universe for name in self._uninterp}
+        # element 0 of a sort that is an array's value or a datatype's field
+        # is named by the arrays' pinned default and the selectors' defaults
+        # (_default), so it is never renamed
+        within = _sorts_within([*self.sorts_used.values(),
+                                *(t.sort for terms in self.terms for t in terms)])
+        self._pinned = {s.name for sort in within.values()
+                        for s in _defaulted(sort) if s.name in self._sizes}
+        # the uninterpreted sorts that constants and function values range over
+        self._renamable = {
+            s.name for s in itertools.chain(
+                self.consts.values(), (r for _, r in self.funcs.values()))
+            if s.kind is SortKind.UNINTERPRETED}
         self._domains = {}
         self._guard()
 
@@ -189,28 +216,13 @@ class _Context:
 
     def _sorts_used(self):
         """The sorts of the enumerated symbols and every sort inside them,
-        by name, each after the sorts inside it.  Walked with an explicit
-        stack and keyed by name, so no sort is hashed, however deep."""
+        by name, each after the sorts inside it (_sorts_within)."""
         roots = list(self.consts.values())
         for args, res in self.funcs.values():
             roots += (*args, res)
         for fvars in self.vars_per_formula:
             roots += fvars.values()
-        out = {}
-        stack = [(sort, False) for sort in reversed(roots)]
-        while stack:
-            sort, expanded = stack.pop()
-            if sort.name in out:
-                continue
-            if expanded:
-                out[sort.name] = sort
-                continue
-            stack.append((sort, True))
-            if sort.kind is SortKind.ARRAY:
-                stack += [(sort.value, False), (sort.index, False)]
-            for ctor in sort.constructors:
-                stack += [(s, False) for _, s in ctor.selectors]
-        return out
+        return _sorts_within(roots)
 
     def domain(self, sort: Sort) -> list:
         hit = self._domains.get(sort.name)
@@ -310,15 +322,67 @@ class _Context:
         return out
 
     def interpretations(self):
-        """All interpretations, over every universe-size vector up to the
-        bound (so one-element universes are covered as well)."""
+        """Pairs (interpretation, weight), over every universe-size vector
+        up to the bound (so one-element universes are covered as well), in
+        product order.  When a constant or a function's values lie in an
+        uninterpreted sort with at least two elements that are not pinned,
+        the interpretations are enumerated up to a renaming of the elements
+        (_up_to_renaming), and the weight is the number of interpretations
+        of the product that the one yielded stands for, so the weights sum
+        to the size of the product.  Else no renaming can leave one out, and
+        each interpretation of the product is yielded, with weight 1."""
         for sizes in self._size_vectors():
             self._sizes = dict(zip(self._uninterp, sizes))
             self._domains = {}
+            if any(self._sizes[name] - (name in self._pinned) > 1
+                   for name in self._renamable):
+                yield from _up_to_renaming(*self._cells())
+                continue
             choices = self._choices()
             names = [n for n, _ in choices]
             for combo in itertools.product(*(c for _, c in choices)):
-                yield dict(zip(names, combo))
+                yield dict(zip(names, combo)), 1
+
+    def _cells(self):
+        """The cells of an interpretation in product order: the constants,
+        then each function's table entries in key order, constants and
+        functions by name.  Elements of the uninterpreted sorts are numbered
+        one bit each.  A cell is (value domain, mask of the elements in its
+        key, per value the mask of the elements in it, whether the value
+        sort is uninterpreted).  Returned with the layout that puts the
+        cells' values together as an interpretation, and the mask of the
+        pinned elements."""
+        first = {}
+        n = 0
+        for name in self._uninterp:
+            first[name] = n
+            n += self._sizes[name]
+        masks = {}
+        layout = []
+        cells = []
+
+        def add(sort, key_mask):
+            dom = self.domain(sort)
+            if sort.name not in masks:
+                masks[sort.name] = [_elements(v, first) for v in dom]
+            cells.append((dom, key_mask, masks[sort.name],
+                          sort.kind is SortKind.UNINTERPRETED))
+
+        for name, sort in sorted(self.consts.items()):
+            layout.append((name, None, len(cells)))
+            add(sort, 0)
+        for name, (arg_sorts, result) in sorted(self.funcs.items()):
+            keys = list(itertools.product(*(self.domain(s) for s in arg_sorts)))
+            layout.append((name, keys, len(cells)))
+            for key in keys:
+                key_mask = 0
+                for arg in key:
+                    key_mask |= _elements(arg, first)
+                add(result, key_mask)
+        pinned = 0
+        for name in self._pinned:
+            pinned |= 1 << first[name]
+        return layout, cells, pinned
 
     def sat(self, formula, interp, want_assignment=False):
         """Whether the formula holds under interp for some assignment of its
@@ -560,6 +624,114 @@ def _new_subterms(lit, seen):
             for t in post_order(side, seen):
                 seen.add(t.id)
                 yield t
+
+
+def _sorts_within(roots):
+    """The sorts in roots and every sort inside them, by name, each after
+    the sorts inside it.  Walked with an explicit stack and keyed by name,
+    so no sort is hashed, however deep."""
+    out = {}
+    stack = [(sort, False) for sort in reversed(roots)]
+    while stack:
+        sort, expanded = stack.pop()
+        if sort.name in out:
+            continue
+        if expanded:
+            out[sort.name] = sort
+            continue
+        stack.append((sort, True))
+        if sort.kind is SortKind.ARRAY:
+            stack += [(sort.value, False), (sort.index, False)]
+        for ctor in sort.constructors:
+            stack += [(s, False) for _, s in ctor.selectors]
+    return out
+
+
+def _defaulted(sort):
+    """The sorts inside sort whose default value its values may hold: an
+    array's value sort (each array's default is pinned, see domain) and a
+    datatype's field sorts (a selector's default, _default)."""
+    if sort.kind is SortKind.ARRAY:
+        return [sort.value]
+    return [s for ctor in sort.constructors for _, s in ctor.selectors]
+
+
+def _up_to_renaming(layout, cells, pinned):
+    """The interpretations whose cells take the values of cells, up to a
+    renaming of the elements of the uninterpreted sorts (the least-number
+    heuristic of SEM: Zhang & Zhang, IJCAI 1995), each with its weight.
+    An element is mentioned once it appears in an earlier cell's key or
+    value, in the cell's own key, or is pinned.  A cell of an uninterpreted
+    sort takes only the mentioned elements and the first element not
+    mentioned; the latter stands for each of the k elements not mentioned,
+    which a renaming that fixes the mentioned ones swaps with it, so it
+    multiplies the weight by k.  Every other cell takes its whole domain.
+    A renaming preserves every verdict, and each interpretation left out
+    has a renamed twin that comes earlier in product order, so the first
+    interpretation of the product with a given verdict is yielded.  Depth
+    first over the cells with explicit stacks, in product order."""
+    n = len(cells)
+    values = [None] * n
+    options = [_options(cells[0], pinned)] + [None] * (n - 1)
+    pos = [0] * n
+    weights = [1] * n  # per depth, the weight of the cells before it
+    d = 0
+    while d >= 0:
+        i = pos[d]
+        if i == len(options[d]):
+            pos[d] = 0
+            d -= 1
+            continue
+        pos[d] = i + 1
+        values[d], mentioned, factor = options[d][i]
+        weight = weights[d] * factor
+        if d + 1 < n:
+            d += 1
+            weights[d] = weight
+            options[d] = _options(cells[d], mentioned)
+        else:
+            yield {name: values[at] if keys is None
+                   else dict(zip(keys, values[at:at + len(keys)]))
+                   for name, keys, at in layout}, weight
+
+
+def _options(cell, mentioned):
+    """The values that cell takes after cells that mention the elements in
+    mentioned: per value, (value, the elements mentioned after it, the
+    factor it brings to the weight)."""
+    dom, key_mask, masks, uninterpreted = cell
+    mentioned |= key_mask
+    if not uninterpreted:
+        return [(v, mentioned | m, 1) for v, m in zip(dom, masks)]
+    out = []
+    new = True
+    for v, bit in zip(dom, masks):
+        if mentioned & bit:
+            out.append((v, mentioned, 1))
+        elif new:
+            new = False
+            unmentioned = sum(1 for b in masks if not mentioned & b)
+            out.append((v, mentioned | bit, unmentioned))
+    return out
+
+
+def _elements(value, first):
+    """Mask of the elements of uninterpreted sorts inside value, the k-th
+    element of sort S at bit first[S] + k; walked with an explicit stack."""
+    mask = 0
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):
+            if v[0] == "e":
+                mask |= 1 << (first[v[1]] + v[2])
+            elif v[0] == "arr":
+                stack.append(v[1])
+                for entry in v[2]:
+                    stack += entry
+            else:
+                stack += v[2]
+    return mask
 
 
 def _capped_pow(base, exp, cap):

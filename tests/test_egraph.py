@@ -99,12 +99,12 @@ def test_assert_eq_congruence_propagates():
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     store = prob.store
     g.assert_eq(store.mk_const("a"), store.mk_const("b"))
-    fa = g.node_of_term(store.mk_app("f", (store.mk_const("a"),)))
-    fb = g.node_of_term(store.mk_app("f", (store.mk_const("b"),)))
+    fa = g.add_term(store.mk_app("f", (store.mk_const("a"),)))
+    fb = g.add_term(store.mk_app("f", (store.mk_const("b"),)))
     assert g.find(fa) == g.find(fb)
     g.assert_eq(store.mk_const("b"), store.mk_const("c"))
-    a = g.node_of_term(store.mk_const("a"))
-    c = g.node_of_term(store.mk_const("c"))
+    a = g.add_term(store.mk_const("a"))
+    c = g.add_term(store.mk_const("c"))
     assert g.find(a) == g.find(c)
 
 
@@ -212,7 +212,9 @@ def _random_assertions(rng, store, n_ops):
 
 
 def _rescan_finds_violation(g):
-    top, bot = g.node_of_term(g.store.top), g.node_of_term(g.store.bot)
+    # true and false have nodes only once some literal added them
+    node_of = {node.term.id: node.id for node in g.nodes}
+    top, bot = node_of.get(g.store.top.id), node_of.get(g.store.bot.id)
     if top is not None and bot is not None and g.find(top) == g.find(bot):
         return True
     return any(g.find(a) == g.find(b) for a, b in g.diseqs)
@@ -320,7 +322,7 @@ def test_class_lists_and_parents_match_a_reference(rng):
             copies = {n: list(view) for n, view in given.items()}
             a, b = rng.choice(pool), rng.choice(pool)
             g.assert_eq(a, b)
-            ref.merge(g, g.node_of_term(a), g.node_of_term(b))
+            ref.merge(g, g.add_term(a), g.add_term(b))
             assert given == copies
             for n in g.node_ids():
                 members = g.class_of(n)

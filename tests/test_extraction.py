@@ -25,8 +25,8 @@ def _deep_chain_graph(depth):
     chain = "(f " * depth + "c" + ")" * depth
     prob = parse_problem(DEEP_CHAIN.format(chain=chain))
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
-    top = g.node_of_term(prob.formula.literals[0].rhs)
-    ga = g.node_of_term(prob.formula.literals[1].rhs)
+    top = g.add_term(prob.formula.literals[0].rhs)
+    ga = g.add_term(prob.formula.literals[1].rhs)
     return prob, g, top, ga
 
 

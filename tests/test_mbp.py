@@ -448,7 +448,7 @@ def test_saturated_graph_keeps_congruent_terms_apart():
     p1 = store.mk_const("p1")
     j = store.mk_const("j")
     fresh = g.add_term(store.mk_app("fst", (store.mk_app("read", (p1, j)),)))
-    fst_p = g.node_of_term(store.mk_app("fst", (store.mk_const("p"),)))
+    fst_p = g.add_term(store.mk_app("fst", (store.mk_const("p"),)))
     # read(p1, j) is not in p's class, so the two fst applications stay apart
     assert g.find(fresh) != g.find(fst_p)
 
@@ -709,15 +709,15 @@ def test_carried_cground_takes_in_merges_either_way():
     g.add_term(c)
     g.add_term(fx)
     info = compute_cground(g)
-    assert info.ground_class == {g.node_of_term(c)}
+    assert info.ground_class == {g.add_term(c)}
     g.assert_eq(c, x)
     info = compute_cground(g, info)
-    assert g.node_of_term(fx) in info.cground
+    assert g.add_term(fx) in info.cground
     same_as_fresh(g, info)
     # a node added later over a child that is ground already
     g.add_term(hx)
     info = compute_cground(g, info)
-    assert g.node_of_term(hx) in info.cground
+    assert g.add_term(hx) in info.cground
     same_as_fresh(g, info)
 
     # the other way round: x's class has the older root and absorbs c
@@ -727,6 +727,6 @@ def test_carried_cground_takes_in_merges_either_way():
     info = compute_cground(g)
     g.assert_eq(x, c)
     info = compute_cground(g, info)
-    assert info.ground_class == {g.find(g.node_of_term(x)),
-                                 g.find(g.node_of_term(fx))}
+    assert info.ground_class == {g.find(g.add_term(x)),
+                                 g.find(g.add_term(fx))}
     same_as_fresh(g, info)

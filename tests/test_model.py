@@ -158,6 +158,14 @@ def test_satisfies_deep_chain_under_planted_model():
     ("(universe S 2)\n\t(universe T\r\n  y)", "expected an integer, got 'y' at 3:2"),
     ("\n  (define-value c (elem S zero))", "expected an integer, got 'zero' at 2:26"),
     ("(define-value c ²)", "expected an integer, got '²' at 1:16"),
+    # an integer is an optional '-' and ASCII digits, as in problem input
+    ("(define-value c ١٢)", "expected an integer, got '١٢' at 1:16"),
+    ("(define-value c (elem S ١))", "expected an integer, got '١' at 1:24"),
+    ("(universe S 1_0)", "expected an integer, got '1_0' at 1:12"),
+    ("(universe S ٣)", "expected an integer, got '٣' at 1:12"),
+    ("(universe S -)", "expected an integer, got '-' at 1:12"),
+    ("(universe S --2)", "expected an integer, got '--2' at 1:12"),
+    ("(universe S +2)", "expected an integer, got '+2' at 1:12"),
     ("(define-value c (elem S 1)))", "unbalanced ')' at 1:27"),
 ])
 def test_positional_model_errors(text, message):

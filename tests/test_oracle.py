@@ -278,6 +278,18 @@ def _product_sat(self, formula, interp, want_assignment=False):
     return None if want_assignment or undefined else False
 
 
+def _product_interpretations(self):
+    """Reference for ``_Context.interpretations``: every interpretation of
+    the product, each of weight 1."""
+    for sizes in self._size_vectors():
+        self._sizes = dict(zip(self._uninterp, sizes))
+        self._domains = {}
+        choices = self._choices()
+        names = [n for n, _ in choices]
+        for combo in itertools.product(*(c for _, c in choices)):
+            yield dict(zip(names, combo)), 1
+
+
 def _outcome(call):
     try:
         out = call()
@@ -288,17 +300,34 @@ def _outcome(call):
     return out
 
 
+def _names_an_element(witness):
+    """Whether a witness gives a value of an uninterpreted sort to some
+    constant or function table entry."""
+    values = [v for val in witness.values()
+              for v in (val.values() if isinstance(val, dict) else (val,))]
+    return any(isinstance(v, tuple) and v[0] == "e" for v in values)
+
+
 def _assert_twins(monkeypatch, calls):
     """Each oracle call gives the same verdict, witness, skip count, model
-    or refusal with the backtracking search as with the three-valued product
-    search."""
+    or refusal with the shipped oracle as with the naive one: the
+    three-valued product search over every interpretation of the product.
+    The one allowed difference is documented at Verdict.skipped: on a
+    failing verdict whose witness gives some cell an element of an
+    uninterpreted sort, the skip count is weighted, and at least the
+    naive one."""
     fast = [_outcome(c) for c in calls]
     with monkeypatch.context() as m:
         m.setattr(oracle._Context, "sat", _product_sat)
+        m.setattr(oracle._Context, "interpretations", _product_interpretations)
         slow = [_outcome(c) for c in calls]
     assert len(fast) == len(slow)
     for i, (f, s) in enumerate(zip(fast, slow)):
-        assert f == s, f"call {i}: {f} != {s}"
+        if isinstance(f, tuple) and len(f) == 3 and f[0] is False and \
+                f[:2] == s[:2] and _names_an_element(f[1]):
+            assert f[2] >= s[2], f"call {i}: {f} != {s}"
+        else:
+            assert f == s, f"call {i}: {f} != {s}"
     return fast
 
 
@@ -455,6 +484,80 @@ def test_backtracking_matches_product_search_on_mbp_demo(monkeypatch):
     (ok, _, _), = _assert_twins(monkeypatch, [_cli_check(
         lambda b: implies_exists(sig, store, outs[-1], formula, b))])
     assert ok
+
+
+# -- interpretations up to a renaming of the uninterpreted elements -----------
+
+def test_renaming_yields_54_of_260_interpretations():
+    prob = parse_problem("(declare-sort U 0) (declare-const c0 U)"
+                         " (declare-const c1 U) (declare-fun f (U) U)"
+                         " (assert (= (f c0) c1))")
+    ctx = oracle._Context(prob.sig, prob.store, (prob.formula,), Bounds())
+    shipped = list(ctx.interpretations())
+    full = list(_product_interpretations(ctx))
+    # universes 1, 2 and 3: 1 + 2 ** 2 * 2 ** 2 + 3 ** 2 * 3 ** 3
+    assert (len(shipped), sum(w for _, w in shipped)) == (54, 260)
+    assert len(full) == 260
+    # in product order, and each one of the product
+    at = [full.index((interp, 1)) for interp, _ in shipped]
+    assert at == sorted(at)
+    # the one interpretation at universe 1; then c0 = e0 at universe 2
+    # stands for c0 = e1 too
+    assert shipped[:2] == [({"c0": ("e", "U", 0), "c1": ("e", "U", 0),
+                             "f": {(("e", "U", 0),): ("e", "U", 0)}}, 1),
+                           ({"c0": ("e", "U", 0), "c1": ("e", "U", 0),
+                             "f": {(("e", "U", 0),): ("e", "U", 0),
+                                   (("e", "U", 1),): ("e", "U", 0)}}, 2)]
+
+
+def test_selector_default_pins_element_0(monkeypatch):
+    # (fld unit) is the default element 0 of V: e0 = x holds only when e0
+    # is element 0, which no renaming may move
+    prob = parse_problem("(declare-sort V 0)"
+                         " (declare-datatype R ((mk (fld V)) (unit)))"
+                         " (declare-const e0 V) (declare-var x V)"
+                         " (assert (= x (fld unit))) (assert (= e0 x))")
+    true = mk_formula(prob.store, [])
+    calls = [partial(equiv_exists, prob.sig, prob.store, prob.formula, true,
+                     Bounds(universe=2)),
+             partial(find_model, prob.sig, prob.store, prob.formula,
+                     Bounds(universe=2))]
+    verdict, model = _assert_twins(monkeypatch, calls)
+    assert verdict == (False, {"e0": ("e", "V", 1)}, 0)
+    assert model.constants["e0"] == model.constants["x"]
+
+
+def test_witness_sets_a_constant_to_a_new_element(monkeypatch):
+    prob = parse_problem("(declare-sort U 0) (declare-const c0 U)"
+                         " (declare-const c1 U) (declare-fun f (U) U)"
+                         " (assert (= (f c0) (f c1)))")
+    true = mk_formula(prob.store, [])
+    calls = [partial(implies_exists, prob.sig, prob.store, true, prob.formula,
+                     bounds) for bounds in (Bounds(), Bounds(universe=2))]
+    outcomes = _assert_twins(monkeypatch, calls)
+    e0, e1 = ("e", "U", 0), ("e", "U", 1)
+    # c0 = e0 stands for every element, c1 = e1 for every other one
+    assert outcomes == [(False, {"c0": e0, "c1": e1,
+                                 "f": {(e0,): e0, (e1,): e1}}, 0)] * 2
+
+
+def test_failing_skip_count_is_weighted(monkeypatch):
+    # k + 1 leaves the window at k = 1; the first failing interpretation is
+    # c0 = e0, c1 = e1, k = 0 at universe 2, after the undefined
+    # c0 = c1 = e0, k = 1 at universes 1 and 2.  The latter at universe 2
+    # stands for c0 = c1 = e1, k = 1 too, which comes after the witness
+    prob = parse_problem("(declare-sort U 0) (declare-const c0 U)"
+                         " (declare-const c1 U) (declare-const k Int)"
+                         " (declare-var y Int) (assert (= y (+ k 1)))")
+    both = mk_formula(prob.store, list(prob.formula.literals) + [Literal(
+        "eq", prob.store.mk_const("c0"), prob.store.mk_const("c1"))])
+    call = partial(equiv_exists, prob.sig, prob.store, prob.formula, both,
+                   Bounds(universe=2, int_window=(0, 1)))
+    witness = {"c0": ("e", "U", 0), "c1": ("e", "U", 1), "k": 0}
+    assert _outcome(call) == (False, witness, 3)
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Context, "interpretations", _product_interpretations)
+        assert _outcome(call) == (False, witness, 2)
 
 
 # -- the oracle and the model evaluator on datatype symbols --------------------
