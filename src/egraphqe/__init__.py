@@ -15,7 +15,7 @@ from .model import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Model, eval_term,
                     holds, mk_array, parse_model, satisfies)
 from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
-from .parser import ParseError, Problem, parse_formula, parse_problem
+from .parser import ParseError, Problem, parse_problem
 from .qel import (CGroundInfo, compute_cground, find_core, find_defs, process,
                   qel, refine_defs)
 from .terms import (Formula, InputError, Literal, Signature, Sort, SortKind,
@@ -32,7 +32,7 @@ __all__ = [
     "compute_cground", "equiv_exists", "eval_term",
     "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",
     "implies_exists", "is_admissible",
-    "literal_to_sexpr", "mbp", "mk_array", "parse_formula", "parse_model",
+    "literal_to_sexpr", "mbp", "mk_array", "parse_model",
     "parse_problem", "process", "qel", "refine_defs", "satisfies",
     "term_to_sexpr", "to_expr", "to_formula",
 ]

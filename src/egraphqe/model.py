@@ -172,9 +172,9 @@ def _apply(model, sig, term, args) -> Value:
     if label == "write":
         return array_write(args[0], args[1], args[2])
     if label == "ueq":
-        return BoolVal(args[0] == args[1])
+        return BoolVal(_equal(args[0], args[1]))
     if label == "distinct":
-        return BoolVal(args[0] != args[1])
+        return BoolVal(not _equal(args[0], args[1]))
     role = sig.datatype.get(label)
     if role is not None:
         kind, ctor, i = role
@@ -192,13 +192,39 @@ def _apply(model, sig, term, args) -> Value:
     raise ModelError(f"symbol '{label}' has no interpretation")
 
 
+def _equal(a: Value, b: Value) -> bool:
+    """a == b, by an explicit stack of the pairs of parts still to compare,
+    so values of any depth compare: as the dataclasses' own __eq__, two
+    values are equal when they have one class and equal fields."""
+    if a.__class__ is not ArrayVal and a.__class__ is not AdtVal:
+        return a == b  # an Int, Bool or element value, whose fields are flat
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is ArrayVal:
+            if len(a.entries) != len(b.entries):
+                return False
+            pending.append((a.default, b.default))
+            for (ka, va), (kb, vb) in zip(a.entries, b.entries):
+                pending += ((ka, kb), (va, vb))
+        elif cls is AdtVal:
+            if a.ctor != b.ctor or len(a.args) != len(b.args):
+                return False
+            pending += zip(a.args, b.args)
+        elif a != b:
+            return False
+    return True
+
+
 def holds(model: Model, sig: Signature, lit: Literal, _memo=None) -> bool:
     memo = {} if _memo is None else _memo
-    lhs = _eval(model, sig, lit.lhs, memo)
-    rhs = _eval(model, sig, lit.rhs, memo)
-    if lit.kind == "diseq":
-        return lhs != rhs
-    return lhs == rhs
+    same = _equal(_eval(model, sig, lit.lhs, memo), _eval(model, sig, lit.rhs, memo))
+    return not same if lit.kind == "diseq" else same
 
 
 def satisfies(model: Model, sig: Signature, formula) -> bool:
@@ -273,11 +299,12 @@ def _universes(forms, sig) -> dict:
             sort = sig.sorts.get(name)
             if sort is None or sort.kind is not SortKind.UNINTERPRETED:
                 raise LocatedError(
-                    f"'{name}' is not a declared uninterpreted sort", form, 1)
+                    f"'{name}' is not a declared uninterpreted sort",
+                    form.at_child(1))
             if k < 1:
-                raise LocatedError(f"universe of '{name}' is empty", form, 2)
+                raise LocatedError(f"universe of '{name}' is empty", form.at_child(2))
             if name in universes:
-                raise LocatedError(f"duplicate universe for '{name}'", form, 1)
+                raise LocatedError(f"duplicate universe for '{name}'", form.at_child(1))
             universes[name] = k
     return universes
 
@@ -331,7 +358,7 @@ def _read(form, index, sort, universes):
             if sort.kind is SortKind.INT:
                 return IntVal(n)
         else:
-            raise LocatedError(f"bad value '{v}'", form, index)
+            raise LocatedError(f"bad value '{v}'", form.at_child(index))
     elif not v or not isinstance(v[0], str):
         raise ModelError("bad value")
     elif v[0] == "elem" and len(v) == 3:
@@ -341,7 +368,7 @@ def _read(form, index, sort, universes):
             size = universes.get(name)
             if size is not None and not 0 <= n < size:
                 raise LocatedError(f"element {n} is outside the universe of "
-                                   f"'{name}' (size {size})", v, 2)
+                                   f"'{name}' (size {size})", v.at_child(2))
             return Elem(name, n)
     elif v[0] == "array" and len(v) >= 2:
         if sort.kind is SortKind.ARRAY:
@@ -353,7 +380,7 @@ def _read(form, index, sort, universes):
                     raise ModelError(f"constructor '{ctor.name}' expects "
                                      f"{ctor.arity} values")
                 return _adt_reader(v, ctor, universes)
-    raise LocatedError(f"expected a value of sort {sort!r}", form, index)
+    raise LocatedError(f"expected a value of sort {sort!r}", form.at_child(index))
 
 
 def _array_reader(v, sort, universes):
@@ -411,5 +438,5 @@ def _int(form, index) -> int:
     if not isinstance(text, str):
         raise ModelError("expected a symbol")
     if not is_numeral(text[1:] if text.startswith("-") else text):
-        raise LocatedError(f"expected an integer, got '{text}'", form, index)
+        raise LocatedError(f"expected an integer, got '{text}'", form.at_child(index))
     return int(text)

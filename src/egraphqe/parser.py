@@ -18,13 +18,20 @@ for array access and the usual prefix arithmetic symbols; numerals are
 auto-declared.  Inside a term, (distinct t u) is an ordinary Bool term.
 ``peq`` is reserved for the partial equalities of array projection and
 rejected in input.
+
+The text is split into one token list (``sexpr.tokens``), walked by index.
+The terms of an assert are hash-consed straight from the tokens, and a
+declaration is read as a small ``Form``, or directly when its sort is one
+atom.  Nothing checks the parentheses up front: when reading fails, the
+text is read as forms first, so that an unbalanced ')' or an unclosed '('
+is the error reported, as it is when it comes first in the text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .sexpr import LocatedError, read_all
+from .sexpr import LocatedError, read_all, read_form, tokens
 from .terms import (BOOL, Formula, InputError, Literal, Signature,
                     TermStore, mk_formula)
 
@@ -42,60 +49,85 @@ class Problem:
 
 
 def parse_problem(text: str) -> Problem:
+    toks = tokens(text)
     try:
-        return _problem(read_all(text))
+        try:
+            return _problem(toks)
+        except (InputError, LocatedError, IndexError):
+            # an unbalanced ')' or an unclosed '(' is reported first; only
+            # an unclosed '(' lets the readers run off the end of toks
+            read_all(text)
+            raise
     except LocatedError as e:
         raise ParseError(e.located(text)) from None
 
 
-def _problem(forms) -> Problem:
+_PARENS = frozenset("()")
+
+
+def _problem(toks) -> Problem:
     sig = Signature()
     store = TermStore(sig)
     literals = []
     command = None
-    for form in forms:
+    k = 0
+    while k < len(toks):
         if command is not None:
             raise ParseError(f"content after ({command})")
-        if not isinstance(form, list) or not form or not isinstance(form[0], str):
-            raise ParseError(f"expected a command, got {_show(form)}")
-        head = form[0]
-        if head == "declare-sort":
-            name, arity = _exact(form, 2, "declare-sort (name arity)")
-            if _atom(arity) != "0":
-                raise ParseError("only 0-ary sorts are supported")
-            sig.declare_sort(_atom(name))
-        elif head == "declare-datatype":
-            name, ctors = _exact(form, 2, "declare-datatype (name ctor-list)")
-            sig.declare_datatype(_atom(name), _parse_ctors(sig, ctors))
-        elif head == "declare-fun":
-            name, args, _ = _exact(form, 3, "declare-fun (name args result)")
-            if not isinstance(args, list):
-                raise ParseError("declare-fun needs an argument sort list")
-            sig.declare_fun(_atom(name),
-                            [_sort(sig, args, i) for i in range(len(args))],
-                            _sort(sig, form, 3))
-        elif head == "declare-const":
-            name, _ = _exact(form, 2, "declare-const (name sort)")
-            sig.declare_const(_atom(name), _sort(sig, form, 2))
-        elif head == "declare-var":
-            name, _ = _exact(form, 2, "declare-var (name sort)")
-            sig.declare_var(_atom(name), _sort(sig, form, 2))
-        elif head == "assert":
-            (body,) = _exact(form, 1, "assert (literal)")
-            literals.append(_literal(store, body))
-        elif head in ("qel", "mbp"):
-            if len(form) != 1:
-                raise ParseError(f"({head}) takes no arguments")
-            command = head
+        head = toks[k + 1] if toks[k] == "(" else None
+        if head == "assert":
+            literal, k = _assert(store, toks, k)
+            literals.append(literal)
+        elif head in ("declare-const", "declare-var") \
+                and toks[k + 2] not in _PARENS and toks[k + 3] not in _PARENS \
+                and toks[k + 4] == ")":
+            sort = sig.sorts.get(toks[k + 3])
+            if sort is None:
+                raise LocatedError(f"unknown sort '{toks[k + 3]}'", k + 3)
+            if head == "declare-const":
+                sig.declare_const(toks[k + 2], sort)
+            else:
+                sig.declare_var(toks[k + 2], sort)
+            k += 5
         else:
-            raise LocatedError(f"unknown command '{head}'", form, 0)
+            form, k = read_form(toks, k)
+            command = _command(sig, form)
     return Problem(sig, store, mk_formula(store, literals), command)
 
 
-def parse_formula(text: str):
-    """Convenience entry point: (Signature, Formula) of the input."""
-    prob = parse_problem(text)
-    return prob.sig, prob.formula
+def _command(sig, form):
+    """Enter the declaration form in sig, or return the command it names."""
+    if not isinstance(form, list) or not form or not isinstance(form[0], str):
+        raise ParseError(f"expected a command, got {_show(form)}")
+    head = form[0]
+    if head == "declare-sort":
+        name, arity = _exact(form, 2, "declare-sort (name arity)")
+        if _atom(arity) != "0":
+            raise ParseError("only 0-ary sorts are supported")
+        sig.declare_sort(_atom(name))
+    elif head == "declare-datatype":
+        name, ctors = _exact(form, 2, "declare-datatype (name ctor-list)")
+        sig.declare_datatype(_atom(name), _parse_ctors(sig, ctors))
+    elif head == "declare-fun":
+        name, args, _ = _exact(form, 3, "declare-fun (name args result)")
+        if not isinstance(args, list):
+            raise ParseError("declare-fun needs an argument sort list")
+        sig.declare_fun(_atom(name),
+                        [_sort(sig, args, i) for i in range(len(args))],
+                        _sort(sig, form, 3))
+    elif head == "declare-const":
+        name, _ = _exact(form, 2, "declare-const (name sort)")
+        sig.declare_const(_atom(name), _sort(sig, form, 2))
+    elif head == "declare-var":
+        name, _ = _exact(form, 2, "declare-var (name sort)")
+        sig.declare_var(_atom(name), _sort(sig, form, 2))
+    elif head in ("qel", "mbp"):
+        if len(form) != 1:
+            raise ParseError(f"({head}) takes no arguments")
+        return head
+    else:
+        raise LocatedError(f"unknown command '{head}'", form.at + 1)
+    return None
 
 
 def _parse_ctors(sig, ctors):
@@ -132,7 +164,8 @@ def _sort(sig, parent, index):
             try:
                 built.append(sig.sorts[form])
             except KeyError:
-                raise LocatedError(f"unknown sort '{form}'", parent, index) from None
+                raise LocatedError(f"unknown sort '{form}'",
+                                   parent.at_child(index)) from None
         elif isinstance(form, list) and len(form) == 3 and _atom(form[0]) == "Array":
             pending += [(None, None), (form, 2), (form, 1)]
         else:
@@ -142,35 +175,95 @@ def _sort(sig, parent, index):
 
 _KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
 
-
-def _literal(store, form) -> Literal:
-    if isinstance(form, list) and form and isinstance(form[0], str):
-        head = form[0]
-        if head in _KINDS and len(form) == 3:
-            return _binary(store, _KINDS[head], form)
-        if head == "not" and len(form) == 2:
-            inner = form[1]
-            if isinstance(inner, list) and inner and _atom(inner[0]) == "distinct":
-                if len(inner) != 3:
-                    raise ParseError("'distinct' takes two arguments, "
-                                     f"got {len(inner) - 1}")
-                return _binary(store, "eq", inner)
-            app = _term(store, inner)
-            _need_bool(app)
-            return Literal("eq", app, store.bot)
-    app = _term(store, form)
-    _need_bool(app)
-    return Literal("eq", app, store.top)
+# The readers below take the token ordinal k of what they read and return
+# it with the ordinal after it.  A literal's shape is told by its head and
+# its number of arguments, which is known only once they are read.  So the
+# arguments are read for the shape the head asks for, and when the count
+# turns out other, the literal is read again as a Bool term, as it would
+# have been read from the start; the terms met again are store hits, so the
+# store gains the same terms in the same order.  When reading fails, the
+# literal is read as a form to count its arguments, and an error that the
+# count implies comes first.
 
 
-def _binary(store, kind, form) -> Literal:
-    """The literal of the given kind between the two arguments of form,
-    which must have one sort."""
-    lhs, rhs = _term(store, form[1]), _term(store, form[2])
+def _assert(store, toks, k):
+    """The literal of the (assert LIT) at k."""
+    if toks[k + 2] == ")":
+        raise ParseError("malformed assert (literal)")
+    try:
+        literal, j = _literal(store, toks, k + 2)
+    except (InputError, LocatedError):
+        if toks[read_form(toks, k + 2)[1]] != ")":
+            raise ParseError("malformed assert (literal)") from None
+        raise
+    if toks[j] != ")":
+        raise ParseError("malformed assert (literal)")
+    return literal, j + 1
+
+
+def _literal(store, toks, k):
+    if toks[k] == "(":
+        head = toks[k + 1]
+        kind = _KINDS.get(head)
+        if kind is not None:
+            return _binary(store, toks, k, kind)
+        if head == "not":
+            return _negation(store, toks, k)
+    return _predicate(store, toks, k)
+
+
+def _binary(store, toks, k, kind):
+    """The literal of the given kind between the two arguments of the list
+    at k, which must have one sort."""
+    head = toks[k + 1]
+    lhs = rhs = None
+    j = k + 2
+    try:
+        if toks[j] != ")":
+            lhs, j = _term(store, toks, j)
+            if toks[j] != ")":
+                rhs, j = _term(store, toks, j)
+    except (InputError, LocatedError):
+        if head == "=" and len(read_form(toks, k)[0]) != 3:
+            raise LocatedError("nested '='", k + 1) from None
+        raise
+    if rhs is None or toks[j] != ")":
+        return _predicate(store, toks, k)
     if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
-        raise ParseError(f"'{form[0]}' needs two arguments of one sort, "
+        raise ParseError(f"'{head}' needs two arguments of one sort, "
                          f"got {lhs.sort!r} and {rhs.sort!r}")
-    return Literal(kind, lhs, rhs)
+    return Literal(kind, lhs, rhs), j + 1
+
+
+def _negation(store, toks, k):
+    """The literal of the (not ...) at k: (= t u) for (not (distinct t u)),
+    and app = false for (not app)."""
+    j = k + 2
+    if toks[j] == ")":
+        return _predicate(store, toks, k)
+    if toks[j] == "(" and toks[j + 1] in ("(", "distinct"):
+        form = read_form(toks, k)[0]
+        if len(form) != 2:
+            return _predicate(store, toks, k)
+        inner = form[1]
+        _atom(inner[0])  # else it is 'distinct'
+        if len(inner) != 3:
+            raise ParseError("'distinct' takes two arguments, "
+                             f"got {len(inner) - 1}")
+        literal, j = _binary(store, toks, j, "eq")
+        return literal, j + 1
+    app, j = _term(store, toks, j)
+    if toks[j] != ")":
+        return _predicate(store, toks, k)
+    _need_bool(app)
+    return Literal("eq", app, store.bot), j + 1
+
+
+def _predicate(store, toks, k):
+    """The literal app = true of the Bool term app at k."""
+    app, k = _term(store, toks, k)
+    _need_bool(app)
+    return Literal("eq", app, store.top), k
 
 
 def _need_bool(term):
@@ -178,33 +271,51 @@ def _need_bool(term):
         raise ParseError(f"literal '{term!r}' is not Bool-sorted")
 
 
-def _term(store, form):
-    """The term of form, built bottom-up and left to right by an explicit
-    stack of (application, arguments built so far), so any depth parses."""
-    if isinstance(form, str):
-        return _const(store, form)
-    _check_app(form)
-    stack = [(form, [])]
+_BAD_HEADS = frozenset(("(", ")", "=", "peq"))
+
+
+def _term(store, toks, k):
+    """The term at k, built bottom-up and left to right by an explicit stack
+    of (head, arguments built so far), so any depth parses.  An atom or an
+    application already in the store costs one table lookup."""
+    table = store._table
+    tok = toks[k]
+    if tok != "(":
+        hit = table.get((tok, ()))
+        return (hit if hit is not None else _const(store, tok)), k + 1
+    head = toks[k + 1]
+    if head in _BAD_HEADS:
+        _bad_head(toks, k)
+    stack, args = [], []
+    k += 2
     while True:
-        form, args = stack[-1]
-        i, n = len(args) + 1, len(form)
-        while i < n and isinstance(form[i], str):
-            args.append(_const(store, form[i]))
-            i += 1
-        if i < n:
-            _check_app(form[i])
-            stack.append((form[i], []))
-            continue
-        stack.pop()
-        term = store.mk_app(form[0], args)
-        if not stack:
-            return term
-        stack[-1][1].append(term)
+        tok = toks[k]
+        k += 1
+        if tok == ")":
+            key = (head, tuple(args))
+            term = table.get(key)
+            if term is None:
+                term = store.mk_app(head, key[1])
+            if not stack:
+                return term, k
+            head, args = stack.pop()
+            args.append(term)
+        elif tok == "(":
+            stack.append((head, args))
+            head = toks[k]
+            if head in _BAD_HEADS:
+                _bad_head(toks, k - 1)
+            args = []
+            k += 1
+        else:
+            hit = table.get((tok, ()))
+            args.append(hit if hit is not None else _const(store, tok))
 
 
 def _const(store, atom):
+    """The constant atom, not yet in the store."""
     try:
-        return store.mk_const(atom)
+        return store.mk_app(atom, ())
     except InputError:
         # sort_of rejects every label that mk_const rejects, with the
         # message for a symbol used as a constant
@@ -212,13 +323,15 @@ def _const(store, atom):
         raise
 
 
-def _check_app(form):
-    if not (isinstance(form, list) and form and isinstance(form[0], str)):
-        raise ParseError(f"bad term {_show(form)}")
-    if form[0] == "=":
-        raise LocatedError("nested '='", form, 0)
-    if form[0] == "peq":
-        raise LocatedError("'peq' is reserved", form, 0)
+def _bad_head(toks, k):
+    """Reject the list at k, whose head is not a symbol that may head a
+    term."""
+    head = toks[k + 1]
+    if head == "=":
+        raise LocatedError("nested '='", k + 1)
+    if head == "peq":
+        raise LocatedError("'peq' is reserved", k + 1)
+    raise ParseError(f"bad term {_show(read_form(toks, k)[0])}")
 
 
 def _exact(form, n, what):

@@ -1,8 +1,10 @@
 """Minimal s-expression reader shared by the problem and model parsers.
 
-Atoms are plain strings and a parenthesized list is a ``Form``.  Tokens
-carry no positions: ``where`` reads the text again to find one, and only
-error messages call it.
+``tokens`` splits a text into its tokens, a list of strings, and readers
+walk that list by index.  Atoms are plain strings and a parenthesized list
+read by ``read_form`` is a ``Form``.  An error is located by the ordinal of
+its token in the list: tokens carry no positions, and ``where`` reads the
+text again to find one, which only error messages do.
 """
 from __future__ import annotations
 
@@ -10,38 +12,60 @@ import itertools
 import re
 
 # Whitespace is exactly space, tab, CR and LF; ';' starts a comment that
-# runs to the end of the line.  A token match takes the whitespace and
-# comments after it, so a search never starts inside a comment; _SKIP takes
-# those before the first token.
-_SKIP = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")
-_TOKEN = re.compile(r"([()]|[^ \t\r\n();]+)(?:[ \t\r\n]+|;[^\n]*)*")
+# runs to the end of the line.  Every other character is an atom character,
+# \x0b, \x0c, \x1c and \xa0 among them, so str.split would not do.  A
+# comment is removed (or blanked, to keep positions) before the tokens are
+# matched; the newline after it stays, so it never joins two atoms.
+_COMMENT = re.compile(r";[^\n]*")
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+def tokens(text):
+    """The tokens of text: '(', ')' and atoms, in order."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    return _TOKEN.findall(text)
 
 
 class Form(list):
-    """A parenthesized list; ``at`` is the ordinal of its '(' among the
-    tokens of the text (-1 for the top level, which has none)."""
-    __slots__ = ("at",)
+    """A parenthesized list; ``at`` and ``end`` are the ordinals of its '('
+    and ')' among the tokens of the text."""
+    __slots__ = ("at", "end")
+
+    def at_child(self, index):
+        """The token ordinal of child ``index``, or of the ')' when
+        ``index == len(self)``."""
+        k = self.at + 1
+        for child in self[:index]:
+            k = child.end + 1 if isinstance(child, Form) else k + 1
+        return k
 
 
 class LocatedError(Exception):
-    """An input error at child ``index`` of ``form``.  The entry point that
+    """An input error at the token of ordinal ``at``.  The entry point that
     holds the text reports it as "message at line:col"."""
 
-    def __init__(self, msg, form, index):
+    def __init__(self, msg, at):
         super().__init__(msg)
-        self.form = form
-        self.index = index
+        self.at = at
 
     def located(self, text):
-        return f"{self.args[0]} at {where(text, self.form, self.index)}"
+        return f"{self.args[0]} at {where(text, self.at)}"
 
 
-def read_all(text):
-    """The top-level Form of text: its s-expressions in order."""
-    root = Form()
-    root.at = -1
-    cur, parents = root, []
-    for k, tok in enumerate(_TOKEN.findall(text, _SKIP.match(text).end())):
+def read_form(toks, k):
+    """The s-expression at token ``k`` of toks, an atom or a Form, and the
+    ordinal of the token after it."""
+    tok = toks[k]
+    if tok != "(":
+        if tok == ")":
+            raise LocatedError("unbalanced ')'", k)
+        return tok, k + 1
+    top = cur = Form()
+    cur.at = k
+    parents = []
+    for k in range(k + 1, len(toks)):
+        tok = toks[k]
         if tok == "(":
             form = Form()
             form.at = k
@@ -49,30 +73,32 @@ def read_all(text):
             parents.append(cur)
             cur = form
         elif tok == ")":
+            cur.end = k
             if not parents:
-                raise LocatedError("unbalanced ')'", root, len(root))
+                return top, k + 1
             cur = parents.pop()
         else:
             cur.append(tok)
-    if parents:
-        raise LocatedError("unclosed '('", parents[-1], len(parents[-1]) - 1)
-    return root
+    raise LocatedError("unclosed '('", cur.at)
 
 
-def where(text, form, index):
-    """"line:col" of child ``index`` of ``form`` in text, or of the token
-    after its last child when ``index == len(form)``.  Lines count from 1
-    and columns from 0, one column per character (a tab or a CR is one)."""
-    depth = child = 0
-    tokens = _TOKEN.finditer(text, _SKIP.match(text).end())
-    for m in itertools.islice(tokens, form.at + 1, None):
-        if depth == 0:
-            if child == index:
-                break
-            child += 1
-        tok = m.group(1)
-        depth += (tok == "(") - (tok == ")")
-    start = m.start()
+def read_all(text):
+    """The s-expressions of text in order, as a list.  The first unbalanced
+    ')' or, failing one, the innermost unclosed '(' is an error."""
+    toks = tokens(text)
+    forms, k = [], 0
+    while k < len(toks):
+        form, k = read_form(toks, k)
+        forms.append(form)
+    return forms
+
+
+def where(text, at):
+    """"line:col" of the token of ordinal ``at`` in text.  Lines count from
+    1 and columns from 0, one column per character (a tab or a CR is one)."""
+    if ";" in text:
+        text = _COMMENT.sub(lambda m: " " * len(m.group()), text)
+    start = next(itertools.islice(_TOKEN.finditer(text), at, None)).start()
     line = text.count("\n", 0, start) + 1
     col = start - text.rfind("\n", 0, start) - 1
     return f"{line}:{col}"

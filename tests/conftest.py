@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -8,8 +10,9 @@ from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
                       compute_cground, parse_model, parse_problem,
                       term_to_sexpr)
 from egraphqe.extraction import has_cycle
+from egraphqe.parser import ParseError, Problem
 from egraphqe.sexpr import read_all
-from egraphqe.terms import mk_formula, post_order
+from egraphqe.terms import BOOL, InputError, mk_formula, post_order
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -327,3 +330,264 @@ DISTINCT_TERM_PROBLEMS = [
     "(declare-fun P (Bool) Bool) (declare-var x S)\n"
     "(assert (P (distinct a x)))\n(assert (= q (distinct a x)))\n",
 ]
+
+
+# -- reference problem reader ---------------------------------------------------
+# The reader the token-stream parser replaced: the whole text is read into
+# nested lists first (REF_TOKEN takes each token with the whitespace and
+# comments after it), and each assert body is then walked as a list.  The
+# parser must build the same terms in the same order, and fail where this
+# fails, with the same exception type and message.
+
+_REF_SKIP = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*")
+REF_TOKEN = re.compile(r"([()]|[^ \t\r\n();]+)(?:[ \t\r\n]+|;[^\n]*)*")
+
+
+def ref_tokens(text):
+    return REF_TOKEN.findall(text, _REF_SKIP.match(text).end())
+
+
+class _RefForm(list):
+    __slots__ = ("at",)
+
+
+class _RefLocated(Exception):
+    def __init__(self, msg, form, index):
+        super().__init__(msg)
+        self.form = form
+        self.index = index
+
+
+def _ref_read_all(text):
+    root = _RefForm()
+    root.at = -1
+    cur, parents = root, []
+    for k, tok in enumerate(ref_tokens(text)):
+        if tok == "(":
+            form = _RefForm()
+            form.at = k
+            cur.append(form)
+            parents.append(cur)
+            cur = form
+        elif tok == ")":
+            if not parents:
+                raise _RefLocated("unbalanced ')'", root, len(root))
+            cur = parents.pop()
+        else:
+            cur.append(tok)
+    if parents:
+        raise _RefLocated("unclosed '('", parents[-1], len(parents[-1]) - 1)
+    return root
+
+
+def ref_where(text, form, index):
+    depth = child = 0
+    toks = REF_TOKEN.finditer(text, _REF_SKIP.match(text).end())
+    for m in itertools.islice(toks, form.at + 1, None):
+        if depth == 0:
+            if child == index:
+                break
+            child += 1
+        tok = m.group(1)
+        depth += (tok == "(") - (tok == ")")
+    start = m.start()
+    line = text.count("\n", 0, start) + 1
+    col = start - text.rfind("\n", 0, start) - 1
+    return f"{line}:{col}"
+
+
+def ref_parse_problem(text):
+    try:
+        return _ref_problem(_ref_read_all(text))
+    except _RefLocated as e:
+        raise ParseError(f"{e.args[0]} at {ref_where(text, e.form, e.index)}") from None
+
+
+def _ref_problem(forms):
+    sig = Signature()
+    store = TermStore(sig)
+    literals = []
+    command = None
+    for form in forms:
+        if command is not None:
+            raise ParseError(f"content after ({command})")
+        if not isinstance(form, list) or not form or not isinstance(form[0], str):
+            raise ParseError(f"expected a command, got {_ref_show(form)}")
+        head = form[0]
+        if head == "declare-sort":
+            name, arity = _ref_exact(form, 2, "declare-sort (name arity)")
+            if _ref_atom(arity) != "0":
+                raise ParseError("only 0-ary sorts are supported")
+            sig.declare_sort(_ref_atom(name))
+        elif head == "declare-datatype":
+            name, ctors = _ref_exact(form, 2, "declare-datatype (name ctor-list)")
+            sig.declare_datatype(_ref_atom(name), _ref_ctors(sig, ctors))
+        elif head == "declare-fun":
+            name, args, _ = _ref_exact(form, 3, "declare-fun (name args result)")
+            if not isinstance(args, list):
+                raise ParseError("declare-fun needs an argument sort list")
+            sig.declare_fun(_ref_atom(name),
+                            [_ref_sort(sig, args, i) for i in range(len(args))],
+                            _ref_sort(sig, form, 3))
+        elif head == "declare-const":
+            name, _ = _ref_exact(form, 2, "declare-const (name sort)")
+            sig.declare_const(_ref_atom(name), _ref_sort(sig, form, 2))
+        elif head == "declare-var":
+            name, _ = _ref_exact(form, 2, "declare-var (name sort)")
+            sig.declare_var(_ref_atom(name), _ref_sort(sig, form, 2))
+        elif head == "assert":
+            (body,) = _ref_exact(form, 1, "assert (literal)")
+            literals.append(_ref_literal(store, body))
+        elif head in ("qel", "mbp"):
+            if len(form) != 1:
+                raise ParseError(f"({head}) takes no arguments")
+            command = head
+        else:
+            raise _RefLocated(f"unknown command '{head}'", form, 0)
+    return Problem(sig, store, mk_formula(store, literals), command)
+
+
+def _ref_ctors(sig, ctors):
+    if not isinstance(ctors, list) or not ctors:
+        raise ParseError("declare-datatype needs a non-empty constructor list")
+    out = []
+    for c in ctors:
+        if not isinstance(c, list) or not c:
+            raise ParseError("constructor must be (name (sel Sort) ...)")
+        cname = _ref_atom(c[0])
+        sels = []
+        for s in c[1:]:
+            if not isinstance(s, list) or len(s) != 2:
+                raise ParseError(f"selector of '{cname}' must be (name Sort)")
+            sels.append((_ref_atom(s[0]), _ref_sort(sig, s, 1)))
+        out.append((cname, sels))
+    return out
+
+
+def _ref_sort(sig, parent, index):
+    pending, built = [(parent, index)], []
+    while pending:
+        parent, index = pending.pop()
+        if parent is None:
+            value = built.pop()
+            built.append(sig.ensure_array_sort(built.pop(), value))
+            continue
+        form = parent[index]
+        if isinstance(form, str):
+            try:
+                built.append(sig.sorts[form])
+            except KeyError:
+                raise _RefLocated(f"unknown sort '{form}'", parent, index) from None
+        elif isinstance(form, list) and len(form) == 3 \
+                and _ref_atom(form[0]) == "Array":
+            pending += [(None, None), (form, 2), (form, 1)]
+        else:
+            raise ParseError(f"bad sort {_ref_show(form)}")
+    return built[0]
+
+
+_REF_KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
+
+
+def _ref_literal(store, form):
+    if isinstance(form, list) and form and isinstance(form[0], str):
+        head = form[0]
+        if head in _REF_KINDS and len(form) == 3:
+            return _ref_binary(store, _REF_KINDS[head], form)
+        if head == "not" and len(form) == 2:
+            inner = form[1]
+            if isinstance(inner, list) and inner and _ref_atom(inner[0]) == "distinct":
+                if len(inner) != 3:
+                    raise ParseError("'distinct' takes two arguments, "
+                                     f"got {len(inner) - 1}")
+                return _ref_binary(store, "eq", inner)
+            app = _ref_term(store, inner)
+            _ref_need_bool(app)
+            return Literal("eq", app, store.bot)
+    app = _ref_term(store, form)
+    _ref_need_bool(app)
+    return Literal("eq", app, store.top)
+
+
+def _ref_binary(store, kind, form):
+    lhs, rhs = _ref_term(store, form[1]), _ref_term(store, form[2])
+    if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
+        raise ParseError(f"'{form[0]}' needs two arguments of one sort, "
+                         f"got {lhs.sort!r} and {rhs.sort!r}")
+    return Literal(kind, lhs, rhs)
+
+
+def _ref_need_bool(term):
+    if term.sort is not BOOL and term.sort != BOOL:
+        raise ParseError(f"literal '{term!r}' is not Bool-sorted")
+
+
+def _ref_term(store, form):
+    if isinstance(form, str):
+        return _ref_const(store, form)
+    _ref_check_app(form)
+    stack = [(form, [])]
+    while True:
+        form, args = stack[-1]
+        i, n = len(args) + 1, len(form)
+        while i < n and isinstance(form[i], str):
+            args.append(_ref_const(store, form[i]))
+            i += 1
+        if i < n:
+            _ref_check_app(form[i])
+            stack.append((form[i], []))
+            continue
+        stack.pop()
+        term = store.mk_app(form[0], args)
+        if not stack:
+            return term
+        stack[-1][1].append(term)
+
+
+def _ref_const(store, atom):
+    try:
+        return store.mk_const(atom)
+    except InputError:
+        store.sig.sort_of(atom)
+        raise
+
+
+def _ref_check_app(form):
+    if not (isinstance(form, list) and form and isinstance(form[0], str)):
+        raise ParseError(f"bad term {_ref_show(form)}")
+    if form[0] == "=":
+        raise _RefLocated("nested '='", form, 0)
+    if form[0] == "peq":
+        raise _RefLocated("'peq' is reserved", form, 0)
+
+
+def _ref_exact(form, n, what):
+    if len(form) != n + 1:
+        raise ParseError(f"malformed {what}")
+    return form[1:]
+
+
+def _ref_atom(form):
+    if not isinstance(form, str):
+        raise ParseError(f"expected a symbol, got {_ref_show(form)}")
+    return form
+
+
+def _ref_show(form):
+    out, stack = [], [_ref_quoted(form)]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            out.append(f)
+        else:
+            out.append("(")
+            stack.append(")")
+            for i in range(len(f) - 1, -1, -1):
+                stack.append(_ref_quoted(f[i]))
+                if i:
+                    stack.append(" ")
+    return "".join(out)
+
+
+def _ref_quoted(form):
+    return f"'{form}'" if isinstance(form, str) else form

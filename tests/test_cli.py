@@ -273,3 +273,22 @@ def test_check_on_deeply_nested_sort_is_skipped(tmp_path, capsys, depth):
     out = capsys.readouterr()
     assert out.out == "true\n"
     assert "check skipped: search space too large" in out.err
+
+
+@pytest.mark.parametrize("depth, literal, values", [
+    (600, "=", (0, 0)), (600, "distinct", (0, 1)),
+    (2000, "=", (0, 0)), (2000, "distinct", (0, 1)),
+])
+def test_mbp_compares_values_of_any_depth(tmp_path, capsys, depth, literal, values):
+    # a and c are arrays nested depth deep, their values default-only that
+    # deep; mbp's check that the model satisfies the input compares them
+    sort = "(Array Int " * depth + "Int" + ")" * depth
+    problem = tmp_path / "p.smt2"
+    problem.write_text(f"(declare-var a {sort}) (declare-const c {sort}) "
+                       f"(assert ({literal} a c)) (mbp)")
+    model = tmp_path / "p.model"
+    model.write_text("".join(f"(define-value {name} " + "(array (default " * depth
+                             + str(v) + "))" * depth + ")\n"
+                             for name, v in zip("ac", values)))
+    assert main(["mbp", str(problem), "--model", str(model)]) == 0
+    assert capsys.readouterr().out == "true\n"

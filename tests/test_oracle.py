@@ -8,7 +8,7 @@ from egraphqe import (Bounds, Literal, Model, SearchSpaceError, Signature,
                       TermStore, equiv_exists, eval_term, find_model,
                       implies_exists, mbp, qel, satisfies, term_to_sexpr)
 from egraphqe import oracle
-from egraphqe.parser import parse_formula, parse_problem
+from egraphqe.parser import parse_problem
 from egraphqe.terms import formula_to_sexpr, mk_formula, post_order
 
 from conftest import (DEMOS, chain_problem, load, load_mbp,
@@ -97,11 +97,12 @@ def test_search_space_guard():
 
 
 def test_out_of_window_interpretations_skipped():
-    sig, formula = parse_formula("""
+    prob = parse_problem("""
     (declare-const k Int)
     (declare-var z Int)
     (assert (= z (+ k 1)))
     """)
+    sig, formula = prob.sig, prob.formula
     prob_store = TermStore(sig)
     verdict = equiv_exists(sig, prob_store, formula, formula,
                            Bounds(int_window=(0, 1)))

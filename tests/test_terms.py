@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egraphqe import (InputError, Literal, Signature, SortKind, TermStore,
-                      formula_to_sexpr, parse_formula, parse_model,
+                      formula_to_sexpr, parse_model,
                       parse_problem, term_to_sexpr)
 from egraphqe.parser import ParseError
-from egraphqe.sexpr import LocatedError, read_all, where
+from egraphqe.sexpr import Form, LocatedError, read_all, where
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
                             UnknownSymbolError, mk_formula)
 
@@ -105,14 +105,14 @@ def test_parse_read_chain():
 
 
 def test_parse_trivial_equality():
-    sig, formula = parse_formula("(declare-var x Int) (assert (= x x))")
+    formula = parse_problem("(declare-var x Int) (assert (= x x))").formula
     assert len(formula.literals) == 1
     assert formula.literals[0].kind == "eq"
 
 
 def test_parse_malformed_parenthesis():
     with pytest.raises((ParseError, InputError)) as exc:
-        parse_formula("(assert (= x x)")
+        parse_problem("(assert (= x x)")
     assert "1:0" in str(exc.value)
 
 
@@ -123,7 +123,7 @@ def test_predicate_literals_are_bool_equalities():
     (assert (P c))
     (assert (not (P 3)))
     """
-    sig, formula = parse_formula(text)
+    formula = parse_problem(text).formula
     pos, neg = formula.literals
     assert pos.rhs.label == "true"
     assert neg.rhs.label == "false"
@@ -139,12 +139,12 @@ def test_print_parse_round_trip():
     (declare-var y Int)
     (declare-var z Int)
     """
-    sig2, formula2 = parse_formula(decls + body)
+    formula2 = parse_problem(decls + body).formula
     assert same_literals(prob.formula, formula2)
 
 
 def test_formula_print_forms():
-    sig, formula = parse_formula("(declare-const c Int) (assert (= c c))")
+    formula = parse_problem("(declare-const c Int) (assert (= c c))").formula
     assert formula_to_sexpr(formula) == "(and (= c c))"
 
 
@@ -350,7 +350,7 @@ def test_each_term_carries_its_variable_order(steps):
 def test_term_errors_and_positions(body, error, message):
     decls = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\n"
     with pytest.raises(error) as exc:
-        parse_formula(decls + "(declare-const c S)\n(assert " + body + ")")
+        parse_problem(decls + "(declare-const c S)\n(assert " + body + ")")
     assert str(exc.value) == message
 
 
@@ -447,15 +447,16 @@ def _reference_tokens(text):
 
 
 def _located_tokens(text, form):
-    """The tokens of form with their positions, each found by where()."""
+    """The tokens of form's children with their positions, each found by
+    where() from the token ordinals the Forms carry."""
     out = []
     for i, child in enumerate(form):
         if isinstance(child, list):
-            out.append(("(", where(text, form, i)))
+            out.append(("(", where(text, child.at)))
             out += _located_tokens(text, child)
-            out.append((")", where(text, child, len(child))))
+            out.append((")", where(text, child.end)))
         else:
-            out.append((child, where(text, form, i)))
+            out.append((child, where(text, form.at_child(i))))
     return out
 
 
@@ -477,9 +478,10 @@ def test_reader_matches_character_reference(text):
     if error is None and opens:
         error = f"unclosed '(' at {opens[-1]}"
     try:
-        forms = read_all(text)
+        root = Form(read_all(text))
     except LocatedError as e:
         assert e.located(text) == error
     else:
         assert error is None
-        assert _located_tokens(text, forms) == tokens
+        root.at = -1
+        assert _located_tokens(text, root) == tokens
