@@ -76,8 +76,9 @@ class AdtVal(Value):
 
 
 def mk_array(default: Value, mapping) -> ArrayVal:
+    # _equal, not !=, so that values of any depth compare
     entries = tuple(sorted(((k, v) for k, v in dict(mapping).items()
-                            if v != default), key=lambda kv: repr(kv[0])))
+                            if not _equal(v, default)), key=lambda kv: repr(kv[0])))
     return ArrayVal(default, entries)
 
 

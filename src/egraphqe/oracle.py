@@ -225,9 +225,19 @@ class _Context:
         return _sorts_within(roots)
 
     def domain(self, sort: Sort) -> list:
+        """The values of sort, built once.  The sorts inside it are built
+        first, in the order _sorts_within gives, so no sort's domain
+        recurses into another's, however deep the nesting."""
         hit = self._domains.get(sort.name)
-        if hit is not None:
-            return hit
+        if hit is None:
+            for inner in _sorts_within([sort]).values():
+                if inner.name not in self._domains:
+                    self._domains[inner.name] = self._build_domain(inner)
+            hit = self._domains[sort.name]
+        return hit
+
+    def _build_domain(self, sort: Sort) -> list:
+        doms = self._domains
         if sort.kind is SortKind.BOOL:
             dom = [False, True]
         elif sort.kind is SortKind.INT:
@@ -236,8 +246,8 @@ class _Context:
         elif sort.kind is SortKind.UNINTERPRETED:
             dom = [("e", sort.name, i) for i in range(self._sizes[sort.name])]
         elif sort.kind is SortKind.ARRAY:
-            idx = self.domain(sort.index)
-            val = self.domain(sort.value)
+            idx = doms[sort.index.name]
+            val = doms[sort.value.name]
             # default pinned to the first value: over a fully enumerated index
             # domain each function then has exactly one canonical form
             dom = [_canon_array(val[0], zip(idx, choice))
@@ -245,12 +255,11 @@ class _Context:
         elif sort.kind is SortKind.ADT:
             dom = []
             for ctor in sort.constructors:
-                arg_doms = [self.domain(s) for _, s in ctor.selectors]
+                arg_doms = [doms[s.name] for _, s in ctor.selectors]
                 for args in itertools.product(*arg_doms):
                     dom.append(("adt", ctor.name, args))
         else:
             raise SearchSpaceError(f"cannot enumerate sort {sort}")
-        self._domains[sort.name] = dom
         return dom
 
     def _domain_size(self, sort: Sort, size, cap) -> int:

@@ -19,19 +19,29 @@ auto-declared.  Inside a term, (distinct t u) is an ordinary Bool term.
 ``peq`` is reserved for the partial equalities of array projection and
 rejected in input.
 
+SMT-LIB ``(let ((x t) ...) body)`` may stand wherever a literal or a term
+may, as the printer writes it around a literal whose tree blows up.  The
+bindings of one let are parallel: their terms are read in the scope around
+the let, and the names, distinct within one let, are entered together for
+the body.  Nested lets are sequential, and an inner name shadows outer
+names and declared symbols.  A name denotes its term, sort and all, and
+out of its scope it is an unknown symbol.  ``let`` cannot be declared.
+
 The text is split into one token list (``sexpr.tokens``), walked by index.
 The terms of an assert are hash-consed straight from the tokens, and a
 declaration is read as a small ``Form``, or directly when its sort is one
-atom.  Nothing checks the parentheses up front: when reading fails, the
-text is read as forms first, so that an unbalanced ')' or an unclosed '('
-is the error reported, as it is when it comes first in the text.
+atom.  A term without a let never looks at a scope: the first let met
+sends the term to the reader that keeps one, ``_scoped_term``.  Nothing
+checks the parentheses up front: when reading fails, the text is read as
+forms first, so that an unbalanced ')' or an unclosed '(' is the error
+reported, as it is when it comes first in the text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .sexpr import LocatedError, read_all, read_form, tokens
+from .sexpr import Form, LocatedError, read_all, read_form, tokens
 from .terms import (BOOL, Formula, InputError, Literal, Signature,
                     TermStore, mk_formula)
 
@@ -201,18 +211,38 @@ def _assert(store, toks, k):
     return literal, j + 1
 
 
-def _literal(store, toks, k):
+def _literal(store, toks, k, scope=None):
     if toks[k] == "(":
         head = toks[k + 1]
         kind = _KINDS.get(head)
         if kind is not None:
-            return _binary(store, toks, k, kind)
+            return _binary(store, toks, k, kind, scope)
         if head == "not":
-            return _negation(store, toks, k)
-    return _predicate(store, toks, k)
+            return _negation(store, toks, k, scope)
+        if head == "let":
+            return _let_literal(store, toks, k)
+    return _predicate(store, toks, k, scope)
 
 
-def _binary(store, toks, k, kind):
+def _let_literal(store, toks, k):
+    """The literal under the lets at k.  Each let's bindings are read in the
+    scope of the lets around it, then entered in the scope together, and
+    the literal inside them all is read in the scope of them all."""
+    scope, depth = {}, 0
+    while toks[k] == "(" and toks[k + 1] == "let":
+        bindings, k = _let_header(toks, k)
+        scope.update([(name, _term(store, toks, at, scope)[0])
+                      for name, at in bindings])
+        depth += 1
+    literal, k = _literal(store, toks, k, scope)
+    for _ in range(depth):
+        if toks[k] != ")":
+            raise LocatedError("let takes one body", k)
+        k += 1
+    return literal, k
+
+
+def _binary(store, toks, k, kind, scope):
     """The literal of the given kind between the two arguments of the list
     at k, which must have one sort."""
     head = toks[k + 1]
@@ -220,48 +250,48 @@ def _binary(store, toks, k, kind):
     j = k + 2
     try:
         if toks[j] != ")":
-            lhs, j = _term(store, toks, j)
+            lhs, j = _term(store, toks, j, scope)
             if toks[j] != ")":
-                rhs, j = _term(store, toks, j)
+                rhs, j = _term(store, toks, j, scope)
     except (InputError, LocatedError):
         if head == "=" and len(read_form(toks, k)[0]) != 3:
             raise LocatedError("nested '='", k + 1) from None
         raise
     if rhs is None or toks[j] != ")":
-        return _predicate(store, toks, k)
+        return _predicate(store, toks, k, scope)
     if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
         raise ParseError(f"'{head}' needs two arguments of one sort, "
                          f"got {lhs.sort!r} and {rhs.sort!r}")
     return Literal(kind, lhs, rhs), j + 1
 
 
-def _negation(store, toks, k):
+def _negation(store, toks, k, scope):
     """The literal of the (not ...) at k: (= t u) for (not (distinct t u)),
     and app = false for (not app)."""
     j = k + 2
     if toks[j] == ")":
-        return _predicate(store, toks, k)
+        return _predicate(store, toks, k, scope)
     if toks[j] == "(" and toks[j + 1] in ("(", "distinct"):
         form = read_form(toks, k)[0]
         if len(form) != 2:
-            return _predicate(store, toks, k)
+            return _predicate(store, toks, k, scope)
         inner = form[1]
         _atom(inner[0])  # else it is 'distinct'
         if len(inner) != 3:
             raise ParseError("'distinct' takes two arguments, "
                              f"got {len(inner) - 1}")
-        literal, j = _binary(store, toks, j, "eq")
+        literal, j = _binary(store, toks, j, "eq", scope)
         return literal, j + 1
-    app, j = _term(store, toks, j)
+    app, j = _term(store, toks, j, scope)
     if toks[j] != ")":
-        return _predicate(store, toks, k)
+        return _predicate(store, toks, k, scope)
     _need_bool(app)
     return Literal("eq", app, store.bot), j + 1
 
 
-def _predicate(store, toks, k):
+def _predicate(store, toks, k, scope):
     """The literal app = true of the Bool term app at k."""
-    app, k = _term(store, toks, k)
+    app, k = _term(store, toks, k, scope)
     _need_bool(app)
     return Literal("eq", app, store.top), k
 
@@ -271,13 +301,17 @@ def _need_bool(term):
         raise ParseError(f"literal '{term!r}' is not Bool-sorted")
 
 
-_BAD_HEADS = frozenset(("(", ")", "=", "peq"))
+_BAD_HEADS = frozenset(("(", ")", "=", "peq", "let"))
 
 
-def _term(store, toks, k):
+def _term(store, toks, k, scope=None):
     """The term at k, built bottom-up and left to right by an explicit stack
     of (head, arguments built so far), so any depth parses.  An atom or an
-    application already in the store costs one table lookup."""
+    application already in the store costs one table lookup.  Inside a let
+    (scope is not None), or once a let is met, the term is read by
+    _scoped_term instead."""
+    if scope is not None:
+        return _scoped_term(store, toks, k, scope)
     table = store._table
     tok = toks[k]
     if tok != "(":
@@ -285,7 +319,10 @@ def _term(store, toks, k):
         return (hit if hit is not None else _const(store, tok)), k + 1
     head = toks[k + 1]
     if head in _BAD_HEADS:
+        if head == "let":
+            return _scoped_term(store, toks, k, {})
         _bad_head(toks, k)
+    start = k
     stack, args = [], []
     k += 2
     while True:
@@ -304,12 +341,79 @@ def _term(store, toks, k):
             stack.append((head, args))
             head = toks[k]
             if head in _BAD_HEADS:
+                if head == "let":   # read again, with a scope
+                    return _scoped_term(store, toks, start, {})
                 _bad_head(toks, k - 1)
             args = []
             k += 1
         else:
             hit = table.get((tok, ()))
             args.append(hit if hit is not None else _const(store, tok))
+
+
+def _scoped_term(store, toks, k, scope):
+    """The term at k, where lets may stand and scope maps each name bound
+    around k to its term.  One explicit stack holds the applications, as
+    in _term, and the lets: [bindings, terms read, entries shadowed, body
+    ordinal].  A let's bindings are read in turn in the scope around it;
+    then they are entered in scope together for its body, and when it
+    closes the entries they shadowed come back."""
+    table = store._table
+    stack = []
+    while True:
+        tok = toks[k]
+        k += 1
+        if tok == "(":
+            head = toks[k]
+            if head == "let":
+                bindings, body = _let_header(toks, k - 1)
+                stack.append([bindings, [], None, body])
+                k = bindings[0][1]
+                continue
+            if head in _BAD_HEADS:
+                _bad_head(toks, k - 1)
+            stack.append((head, []))
+            k += 1
+            continue
+        if tok == ")" and stack:
+            head, args = stack.pop()
+            key = (head, tuple(args))
+            term = table.get(key)
+            if term is None:
+                term = store.mk_app(head, key[1])
+        else:
+            term = scope.get(tok)
+            if term is None:
+                term = table.get((tok, ()))
+                if term is None:
+                    term = _const(store, tok)
+        while stack:
+            top = stack[-1]
+            if type(top) is tuple:
+                top[1].append(term)
+                break
+            bindings, terms, shadowed, body = top
+            if shadowed is None:                # a binding's term
+                terms.append(term)
+                if len(terms) < len(bindings):
+                    k = bindings[len(terms)][1]
+                    break
+                names = [name for name, _ in bindings]
+                top[2] = [(name, scope.get(name)) for name in names]
+                scope.update(zip(names, terms))
+                k = body
+                break
+            if toks[k] != ")":                  # the body
+                raise LocatedError("let takes one body", k)
+            k += 1
+            for name, old in shadowed:
+                if old is None:
+                    del scope[name]
+                else:
+                    scope[name] = old
+            stack.pop()
+        else:
+            return term, k
 
 
 def _const(store, atom):
@@ -321,6 +425,28 @@ def _const(store, atom):
         # message for a symbol used as a constant
         store.sig.sort_of(atom)
         raise
+
+
+def _let_header(toks, k):
+    """The bindings of the let at k, as (name, ordinal of its term) pairs,
+    and the ordinal of its body.  The bindings must be a non-empty list of
+    (name term) with distinct names, and a body must follow them."""
+    if toks[k + 2] != "(":
+        raise LocatedError("let needs a list of bindings", k + 2)
+    form, body = read_form(toks, k + 2)
+    if not form:
+        raise LocatedError("let with no bindings", k + 2)
+    bindings = {}
+    for i, b in enumerate(form):
+        if not isinstance(b, Form) or len(b) != 2 or not isinstance(b[0], str):
+            raise LocatedError("a let binding must be (name term)",
+                               form.at_child(i))
+        if b[0] in bindings:
+            raise LocatedError(f"'{b[0]}' is bound twice in one let", b.at + 1)
+        bindings[b[0]] = b.at + 2
+    if toks[body] == ")":
+        raise LocatedError("let takes one body", body)
+    return list(bindings.items()), body
 
 
 def _bad_head(toks, k):

@@ -11,10 +11,13 @@ Terms are hash-consed DAGs, and nothing here walks them as trees.  A term's
 variable order is computed when the term is made, from its children's
 orders, so no walk is needed to read it.  The printer is an iterative
 post-order walk, left to right, memoized by term id, so a term of any depth
-prints in time linear in its output and without recursion.
+prints in time linear in its output and without recursion; a literal whose
+tree blows up prints under let binders, in time and space linear in its
+DAG (see the comment above the printers).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -125,7 +128,7 @@ class Signature:
     def _check_fresh(self, name):
         if name in self.functions or name in self.variables:
             raise DuplicateDeclarationError(f"'{name}' is already declared")
-        if name in POLYMORPHIC or is_numeral(name):
+        if name in POLYMORPHIC or name == "let" or is_numeral(name):
             raise DuplicateDeclarationError(f"'{name}' is reserved")
 
     def declare_sort(self, name) -> Sort:
@@ -364,19 +367,47 @@ def mk_formula(store: TermStore, literals: Iterable[Literal]) -> Formula:
 # A subterm met for the first time is written piece by piece, and the memo
 # notes its span in the list; met again, the span is joined into its string
 # once, and that string is reused from then on.  So an unshared chain prints
-# in linear time and memory, and a shared tower in time linear in its output.
+# in linear time and memory.
+#
+# A literal (or a term printed alone) whose tree blows up is printed under
+# SMT-LIB let binders instead, so that its text is linear in its DAG:
+#
+#     (let ((?l!0 (h c c))) (let ((?l!1 (k ?l!0 ?l!0))) (distinct (h ?l!1 ?l!1) d)))
+#
+# The decision costs the flat printer one comparison per join.  A join whose
+# string has more than _DENSE characters per piece of its span aborts the
+# literal; without one, no string exceeds _DENSE pieces' worth of text, so
+# the flat text stays within _DENSE times the square of its piece count.  An
+# aborted literal gets binders when its tree, both sides expanded, has more
+# than _SHARING nodes per distinct subterm; every other literal prints flat,
+# as it always has.  Then each non-leaf subterm that occurs twice or more in
+# the literal's tree is bound, children before parents, one binding per let,
+# and the literal goes inside the lets unchanged, a predicate as (P ...) or
+# (not (P ...)).  Binders are named ?l!0, ?l!1, ... afresh in each literal,
+# skipping every label that occurs in it.  The parser reads them back.  A
+# formula's literals share one memo, so a subterm printed by an earlier
+# literal is copied, not joined, and a borderline literal may print flat in
+# a formula and under lets alone; either text reads back to the same terms.
+
+_DENSE = 64
+_SHARING = 16
+
+
+class _Dense(Exception):
+    """A join of the flat printer exceeded _DENSE characters per piece."""
+
 
 def term_to_sexpr(term: Term) -> str:
     if not term.children:
         return term.label
     out = []
-    _emit(term, out, {})
+    _print(term, out, {})
     return "".join(out)
 
 
 def literal_to_sexpr(lit: Literal) -> str:
     out = []
-    _emit_literal(lit, out, {})
+    _print(lit, out, {})
     return "".join(out)
 
 
@@ -387,12 +418,67 @@ def formula_to_sexpr(formula: Formula) -> str:
     memo = {}
     for lit in formula.literals:
         out.append(" ")
-        _emit_literal(lit, out, memo)
+        _print(lit, out, memo)
     out.append(")")
     return "".join(out)
 
 
-def _emit_literal(lit, out, memo):
+def _print(unit, out, memo):
+    """Append the text of unit, a literal or a term printed alone: flat, or
+    under let binders when its tree blows up (see above)."""
+    if isinstance(unit, Term):
+        emit, sides = _emit, (unit,)
+    else:
+        emit, sides = _emit_literal, (unit.lhs, unit.rhs)
+    start, known = len(out), len(memo)
+    try:
+        emit(unit, out, memo, True)
+        return
+    except _Dense:
+        # drop the pieces and the memo entries of the aborted attempt; the
+        # memo keeps its insertion order, so they are its last entries
+        del out[start:]
+        while len(memo) > known:
+            memo.popitem()
+    memo = {}
+    bound = _binders(sides)
+    for t, name in bound:
+        out.append(f"(let (({name} ")
+        _emit(t, out, memo, False)
+        out.append(")) ")
+        memo[t.id] = name
+    emit(unit, out, memo, False)
+    out.append(")" * len(bound))
+
+
+def _binders(sides):
+    """The (subterm, name) pairs to bind in a literal with these sides,
+    children before parents, or none when its tree has at most _SHARING
+    nodes per distinct subterm.  A subterm's number of occurrences in the
+    tree is summed over its parents, parents first, and saturates, so no
+    big integer is made."""
+    paths, order = {}, []
+    for side in sides:
+        if side.id not in paths:
+            for t in post_order(side, paths):
+                paths[t.id] = 0
+                order.append(t)
+    for side in sides:
+        paths[side.id] += 1
+    cap = _SHARING * len(order) + 1
+    for t in reversed(order):
+        n = paths[t.id]
+        for c in t.children:
+            paths[c.id] = min(paths[c.id] + n, cap)
+    if sum(paths.values()) <= _SHARING * len(order):
+        return []
+    labels = {t.label for t in order}
+    names = (f"?l!{k}" for k in itertools.count())
+    names = (name for name in names if name not in labels)
+    return list(zip((t for t in order if t.children and paths[t.id] > 1), names))
+
+
+def _emit_literal(lit, out, memo, watch):
     lhs, rhs = lit.lhs, lit.rhs
     if lit.kind == "diseq":
         out.append("(distinct ")
@@ -402,28 +488,29 @@ def _emit_literal(lit, out, memo):
         # equalities with a Bool constant print in predicate form
         for a, b in ((lhs, rhs), (rhs, lhs)):
             if a.label == "true" and not a.children and b is not a:
-                _emit(b, out, memo)
+                _emit(b, out, memo, watch)
                 return
             if a.label == "false" and not a.children and b is not a:
                 out.append("(not ")
-                _emit(b, out, memo)
+                _emit(b, out, memo, watch)
                 out.append(")")
                 return
         out.append("(= ")
-    _emit(lhs, out, memo)
+    _emit(lhs, out, memo, watch)
     out.append(" ")
-    _emit(rhs, out, memo)
+    _emit(rhs, out, memo, watch)
     out.append(")")
 
 
-def _emit(term, out, memo):
-    """Append the pieces of term's s-expression to out (see above)."""
+def _emit(term, out, memo, watch):
+    """Append the pieces of term's s-expression to out (see above); watch
+    says whether a dense join raises _Dense."""
     if not term.children:
         out.append(term.label)
         return
     hit = memo.get(term.id)
     if hit is not None:
-        out.append(_reuse(term, hit, out, memo))
+        out.append(_reuse(term, hit, out, memo, watch))
         return
     stack = [(term, iter(term.children), len(out))]
     out.append("(" + term.label)
@@ -439,16 +526,21 @@ def _emit(term, out, memo):
                 stack.append((c, iter(c.children), len(out)))
                 out.append("(" + c.label)
                 break
-            out.append(_reuse(c, hit, out, memo))
+            out.append(_reuse(c, hit, out, memo, watch))
         else:
             stack.pop()
             out.append(")")
             memo[t.id] = (start, len(out))
 
 
-def _reuse(term, hit, out, memo):
-    """The string of a subterm printed before: its span, joined once."""
+def _reuse(term, hit, out, memo, watch):
+    """The string of a subterm printed before (or its binder's name): its
+    span, joined once."""
     if isinstance(hit, str):
         return hit
-    s = memo[term.id] = "".join(out[hit[0]:hit[1]])
+    a, b = hit
+    s = "".join(out[a:b])
+    if watch and len(s) > _DENSE * (b - a):
+        raise _Dense
+    memo[term.id] = s
     return s

@@ -130,16 +130,45 @@ def same_literals(f1, f2):
         Counter(map(literal_key, f2.literals))
 
 
+def conjuncts(printed):
+    """The texts of the conjuncts of a printed ``(and ...)`` result, cut at
+    the spaces outside parentheses; a result without ``and`` is its one
+    conjunct.  A scan of characters, so a result of any depth is cut."""
+    if not printed.startswith("(and "):
+        return [printed]
+    body = printed[len("(and "):-1]
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == " " and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
 def reparse(decls, printed):
     """The formula of a printed ``(and ...)`` result, each conjunct read
     back in as an assert under the declarations decls."""
-    def text(form):
-        if isinstance(form, list):
-            return "(" + " ".join(text(f) for f in form) + ")"
-        return form
-    (conj,) = read_all(printed)
-    return parse_problem(decls + "".join(f"(assert {text(lit)})"
-                                         for lit in conj[1:])).formula
+    return parse_problem(decls + "".join(f"(assert {lit})"
+                                         for lit in conjuncts(printed))).formula
+
+
+def expand_lets(printed):
+    """printed with every let replaced by its body, the bound names
+    substituted (a reference for the printer's binders, tree-recursive)."""
+    def expand(form, env):
+        if isinstance(form, str):
+            return env.get(form, form)
+        if form and form[0] == "let":
+            inner = dict(env)
+            inner.update((name, expand(t, env)) for name, t in form[1])
+            return expand(form[2], inner)
+        return "(" + " ".join([form[0]] + [expand(f, env) for f in form[1:]]) + ")"
+    return " ".join(expand(form, {}) for form in read_all(printed))
 
 
 def formula_of(store, pairs):
@@ -320,6 +349,23 @@ def chain_problem(depth):
     return text, chain
 
 
+TOWER_DECLS = ("(declare-sort S 0) (declare-fun h (S S) S) (declare-fun k (S S) S)\n"
+               "(declare-const c S) (declare-const d S)\n")
+
+
+def tower_problem(depth, rng):
+    """Problem text defining a tower ``t(i+1) = s(t(i), t(i))`` of the given
+    depth over c, each s one of h and k at random, and asserting
+    ``t(depth) != d``; qel keeps ``(and (distinct TOWER d))``, whose tree
+    has about 2^depth nodes over depth + 2 distinct subterms."""
+    lines = [TOWER_DECLS + "(declare-var t0 S) (assert (= t0 c))"]
+    for i in range(depth):
+        lines.append(f"(declare-var t{i + 1} S) "
+                     f"(assert (= t{i + 1} ({rng.choice('hk')} t{i} t{i})))")
+    lines.append(f"(assert (distinct t{depth} d))")
+    return "\n".join(lines) + "\n"
+
+
 # A `distinct` subterm is an ordinary Bool term: equated to a Bool constant,
 # and in addition under a predicate.  qel must keep the equality.
 DISTINCT_TERM_PROBLEMS = [
@@ -490,6 +536,10 @@ _REF_KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
 
 
 def _ref_literal(store, form):
+    if _ref_is_let(form):
+        literal = _ref_literal(store, _ref_let(store, form))
+        _ref_one_body(form)
+        return literal
     if isinstance(form, list) and form and isinstance(form[0], str):
         head = form[0]
         if head in _REF_KINDS and len(form) == 3:
@@ -525,13 +575,17 @@ def _ref_need_bool(term):
 def _ref_term(store, form):
     if isinstance(form, str):
         return _ref_const(store, form)
+    if _ref_is_let(form):
+        term = _ref_term(store, _ref_let(store, form))
+        _ref_one_body(form)
+        return term
     _ref_check_app(form)
     stack = [(form, [])]
     while True:
         form, args = stack[-1]
         i, n = len(args) + 1, len(form)
-        while i < n and isinstance(form[i], str):
-            args.append(_ref_const(store, form[i]))
+        while i < n and (isinstance(form[i], str) or _ref_is_let(form[i])):
+            args.append(_ref_term(store, form[i]))
             i += 1
         if i < n:
             _ref_check_app(form[i])
@@ -545,11 +599,83 @@ def _ref_term(store, form):
 
 
 def _ref_const(store, atom):
+    if isinstance(atom, _RefBound):
+        return atom.term
     try:
         return store.mk_const(atom)
     except InputError:
         store.sig.sort_of(atom)
         raise
+
+
+# A let is read by substitution: its bindings' terms are read in turn, and
+# each name is then replaced in the body's forms by a _RefBound, the name
+# as a string that reads as its term, except where an inner let binds the
+# name again.  The body's forms are read afterwards, so a name left over is
+# an unknown symbol, and an error shows the body as written.
+
+class _RefBound(str):
+    term = None
+
+
+def _ref_is_let(form):
+    return isinstance(form, list) and bool(form) and form[0] == "let"
+
+
+def _ref_let(store, form):
+    """The body of the let form, its bound names substituted."""
+    if len(form) < 2 or not isinstance(form[1], list):
+        raise _RefLocated("let needs a list of bindings", form, 1)
+    bindings = form[1]
+    if not bindings:
+        raise _RefLocated("let with no bindings", form, 1)
+    names = []
+    for i, b in enumerate(bindings):
+        if not isinstance(b, list) or len(b) != 2 or not isinstance(b[0], str):
+            raise _RefLocated("a let binding must be (name term)", bindings, i)
+        if b[0] in names:
+            raise _RefLocated(f"'{b[0]}' is bound twice in one let", b, 0)
+        names.append(b[0])
+    if len(form) < 3:
+        raise _RefLocated("let takes one body", form, 2)
+    bound = {}
+    for name, b in zip(names, bindings):
+        bound[name] = _RefBound(name)
+        bound[name].term = _ref_term(store, b[1])
+    return _ref_subst(form[2], bound)
+
+
+def _ref_one_body(form):
+    if len(form) > 3:
+        raise _RefLocated("let takes one body", form, 3)
+
+
+def _ref_subst(form, bound):
+    """form with each name in bound replaced where it is free: not a head,
+    not a let's binder, not under a let that binds it again."""
+    if isinstance(form, str):
+        return form if isinstance(form, _RefBound) else bound.get(form, form)
+    out = _RefForm()
+    out.at = form.at
+    if not form:
+        return out
+    if _ref_is_let(form) and len(form) > 1 and isinstance(form[1], list):
+        bindings = _RefForm()
+        bindings.at = form[1].at
+        inner = dict(bound)
+        for b in form[1]:
+            if isinstance(b, list) and len(b) == 2 and isinstance(b[0], str):
+                copy = _RefForm([b[0], _ref_subst(b[1], bound)])
+                copy.at = b.at
+                bindings.append(copy)
+                inner.pop(b[0], None)
+            else:
+                bindings.append(b)
+        out += [form[0], bindings] + [_ref_subst(f, inner) for f in form[2:]]
+        return out
+    head = form[0] if isinstance(form[0], str) else _ref_subst(form[0], bound)
+    out += [head] + [_ref_subst(f, bound) for f in form[1:]]
+    return out
 
 
 def _ref_check_app(form):

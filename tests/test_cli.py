@@ -1,12 +1,20 @@
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from egraphqe import EGraph, parse_problem
+from egraphqe import EGraph, formula_to_sexpr, parse_problem
 from egraphqe.cli import main
 from egraphqe.qel import reduce
 
-from conftest import DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem, load, reparse
+import random
+
+from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, TOWER_DECLS, chain_problem, load,
+                      reparse, tower_problem)
 
 
 def _path(name):
@@ -292,3 +300,83 @@ def test_mbp_compares_values_of_any_depth(tmp_path, capsys, depth, literal, valu
                              for name, v in zip("ac", values)))
     assert main(["mbp", str(problem), "--model", str(model)]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+def test_mbp_with_an_array_entry_1999_deep(tmp_path, capsys):
+    """The model's arrays map 1 to a default-only value that differs from
+    the default only at the bottom, 1,999 levels down."""
+    depth = 2000
+    sort = "(Array Int " * depth + "Int" + ")" * depth
+    problem = tmp_path / "p.smt2"
+    problem.write_text(f"(declare-var a {sort}) (declare-const c {sort}) "
+                       "(assert (= a c)) (mbp)")
+
+    def value(v):
+        return "(array (default " * (depth - 1) + str(v) + "))" * (depth - 1)
+
+    model = tmp_path / "p.model"
+    model.write_text("".join(f"(define-value {name} (array (default {value(0)}) "
+                             f"(1 {value(1)})))\n" for name in "ac"))
+    assert main(["mbp", str(problem), "--model", str(model)]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("depth", [60, 3000])
+def test_qel_prints_a_tower_under_lets(tmp_path, capsys, depth):
+    """A tower t(i+1) = s(t(i), t(i)) prints within ten times its input and
+    reads back to a formula that prints the same."""
+    text = tower_problem(depth, random.Random(depth))
+    path = tmp_path / "p.smt2"
+    path.write_text(text)
+    assert main(["qel", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert len(printed) < 10 * len(text)
+    assert formula_to_sexpr(reparse(TOWER_DECLS, printed.strip())) == printed.strip()
+
+
+# -- exit codes on random token sequences ------------------------------------------
+
+_DECLS = ("(declare-sort S 0)", "(declare-fun f (S) S)", "(declare-const c S)",
+          "(declare-var x S)", "(declare-fun P (S) Bool)",
+          "(declare-const a (Array Int S))", "(declare-var z (Array Int S))",
+          "(declare-datatype R ((mk (fst S)) (nil)))", "(declare-var w R)")
+_TOKENS = ("(", "(", "(", ")", ")", ")", "assert", "declare-const", "declare-var",
+           "declare-fun", "declare-sort", "declare-datatype", "qel", "mbp", "let",
+           "let", "=", "distinct", "not", "ueq", "read", "write", "S", "Int", "Bool",
+           "Array", "0", "1", "12", "c", "x", "f", "P", "a", "z", "w", "mk", "fst",
+           "nil", "is-mk", "y", "?l!0", "peq", "true", "false", "+", ";", "²",
+           "#", "((", "))", "\n", "(let ((y c))", "(= x", "(f")
+# whole asserts, so that more of the texts get past the reader
+_ASSERTS = ("(assert (= x c))", "(assert (= x (f c)))", "(assert (distinct x c))",
+           "(assert (let ((y (f c))) (= x (f y))))", "(assert (P x))",
+           "(assert (= (read z 0) c))", "(assert (= w (mk x)))", "(assert (not (P c)))",
+           "(assert (= x (let ((x c)) (f x))))", "(qel)", "(mbp)")
+_MODELS = (None, "(universe S 2) (define-value x (elem S 0)) (define-value c (elem S 1))",
+           "(universe S 1) (define-value z (array (default (elem S 0))))",
+           "(define-value x 5)", "(define-value", "")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.just(list(_DECLS)), st.lists(st.sampled_from(_DECLS), max_size=5)),
+       st.lists(st.one_of(st.sampled_from(_TOKENS), st.sampled_from(_ASSERTS)),
+                max_size=16),
+       st.booleans(), st.sampled_from(_MODELS))
+def test_random_token_sequences_end_in_a_documented_exit_code(decls, toks, close, model):
+    """Declarations, then random tokens and asserts (balanced or not); through the CLI
+    they end in 0, or in 2 for malformed text (4 for an exhausted budget),
+    and never raise."""
+    text = " ".join(decls + toks)
+    if close:
+        text += ")" * max(0, text.count("(") - text.count(")"))
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "p.smt2"
+        problem.write_text(text)
+        args = ["qel", str(problem)]
+        if model is not None:
+            (Path(tmp) / "m.model").write_text(model)
+            args = ["mbp", str(problem), "--model", str(Path(tmp) / "m.model")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(args)
+    assert code in (0, 2, 4)
+    assert (code == 2) == err.getvalue().startswith("error: ")

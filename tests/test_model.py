@@ -280,3 +280,22 @@ def test_model_values_2000_deep_read_without_recursion():
     with pytest.raises(ModelError) as exc:
         parse_model(head + "(elem W 1)" + "))" * depth + ")", sig)
     assert str(exc.value) == f"expected a value of sort V at 1:{len(head)}"
+
+
+def test_array_entries_are_compared_with_the_default_at_any_depth():
+    """(array (default D0) (1 D)) for D0 a default-only value 1,999 levels
+    deep: the entry stays when D differs from D0 at the bottom, and is
+    dropped when it equals D0."""
+    depth = 2000
+    sort = "(Array Int " * depth + "Int" + ")" * depth
+    sig = parse_problem(f"(declare-var a {sort}) (declare-var b {sort})").sig
+
+    def value(v):
+        return "(array (default " * (depth - 1) + str(v) + "))" * (depth - 1)
+
+    model = parse_model(f"(define-value a (array (default {value(0)}) (1 {value(1)})))\n"
+                        f"(define-value b (array (default {value(0)}) (1 {value(0)})))",
+                        sig)
+    (key, entry), = model.constants["a"].entries
+    assert key == IntVal(1) and entry is not model.constants["a"].default
+    assert model.constants["b"].entries == ()

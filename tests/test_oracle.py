@@ -161,6 +161,18 @@ def test_depth_3000_chain_is_checked():
             assert model is None or satisfies(model, sig, formula)
 
 
+def test_domains_of_an_array_sort_2000_deep_are_built_without_recursion():
+    """Each level of (Array I ...) over a one-element I has one value, so
+    the enumeration is admitted; its domains are built inner sort first."""
+    d = 2000
+    sort = "(Array I " * d + "I" + ")" * d
+    prob = parse_problem(f"(declare-sort I 0) (declare-var a {sort}) "
+                         f"(declare-var b {sort}) (assert (= a b))")
+    formula = prob.formula
+    assert equiv_exists(prob.sig, prob.store, formula, formula,
+                        Bounds(universe=1)).ok
+
+
 def test_free_variable_is_a_shared_symbol():
     sig = Signature()
     idx, val = sig.declare_sort("I"), sig.declare_sort("V")

@@ -81,26 +81,63 @@ _GRAMMAR = {
 }
 
 
-def _gen_term(rnd, sort, depth):
+def _gen_term(rnd, sort, depth, scope=None):
+    """A term of the sort; with a scope (sort -> names bound there), the
+    bound names are leaves too, and now and then the term is a let."""
     leaves, apps = _GRAMMAR[sort]
+    if scope is not None:
+        leaves = leaves + scope.get(sort, [])
+        if depth and rnd.random() < 0.15:
+            return _gen_let(rnd, depth, scope,
+                            lambda inner: _gen_term(rnd, sort, depth - 1, inner))
     if depth == 0 or rnd.random() < 0.35:
         return rnd.choice(leaves)
     head, args = rnd.choice(apps)
     if rnd.random() < 0.05:              # now and then ill-sorted
         args = [rnd.choice("UVAPIB") for _ in args]
-    return "(" + " ".join([head] + [_gen_term(rnd, s, depth - 1) for s in args]) + ")"
+    return "(" + " ".join([head] + [_gen_term(rnd, s, depth - 1, scope)
+                                    for s in args]) + ")"
 
 
-def _gen_literal(rnd):
+def _gen_literal(rnd, scope=None):
     sort = rnd.choice("UVAPIB")
-    s, t = _gen_term(rnd, sort, 3), _gen_term(rnd, sort, 3)
+    s, t = _gen_term(rnd, sort, 3, scope), _gen_term(rnd, sort, 3, scope)
     shape = rnd.randrange(6)
     if shape < 3:
         return f"({('=', 'distinct', 'ueq')[shape]} {s} {t})"
     if shape == 3:
         return f"(not (distinct {s} {t}))"
-    b = _gen_term(rnd, "B", 3)
+    b = _gen_term(rnd, "B", 3, scope)
     return f"(not {b})" if shape == 4 else b
+
+
+# c and x shadow declared symbols; a name bound again shadows the outer one
+_LET_NAMES = ("n", "m", "c", "x")
+
+
+def _gen_let(rnd, depth, scope, body):
+    """(let (bindings) BODY): one or two names bound in parallel, mostly to
+    terms of sort U, their terms read in scope; BODY is body(inner scope)."""
+    names = rnd.sample(_LET_NAMES, rnd.randint(1, 2))
+    inner = {sort: [n for n in ns if n not in names] for sort, ns in scope.items()}
+    bindings = []
+    for name in names:
+        sort = rnd.choice("UUUV")
+        bindings.append(f"({name} {_gen_term(rnd, sort, max(depth - 1, 0), scope)})")
+        inner.setdefault(sort, []).append(name)
+    return f"(let ({' '.join(bindings)}) {body(inner)})"
+
+
+def gen_let_problem(rnd):
+    """A random problem over GEN_DECLS whose literals stand under lets and
+    hold lets inside their terms."""
+    lines = [GEN_DECLS]
+    for _ in range(rnd.randint(1, 4)):
+        if rnd.random() < 0.6:
+            lines.append(f"(assert {_gen_let(rnd, 3, {}, lambda s: _gen_literal(rnd, s))})")
+        else:
+            lines.append(f"(assert {_gen_literal(rnd, {})})")
+    return "\n".join(lines)
 
 
 def gen_problem(rnd):
@@ -118,6 +155,98 @@ def gen_problem(rnd):
 @given(st.randoms(use_true_random=False))
 def test_reader_matches_reference_on_generated_problems(rnd):
     _agree(gen_problem(rnd))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_reader_matches_reference_on_generated_let_problems(rnd):
+    _agree(gen_let_problem(rnd))
+
+
+# -- let binders ----------------------------------------------------------------
+
+LET_DECLS = ("(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\n"
+             "(declare-fun P (S) Bool) (declare-const c S) (declare-const d S)\n"
+             "(declare-var x S)\n")
+
+# valid: shadowing, sequential and parallel scope, lets as terms and around
+# every literal form; then each malformed let, and names out of scope
+LET_PROBLEMS = [LET_DECLS + body for body in (
+    "(assert (let ((y (f c))) (= x (h y y))))",
+    "(assert (let ((c d)) (= x c)))\n(assert (= x c))",
+    "(assert (let ((x c)) (let ((x (f x))) (distinct x d))))",
+    "(assert (let ((y c)) (let ((y d) (z y)) (= z (f y)))))",
+    "(assert (let ((y (f c)) (z (f d))) (= (h y z) x)))",
+    "(assert (= x (let ((y (f c))) (h y (let ((y d)) (f y))))))",
+    "(assert (let ((y c)) (P y)))\n(assert (let ((y d)) (not (P y))))",
+    "(assert (let ((y c)) (not (distinct y x))))",
+    "(assert (not (let ((y c)) (P y))))",
+    "(assert (let ((y (let ((z c)) (f z)))) (ueq y x)))",
+    "(assert (let ((y c)) y))",
+    "(assert (let ((b (P c))) b))",
+    "(assert (= x (let ((y c)) y)))\n(assert (= x y))",
+    "(assert (let ((y c)) (= x (f y))))\n(assert (= y x))",
+    "(assert (let () (= x c)))",
+    "(assert (= x (let () c)))",
+    "(assert (let (y c) (= x y)))",
+    "(assert (let ((y)) (= x c)))",
+    "(assert (let ((y c d)) (= x y)))",
+    "(assert (let (((y) c)) (= x c)))",
+    "(assert (let ((y c) (y d)) (= x y)))",
+    "(assert (let y (= x c)))",
+    "(assert (let))",
+    "(assert (let ((y c))))",
+    "(assert (let ((y c)) (= x y) (= x c)))",
+    "(assert (= x (let ((y c)) y d)))",
+    "(assert (= x (let ((y c)))))",
+    "(assert (let ((y nosuch) (y c)) (= x y)))",
+    "(assert (let ((y (h c))) (= x y)))",
+    "(assert (let ((y (P c))) (= x y)))",
+    "(assert (= x (let ((y c)) (y c))))",
+    "(declare-const let S)",
+    "(declare-fun let (S) S)",
+)]
+
+
+@pytest.mark.parametrize("text", LET_PROBLEMS)
+def test_reader_matches_reference_on_lets(text):
+    _agree(text)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("(let () (= x c))", "let with no bindings at 4:13"),
+    ("(= x (let () c))", "let with no bindings at 4:18"),
+    ("(let (y c) (= x y))", "a let binding must be (name term) at 4:14"),
+    ("(let ((y c) (y d)) (= x y))", "'y' is bound twice in one let at 4:21"),
+    ("(let y (= x c))", "let needs a list of bindings at 4:13"),
+    ("(let ((y c)))", "let takes one body at 4:20"),
+    ("(let ((y c)) (= x y) (= x c))", "let takes one body at 4:29"),
+    ("(= x (let ((y c)) y d))", "let takes one body at 4:28"),
+    ("(= x (let ((y c)) y))) (assert (= x y)", "unknown symbol 'y'"),
+])
+def test_let_errors_and_positions(body, message):
+    with pytest.raises(InputError) as exc:
+        parse_problem(LET_DECLS + "(assert " + body + ")")
+    assert str(exc.value) == message
+
+
+def test_let_is_reserved():
+    with pytest.raises(InputError) as exc:
+        parse_problem("(declare-sort S 0) (declare-const let S)")
+    assert str(exc.value) == "'let' is reserved"
+
+
+def test_lets_nested_3000_deep_parse():
+    """A chain of 3000 sequential lets around a literal, and as a term."""
+    d = 3000
+    binds = "".join(f"(let ((y{i + 1} (f y{i}))) " for i in range(d))
+    for body in (f"(= x {binds}y{d}{')' * d})", f"{binds}(= x y{d}){')' * d}"):
+        prob = parse_problem(LET_DECLS + f"(assert (let ((y0 c)) {body}))")
+        (lit,) = prob.formula.literals
+        depth, t = 0, lit.rhs
+        while t.children:
+            depth, t = depth + 1, t.children[0]
+        assert (lit.lhs.label, depth, t.label) == ("x", d, "c")
 
 
 # -- single-token mutants ------------------------------------------------------
@@ -156,7 +285,8 @@ def mutate(text, rnd):
 
 @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.sampled_from(PROBLEMS),
-                 st.randoms(use_true_random=False).map(gen_problem)),
+                 st.randoms(use_true_random=False).map(gen_problem),
+                 st.randoms(use_true_random=False).map(gen_let_problem)),
        st.randoms(use_true_random=False))
 def test_reader_matches_reference_on_mutants(text, rnd):
     _agree(mutate(text, rnd))

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egraphqe import (InputError, Literal, Signature, SortKind, TermStore,
-                      formula_to_sexpr, parse_model,
+                      formula_to_sexpr, literal_to_sexpr, parse_model, qel,
                       parse_problem, term_to_sexpr)
 from egraphqe.parser import ParseError
 from egraphqe.sexpr import Form, LocatedError, read_all, where
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
-                            UnknownSymbolError, mk_formula)
+                            UnknownSymbolError, mk_formula, post_order)
 
-from conftest import DEMOS, load, ref_var_order, same_literals
+from conftest import (DEMOS, TOWER_DECLS, conjuncts, expand_lets, load, reparse,
+                      ref_var_order, same_literals, tower_problem)
 
 
 def _store():
@@ -246,15 +247,17 @@ def _random_dag_formula(rng):
 
 
 def test_iterative_walks_match_tree_references():
+    """The printers against the tree-recursive references, once the let
+    binders of the literals whose trees blow up are expanded."""
     rng = random.Random(20261017)
     for _ in range(150):
         store, formula = _random_dag_formula(rng)
         assert formula.free_vars == _ref_free_vars(store, formula.literals)
         printed = formula_to_sexpr(formula)
-        assert printed == _ref_formula(formula)
+        assert expand_lets(printed) == _ref_formula(formula)
         for lit in formula.literals:
             for side in (lit.lhs, lit.rhs):
-                assert term_to_sexpr(side) == _ref_term(side)
+                assert expand_lets(term_to_sexpr(side)) == _ref_term(side)
                 assert store.free_vars(side) == frozenset(_ref_occurrences(store, side))
         # printing, parsing and printing again is a fixed point
         text = DAG_DECLS + "".join(f"(assert {lit!r})\n" for lit in formula.literals)
@@ -277,6 +280,135 @@ def test_deep_chain_prints_and_orders_variables():
     formula = mk_formula(store, [Literal("eq", store.mk_const("x"), top)])
     assert formula.free_vars == ("x", "y")
     assert term_to_sexpr(top) == "(f " * 10_001 + "y" + ")" * 10_001
+
+
+# -- let binders ------------------------------------------------------------------
+
+def _dag_order(lit):
+    """The distinct subterms of the literal's two sides, in post-order."""
+    seen, order = set(), []
+    for side in (lit.lhs, lit.rhs):
+        if side.id not in seen:
+            for t in post_order(side, seen):
+                seen.add(t.id)
+                order.append(t)
+    return order
+
+
+def _dag_shape(lit):
+    """The literal up to the ids of its terms: its kind, and per distinct
+    subterm in post-order its label and its children's post-order numbers.
+    Literals in two stores have one shape exactly when they are the same
+    terms."""
+    order = _dag_order(lit)
+    number = {t.id: i for i, t in enumerate(order)}
+    return (lit.kind, number[lit.lhs.id], number[lit.rhs.id],
+            [(t.label, tuple(number[c.id] for c in t.children)) for t in order])
+
+
+def _sharing(lit):
+    """(tree size with both sides expanded, number of distinct subterms)."""
+    order = _dag_order(lit)
+    paths = dict.fromkeys((t.id for t in order), 0)
+    for side in (lit.lhs, lit.rhs):
+        paths[side.id] += 1
+    for t in reversed(order):
+        for c in t.children:
+            paths[c.id] += paths[t.id]
+    return sum(paths.values()), len(order)
+
+
+_TOWER_LEVELS = st.lists(st.tuples(st.sampled_from(("h", "k3", "k", "f")),
+                                   st.integers(0, 63)), min_size=1, max_size=60)
+_LIT_STEP = st.tuples(st.integers(0, 4), st.integers(0, 63), st.integers(0, 63))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TOWER_LEVELS, min_size=1, max_size=4),
+       st.lists(_LIT_STEP, min_size=1, max_size=5))
+def test_print_parse_print_is_a_fixed_point_on_shared_dags(towers, literals):
+    """Towers up to 60 levels of random symbols, each level sharing the one
+    below twice or three times (h, k3) or not at all (f), or sharing it
+    once beside an earlier term (k); literals over any two of the terms.
+    The printed formula reads back to the same terms and prints again the
+    same; a literal under lets has more than 16 tree nodes per distinct
+    subterm, and no literal prints at the size of its tree: the text stays
+    within a square of the number of pieces printed."""
+    prob = parse_problem(DAG_DECLS)
+    store = prob.store
+    pool = [store.mk_const(v) for v in ("c", "d", "x0", "x1")]
+    for levels in towers:
+        t = pool[levels[0][1] % len(pool)]
+        for label, i in levels:
+            if label == "h":
+                t = store.mk_app("h", (t, t))
+            elif label == "k3":
+                t = store.mk_app("k", (t, t, t))
+            elif label == "k":
+                t = store.mk_app("k", (t, pool[i % len(pool)], t))
+            else:
+                t = store.mk_app("f", (t,))
+            pool.append(t)
+    lits = []
+    for kind, i, j in literals:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if kind < 3:
+            lits.append(Literal(("eq", "diseq", "ueq")[kind], a, b))
+        else:
+            lits.append(Literal("eq", store.mk_app("Q", (a, b)),
+                                (store.top, store.bot)[kind - 3]))
+    formula = mk_formula(store, lits)
+    printed = formula_to_sexpr(formula)
+    again = reparse(DAG_DECLS, printed)
+    assert [_dag_shape(l) for l in again.literals] == \
+        [_dag_shape(l) for l in formula.literals]
+    assert formula_to_sexpr(again) == printed
+    pieces = 0
+    for lit, text in zip(formula.literals, conjuncts(printed)):
+        size, distinct = _sharing(lit)
+        if text.startswith("(let "):
+            assert size > 16 * distinct
+            assert len(text) < 40 * distinct
+        pieces += 7 * distinct + 5
+    # a flat subterm is printed again only while its text has at most 64
+    # characters per piece (each node is at most 7 pieces, a literal 5 more)
+    assert len(printed) <= 64 * pieces ** 2
+
+
+@pytest.mark.parametrize("depth", [12, 15, 60, 3000])
+def test_tower_prints_linear_and_reads_back(depth):
+    """qel keeps the tower's disequality; it prints under one let per
+    shared level, within ten times the input, and reads back to the same
+    terms, which print again the same."""
+    text = tower_problem(depth, random.Random(depth))
+    prob = parse_problem(text)
+    out = qel(prob.sig, prob.store, prob.formula)
+    printed = formula_to_sexpr(out)
+    assert printed.startswith("(and (let ((?l!0 (")
+    assert printed.count("(let ") == depth - 1
+    assert len(printed) < 10 * len(text)
+    again = reparse(TOWER_DECLS, printed)
+    assert [_dag_shape(l) for l in again.literals] == \
+        [_dag_shape(l) for l in out.literals]
+    assert formula_to_sexpr(again) == printed
+
+
+def test_binder_names_skip_the_labels_of_the_literal():
+    sig = Signature()
+    u = sig.declare_sort("U")
+    sig.declare_fun("h", [u, u], u)
+    for name in ("?l!0", "?l!2", "d"):
+        sig.declare_const(name, u)
+    store = TermStore(sig)
+    t = store.mk_const("?l!0")
+    for _ in range(12):
+        t = store.mk_app("h", (t, t))
+    text = literal_to_sexpr(Literal("diseq", t, store.mk_const("?l!2")))
+    assert text.startswith("(let ((?l!1 (h ?l!0 ?l!0))) (let ((?l!3 (h ?l!1 ?l!1))) ")
+    decls = "(declare-sort U 0) (declare-fun h (U U) U) (declare-const ?l!0 U)" \
+        " (declare-const ?l!2 U)"
+    (lit,) = reparse(decls, text).literals
+    assert literal_to_sexpr(lit) == text
 
 
 _LEAVES = ("c", "d", "x0", "x1", "x2", "x3")
