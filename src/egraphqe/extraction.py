@@ -11,7 +11,7 @@ it meets is already on the current path from the start node.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .egraph import EGraph
 from .terms import Formula, Literal, Term, mk_formula
@@ -140,11 +140,6 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
             memo[node.id] = g.store.mk_app(
                 node.label, [memo[r.get(c)] for c in node.children])
     return memo[n]
-
-
-def extract_terms(g: EGraph, r: ReprFn, nodes: Iterable[int]) -> Mapping[int, Term]:
-    memo = {}
-    return {n: to_expr(g, n, r, _memo=memo) for n in nodes}
 
 
 def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .sexpr import LocatedError, read_all
 from .terms import (ARITH_FUNS, InputError, Literal, Signature, Sort,
-                    SortKind, Term, is_numeral, post_order)
+                    SortKind, Term, is_numeral, post_order, sorts_within)
 
 
 class ModelError(InputError):
@@ -96,19 +96,25 @@ def array_write(arr: ArrayVal, key: Value, val: Value) -> ArrayVal:
 
 
 def default_value(sort: Sort) -> Value:
-    if sort.kind is SortKind.INT:
-        return IntVal(0)
-    if sort.kind is SortKind.BOOL:
-        return BoolVal(False)
-    if sort.kind is SortKind.UNINTERPRETED:
-        return Elem(sort.name, 0)
-    if sort.kind is SortKind.ARRAY:
-        return ArrayVal(default_value(sort.value), ())
-    if sort.kind is SortKind.ADT:
-        ctor = sort.constructors[0]
-        return AdtVal(ctor.name,
-                      tuple(default_value(s) for _, s in ctor.selectors))
-    raise ModelError(f"no default for sort {sort}")
+    """The default value of sort: 0, false, element 0, the array whose
+    default is its value sort's, or the first constructor over its fields'
+    defaults.  The sorts inside it are done first, in the order
+    sorts_within gives, so no call recurses, however deep the sort."""
+    made = {}
+    for name, s in sorts_within([sort]).items():
+        if s.kind is SortKind.INT:
+            made[name] = IntVal(0)
+        elif s.kind is SortKind.BOOL:
+            made[name] = BoolVal(False)
+        elif s.kind is SortKind.UNINTERPRETED:
+            made[name] = Elem(name, 0)
+        elif s.kind is SortKind.ARRAY:
+            made[name] = ArrayVal(made[s.value.name], ())
+        else:
+            ctor = s.constructors[0]
+            made[name] = AdtVal(ctor.name,
+                                tuple(made[f.name] for _, f in ctor.selectors))
+    return made[sort.name]
 
 
 @dataclass(frozen=True)

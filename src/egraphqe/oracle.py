@@ -9,30 +9,31 @@ one stands for the others and counts with their number (its weight).  The
 first interpretation in product order with a given verdict is always
 enumerated, so witnesses and models are those of the full product.  Int,
 Bool, array and datatype values are enumerated in full.  The assignment
-search backtracks:
-it binds the variables one at a time in sorted name order and checks each
-literal as soon as its last variable is bound (forward checking), so a
-failing literal prunes every assignment that extends the bound prefix.  It
-visits assignments in the order of the full product, so the first model it
-finds is the first model of the product.  Declared variables passed as
-``free`` are shared symbols: enumerated with the interpretation, not closed
-existentially.  Integers range over a window derived from the numerals in
-the formulas.  Evaluation is three-valued (Kleene): a term whose value
-leaves the enumerated domains (arithmetic out of the window, a function
-applied outside its table) is undefined, as is every term and literal above
-it.  An assignment fails when some literal fails and holds when all hold; a
-formula holds when some assignment holds and fails when all fail; else each
-is undefined, whatever the order of the literals.  An interpretation on
-which the comparison is undefined is skipped (a soundness note, reported in
-the verdict).  Deliberately independent of the egraph machinery: plain
-evaluation over plain Python values.  Only the declarations are shared
-with the model evaluator: the symbols enumerated are the variables and the
-signature's uninterpreted symbols, and constructors, testers and selectors
-are told apart by its datatype table.  Each formula's subterms are listed
-once, by iterative post-order walks, and each distinct subterm is valued
-once per binding of its last variable, so terms of any depth are checked;
-sorts are walked with an explicit stack and sized by saturating products,
-so sorts of any depth are sized too.
+search backtracks: it binds the variables one at a time in sorted name
+order and checks each literal as soon as its last variable is bound
+(forward checking), so a failing literal prunes every assignment that
+extends the bound prefix.  It visits assignments in the order of the full
+product, so the first model it finds is the first model of the product.
+Declared variables passed as ``free`` are shared symbols: enumerated with
+the interpretation, not closed existentially.  Integers range over a window
+derived from the numerals in the formulas.  Evaluation is three-valued
+(Kleene), by one rule: a term with an undefined argument is undefined.
+Undefinedness starts where a value leaves the enumerated domains
+(arithmetic out of the window, a function applied outside its table), and a
+literal with an undefined side is undefined.  An assignment fails when some
+literal fails and holds when all hold; a formula holds when some assignment
+holds and fails when all fail; else each is undefined, whatever the order
+of the literals.  An interpretation on which the comparison is undefined is
+skipped (a soundness note, reported in the verdict).  Deliberately
+independent of the egraph machinery: plain evaluation over plain Python
+values.  Only the declarations are shared with the model evaluator: the
+symbols enumerated are the variables and the signature's uninterpreted
+symbols, and constructors, testers and selectors are told apart by its
+datatype table.  Each formula's subterms are listed once, by iterative
+post-order walks, and each distinct subterm is valued once per binding of
+its last variable, so terms of any depth are checked; sorts are walked with
+an explicit stack and sized by saturating products, so sorts of any depth
+are sized too.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
-from .terms import Formula, Sort, SortKind, is_numeral, post_order
+from .terms import (Formula, Sort, SortKind, is_numeral, post_order,
+                    sorts_within)
 
 
 class SearchSpaceError(Exception):
@@ -160,8 +162,7 @@ class _Context:
         self.variables = sig.variables.keys() - free
         self.terms = [_subterms(f) for f in formulas]
         self.window = bounds.int_window or self._derive_window()
-        self.plans = [_plan(f, terms, self.variables, self.window,
-                            sig.datatype)
+        self.plans = [_plan(f, terms, self.variables)
                       for f, terms in zip(formulas, self.terms)]
         self.consts, self.funcs, self.vars_per_formula = self._symbols()
         self.sorts_used = self._sorts_used()
@@ -171,8 +172,8 @@ class _Context:
         # element 0 of a sort that is an array's value or a datatype's field
         # is named by the arrays' pinned default and the selectors' defaults
         # (_default), so it is never renamed
-        within = _sorts_within([*self.sorts_used.values(),
-                                *(t.sort for terms in self.terms for t in terms)])
+        within = sorts_within([*self.sorts_used.values(),
+                               *(t.sort for terms in self.terms for t in terms)])
         self._pinned = {s.name for sort in within.values()
                         for s in _defaulted(sort) if s.name in self._sizes}
         # the uninterpreted sorts that constants and function values range over
@@ -216,21 +217,21 @@ class _Context:
 
     def _sorts_used(self):
         """The sorts of the enumerated symbols and every sort inside them,
-        by name, each after the sorts inside it (_sorts_within)."""
+        by name, each after the sorts inside it (sorts_within)."""
         roots = list(self.consts.values())
         for args, res in self.funcs.values():
             roots += (*args, res)
         for fvars in self.vars_per_formula:
             roots += fvars.values()
-        return _sorts_within(roots)
+        return sorts_within(roots)
 
     def domain(self, sort: Sort) -> list:
         """The values of sort, built once.  The sorts inside it are built
-        first, in the order _sorts_within gives, so no sort's domain
+        first, in the order sorts_within gives, so no sort's domain
         recurses into another's, however deep the nesting."""
         hit = self._domains.get(sort.name)
         if hit is None:
-            for inner in _sorts_within([sort]).values():
+            for inner in sorts_within([sort]).values():
                 if inner.name not in self._domains:
                     self._domains[inner.name] = self._build_domain(inner)
             hit = self._domains[sort.name]
@@ -406,7 +407,7 @@ class _Context:
         undefined at best.  Assignments are tried in itertools.product
         order."""
         idx = self.formulas.index(formula)
-        names, levels, fallible = self.plans[idx]
+        names, levels = self.plans[idx]
         fvars = self.vars_per_formula[idx]
         doms = [self.domain(fvars[n]) for n in names]
         assign = {}
@@ -416,7 +417,7 @@ class _Context:
         # undefined, and an undefined prefix is pruned like a failing one;
         # from the start when only an assignment that holds is wanted
         undefined = want_assignment
-        outcome = self._check(levels[0], fallible, val, interp, assign)
+        outcome = self._check(levels[0], val, interp, assign)
         if outcome is False or (outcome is None and undefined):
             return None if undefined else False
         if not names:
@@ -434,7 +435,7 @@ class _Context:
                 continue
             pos[d] = i + 1
             assign[names[d]] = doms[d][i]
-            outcome = self._check(levels[d + 1], fallible, val, interp, assign)
+            outcome = self._check(levels[d + 1], val, interp, assign)
             if outcome is False:
                 continue
             outcome = holds[d] and outcome
@@ -449,33 +450,29 @@ class _Context:
                 undefined = True
         return None if undefined else False
 
-    def _check(self, level, fallible, val, interp, assign):
+    def _check(self, level, val, interp, assign):
         """Value the level's terms and check its literals, in formula order:
         False as soon as one fails, else True when every one holds and None
-        when some side is undefined."""
+        when some side is undefined.  A term with an undefined argument is
+        undefined."""
         entries, rest = level
-        apply, guarded = self._apply, self._apply_guarded
+        apply = self._apply
         outcome = True
         for terms, kind, lhs, rhs in entries:
             for t in terms:
-                val[t.id] = (guarded if t.id in fallible else apply)(
-                    t, [val[c.id] for c in t.children], interp, assign)
+                args = [val[c.id] for c in t.children]
+                val[t.id] = _UNDEFINED if _UNDEFINED in args else \
+                    apply(t, args, interp, assign)
             a, b = val[lhs], val[rhs]
             if a is _UNDEFINED or b is _UNDEFINED:
                 outcome = None
             elif (a == b) == (kind == "diseq"):
                 return False
         for t in rest:
-            val[t.id] = (guarded if t.id in fallible else apply)(
-                t, [val[c.id] for c in t.children], interp, assign)
+            args = [val[c.id] for c in t.children]
+            val[t.id] = _UNDEFINED if _UNDEFINED in args else \
+                apply(t, args, interp, assign)
         return outcome
-
-    def _apply_guarded(self, term, args, interp, assign):
-        """_apply for a fallible term: undefined when an argument is."""
-        for a in args:
-            if a is _UNDEFINED:
-                return a
-        return self._apply(term, args, interp, assign)
 
     def _apply(self, term, args, interp, assign):
         """Value of term's symbol applied to the values of its arguments;
@@ -544,9 +541,8 @@ class _Context:
 
 
 class _Plan(NamedTuple):
-    names: list          # the formula's variables, in binding order
-    levels: list         # per level, (entries, rest)
-    fallible: frozenset  # ids of the terms that may be undefined
+    names: list   # the formula's variables, in binding order
+    levels: list  # per level, (entries, rest)
 
 
 def _subterms(formula):
@@ -555,7 +551,7 @@ def _subterms(formula):
     return [t for lit in formula.literals for t in _new_subterms(lit, seen)]
 
 
-def _plan(formula, terms, variables, window, datatype) -> _Plan:
+def _plan(formula, terms, variables) -> _Plan:
     """The search plan of formula, whose subterms are terms.  names are
     its variables (those in variables) in sorted order, the order the
     search binds them.  A term's level is 0 when it has no variable and
@@ -566,21 +562,15 @@ def _plan(formula, terms, variables, window, datatype) -> _Plan:
     levels need.  Each list runs children before parents, and each term is
     listed once, at its own level, so it is valued as soon as its
     variables are bound, and a literal is checked as soon as its sides are
-    valued.  A term is fallible when it, or a term below it, may leave the
-    enumerated domains (_leaves_domains): only a fallible term can be
-    undefined, so only those pay for the check."""
+    valued."""
     names = sorted({t.label for t in terms if t.label in variables})
     depth = {name: d + 1 for d, name in enumerate(names)}
     level = {}
-    fallible = set()
     own = [[] for _ in range(len(names) + 1)]
     for t in terms:
         lv = max([depth.get(t.label, 0)] + [level[c.id] for c in t.children])
         level[t.id] = lv
         own[lv].append(t)
-        if _leaves_domains(t, window, datatype) or \
-                any(c.id in fallible for c in t.children):
-            fallible.add(t.id)
     lits = [[] for _ in own]
     for lit in formula.literals:
         lits[max(level[lit.lhs.id], level[lit.rhs.id])].append(lit)
@@ -594,35 +584,7 @@ def _plan(formula, terms, variables, window, datatype) -> _Plan:
         rest = [t for t in level_terms if t.id not in listed]
         listed.update(t.id for t in rest)
         levels.append((entries, rest))
-    return _Plan(names, levels, frozenset(fallible))
-
-
-def _leaves_domains(term, window, datatype):
-    """Whether term may be undefined, or have a value outside the
-    enumerated domains that makes a term above it undefined (as a function
-    argument), though its arguments' values lie inside them: arithmetic may
-    leave the window, so may a numeral, and a selector applied to another
-    constructor gives a default that holds 0 (_Context._default)."""
-    label = term.label
-    if label in _ARITH:
-        return True
-    if is_numeral(label):
-        return not window[0] <= int(label) <= window[1]
-    role = datatype.get(label)
-    if role is not None and role[0] == "selector":
-        return _default_holds_int(term.sort)
-    return False
-
-
-def _default_holds_int(sort):
-    if sort.kind is SortKind.INT:
-        return True
-    if sort.kind is SortKind.ARRAY:
-        return _default_holds_int(sort.value)
-    if sort.kind is SortKind.ADT:
-        return any(_default_holds_int(s)
-                   for _, s in sort.constructors[0].selectors)
-    return False
+    return _Plan(names, levels)
 
 
 def _new_subterms(lit, seen):
@@ -633,27 +595,6 @@ def _new_subterms(lit, seen):
             for t in post_order(side, seen):
                 seen.add(t.id)
                 yield t
-
-
-def _sorts_within(roots):
-    """The sorts in roots and every sort inside them, by name, each after
-    the sorts inside it.  Walked with an explicit stack and keyed by name,
-    so no sort is hashed, however deep."""
-    out = {}
-    stack = [(sort, False) for sort in reversed(roots)]
-    while stack:
-        sort, expanded = stack.pop()
-        if sort.name in out:
-            continue
-        if expanded:
-            out[sort.name] = sort
-            continue
-        stack.append((sort, True))
-        if sort.kind is SortKind.ARRAY:
-            stack += [(sort.value, False), (sort.index, False)]
-        for ctor in sort.constructors:
-            stack += [(s, False) for _, s in ctor.selectors]
-    return out
 
 
 def _defaulted(sort):

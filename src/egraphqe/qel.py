@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .egraph import EGraph
-from .extraction import ReprFn, extract_terms, to_formula
+from .extraction import ReprFn, to_expr, to_formula
 from .terms import Formula, Signature, TermStore
 
 
@@ -191,7 +191,8 @@ def reduce(g: EGraph, var_names, taint=frozenset()):
     core = find_core(g, r, var_names)
     if taint:
         free_vars = g.store.free_vars
-        extractions = extract_terms(g, r, core)
+        memo = {}
+        extractions = {n: to_expr(g, n, r, _memo=memo) for n in core}
         core = {n for n in core
                 if not free_vars(extractions[n]) & taint
                 and not free_vars(extractions[r.get(n)]) & taint}

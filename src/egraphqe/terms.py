@@ -103,6 +103,27 @@ def array_sort(index: Sort, value: Sort) -> Sort:
                 index=index, value=value)
 
 
+def sorts_within(roots):
+    """The sorts in roots and every sort inside them, by name, each after
+    the sorts inside it.  Walked with an explicit stack and keyed by name,
+    so no sort is hashed, however deep."""
+    out = {}
+    stack = [(sort, False) for sort in reversed(roots)]
+    while stack:
+        sort, expanded = stack.pop()
+        if sort.name in out:
+            continue
+        if expanded:
+            out[sort.name] = sort
+            continue
+        stack.append((sort, True))
+        if sort.kind is SortKind.ARRAY:
+            stack += [(sort.value, False), (sort.index, False)]
+        for ctor in sort.constructors:
+            stack += [(s, False) for _, s in ctor.selectors]
+    return out
+
+
 class Signature:
     """Symbol table: sorts, functions, and the variables to eliminate.
 

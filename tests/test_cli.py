@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egraphqe import EGraph, formula_to_sexpr, parse_problem
+from egraphqe import EGraph, Literal, formula_to_sexpr, mbp, parse_problem
 from egraphqe.cli import main
 from egraphqe.qel import reduce
+from egraphqe.terms import mk_formula
 
 import random
 
@@ -319,6 +321,69 @@ def test_mbp_with_an_array_entry_1999_deep(tmp_path, capsys):
                              f"(1 {value(1)})))\n" for name in "ac"))
     assert main(["mbp", str(problem), "--model", str(model)]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+def _deep_selector_problem(tmp_path, command, depth=2000):
+    """fld selects a field whose sort is an (Array Int ...) nested depth
+    deep, and y equals it; with a model where x is nil and y the default
+    of that sort.  Returns the problem and model paths."""
+    sort = "(Array Int " * depth + "Int" + ")" * depth
+    problem = tmp_path / "p.smt2"
+    problem.write_text(f"(declare-datatype P ((mk (fld {sort})) (nil))) "
+                       f"(declare-var x P) (declare-const y {sort}) "
+                       f"(assert (= y (fld x))) ({command})")
+    model = tmp_path / "p.model"
+    model.write_text("(define-value x (nil)) (define-value y "
+                     + "(array (default " * depth + "0" + "))" * depth + ")")
+    return str(problem), str(model)
+
+
+def test_check_of_a_selector_into_a_2000_deep_sort_is_skipped(tmp_path, capsys):
+    problem, _ = _deep_selector_problem(tmp_path, "qel")
+    assert main(["qel", problem, "--check"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "(and (= y (fld x)))\n"
+    assert "check skipped: search space too large" in out.err
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+def test_mbp_takes_a_selector_default_2000_deep(tmp_path, capsys, check):
+    # x is nil, so the model evaluator values (fld x) as the default of
+    # the field's sort, built inner sorts first
+    problem, model = _deep_selector_problem(tmp_path, "mbp")
+    assert main(["mbp", problem, "--model", model, *check]) == 0
+    out = capsys.readouterr()
+    assert out.out == "true\n"
+    assert ("check skipped: search space too large" in out.err) == bool(check)
+
+
+def _false(store):
+    """The formula (distinct true true), whose closure is false."""
+    true = store.mk_const("true")
+    return mk_formula(store, [Literal("diseq", true, true)])
+
+
+def test_qel_check_failure_exits_3(monkeypatch, capsys):
+    def wrong_reduce(g, var_names):
+        return reduce(g, var_names)[0], _false(g.store)
+
+    monkeypatch.setattr("egraphqe.cli.reduce", wrong_reduce)
+    assert main(["qel", _path("circular_defs.smt2"), "--check"]) == 3
+    err = capsys.readouterr().err
+    assert "check failed: existential closures equivalent does not hold; " \
+        "witness {" in err
+
+
+def test_mbp_check_failure_exits_3(monkeypatch, capsys):
+    def wrong_mbp(*args, **kwargs):
+        result = mbp(*args, **kwargs)
+        return dataclasses.replace(result, formula=_false(result.graph.store))
+
+    monkeypatch.setattr("egraphqe.cli.mbp", wrong_mbp)
+    assert main(["mbp", _path("nested_pair_array.smt2"),
+                 "--model", _path("nested_pair_array.model"), "--check"]) == 3
+    err = capsys.readouterr().err
+    assert "check failed: model does not satisfy the output\n" in err
 
 
 @pytest.mark.parametrize("depth", [60, 3000])

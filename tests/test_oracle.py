@@ -4,8 +4,8 @@ from functools import partial
 
 import pytest
 
-from egraphqe import (Bounds, Literal, Model, SearchSpaceError, Signature,
-                      TermStore, equiv_exists, eval_term, find_model,
+from egraphqe import (Bounds, IntVal, Literal, Model, SearchSpaceError,
+                      Signature, TermStore, equiv_exists, eval_term, find_model,
                       implies_exists, mbp, qel, satisfies, term_to_sexpr)
 from egraphqe import oracle
 from egraphqe.parser import parse_problem
@@ -212,8 +212,7 @@ def test_empty_bounds_are_refused():
 def test_plan_checks_each_literal_at_its_last_variable():
     prob = load("read_chain.smt2")
     terms = oracle._subterms(prob.formula)
-    plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
-                        (-1, 5), prob.sig.datatype)
+    plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys())
     assert plan.names == ["x", "y", "z"]
     lits = [(lit.kind, lit.lhs.id, lit.rhs.id)
             for lit in prob.formula.literals]
@@ -227,14 +226,6 @@ def test_plan_checks_each_literal_at_its_last_variable():
     assert valued == [["a", "k", "1", "(+ k 1)", "3", "true"],
                       ["x", "(read a x)"], ["y", "(read a y)"],
                       ["z", "(> 3 z)"]]
-    # only (+ k 1), in literal 1, may leave the window
-    assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
-        {"(+ k 1)"}
-    # a numeral outside the window is fallible too
-    plan = oracle._plan(prob.formula, terms, prob.sig.variables.keys(),
-                        (0, 2), prob.sig.datatype)
-    assert {term_to_sexpr(t) for t in terms if t.id in plan.fallible} == \
-        {"3", "(> 3 z)", "(+ k 1)"}
 
 
 # -- the backtracking search against a three-valued product search -----------
@@ -573,7 +564,7 @@ def test_failing_skip_count_is_weighted(monkeypatch):
         assert _outcome(call) == (False, witness, 2)
 
 
-# -- the oracle and the model evaluator on datatype symbols --------------------
+# -- the oracle and the model evaluator on datatype symbols and builtins -------
 
 def test_evaluators_agree_on_every_datatype_symbol():
     """Both evaluators read what a constructor, tester or selector does from
@@ -607,3 +598,32 @@ def test_evaluators_agree_on_every_datatype_symbol():
                 eval_term(model, sig, t), (v, term_to_sexpr(t))
         assert ctx._apply(terms[0], [interp[c] for c in "nbe"], interp, {}) \
             == (v if v[1] == "mk" else ("adt", "mk", tuple(first)))
+
+
+def test_evaluators_agree_on_every_int_builtin():
+    """On every pair of values of the oracle's Int window, both evaluators
+    agree on each arithmetic symbol, comparison, ueq and distinct term
+    wherever the oracle's value is defined; the oracle's value is undefined
+    only where arithmetic leaves the window."""
+    sig = parse_problem("(declare-const m Int) (declare-const n Int)").sig
+    store = TermStore(sig)
+    m, n = store.mk_const("m"), store.mk_const("n")
+    terms = [store.mk_app(f, (m, n)) for f in
+             ("+", "-", "*", ">", "<", ">=", "<=", "ueq", "distinct")]
+    formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
+    ctx = oracle._Context(sig, store, (formula,), Bounds(int_window=(-2, 3)))
+    window = ctx.domain(sig.sorts["Int"])
+    assert window == list(range(-2, 4))
+    undefined = set()
+    for a, b in itertools.product(window, repeat=2):
+        interp = {"m": a, "n": b}
+        model = Model({"m": IntVal(a), "n": IntVal(b)}, {}, {})
+        for t in terms:
+            got = ctx._apply(t, [a, b], interp, {})
+            if got is oracle._UNDEFINED:
+                assert not -2 <= eval_term(model, sig, t).n <= 3
+                undefined.add(t.label)
+                continue
+            assert oracle._to_model_value(got) == \
+                eval_term(model, sig, t), (a, b, term_to_sexpr(t))
+    assert undefined == {"+", "-", "*"}
