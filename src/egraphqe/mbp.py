@@ -292,7 +292,7 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
     for v, e in ((lhs, rhs), (rhs, lhs)):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.label in store.free_vars(e.term):
+        if v.label in e.term.vars:
             continue
         if not state.mark("elim_eq", (n, v.id)):
             return False

@@ -176,11 +176,6 @@ class _Context:
                                *(t.sort for terms in self.terms for t in terms)])
         self._pinned = {s.name for sort in within.values()
                         for s in _defaulted(sort) if s.name in self._sizes}
-        # the uninterpreted sorts that constants and function values range over
-        self._renamable = {
-            s.name for s in itertools.chain(
-                self.consts.values(), (r for _, r in self.funcs.values()))
-            if s.kind is SortKind.UNINTERPRETED}
         self._domains = {}
         self._guard()
 
@@ -319,39 +314,17 @@ class _Context:
         return itertools.product(range(1, self.bounds.universe + 1),
                                  repeat=len(self._uninterp))
 
-    def _choices(self):
-        out = []
-        for name, sort in sorted(self.consts.items()):
-            out.append((name, self.domain(sort)))
-        for name, (arg_sorts, result) in sorted(self.funcs.items()):
-            keys = list(itertools.product(*(self.domain(s) for s in arg_sorts)))
-            res_dom = self.domain(result)
-            tables = [dict(zip(keys, vals))
-                      for vals in itertools.product(res_dom, repeat=len(keys))]
-            out.append((name, tables))
-        return out
-
     def interpretations(self):
         """Pairs (interpretation, weight), over every universe-size vector
         up to the bound (so one-element universes are covered as well), in
-        product order.  When a constant or a function's values lie in an
-        uninterpreted sort with at least two elements that are not pinned,
-        the interpretations are enumerated up to a renaming of the elements
-        (_up_to_renaming), and the weight is the number of interpretations
-        of the product that the one yielded stands for, so the weights sum
-        to the size of the product.  Else no renaming can leave one out, and
-        each interpretation of the product is yielded, with weight 1."""
+        product order.  The interpretations are enumerated up to a renaming
+        of the elements (_up_to_renaming), and the weight is the number of
+        interpretations of the product that the one yielded stands for, so
+        the weights sum to the size of the product."""
         for sizes in self._size_vectors():
             self._sizes = dict(zip(self._uninterp, sizes))
             self._domains = {}
-            if any(self._sizes[name] - (name in self._pinned) > 1
-                   for name in self._renamable):
-                yield from _up_to_renaming(*self._cells())
-                continue
-            choices = self._choices()
-            names = [n for n, _ in choices]
-            for combo in itertools.product(*(c for _, c in choices)):
-                yield dict(zip(names, combo)), 1
+            yield from _up_to_renaming(*self._cells())
 
     def _cells(self):
         """The cells of an interpretation in product order: the constants,
@@ -618,9 +591,14 @@ def _up_to_renaming(layout, cells, pinned):
     multiplies the weight by k.  Every other cell takes its whole domain.
     A renaming preserves every verdict, and each interpretation left out
     has a renamed twin that comes earlier in product order, so the first
-    interpretation of the product with a given verdict is yielded.  Depth
-    first over the cells with explicit stacks, in product order."""
+    interpretation of the product with a given verdict is yielded.  Where
+    no element can be renamed, each interpretation of the product is
+    yielded, with weight 1; with no cells, the one empty interpretation.
+    Depth first over the cells with explicit stacks, in product order."""
     n = len(cells)
+    if not n:
+        yield {}, 1
+        return
     values = [None] * n
     options = [_options(cells[0], pinned)] + [None] * (n - 1)
     pos = [0] * n

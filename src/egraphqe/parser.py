@@ -30,8 +30,8 @@ out of its scope it is an unknown symbol.  ``let`` cannot be declared.
 The text is split into one token list (``sexpr.tokens``), walked by index.
 The terms of an assert are hash-consed straight from the tokens, and a
 declaration is read as a small ``Form``, or directly when its sort is one
-atom.  A term without a let never looks at a scope: the first let met
-sends the term to the reader that keeps one, ``_scoped_term``.  Nothing
+atom.  One reader, ``_term``, reads every term, lets and all, with one
+explicit stack; it looks at the scope only while a let is open.  Nothing
 checks the parentheses up front: when reading fails, the text is read as
 forms first, so that an unbalanced ')' or an unclosed '(' is the error
 reported, as it is when it comes first in the text.
@@ -305,59 +305,17 @@ _BAD_HEADS = frozenset(("(", ")", "=", "peq", "let"))
 
 
 def _term(store, toks, k, scope=None):
-    """The term at k, built bottom-up and left to right by an explicit stack
-    of (head, arguments built so far), so any depth parses.  An atom or an
-    application already in the store costs one table lookup.  Inside a let
-    (scope is not None), or once a let is met, the term is read by
-    _scoped_term instead."""
-    if scope is not None:
-        return _scoped_term(store, toks, k, scope)
-    table = store._table
-    tok = toks[k]
-    if tok != "(":
-        hit = table.get((tok, ()))
-        return (hit if hit is not None else _const(store, tok)), k + 1
-    head = toks[k + 1]
-    if head in _BAD_HEADS:
-        if head == "let":
-            return _scoped_term(store, toks, k, {})
-        _bad_head(toks, k)
-    start = k
-    stack, args = [], []
-    k += 2
-    while True:
-        tok = toks[k]
-        k += 1
-        if tok == ")":
-            key = (head, tuple(args))
-            term = table.get(key)
-            if term is None:
-                term = store.mk_app(head, key[1])
-            if not stack:
-                return term, k
-            head, args = stack.pop()
-            args.append(term)
-        elif tok == "(":
-            stack.append((head, args))
-            head = toks[k]
-            if head in _BAD_HEADS:
-                if head == "let":   # read again, with a scope
-                    return _scoped_term(store, toks, start, {})
-                _bad_head(toks, k - 1)
-            args = []
-            k += 1
-        else:
-            hit = table.get((tok, ()))
-            args.append(hit if hit is not None else _const(store, tok))
-
-
-def _scoped_term(store, toks, k, scope):
     """The term at k, where lets may stand and scope maps each name bound
-    around k to its term.  One explicit stack holds the applications, as
-    in _term, and the lets: [bindings, terms read, entries shadowed, body
-    ordinal].  A let's bindings are read in turn in the scope around it;
-    then they are entered in scope together for its body, and when it
-    closes the entries they shadowed come back."""
+    around k to its term.  It is built bottom-up and left to right by one
+    explicit stack, so any depth parses.  The stack holds the applications,
+    as (head, arguments built so far), and the lets, as [bindings, terms
+    read, entries shadowed, body ordinal].  A let's bindings are read in
+    turn in the scope around it; then they are entered in scope together
+    for its body, and when it closes the entries they shadowed come back.
+    While no let is open, an atom or an application already in the store
+    costs one table lookup."""
+    if scope is None:
+        scope = {}
     table = store._table
     stack = []
     while True:
@@ -365,13 +323,13 @@ def _scoped_term(store, toks, k, scope):
         k += 1
         if tok == "(":
             head = toks[k]
-            if head == "let":
+            if head in _BAD_HEADS:
+                if head != "let":
+                    _bad_head(toks, k - 1)
                 bindings, body = _let_header(toks, k - 1)
                 stack.append([bindings, [], None, body])
                 k = bindings[0][1]
                 continue
-            if head in _BAD_HEADS:
-                _bad_head(toks, k - 1)
             stack.append((head, []))
             k += 1
             continue
@@ -381,12 +339,12 @@ def _scoped_term(store, toks, k, scope):
             term = table.get(key)
             if term is None:
                 term = store.mk_app(head, key[1])
+        elif scope and tok in scope:
+            term = scope[tok]
         else:
-            term = scope.get(tok)
+            term = table.get((tok, ()))
             if term is None:
-                term = table.get((tok, ()))
-                if term is None:
-                    term = _const(store, tok)
+                term = _const(store, tok)
         while stack:
             top = stack[-1]
             if type(top) is tuple:

@@ -190,12 +190,11 @@ def reduce(g: EGraph, var_names, taint=frozenset()):
     r = refine_defs(g, r, var_names)
     core = find_core(g, r, var_names)
     if taint:
-        free_vars = g.store.free_vars
         memo = {}
         extractions = {n: to_expr(g, n, r, _memo=memo) for n in core}
         core = {n for n in core
-                if not free_vars(extractions[n]) & taint
-                and not free_vars(extractions[r.get(n)]) & taint}
+                if taint.isdisjoint(extractions[n].vars)
+                and taint.isdisjoint(extractions[r.get(n)].vars)}
     return r, to_formula(g, r, set(g.node_ids()) - core)
 
 

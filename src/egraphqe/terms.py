@@ -352,11 +352,6 @@ class TermStore:
         if got is not want and got != want:
             raise SortMismatchError(f"'{label}': expected {want}, got {got}")
 
-    @staticmethod
-    def free_vars(term: Term) -> frozenset:
-        """Names of the to-eliminate variables occurring in term."""
-        return frozenset(term.vars)
-
 
 @dataclass(frozen=True)
 class Literal:

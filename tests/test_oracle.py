@@ -282,13 +282,26 @@ def _product_sat(self, formula, interp, want_assignment=False):
     return None if want_assignment or undefined else False
 
 
+def _choices(self):
+    out = []
+    for name, sort in sorted(self.consts.items()):
+        out.append((name, self.domain(sort)))
+    for name, (arg_sorts, result) in sorted(self.funcs.items()):
+        keys = list(itertools.product(*(self.domain(s) for s in arg_sorts)))
+        res_dom = self.domain(result)
+        tables = [dict(zip(keys, vals))
+                  for vals in itertools.product(res_dom, repeat=len(keys))]
+        out.append((name, tables))
+    return out
+
+
 def _product_interpretations(self):
     """Reference for ``_Context.interpretations``: every interpretation of
     the product, each of weight 1."""
     for sizes in self._size_vectors():
         self._sizes = dict(zip(self._uninterp, sizes))
         self._domains = {}
-        choices = self._choices()
+        choices = _choices(self)
         names = [n for n, _ in choices]
         for combo in itertools.product(*(c for _, c in choices)):
             yield dict(zip(names, combo)), 1
@@ -512,6 +525,32 @@ def test_renaming_yields_54_of_260_interpretations():
                            ({"c0": ("e", "U", 0), "c1": ("e", "U", 0),
                              "f": {(("e", "U", 0),): ("e", "U", 0),
                                    (("e", "U", 1),): ("e", "U", 0)}}, 2)]
+
+
+@pytest.mark.parametrize("text, universe", [
+    # no constant or function: one empty interpretation per size vector
+    ("(declare-sort U 0) (declare-var x U) (declare-var y U)"
+     " (assert (= x y))", 3),
+    ("(declare-var x Int) (assert (= x 1))", 3),
+    # nothing renames: one element; cells of Int values only; element 0
+    # of V pinned by the selector's default at universe 2
+    ("(declare-sort U 0) (declare-const c0 U) (declare-const c1 U)"
+     " (declare-fun f (U) U) (assert (= (f c0) c1))", 1),
+    ("(declare-sort U 0) (declare-fun g (U) Int) (declare-const k Int)"
+     " (declare-var z U) (declare-var y Int) (assert (= y (+ k (g z))))", 3),
+    ("(declare-sort V 0) (declare-datatype R ((mk (fld V)) (unit)))"
+     " (declare-const e0 V) (declare-var x V)"
+     " (assert (= x (fld unit))) (assert (= e0 x))", 2),
+], ids=["no-symbols", "no-symbols-int", "universe-1", "int-cells",
+        "pinned-element"])
+def test_walk_yields_the_product_where_nothing_renames(text, universe):
+    prob = parse_problem(text)
+    ctx = oracle._Context(prob.sig, prob.store, (prob.formula,),
+                          Bounds(universe=universe, int_window=(0, 2)))
+    shipped = list(ctx.interpretations())
+    assert shipped == list(_product_interpretations(ctx))
+    if not ctx.consts and not ctx.funcs:
+        assert shipped == [({}, 1)] * len(list(ctx._size_vectors()))
 
 
 def test_selector_default_pins_element_0(monkeypatch):

@@ -1,7 +1,9 @@
 """The token-stream problem reader against the list-walking reference in
 conftest: the same terms in the same order, or the same error."""
 import ast
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,10 @@ def _texts_in_tests():
                 out.add(node.value)
     return sorted(out)
 
+
+# a seeded random.Random: hypothesis draws the seed alone, not every call
+# made on the generator
+SEEDED = st.integers(0, 2**32 - 1).map(random.Random)
 
 PROBLEMS = ([p.read_text() for p in sorted(DEMOS.glob("*.smt2"))]
             + _texts_in_tests() + [chain_problem(40)[0]])
@@ -152,13 +158,13 @@ def gen_problem(rnd):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.randoms(use_true_random=False))
+@given(SEEDED)
 def test_reader_matches_reference_on_generated_problems(rnd):
     _agree(gen_problem(rnd))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.randoms(use_true_random=False))
+@given(SEEDED)
 def test_reader_matches_reference_on_generated_let_problems(rnd):
     _agree(gen_let_problem(rnd))
 
@@ -236,17 +242,41 @@ def test_let_is_reserved():
     assert str(exc.value) == "'let' is reserved"
 
 
-def test_lets_nested_3000_deep_parse():
-    """A chain of 3000 sequential lets around a literal, and as a term."""
-    d = 3000
-    binds = "".join(f"(let ((y{i + 1} (f y{i}))) " for i in range(d))
-    for body in (f"(= x {binds}y{d}{')' * d})", f"{binds}(= x y{d}){')' * d}"):
-        prob = parse_problem(LET_DECLS + f"(assert (let ((y0 c)) {body}))")
-        (lit,) = prob.formula.literals
-        depth, t = 0, lit.rhs
-        while t.children:
-            depth, t = depth + 1, t.children[0]
-        assert (lit.lhs.label, depth, t.label) == ("x", d, "c")
+_D = 3000
+_LETS = "".join(f"(let ((y{i + 1} (f y{i}))) " for i in range(_D))
+_CHAIN = "(f " * _D + "{}" + ")" * _D
+
+
+@pytest.mark.parametrize("body, leaf, against_reference", [
+    # 3000 sequential lets around a literal, and as a term; the reference
+    # substitutes into each let's body anew, which takes minutes at this depth
+    (f"(let ((y0 c)) {_LETS}(= x y{_D}){')' * _D})", "c", False),
+    (f"(let ((y0 c)) (= x {_LETS}y{_D}{')' * _D}))", "c", False),
+    # a let under 3000 nested applications
+    ("(= x " + _CHAIN.format("(let ((y c)) (h y y))") + ")", "(h c c)", True),
+    # a 3000-deep chain in a let's binding, and in its body
+    ("(let ((y " + _CHAIN.format("c") + ")) (= x y))", "c", True),
+    ("(let ((y c)) (= x " + _CHAIN.format("y") + "))", "c", True),
+], ids=["lets-around-literal", "lets-as-term", "let-under-chain",
+        "chain-in-binding", "chain-in-body"])
+def test_lets_nested_3000_deep_parse(body, leaf, against_reference):
+    """x = f(f(...leaf)), 3000 deep, read through lets nested 3000 deep or
+    around and inside an application chain 3000 deep."""
+    text = LET_DECLS + f"(assert {body})"
+    (lit,) = parse_problem(text).formula.literals
+    depth, t = 0, lit.rhs
+    while t.label == "f":
+        depth, t = depth + 1, t.children[0]
+    assert (lit.lhs.label, depth, repr(t)) == ("x", _D, leaf)
+    if against_reference:
+        # the reference substitutes a let's names by recursion, a few calls
+        # per level of the let's body
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * _D)
+        try:
+            _agree(text)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 # -- single-token mutants ------------------------------------------------------
@@ -285,9 +315,9 @@ def mutate(text, rnd):
 
 @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.sampled_from(PROBLEMS),
-                 st.randoms(use_true_random=False).map(gen_problem),
-                 st.randoms(use_true_random=False).map(gen_let_problem)),
-       st.randoms(use_true_random=False))
+                 SEEDED.map(gen_problem),
+                 SEEDED.map(gen_let_problem)),
+       SEEDED)
 def test_reader_matches_reference_on_mutants(text, rnd):
     _agree(mutate(text, rnd))
 

@@ -41,20 +41,20 @@ def test_read_term_sort_and_ground_flag():
     t = store.mk_app("read", (store.mk_const("a"), store.mk_const("x")))
     assert t.sort.kind is SortKind.INT
     assert not t.ground
-    assert store.free_vars(t) == {"x"}
+    assert frozenset(t.vars) == {"x"}
 
 
 def test_constant_leaf_is_ground():
     sig, store = _store()
     k = store.mk_const("k")
-    assert k.ground and store.free_vars(k) == frozenset()
+    assert k.ground and not k.vars
 
 
 def test_k_plus_one_is_ground():
     sig, store = _store()
     t = store.mk_app("+", (store.mk_const("k"), store.mk_const("1")))
     assert t.ground
-    assert store.free_vars(t) == frozenset()
+    assert not t.vars
     assert term_to_sexpr(t) == "(+ k 1)"
 
 
@@ -64,7 +64,7 @@ def test_ground_iff_no_free_vars():
              store.mk_app("read", (store.mk_const("a"), store.mk_const("x"))),
              store.mk_app("+", (store.mk_const("k"), store.mk_const("2")))]
     for t in terms:
-        assert t.ground == (not store.free_vars(t))
+        assert t.ground == (not t.vars)
 
 
 def test_datatype_declares_selectors_and_tester():
@@ -82,7 +82,7 @@ def test_pair_constructor_var_occurrence():
     a = store.mk_const("a")
     l = store.mk_const("l")
     t = store.mk_app("pair", (a, l))
-    assert store.free_vars(t) == {"a"}
+    assert frozenset(t.vars) == {"a"}
 
 
 def test_sort_mismatch_and_unknown_symbol():
@@ -258,7 +258,7 @@ def test_iterative_walks_match_tree_references():
         for lit in formula.literals:
             for side in (lit.lhs, lit.rhs):
                 assert expand_lets(term_to_sexpr(side)) == _ref_term(side)
-                assert store.free_vars(side) == frozenset(_ref_occurrences(store, side))
+                assert frozenset(side.vars) == frozenset(_ref_occurrences(store, side))
         # printing, parsing and printing again is a fixed point
         text = DAG_DECLS + "".join(f"(assert {lit!r})\n" for lit in formula.literals)
         again = parse_problem(text).formula
