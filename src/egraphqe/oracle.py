@@ -31,14 +31,23 @@ symbols enumerated are the variables and the signature's uninterpreted
 symbols, and constructors, testers and selectors are told apart by its
 datatype table.  Each formula's subterms are listed once, by iterative
 post-order walks, and each distinct subterm is valued once per binding of
-its last variable, so terms of any depth are checked; sorts are walked with
-an explicit stack and sized by saturating products, so sorts of any depth
-are sized too.
+its last variable, so terms of any depth are checked.  What a term's symbol
+does is decided once per context, when the term is compiled into an
+evaluator (closure compilation: Feeley & Lapalme, Computer Languages 1987):
+a variable or a symbol of the interpretation is read, a numeral or Boolean
+is a constant, and every other symbol is one function of its arguments'
+values, so the search tests no symbol's name.  Domains, each sort's default
+and the variables' domains of each formula are built once per universe-size
+vector or context, not per interpretation.  Sorts are walked with an
+explicit stack and sized by saturating products, so sorts of any depth are
+sized, and their domains and defaults built, without recursion.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
@@ -53,7 +62,7 @@ class SearchSpaceError(Exception):
 # the value of a term that leaves the enumerated domains
 _UNDEFINED = object()
 
-_ARITH = ("+", "-", "*")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 @dataclass
@@ -113,12 +122,12 @@ def _compare(sig, store, f1, f2, bounds, both_ways, free):
     ctx = _Context(sig, store, (f1, f2), bounds, free)
     skipped = 0
     for interp, weight in ctx.interpretations():
-        s1 = ctx.sat(f1, interp)
+        s1 = ctx.sat(0, interp)
         if s1 is False and not both_ways:
             continue  # a false premise decides the implication
         # an undefined side leaves an equivalence undefined, but not an
         # implication whose conclusion holds
-        s2 = ctx.sat(f2, interp) if s1 is not None or not both_ways else None
+        s2 = ctx.sat(1, interp) if s1 is not None or not both_ways else None
         if s2 is True and not both_ways:
             continue
         if s1 is None or s2 is None:
@@ -134,7 +143,7 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
     bounds = bounds or Bounds()
     ctx = _Context(sig, store, (formula,), bounds)
     for interp, _ in ctx.interpretations():
-        assign = ctx.sat(formula, interp, want_assignment=True)
+        assign = ctx.sat(0, interp, want_assignment=True)
         if assign is None:
             continue
         constants = {}
@@ -162,21 +171,27 @@ class _Context:
         self.variables = sig.variables.keys() - free
         self.terms = [_subterms(f) for f in formulas]
         self.window = bounds.int_window or self._derive_window()
-        self.plans = [_plan(f, terms, self.variables)
-                      for f, terms in zip(formulas, self.terms)]
-        self.consts, self.funcs, self.vars_per_formula = self._symbols()
+        plans = [_plan(f, terms, self.variables)
+                 for f, terms in zip(formulas, self.terms)]
+        self.consts, self.funcs, self.vars_per_formula = self._symbols(plans)
         self.sorts_used = self._sorts_used()
         self._uninterp = sorted(name for name, s in self.sorts_used.items()
                                 if s.kind is SortKind.UNINTERPRETED)
         self._sizes = {name: bounds.universe for name in self._uninterp}
-        # element 0 of a sort that is an array's value or a datatype's field
-        # is named by the arrays' pinned default and the selectors' defaults
-        # (_default), so it is never renamed
         within = sorts_within([*self.sorts_used.values(),
                                *(t.sort for terms in self.terms for t in terms)])
+        # element 0 of a sort that is an array's value or a datatype's field
+        # is named by the arrays' pinned default and the selectors' defaults,
+        # so it is never renamed
         self._pinned = {s.name for sort in within.values()
                         for s in _defaulted(sort) if s.name in self._sizes}
+        self._defaults = _defaults(within)
+        evs = {t.id: self._compile(t) for terms in self.terms for t in terms}
+        self.plans = [_compiled(plan, evs) for plan in plans]
+        # per size vector: each sort's domain by name, and each formula's
+        # variables' domains, in binding order, by the formula's index
         self._domains = {}
+        self._within = {}  # per sort name, the sorts inside it (domain)
         self._guard()
 
     def _derive_window(self):
@@ -187,14 +202,14 @@ class _Context:
             return (-1, pad - 1)
         return (min(nums) - pad, max(nums) + pad)
 
-    def _symbols(self):
+    def _symbols(self, plans):
         consts = {}
         funcs = {}
         for terms in self.terms:
             for term in terms:
                 self._scan(term, consts, funcs)
         vars_per = [{n: self.sig.variables[n] for n in plan.names}
-                    for plan in self.plans]
+                    for plan in plans]
         return consts, funcs, vars_per
 
     def _scan(self, term, consts, funcs):
@@ -221,19 +236,30 @@ class _Context:
         return sorts_within(roots)
 
     def domain(self, sort: Sort) -> list:
-        """The values of sort, built once.  The sorts inside it are built
-        first, in the order sorts_within gives, so no sort's domain
-        recurses into another's, however deep the nesting."""
+        """The values of sort, built once per size vector.  The sorts inside
+        it are built first, in the order sorts_within gives (listed once per
+        context), so no sort's domain recurses into another's, however deep
+        the nesting."""
         hit = self._domains.get(sort.name)
         if hit is None:
-            for inner in sorts_within([sort]).values():
+            inner_first = self._within.get(sort.name)
+            if inner_first is None:
+                inner_first = self._within[sort.name] = \
+                    list(sorts_within([sort]).values())
+            for inner in inner_first:
                 if inner.name not in self._domains:
                     self._domains[inner.name] = self._build_domain(inner)
             hit = self._domains[sort.name]
         return hit
 
     def _build_domain(self, sort: Sort) -> list:
+        """The values of sort, the sorts inside it built.  Element 0 is the
+        sort's default (_defaults) when the sorts inside it have theirs
+        there; it is then the default's own object, so that a selector's
+        default and a value of the domain compare without descending,
+        however deep the sort."""
         doms = self._domains
+        default = self._defaults.get(sort.name)
         if sort.kind is SortKind.BOOL:
             dom = [False, True]
         elif sort.kind is SortKind.INT:
@@ -241,6 +267,8 @@ class _Context:
             dom = list(range(lo, hi + 1))
         elif sort.kind is SortKind.UNINTERPRETED:
             dom = [("e", sort.name, i) for i in range(self._sizes[sort.name])]
+            if default is not None:
+                dom[0] = default
         elif sort.kind is SortKind.ARRAY:
             idx = doms[sort.index.name]
             val = doms[sort.value.name]
@@ -248,12 +276,17 @@ class _Context:
             # domain each function then has exactly one canonical form
             dom = [_canon_array(val[0], zip(idx, choice))
                    for choice in itertools.product(val, repeat=len(idx))]
+            if default is not None and val[0] is default[1]:
+                dom[0] = default
         elif sort.kind is SortKind.ADT:
             dom = []
             for ctor in sort.constructors:
                 arg_doms = [doms[s.name] for _, s in ctor.selectors]
                 for args in itertools.product(*arg_doms):
                     dom.append(("adt", ctor.name, args))
+            if default is not None and all(
+                    a is b for a, b in zip(dom[0][2], default[2])):
+                dom[0] = default
         else:
             raise SearchSpaceError(f"cannot enumerate sort {sort}")
         return dom
@@ -331,10 +364,10 @@ class _Context:
         then each function's table entries in key order, constants and
         functions by name.  Elements of the uninterpreted sorts are numbered
         one bit each.  A cell is (value domain, mask of the elements in its
-        key, per value the mask of the elements in it, whether the value
-        sort is uninterpreted).  Returned with the layout that puts the
-        cells' values together as an interpretation, and the mask of the
-        pinned elements."""
+        key, per value the mask of the elements in it, whether it can
+        rename: its value sort is uninterpreted, of two or more elements).
+        Returned with the layout that puts the cells' values together as an
+        interpretation, and the mask of the pinned elements."""
         first = {}
         n = 0
         for name in self._uninterp:
@@ -348,8 +381,8 @@ class _Context:
             dom = self.domain(sort)
             if sort.name not in masks:
                 masks[sort.name] = [_elements(v, first) for v in dom]
-            cells.append((dom, key_mask, masks[sort.name],
-                          sort.kind is SortKind.UNINTERPRETED))
+            renames = sort.kind is SortKind.UNINTERPRETED and len(dom) > 1
+            cells.append((dom, key_mask, masks[sort.name], renames))
 
         for name, sort in sorted(self.consts.items()):
             layout.append((name, None, len(cells)))
@@ -367,8 +400,8 @@ class _Context:
             pinned |= 1 << first[name]
         return layout, cells, pinned
 
-    def sat(self, formula, interp, want_assignment=False):
-        """Whether the formula holds under interp for some assignment of its
+    def sat(self, idx, interp, want_assignment=False):
+        """Whether formula idx holds under interp for some assignment of its
         variables: True, False, or None when it is undefined, that is, no
         assignment holds and some assignment is undefined (with
         want_assignment: the first assignment that holds, or None).
@@ -378,11 +411,12 @@ class _Context:
         undefined prefix is searched only until an assignment is found
         undefined: no extension of it can hold, and the formula is then
         undefined at best.  Assignments are tried in itertools.product
-        order."""
-        idx = self.formulas.index(formula)
+        order.  The variables' domains are listed once per size vector."""
         names, levels = self.plans[idx]
-        fvars = self.vars_per_formula[idx]
-        doms = [self.domain(fvars[n]) for n in names]
+        doms = self._domains.get(idx)
+        if doms is None:
+            fvars = self.vars_per_formula[idx]
+            doms = self._domains[idx] = [self.domain(fvars[n]) for n in names]
         assign = {}
         val = {}
         found = assign if want_assignment else True
@@ -390,7 +424,8 @@ class _Context:
         # undefined, and an undefined prefix is pruned like a failing one;
         # from the start when only an assignment that holds is wanted
         undefined = want_assignment
-        outcome = self._check(levels[0], val, interp, assign)
+        check = self._check
+        outcome = check(levels[0], val, interp, assign)
         if outcome is False or (outcome is None and undefined):
             return None if undefined else False
         if not names:
@@ -408,7 +443,7 @@ class _Context:
                 continue
             pos[d] = i + 1
             assign[names[d]] = doms[d][i]
-            outcome = self._check(levels[d + 1], val, interp, assign)
+            outcome = check(levels[d + 1], val, interp, assign)
             if outcome is False:
                 continue
             outcome = holds[d] and outcome
@@ -423,94 +458,64 @@ class _Context:
                 undefined = True
         return None if undefined else False
 
-    def _check(self, level, val, interp, assign):
-        """Value the level's terms and check its literals, in formula order:
-        False as soon as one fails, else True when every one holds and None
-        when some side is undefined.  A term with an undefined argument is
-        undefined."""
+    @staticmethod
+    def _check(level, val, interp, assign):
+        """Value the level's terms by their evaluators and check its
+        literals, in formula order: False as soon as one fails, else True
+        when every one holds and None when some side is undefined."""
         entries, rest = level
-        apply = self._apply
         outcome = True
-        for terms, kind, lhs, rhs in entries:
-            for t in terms:
-                args = [val[c.id] for c in t.children]
-                val[t.id] = _UNDEFINED if _UNDEFINED in args else \
-                    apply(t, args, interp, assign)
+        for evs, diseq, lhs, rhs in entries:
+            for tid, ev in evs:
+                val[tid] = ev(val, interp, assign)
             a, b = val[lhs], val[rhs]
             if a is _UNDEFINED or b is _UNDEFINED:
                 outcome = None
-            elif (a == b) == (kind == "diseq"):
+            elif (a == b) is diseq:
                 return False
-        for t in rest:
-            args = [val[c.id] for c in t.children]
-            val[t.id] = _UNDEFINED if _UNDEFINED in args else \
-                apply(t, args, interp, assign)
+        for tid, ev in rest:
+            val[tid] = ev(val, interp, assign)
         return outcome
 
-    def _apply(self, term, args, interp, assign):
-        """Value of term's symbol applied to the values of its arguments;
-        undefined when it leaves the enumerated domains."""
+    def _compile(self, term):
+        """The evaluator of term: ev(val, interp, assign) is its value, val
+        holding its children's values by id.  What the term's symbol does
+        is decided here, once per context.  A variable is read from assign,
+        a constant or function table of the interpretation from interp, and
+        a numeral, true or false is a constant.  Every other symbol is a
+        function of its arguments' values, undefined when an argument is
+        (_strict): arithmetic leaves the window undefined, a selector of
+        the other constructor gives its field sort's default (_defaults),
+        and a symbol with no such function raises SearchSpaceError when its
+        term is valued."""
         label = term.label
-        # declared symbols first: they label most terms, and no declared
-        # name is a numeral or a builtin
-        if label in assign:
-            out = assign[label]
-        elif label in interp:
-            val = interp[label]
-            out = val.get(tuple(args), _UNDEFINED) \
-                if isinstance(val, dict) else val
-        elif is_numeral(label):
-            out = int(label)
-        elif label == "true":
-            out = True
-        elif label == "false":
-            out = False
-        elif label in _ARITH:
-            a, b = args
-            out = a + b if label == "+" else a - b if label == "-" else a * b
-            lo, hi = self.window
-            if out < lo or out > hi:
-                out = _UNDEFINED
-        elif label in (">", "<", ">=", "<="):
-            a, b = args
-            out = {">": a > b, "<": a < b, ">=": a >= b, "<=": a <= b}[label]
-        elif label == "read":
-            out = _array_read(args[0], args[1])
-        elif label == "write":
-            out = _canon_array(args[0][1],
-                               list(args[0][2]) + [(args[1], args[2])])
-        elif label in ("ueq",):
-            out = args[0] == args[1]
-        elif label == "distinct":
-            out = args[0] != args[1]
-        else:
-            out = self._eval_adt(label, args)
-        return out
-
-    def _eval_adt(self, label, args):
+        ids = [c.id for c in term.children]
+        if label in self.variables:
+            return lambda val, interp, assign: assign[label]
+        if label in self.consts:
+            return lambda val, interp, assign: interp[label]
+        if label in self.funcs:
+            return _table(label, ids)
+        if is_numeral(label) or label in ("true", "false"):
+            value = int(label) if is_numeral(label) else label == "true"
+            return lambda val, interp, assign: value
+        if label in _ARITH:
+            return _strict(_windowed(_ARITH[label], *self.window), ids)
+        if label in _BUILTIN:
+            return _strict(_BUILTIN[label], ids)
         role = self.sig.datatype.get(label)
         if role is None:
-            raise SearchSpaceError(f"symbol '{label}' not enumerable")
+            def refuse(*args):
+                raise SearchSpaceError(f"symbol '{label}' not enumerable")
+            return _strict(refuse, ids)
         kind, ctor, i = role
+        name = ctor.name
         if kind == "constructor":
-            return ("adt", label, tuple(args))
-        matches = args[0][1] == ctor.name
+            return _strict(lambda *args: ("adt", name, args), ids)
         if kind == "tester":
-            return matches
-        return args[0][2][i] if matches else self._default(ctor.selectors[i][1])
-
-    def _default(self, sort: Sort):
-        if sort.kind is SortKind.INT:
-            return 0
-        if sort.kind is SortKind.BOOL:
-            return False
-        if sort.kind is SortKind.UNINTERPRETED:
-            return ("e", sort.name, 0)
-        if sort.kind is SortKind.ARRAY:
-            return _canon_array(self._default(sort.value), ())
-        ctor = sort.constructors[0]
-        return ("adt", ctor.name,
-                tuple(self._default(s) for _, s in ctor.selectors))
+            return _strict(lambda v: v[1] == name, ids)
+        default = self._defaults[ctor.selectors[i][1].name]
+        return _strict(lambda v: v[2][i] if v[1] == name else default, ids)
 
 
 class _Plan(NamedTuple):
@@ -535,7 +540,8 @@ def _plan(formula, terms, variables) -> _Plan:
     levels need.  Each list runs children before parents, and each term is
     listed once, at its own level, so it is valued as soon as its
     variables are bound, and a literal is checked as soon as its sides are
-    valued."""
+    valued.  The context compiles the plan (_compiled): each term becomes
+    the pair of its id and its evaluator."""
     names = sorted({t.label for t in terms if t.label in variables})
     depth = {name: d + 1 for d, name in enumerate(names)}
     level = {}
@@ -570,10 +576,88 @@ def _new_subterms(lit, seen):
                 yield t
 
 
+def _compiled(plan, evs) -> _Plan:
+    """plan with each term replaced by the pair (its id, its evaluator in
+    evs), and each literal's kind by whether it is a disequality, so that
+    checking a level runs no dispatch on a term or a literal."""
+    def pairs(terms):
+        return [(t.id, evs[t.id]) for t in terms]
+    return _Plan(plan.names, [
+        ([(pairs(terms), kind == "diseq", lhs, rhs)
+          for terms, kind, lhs, rhs in entries], pairs(rest))
+        for entries, rest in plan.levels])
+
+
+def _strict(op, ids):
+    """The evaluator that applies op to the values of the terms ids, and
+    is undefined when one of them is."""
+    if len(ids) == 1:
+        a, = ids
+
+        def ev(val, interp, assign):
+            x = val[a]
+            return _UNDEFINED if x is _UNDEFINED else op(x)
+    elif len(ids) == 2:
+        a, b = ids
+
+        def ev(val, interp, assign):
+            x = val[a]
+            y = val[b]
+            return _UNDEFINED if x is _UNDEFINED or y is _UNDEFINED \
+                else op(x, y)
+    else:
+        def ev(val, interp, assign):
+            args = [val[i] for i in ids]
+            return _UNDEFINED if _UNDEFINED in args else op(*args)
+    return ev
+
+
+def _windowed(op, lo, hi):
+    """op, undefined where its value leaves the Int window [lo, hi]."""
+    def arith(x, y):
+        out = op(x, y)
+        return out if lo <= out <= hi else _UNDEFINED
+    return arith
+
+
+def _table(label, ids):
+    """The evaluator of an application of the function label: its table's
+    entry at the values of the terms ids, undefined where the table has
+    none.  An undefined argument is in no key, so it needs no test."""
+    if len(ids) == 1:
+        a, = ids
+        return lambda val, interp, assign: \
+            interp[label].get((val[a],), _UNDEFINED)
+    return lambda val, interp, assign: \
+        interp[label].get(tuple([val[i] for i in ids]), _UNDEFINED)
+
+
+def _defaults(within):
+    """Each sort's default value, by name: 0, false, element 0, the array
+    whose default is its value sort's, or the first constructor over its
+    fields' defaults.  within holds each sort after the sorts inside it
+    (sorts_within), so no sort's default recurses, however deep."""
+    made = {}
+    for name, s in within.items():
+        if s.kind is SortKind.INT:
+            made[name] = 0
+        elif s.kind is SortKind.BOOL:
+            made[name] = False
+        elif s.kind is SortKind.UNINTERPRETED:
+            made[name] = ("e", name, 0)
+        elif s.kind is SortKind.ARRAY:
+            made[name] = ("arr", made[s.value.name], ())
+        else:
+            ctor = s.constructors[0]
+            made[name] = ("adt", ctor.name,
+                          tuple(made[f.name] for _, f in ctor.selectors))
+    return made
+
+
 def _defaulted(sort):
     """The sorts inside sort whose default value its values may hold: an
     array's value sort (each array's default is pinned, see domain) and a
-    datatype's field sorts (a selector's default, _default)."""
+    datatype's field sorts (a selector's default, _defaults)."""
     if sort.kind is SortKind.ARRAY:
         return [sort.value]
     return [s for ctor in sort.constructors for _, s in ctor.selectors]
@@ -585,62 +669,96 @@ def _up_to_renaming(layout, cells, pinned):
     heuristic of SEM: Zhang & Zhang, IJCAI 1995), each with its weight.
     An element is mentioned once it appears in an earlier cell's key or
     value, in the cell's own key, or is pinned.  A cell of an uninterpreted
-    sort takes only the mentioned elements and the first element not
-    mentioned; the latter stands for each of the k elements not mentioned,
-    which a renaming that fixes the mentioned ones swaps with it, so it
-    multiplies the weight by k.  Every other cell takes its whole domain.
-    A renaming preserves every verdict, and each interpretation left out
-    has a renamed twin that comes earlier in product order, so the first
-    interpretation of the product with a given verdict is yielded.  Where
-    no element can be renamed, each interpretation of the product is
-    yielded, with weight 1; with no cells, the one empty interpretation.
-    Depth first over the cells with explicit stacks, in product order."""
-    n = len(cells)
-    if not n:
+    sort of two or more elements takes only the mentioned elements and the
+    first element not mentioned; the latter stands for each of the k
+    elements not mentioned, which a renaming that fixes the mentioned ones
+    swaps with it, so it multiplies the weight by k.  Every other cell
+    takes its whole domain, so a maximal run of such cells is one
+    itertools.product step (_run_options).  A renaming preserves every
+    verdict, and each interpretation left out has a renamed twin that comes
+    earlier in product order, so the first interpretation of the product
+    with a given verdict is yielded.  Where no element can be renamed, each
+    interpretation of the product is yielded, with weight 1; with no cells,
+    the one empty interpretation.  Depth first over the steps with explicit
+    stacks, in product order."""
+    if not cells:
         yield {}, 1
         return
-    values = [None] * n
-    options = [_options(cells[0], pinned)] + [None] * (n - 1)
-    pos = [0] * n
-    weights = [1] * n  # per depth, the weight of the cells before it
+    steps = []  # per depth: (first cell, end of its cells, options)
+    start = 0
+    for at, cell in enumerate(cells):
+        if cell[3]:
+            if start < at:
+                steps.append((start, at,
+                              _run_options(cells[start:at], False)))
+            steps.append((at, at + 1, partial(_options, cell)))
+            start = at + 1
+    if start < len(cells):
+        steps.append((start, len(cells), _run_options(cells[start:], True)))
+    n = len(steps)
+    values = [None] * len(cells)
+    options = [steps[0][2](pinned)] + [None] * (n - 1)
+    weights = [1] * n  # per depth, the weight of the steps before it
     d = 0
     while d >= 0:
-        i = pos[d]
-        if i == len(options[d]):
-            pos[d] = 0
+        option = next(options[d], None)
+        if option is None:
             d -= 1
             continue
-        pos[d] = i + 1
-        values[d], mentioned, factor = options[d][i]
+        start, stop, _ = steps[d]
+        values[start:stop], mentioned, factor = option
         weight = weights[d] * factor
         if d + 1 < n:
             d += 1
             weights[d] = weight
-            options[d] = _options(cells[d], mentioned)
+            options[d] = steps[d][2](mentioned)
         else:
             yield {name: values[at] if keys is None
                    else dict(zip(keys, values[at:at + len(keys)]))
                    for name, keys, at in layout}, weight
 
 
+def _run_options(cells, last):
+    """The options of a run of cells that cannot rename, after cells that
+    mention the elements in mentioned: per tuple of the cells' values in
+    product order, (the values, the elements mentioned after them, factor
+    1).  After the last run nothing reads what is mentioned."""
+    doms = [dom for dom, _, _, _ in cells]
+    keys = 0
+    for _, key_mask, _, _ in cells:
+        keys |= key_mask
+    if last or not any(any(masks) for _, _, masks, _ in cells):
+        return lambda mentioned: zip(itertools.product(*doms),
+                                     itertools.repeat(mentioned | keys),
+                                     itertools.repeat(1))
+    paired = [list(zip(dom, masks)) for dom, _, masks, _ in cells]
+
+    def options(mentioned):
+        mentioned |= keys
+        for combo in itertools.product(*paired):
+            m = mentioned
+            for _, mask in combo:
+                m |= mask
+            yield tuple(v for v, _ in combo), m, 1
+    return options
+
+
 def _options(cell, mentioned):
-    """The values that cell takes after cells that mention the elements in
-    mentioned: per value, (value, the elements mentioned after it, the
-    factor it brings to the weight)."""
-    dom, key_mask, masks, uninterpreted = cell
+    """The values that a cell of an uninterpreted sort takes after cells
+    that mention the elements in mentioned: per value, ((value,), the
+    elements mentioned after it, the factor it brings to the weight)."""
+    dom, key_mask, masks, _ = cell
     mentioned |= key_mask
-    if not uninterpreted:
-        return [(v, mentioned | m, 1) for v, m in zip(dom, masks)]
     out = []
     new = True
     for v, bit in zip(dom, masks):
         if mentioned & bit:
-            out.append((v, mentioned, 1))
+            out.append(((v,), mentioned, 1))
         elif new:
             new = False
             unmentioned = sum(1 for b in masks if not mentioned & b)
-            out.append((v, mentioned | bit, unmentioned))
-    return out
+            out.append(((v,), mentioned | bit, unmentioned))
+    return iter(out)
 
 
 def _elements(value, first):
@@ -688,6 +806,24 @@ def _array_read(arr, key):
         if k == key:
             return v
     return arr[1]
+
+
+def _array_write(arr, key, value):
+    """arr with key mapped to value, in _canon_array's form: arr is in it,
+    so its entries have distinct keys, differ from the default and are in
+    order."""
+    _, default, items = arr
+    kept = [entry for entry in items if entry[0] != key]
+    if value != default:
+        kept.append((key, value))
+        kept.sort(key=repr)
+    return ("arr", default, tuple(kept))
+
+
+# the builtins that are plain functions of their arguments' values
+_BUILTIN = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
+            "<=": operator.le, "read": _array_read, "write": _array_write,
+            "ueq": operator.eq, "distinct": operator.ne}
 
 
 def _to_model_value(v):

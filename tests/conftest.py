@@ -537,8 +537,10 @@ _REF_KINDS = {"=": "eq", "distinct": "diseq", "ueq": "ueq"}
 
 def _ref_literal(store, form):
     if _ref_is_let(form):
-        literal = _ref_literal(store, _ref_let(store, form))
-        _ref_one_body(form)
+        body, lets = _ref_lets(store, form)
+        literal = _ref_literal(store, body)
+        for let in reversed(lets):
+            _ref_one_body(let)
         return literal
     if isinstance(form, list) and form and isinstance(form[0], str):
         head = form[0]
@@ -576,8 +578,10 @@ def _ref_term(store, form):
     if isinstance(form, str):
         return _ref_const(store, form)
     if _ref_is_let(form):
-        term = _ref_term(store, _ref_let(store, form))
-        _ref_one_body(form)
+        body, lets = _ref_lets(store, form)
+        term = _ref_term(store, body)
+        for let in reversed(lets):
+            _ref_one_body(let)
         return term
     _ref_check_app(form)
     stack = [(form, [])]
@@ -612,7 +616,13 @@ def _ref_const(store, atom):
 # each name is then replaced in the body's forms by a _RefBound, the name
 # as a string that reads as its term, except where an inner let binds the
 # name again.  The body's forms are read afterwards, so a name left over is
-# an unknown symbol, and an error shows the body as written.
+# an unknown symbol, and an error shows the body as written.  A let whose
+# body is a let is one chain: the inner let's bindings are read with the
+# outer names substituted, and the innermost body is substituted once with
+# every name of the chain, an inner one shadowing an outer one.  That is
+# what substituting each body in turn gives, and it takes time linear in
+# the chain; every walk uses an explicit stack, so lets and terms of any
+# depth are read without recursion.
 
 class _RefBound(str):
     term = None
@@ -622,27 +632,34 @@ def _ref_is_let(form):
     return isinstance(form, list) and bool(form) and form[0] == "let"
 
 
-def _ref_let(store, form):
-    """The body of the let form, its bound names substituted."""
-    if len(form) < 2 or not isinstance(form[1], list):
-        raise _RefLocated("let needs a list of bindings", form, 1)
-    bindings = form[1]
-    if not bindings:
-        raise _RefLocated("let with no bindings", form, 1)
-    names = []
-    for i, b in enumerate(bindings):
-        if not isinstance(b, list) or len(b) != 2 or not isinstance(b[0], str):
-            raise _RefLocated("a let binding must be (name term)", bindings, i)
-        if b[0] in names:
-            raise _RefLocated(f"'{b[0]}' is bound twice in one let", b, 0)
-        names.append(b[0])
-    if len(form) < 3:
-        raise _RefLocated("let takes one body", form, 2)
+def _ref_lets(store, form):
+    """The innermost body of the chain of lets at form, every name bound in
+    the chain substituted, and the chain's let forms, outermost first."""
+    lets = []
     bound = {}
-    for name, b in zip(names, bindings):
-        bound[name] = _RefBound(name)
-        bound[name].term = _ref_term(store, b[1])
-    return _ref_subst(form[2], bound)
+    while _ref_is_let(form):
+        if len(form) < 2 or not isinstance(form[1], list):
+            raise _RefLocated("let needs a list of bindings", form, 1)
+        bindings = form[1]
+        if not bindings:
+            raise _RefLocated("let with no bindings", form, 1)
+        names = []
+        for i, b in enumerate(bindings):
+            if not isinstance(b, list) or len(b) != 2 or not isinstance(b[0], str):
+                raise _RefLocated("a let binding must be (name term)", bindings, i)
+            if b[0] in names:
+                raise _RefLocated(f"'{b[0]}' is bound twice in one let", b, 0)
+            names.append(b[0])
+        if len(form) < 3:
+            raise _RefLocated("let takes one body", form, 2)
+        new = {}
+        for name, b in zip(names, bindings):
+            new[name] = _RefBound(name)
+            new[name].term = _ref_term(store, _ref_subst(b[1], bound))
+        bound.update(new)
+        lets.append(form)
+        form = form[2]
+    return _ref_subst(form, bound), lets
 
 
 def _ref_one_body(form):
@@ -652,30 +669,45 @@ def _ref_one_body(form):
 
 def _ref_subst(form, bound):
     """form with each name in bound replaced where it is free: not a head,
-    not a let's binder, not under a let that binds it again."""
-    if isinstance(form, str):
-        return form if isinstance(form, _RefBound) else bound.get(form, form)
-    out = _RefForm()
-    out.at = form.at
-    if not form:
-        return out
-    if _ref_is_let(form) and len(form) > 1 and isinstance(form[1], list):
-        bindings = _RefForm()
-        bindings.at = form[1].at
-        inner = dict(bound)
-        for b in form[1]:
-            if isinstance(b, list) and len(b) == 2 and isinstance(b[0], str):
-                copy = _RefForm([b[0], _ref_subst(b[1], bound)])
-                copy.at = b.at
-                bindings.append(copy)
-                inner.pop(b[0], None)
+    not a let's binder, not under a let that binds it again.  A copy made
+    with an explicit stack of (forms to copy, names bound, copy to extend)."""
+    top = []
+    stack = [([form], bound, top)]
+    while stack:
+        forms, bound, out = stack.pop()
+        for form in forms:
+            if isinstance(form, str):
+                out.append(form if isinstance(form, _RefBound)
+                           else bound.get(form, form))
+                continue
+            copy = _RefForm()
+            copy.at = form.at
+            out.append(copy)
+            if not form:
+                continue
+            if _ref_is_let(form) and len(form) > 1 and isinstance(form[1], list):
+                bindings = _RefForm()
+                bindings.at = form[1].at
+                copy += [form[0], bindings]
+                inner = bound
+                for b in form[1]:
+                    if isinstance(b, list) and len(b) == 2 and isinstance(b[0], str):
+                        pair = _RefForm([b[0]])
+                        pair.at = b.at
+                        bindings.append(pair)
+                        stack.append((b[1:], bound, pair))
+                        if b[0] in inner:
+                            inner = dict(inner) if inner is bound else inner
+                            del inner[b[0]]
+                    else:
+                        bindings.append(b)
+                stack.append((form[2:], inner, copy))
+            elif isinstance(form[0], str):
+                copy.append(form[0])
+                stack.append((form[1:], bound, copy))
             else:
-                bindings.append(b)
-        out += [form[0], bindings] + [_ref_subst(f, inner) for f in form[2:]]
-        return out
-    head = form[0] if isinstance(form[0], str) else _ref_subst(form[0], bound)
-    out += [head] + [_ref_subst(f, bound) for f in form[1:]]
-    return out
+                stack.append((form, bound, copy))
+    return top[0]
 
 
 def _ref_check_app(form):

@@ -9,7 +9,8 @@ from egraphqe import (Bounds, IntVal, Literal, Model, SearchSpaceError,
                       implies_exists, mbp, qel, satisfies, term_to_sexpr)
 from egraphqe import oracle
 from egraphqe.parser import parse_problem
-from egraphqe.terms import formula_to_sexpr, mk_formula, post_order
+from egraphqe.terms import (SortKind, formula_to_sexpr, is_numeral, mk_formula,
+                            post_order)
 
 from conftest import (DEMOS, chain_problem, load, load_mbp,
                       random_euf_instance, random_projection_instance)
@@ -173,6 +174,23 @@ def test_domains_of_an_array_sort_2000_deep_are_built_without_recursion():
                         Bounds(universe=1)).ok
 
 
+def test_selector_default_of_a_sort_2000_deep_is_built_without_recursion():
+    """(fld nil) is the default of S, an (Array I ...) 2000 deep: it is built
+    inner sort first, once per context, and compares with y's values
+    without descending, since element 0 of S's domain is the same object."""
+    d = 2000
+    sort = "(Array I " * d + "I" + ")" * d
+    prob = parse_problem(
+        f"(declare-sort I 0) (declare-datatype P ((mk (fld {sort})) (nil)))"
+        f" (declare-var x P) (declare-var y {sort})"
+        " (assert (= (is-nil x) true)) (assert (= y (fld x)))")
+    formula = prob.formula
+    verdict = equiv_exists(prob.sig, prob.store, formula, formula,
+                           Bounds(universe=1))
+    assert isinstance(verdict, oracle.Verdict)
+    assert (verdict.ok, verdict.skipped) == (True, 0)
+
+
 def test_free_variable_is_a_shared_symbol():
     sig = Signature()
     idx, val = sig.declare_sort("I"), sig.declare_sort("V")
@@ -246,20 +264,19 @@ def _literal_plan(formula):
     return plan
 
 
-def _product_sat(self, formula, interp, want_assignment=False):
+def _product_sat(self, idx, interp, want_assignment=False):
     """Three-valued reference for ``_Context.sat``: every assignment of the
-    formula's variables in itertools.product order, each evaluated literal
-    by literal until one fails.  A term with an undefined argument is
-    undefined, and so is a literal with an undefined side.  An assignment
-    fails at its first failing literal, holds when every literal holds, and
-    is undefined otherwise.  The first assignment that holds decides
+    variables of formula idx in itertools.product order, each evaluated
+    literal by literal until one fails, its terms by _apply.  A term with
+    an undefined argument is undefined, and so is a literal with an
+    undefined side.  An assignment fails at its first failing literal,
+    holds when every literal holds, and is undefined otherwise.  The first assignment that holds decides
     (True); else the formula is undefined (None) when some assignment is,
     and False when none is."""
-    idx = self.formulas.index(formula)
     fvars = self.vars_per_formula[idx]
     names = sorted(fvars)
     doms = [self.domain(fvars[n]) for n in names]
-    plan = _literal_plan(formula)
+    plan = _literal_plan(self.formulas[idx])
     undef = oracle._UNDEFINED
     undefined = False
     for combo in itertools.product(*doms):
@@ -270,7 +287,7 @@ def _product_sat(self, formula, interp, want_assignment=False):
             for t in terms:
                 args = [val[c.id] for c in t.children]
                 val[t.id] = undef if undef in args else \
-                    self._apply(t, args, interp, assign)
+                    _apply(self, t, args, interp, assign)
             if val[lhs] is undef or val[rhs] is undef:
                 outcome = None
             elif (val[lhs] == val[rhs]) == (kind == "diseq"):
@@ -280,6 +297,73 @@ def _product_sat(self, formula, interp, want_assignment=False):
             return assign if want_assignment else True
         undefined = undefined or outcome is None
     return None if want_assignment or undefined else False
+
+
+def _apply(self, term, args, interp, assign):
+    """Value of term's symbol applied to the values of its arguments;
+    undefined when it leaves the enumerated domains."""
+    label = term.label
+    # declared symbols first: they label most terms, and no declared
+    # name is a numeral or a builtin
+    if label in assign:
+        out = assign[label]
+    elif label in interp:
+        val = interp[label]
+        out = val.get(tuple(args), oracle._UNDEFINED) \
+            if isinstance(val, dict) else val
+    elif is_numeral(label):
+        out = int(label)
+    elif label == "true":
+        out = True
+    elif label == "false":
+        out = False
+    elif label in ("+", "-", "*"):
+        a, b = args
+        out = a + b if label == "+" else a - b if label == "-" else a * b
+        lo, hi = self.window
+        if out < lo or out > hi:
+            out = oracle._UNDEFINED
+    elif label in (">", "<", ">=", "<="):
+        a, b = args
+        out = {">": a > b, "<": a < b, ">=": a >= b, "<=": a <= b}[label]
+    elif label == "read":
+        out = oracle._array_read(args[0], args[1])
+    elif label == "write":
+        out = oracle._canon_array(args[0][1],
+                                  list(args[0][2]) + [(args[1], args[2])])
+    elif label in ("ueq",):
+        out = args[0] == args[1]
+    elif label == "distinct":
+        out = args[0] != args[1]
+    else:
+        out = _eval_adt(self, label, args)
+    return out
+
+
+def _eval_adt(self, label, args):
+    role = self.sig.datatype.get(label)
+    if role is None:
+        raise SearchSpaceError(f"symbol '{label}' not enumerable")
+    kind, ctor, i = role
+    if kind == "constructor":
+        return ("adt", label, tuple(args))
+    matches = args[0][1] == ctor.name
+    if kind == "tester":
+        return matches
+    return args[0][2][i] if matches else _default(ctor.selectors[i][1])
+
+
+def _default(sort):
+    if sort.kind is SortKind.INT:
+        return 0
+    if sort.kind is SortKind.BOOL:
+        return False
+    if sort.kind is SortKind.UNINTERPRETED:
+        return ("e", sort.name, 0)
+    if sort.kind is SortKind.ARRAY:
+        return oracle._canon_array(_default(sort.value), ())
+    ctor = sort.constructors[0]
+    return ("adt", ctor.name, tuple(_default(s) for _, s in ctor.selectors))
 
 
 def _choices(self):
@@ -603,7 +687,24 @@ def test_failing_skip_count_is_weighted(monkeypatch):
         assert _outcome(call) == (False, witness, 2)
 
 
-# -- the oracle and the model evaluator on datatype symbols and builtins -------
+# -- the oracle's compiled evaluators -------------------------------------------
+
+def _evaluators(ctx):
+    """Each planned term's compiled evaluator, by term id."""
+    evs = {}
+    for _, levels in ctx.plans:
+        for entries, rest in levels:
+            evs.update(rest)
+            for pairs, *_ in entries:
+                evs.update(pairs)
+    return evs
+
+
+def _value(evs, term, interp, args):
+    """term valued by its evaluator in evs, its children taking args."""
+    val = {c.id: a for c, a in zip(term.children, args)}
+    return evs[term.id](val, interp, {})
+
 
 def test_evaluators_agree_on_every_datatype_symbol():
     """Both evaluators read what a constructor, tester or selector does from
@@ -622,6 +723,7 @@ def test_evaluators_agree_on_every_datatype_symbol():
     assert {t.label for t in terms} == set(sig.datatype)
     formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
     ctx = oracle._Context(sig, store, (formula,), Bounds(universe=2))
+    evs = _evaluators(ctx)
     values = ctx.domain(sig.sorts["D"])
     assert len(values) == 3 * 2 * 2 + 1  # Int window (-1, 1), U of two
     first = [ctx.domain(t.sort)[0] for t in (n, b, e)]
@@ -631,11 +733,10 @@ def test_evaluators_agree_on_every_datatype_symbol():
         model = Model({name: oracle._to_model_value(w)
                        for name, w in interp.items()}, {}, {"U": 2})
         for t in terms:
-            got = ctx._apply(t, [interp[c.label] for c in t.children],
-                             interp, {})
+            got = _value(evs, t, interp, [interp[c.label] for c in t.children])
             assert oracle._to_model_value(got) == \
                 eval_term(model, sig, t), (v, term_to_sexpr(t))
-        assert ctx._apply(terms[0], [interp[c] for c in "nbe"], interp, {}) \
+        assert _value(evs, terms[0], interp, [interp[c] for c in "nbe"]) \
             == (v if v[1] == "mk" else ("adt", "mk", tuple(first)))
 
 
@@ -651,6 +752,7 @@ def test_evaluators_agree_on_every_int_builtin():
              ("+", "-", "*", ">", "<", ">=", "<=", "ueq", "distinct")]
     formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
     ctx = oracle._Context(sig, store, (formula,), Bounds(int_window=(-2, 3)))
+    evs = _evaluators(ctx)
     window = ctx.domain(sig.sorts["Int"])
     assert window == list(range(-2, 4))
     undefined = set()
@@ -658,7 +760,7 @@ def test_evaluators_agree_on_every_int_builtin():
         interp = {"m": a, "n": b}
         model = Model({"m": IntVal(a), "n": IntVal(b)}, {}, {})
         for t in terms:
-            got = ctx._apply(t, [a, b], interp, {})
+            got = _value(evs, t, interp, [a, b])
             if got is oracle._UNDEFINED:
                 assert not -2 <= eval_term(model, sig, t).n <= 3
                 undefined.add(t.label)
@@ -666,3 +768,51 @@ def test_evaluators_agree_on_every_int_builtin():
             assert oracle._to_model_value(got) == \
                 eval_term(model, sig, t), (a, b, term_to_sexpr(t))
     assert undefined == {"+", "-", "*"}
+
+
+def test_every_compiled_kind_is_undefined_at_an_undefined_argument():
+    """Each evaluator of a term with arguments, of every kind and arity,
+    gives _UNDEFINED when any one argument is undefined and the others are
+    defined.  That holds for a symbol that is not enumerable too, which
+    raises SearchSpaceError only when every argument is defined."""
+    prob = parse_problem(
+        "(declare-sort U 0) (declare-fun f (U) U) (declare-fun g (U Int) U)"
+        " (declare-fun h (U U Int) Int)"
+        " (declare-datatype D ((mk (num Int) (flag Bool) (elt U)) (none)))"
+        " (declare-datatype W ((w1 (w Int)) (w2 (wa U) (wb U))))"
+        " (declare-const a (Array U Int)) (declare-const b (Array U Int))"
+        " (declare-const c U) (declare-const d U) (declare-const k Int)"
+        " (declare-const j Int) (declare-const x D)")
+    sig, store = prob.sig, TermStore(prob.sig)
+    # distinct arguments, so that each position is fed on its own
+    a, b, c, d, k, j, x = (store.mk_const(s) for s in "abcdkjx")
+    app = store.mk_app
+    terms = [app("f", (c,)), app("g", (c, k)), app("h", (c, d, k)),
+             *(app(op, (k, j)) for op in
+               ("+", "-", "*", ">", "<", ">=", "<=")),
+             app("read", (a, c)), app("write", (a, c, k)),
+             app("ueq", (c, d)), app("distinct", (k, j)),
+             app("mk", (k, store.top, c)), app("w1", (k,)), app("w2", (c, d)),
+             app("is-mk", (x,)), app("num", (x,)), app("elt", (x,)),
+             app("peq", (a, b, c))]
+    formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
+    ctx = oracle._Context(sig, store, (formula,),
+                          Bounds(universe=1, int_window=(0, 1)))
+    evs = _evaluators(ctx)
+    interp = next(ctx.interpretations())[0]
+    values = {t.id: ctx.domain(t.sort)[0] for t in (a, b, c, d, k, j, x)}
+    values[store.top.id] = True
+    kinds = set()
+    for t in terms:
+        args = [values[ch.id] for ch in t.children]
+        for pos in range(len(args)):
+            got = _value(evs, t, interp, args[:pos] + [oracle._UNDEFINED]
+                         + args[pos + 1:])
+            assert got is oracle._UNDEFINED, (term_to_sexpr(t), pos)
+        kinds.add(t.label)
+        if t.label == "peq":
+            with pytest.raises(SearchSpaceError, match="'peq' not enumerable"):
+                _value(evs, t, interp, args)
+        else:
+            assert _value(evs, t, interp, args) is not oracle._UNDEFINED
+    assert len(kinds) == len(terms)

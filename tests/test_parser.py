@@ -3,7 +3,6 @@ conftest: the same terms in the same order, or the same error."""
 import ast
 import random
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -247,36 +246,28 @@ _LETS = "".join(f"(let ((y{i + 1} (f y{i}))) " for i in range(_D))
 _CHAIN = "(f " * _D + "{}" + ")" * _D
 
 
-@pytest.mark.parametrize("body, leaf, against_reference", [
-    # 3000 sequential lets around a literal, and as a term; the reference
-    # substitutes into each let's body anew, which takes minutes at this depth
-    (f"(let ((y0 c)) {_LETS}(= x y{_D}){')' * _D})", "c", False),
-    (f"(let ((y0 c)) (= x {_LETS}y{_D}{')' * _D}))", "c", False),
+@pytest.mark.parametrize("body, leaf", [
+    # 3000 sequential lets around a literal, and as a term
+    (f"(let ((y0 c)) {_LETS}(= x y{_D}){')' * _D})", "c"),
+    (f"(let ((y0 c)) (= x {_LETS}y{_D}{')' * _D}))", "c"),
     # a let under 3000 nested applications
-    ("(= x " + _CHAIN.format("(let ((y c)) (h y y))") + ")", "(h c c)", True),
+    ("(= x " + _CHAIN.format("(let ((y c)) (h y y))") + ")", "(h c c)"),
     # a 3000-deep chain in a let's binding, and in its body
-    ("(let ((y " + _CHAIN.format("c") + ")) (= x y))", "c", True),
-    ("(let ((y c)) (= x " + _CHAIN.format("y") + "))", "c", True),
+    ("(let ((y " + _CHAIN.format("c") + ")) (= x y))", "c"),
+    ("(let ((y c)) (= x " + _CHAIN.format("y") + "))", "c"),
 ], ids=["lets-around-literal", "lets-as-term", "let-under-chain",
         "chain-in-binding", "chain-in-body"])
-def test_lets_nested_3000_deep_parse(body, leaf, against_reference):
+def test_lets_nested_3000_deep_parse(body, leaf):
     """x = f(f(...leaf)), 3000 deep, read through lets nested 3000 deep or
-    around and inside an application chain 3000 deep."""
+    around and inside an application chain 3000 deep, and read to the same
+    terms by the reference reader, at the default recursion limit."""
     text = LET_DECLS + f"(assert {body})"
     (lit,) = parse_problem(text).formula.literals
     depth, t = 0, lit.rhs
     while t.label == "f":
         depth, t = depth + 1, t.children[0]
     assert (lit.lhs.label, depth, repr(t)) == ("x", _D, leaf)
-    if against_reference:
-        # the reference substitutes a let's names by recursion, a few calls
-        # per level of the let's body
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + 4 * _D)
-        try:
-            _agree(text)
-        finally:
-            sys.setrecursionlimit(limit)
+    _agree(text)
 
 
 # -- single-token mutants ------------------------------------------------------
