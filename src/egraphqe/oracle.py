@@ -188,10 +188,10 @@ class _Context:
         self._defaults = _defaults(within)
         evs = {t.id: self._compile(t) for terms in self.terms for t in terms}
         self.plans = [_compiled(plan, evs) for plan in plans]
-        # per size vector: each sort's domain by name, and each formula's
-        # variables' domains, in binding order, by the formula's index
+        # per size vector: each sort's domain by name, and per formula its
+        # variables' domains in binding order (sat)
         self._domains = {}
-        self._within = {}  # per sort name, the sorts inside it (domain)
+        self._var_domains = [None] * len(formulas)
         self._guard()
 
     def _derive_window(self):
@@ -237,16 +237,11 @@ class _Context:
 
     def domain(self, sort: Sort) -> list:
         """The values of sort, built once per size vector.  The sorts inside
-        it are built first, in the order sorts_within gives (listed once per
-        context), so no sort's domain recurses into another's, however deep
-        the nesting."""
+        it are built first, in the order sorts_within gives, so no sort's
+        domain recurses into another's, however deep the nesting."""
         hit = self._domains.get(sort.name)
         if hit is None:
-            inner_first = self._within.get(sort.name)
-            if inner_first is None:
-                inner_first = self._within[sort.name] = \
-                    list(sorts_within([sort]).values())
-            for inner in inner_first:
+            for inner in sorts_within([sort]).values():
                 if inner.name not in self._domains:
                     self._domains[inner.name] = self._build_domain(inner)
             hit = self._domains[sort.name]
@@ -357,6 +352,7 @@ class _Context:
         for sizes in self._size_vectors():
             self._sizes = dict(zip(self._uninterp, sizes))
             self._domains = {}
+            self._var_domains = [None] * len(self.formulas)
             yield from _up_to_renaming(*self._cells())
 
     def _cells(self):
@@ -413,10 +409,11 @@ class _Context:
         undefined at best.  Assignments are tried in itertools.product
         order.  The variables' domains are listed once per size vector."""
         names, levels = self.plans[idx]
-        doms = self._domains.get(idx)
+        doms = self._var_domains[idx]
         if doms is None:
             fvars = self.vars_per_formula[idx]
-            doms = self._domains[idx] = [self.domain(fvars[n]) for n in names]
+            doms = self._var_domains[idx] = [self.domain(fvars[n])
+                                             for n in names]
         assign = {}
         val = {}
         found = assign if want_assignment else True
@@ -590,7 +587,8 @@ def _compiled(plan, evs) -> _Plan:
 
 def _strict(op, ids):
     """The evaluator that applies op to the values of the terms ids, and
-    is undefined when one of them is."""
+    is undefined when one of them is.  Arities 1 and 2, most terms', are
+    valued without building an argument list."""
     if len(ids) == 1:
         a, = ids
 
@@ -624,10 +622,6 @@ def _table(label, ids):
     """The evaluator of an application of the function label: its table's
     entry at the values of the terms ids, undefined where the table has
     none.  An undefined argument is in no key, so it needs no test."""
-    if len(ids) == 1:
-        a, = ids
-        return lambda val, interp, assign: \
-            interp[label].get((val[a],), _UNDEFINED)
     return lambda val, interp, assign: \
         interp[label].get(tuple([val[i] for i in ids]), _UNDEFINED)
 
@@ -808,21 +802,11 @@ def _array_read(arr, key):
     return arr[1]
 
 
-def _array_write(arr, key, value):
-    """arr with key mapped to value, in _canon_array's form: arr is in it,
-    so its entries have distinct keys, differ from the default and are in
-    order."""
-    _, default, items = arr
-    kept = [entry for entry in items if entry[0] != key]
-    if value != default:
-        kept.append((key, value))
-        kept.sort(key=repr)
-    return ("arr", default, tuple(kept))
-
-
 # the builtins that are plain functions of their arguments' values
 _BUILTIN = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
-            "<=": operator.le, "read": _array_read, "write": _array_write,
+            "<=": operator.le, "read": _array_read,
+            "write": lambda arr, key, value:
+                _canon_array(arr[1], [*arr[2], (key, value)]),
             "ueq": operator.eq, "distinct": operator.ne}
 
 

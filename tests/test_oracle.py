@@ -385,6 +385,7 @@ def _product_interpretations(self):
     for sizes in self._size_vectors():
         self._sizes = dict(zip(self._uninterp, sizes))
         self._domains = {}
+        self._var_domains = [None] * len(self.formulas)
         choices = _choices(self)
         names = [n for n, _ in choices]
         for combo in itertools.product(*(c for _, c in choices)):
