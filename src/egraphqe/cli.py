@@ -7,7 +7,9 @@
 Prints the result conjunction as one ``(and ...)`` (or ``true``) on stdout
 and an eliminated/remaining variable summary on stderr.  ``--budget`` caps
 the number of saturation rule applications of ``mbp``.  Exit codes: 0 ok,
-2 bad input, 3 failed --check, 4 saturation budget exhausted.
+2 bad input, 3 failed --check, 4 saturation budget exhausted, 5 internal
+error (an inadmissible representative function, or out of memory).  Each
+error prints one ``error: ...`` line on stderr, never a traceback.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import argparse
 import sys
 
 from .egraph import EGraph
+from .extraction import InadmissibleReprError
 from .mbp import SaturationBudgetError, mbp
 from .model import parse_model, satisfies
 from .oracle import Bounds, SearchSpaceError, equiv_exists, implies_exists
@@ -51,6 +54,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InadmissibleReprError as e:  # ExtractionBudgetError among them
+        print(f"error: {e}", file=sys.stderr)
+        return 5
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
 
 
 def _run(args) -> int:

@@ -142,7 +142,7 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
     return memo[n]
 
 
-def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
+def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula:
     """Formula of the egraph under r, omitting literals for excluded nodes.
 
     Per class, emits representative-extraction = member-extraction for each
@@ -151,12 +151,13 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset()) -> Formula:
     representative extractions whenever both endpoint classes keep at least
     one non-excluded node.  Duplicate and reflexive literals are dropped.
     With an empty exclusion set the result's existential closure matches the
-    input formula's.
+    input formula's.  _memo, node id -> extraction under r, is shared
+    with the to_expr calls of a caller that has extracted some nodes first.
     """
     if not _class_consistent(g, r):
         raise InadmissibleReprError("not a unique in-class assignment per class")
     exclude = set(exclude)
-    memo = {}
+    memo = _memo if _memo is not None else {}
     literals = []
     seen_pairs = set()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sexpr import LocatedError, read_all
+from .sexpr import Form, LocatedError, read_all, read_form, tokens
 from .terms import (ARITH_FUNS, InputError, Literal, Signature, Sort,
                     SortKind, Term, is_numeral, post_order, sorts_within)
 
@@ -249,71 +249,234 @@ def parse_model(text: str, sig: Signature) -> Model:
     numeral, constructor, tester or selector, and each value is read
     against the sort it is declared with.  A universe is given at most
     once, for a declared uninterpreted sort S, and has k >= 1 elements;
-    every ``(elem S n)`` in a value then has 0 <= n < k."""
+    every ``(elem S n)`` in a value then has 0 <= n < k.
+
+    The text is split into one token list (``sexpr.tokens``), walked by
+    index: the universes first, wherever they stand, then each command in
+    turn, its values built children first by one explicit stack.  One
+    ``Elem`` stands for each ``(elem S k)`` of a read.  Nothing checks the
+    parentheses up front: when reading fails, the text is read as forms
+    first, so that an unbalanced ')' or an unclosed '(' is the error
+    reported, as it is when it comes first in the text."""
+    toks = tokens(text)
     try:
-        return _model(read_all(text), sig)
+        try:
+            return _Reader(toks, sig).model()
+        except (InputError, LocatedError, IndexError):
+            # an unbalanced ')' or an unclosed '(' is reported first; only
+            # an unclosed '(' lets the reader run off the end of toks
+            read_all(text)
+            raise
     except LocatedError as e:
         raise ModelError(e.located(text)) from None
 
 
-def _model(forms, sig) -> Model:
-    constants = {}
-    functions = {}
-    universes = _universes(forms, sig)
-    for form in forms:
-        if not isinstance(form, list) or not form or not isinstance(form[0], str):
-            raise ModelError("expected a model command")
-        head = form[0]
-        if head == "define-value" and len(form) == 3:
-            name = _name(form[1])
-            args, sort = _declared(sig, name)
-            if args:
-                raise ModelError(f"'{name}' takes arguments: use define-fun-values")
-            if name in constants:
-                raise ModelError(f"duplicate value for '{name}'")
-            constants[name] = _value(form, 2, sort, universes)
-        elif head == "define-fun-values" and len(form) >= 3:
-            name = _name(form[1])
-            args, result = _declared(sig, name)
-            default = _default(form, 2, result, universes)
-            table = {}
-            for entry in form[3:]:
-                if not isinstance(entry, list) or len(entry) != 2 \
-                        or not isinstance(entry[0], list) \
-                        or len(entry[0]) != len(args):
-                    raise ModelError(f"bad table entry for '{name}'")
-                key = tuple(_value(entry[0], i, s, universes)
-                            for i, s in enumerate(args))
-                if key in table:
-                    raise ModelError(f"duplicate table entry for '{name}'")
-                table[key] = _value(entry, 1, result, universes)
-            functions[name] = (default, table)
-        elif head == "universe" and len(form) == 3:
-            pass  # read by _universes
-        else:
-            raise ModelError(f"unknown model command '{head}'")
-    return Model(constants, functions, universes)
+_PARENS = frozenset("()")
+_PENDING = object()  # an array's default or key not read yet
 
 
-def _universes(forms, sig) -> dict:
-    """Sort name -> size for each ``(universe S k)`` in forms, read before
-    any value so that an element is checked wherever it appears."""
-    universes = {}
-    for form in forms:
-        if isinstance(form, list) and len(form) == 3 and form[0] == "universe":
-            k = _int(form, 2)
-            name = _name(form[1])
-            sort = sig.sorts.get(name)
-            if sort is None or sort.kind is not SortKind.UNINTERPRETED:
-                raise LocatedError(
-                    f"'{name}' is not a declared uninterpreted sort",
-                    form.at_child(1))
-            if k < 1:
-                raise LocatedError(f"universe of '{name}' is empty", form.at_child(2))
-            if name in universes:
-                raise LocatedError(f"duplicate universe for '{name}'", form.at_child(1))
-            universes[name] = k
-    return universes
+class _Reader:
+    """One read of a model file.  A list whose length decides an error (a
+    command, a (default v), an entry, a constructor value) is not counted
+    before its parts are read: while it is open it waits in ``lists`` as
+    (ordinal of its '(', number of children, error), and it raises its
+    error if it closes early or late.  When reading fails inside a command,
+    the outermost open list of another length is the error, as it is when
+    every length is checked before the parts."""
+
+    def __init__(self, toks, sig):
+        self.toks, self.sig = toks, sig
+        self.universes, self.universe_ends = _universes(toks, sig)
+        self.elems = {}  # (S, k) token pair -> its one Elem
+        self.lists = []
+        self.constants, self.functions = {}, {}
+
+    def model(self) -> Model:
+        toks = self.toks
+        k = 0
+        while k < len(toks):
+            if toks[k] != "(" or toks[k + 1] in _PARENS:
+                raise ModelError("expected a model command")
+            head = toks[k + 1]
+            if head == "universe" and k in self.universe_ends:
+                k = self.universe_ends[k]
+                continue
+            if head not in ("define-value", "define-fun-values"):
+                raise ModelError(f"unknown model command '{head}'")
+            try:
+                if head == "define-value":
+                    k = self.define_value(k)
+                else:
+                    k = self.define_fun_values(k)
+            except (InputError, LocatedError):
+                _check_lengths(toks, self.lists)
+                raise
+        return Model(self.constants, self.functions, self.universes)
+
+    def define_value(self, k):
+        """Read the (define-value name value) at k; the ordinal after it."""
+        self.lists.append((k, 3, "unknown model command 'define-value'"))
+        name = _name(self.toks, k + 2)
+        args, sort = _declared(self.sig, name)
+        if args:
+            raise ModelError(f"'{name}' takes arguments: use define-fun-values")
+        if name in self.constants:
+            raise ModelError(f"duplicate value for '{name}'")
+        self.constants[name], k = self.value(k + 3, sort)
+        return _close(self.toks, k, self.lists)
+
+    def define_fun_values(self, k):
+        """Read the (define-fun-values name (default v) ((arg ...) v) ...)
+        at k; the ordinal after it."""
+        toks, lists = self.toks, self.lists
+        j = k + 2
+        if toks[j] == ")" or toks[read_form(toks, j)[1]] == ")":  # no default
+            raise ModelError("unknown model command 'define-fun-values'")
+        name = _name(toks, j)
+        args, result = _declared(self.sig, name)
+        _check_default(toks, j + 1)
+        lists.append((j + 1, 2, "expected (default value)"))
+        default, j = self.value(j + 3, result)
+        j = _close(toks, j, lists)
+        bad = f"bad table entry for '{name}'"
+        table = {}
+        while toks[j] != ")":
+            if toks[j] != "(" or toks[j + 1] != "(":
+                raise ModelError(bad)
+            lists += ((j, 2, bad), (j + 1, len(args), bad))
+            j += 2
+            key = []
+            for sort in args:
+                v, j = self.value(j, sort)
+                key.append(v)
+            j = _close(toks, j, lists)
+            key = tuple(key)
+            if key in table:
+                raise ModelError(f"duplicate table entry for '{name}'")
+            table[key], j = self.value(j, result)
+            j = _close(toks, j, lists)
+        self.functions[name] = (default, table)
+        return j + 1
+
+    def value(self, k, sort):
+        """The value at token k, read against sort, and the ordinal after
+        it.  Each level must have its sort's shape, so a value is never
+        read deeper than its sort is nested.  An element must lie in its
+        sort's universe when the model gives one.  The arrays, as [sort,
+        default, {key: value}, key], and the datatype values, as
+        (constructor, arguments), being read wait on an explicit stack, so
+        a value of any depth reads, children first and left to right."""
+        toks, lists, elems = self.toks, self.lists, self.elems
+        stack = []
+        while True:
+            if toks[k] != "(":
+                value = _atom(toks, k, sort)
+                k += 1
+            elif toks[k + 1] == "elem" and toks[k + 2] not in _PARENS \
+                    and toks[k + 3] not in _PARENS and toks[k + 4] == ")":
+                pair = (toks[k + 2], toks[k + 3])
+                value = elems.get(pair)
+                if value is None:
+                    value = elems[pair] = _elem(toks, k, sort, self.universes)
+                elif sort.name != pair[0]:  # sort names are unique in sig
+                    raise LocatedError(f"expected a value of sort {sort!r}", k)
+                k += 5
+            elif toks[k + 1] == "array" and toks[k + 2] != ")":
+                if sort.kind is not SortKind.ARRAY:
+                    raise LocatedError(f"expected a value of sort {sort!r}", k)
+                _check_default(toks, k + 2)
+                lists.append((k + 2, 2, "expected (default value)"))
+                stack.append([sort, _PENDING, {}, None])
+                k += 4
+                sort = sort.value
+                continue
+            else:
+                ctor = _constructor(toks, k, sort)
+                lists.append((k, 1 + ctor.arity, f"constructor '{ctor.name}' "
+                                                 f"expects {ctor.arity} values"))
+                k += 2
+                if ctor.selectors:
+                    stack.append((ctor, []))
+                    sort = ctor.selectors[0][1]
+                    continue
+                value = AdtVal(ctor.name, ())
+                k = _close(toks, k, lists)
+            # the value is whole: it is the next part of the innermost open one
+            while stack:
+                top = stack[-1]
+                if type(top) is tuple:
+                    ctor, args = top
+                    args.append(value)
+                    if len(args) < len(ctor.selectors):
+                        sort = ctor.selectors[len(args)][1]
+                        break
+                    k = _close(toks, k, lists)
+                    stack.pop()
+                    value = AdtVal(ctor.name, tuple(args))
+                    continue
+                array, default, mapping, key = top
+                if key is _PENDING:
+                    if value in mapping:
+                        raise ModelError(f"duplicate array key {value!r}")
+                    top[3] = value
+                    sort = array.value
+                    break
+                k = _close(toks, k, lists)
+                if default is _PENDING:
+                    top[1] = value
+                else:
+                    mapping[key] = value
+                if toks[k] == "(":  # the next entry, (key value)
+                    lists.append((k, 2, "array entry must be (key value)"))
+                    top[3] = _PENDING
+                    k += 1
+                    sort = array.index
+                    break
+                if toks[k] != ")":
+                    raise ModelError("array entry must be (key value)")
+                k += 1
+                stack.pop()
+                value = mk_array(top[1], mapping)
+            else:
+                return value, k
+
+
+def _universes(toks, sig):
+    """Sort name -> size for each top-level ``(universe S k)``, read before
+    any value so that an element is checked wherever it appears, and the
+    ordinal after each such command by the ordinal of its '('.  A
+    candidate is a '(' before a 'universe' token, found by list.index; it
+    is top-level when as many '(' as ')' come before it, counted on the
+    slices between candidates."""
+    universes, ends = {}, {}
+    i = depth = counted = 0
+    while True:
+        try:
+            i = toks.index("universe", i + 1)
+        except ValueError:
+            return universes, ends
+        at = i - 1
+        if toks[at] != "(":
+            continue
+        part = toks[counted:at]
+        depth += part.count("(") - part.count(")")
+        counted = at
+        if depth:
+            continue
+        form, end = read_form(toks, at)
+        if len(form) != 3:
+            continue
+        k = _int(toks, form.at_child(2))
+        name = _name(toks, at + 2)
+        sort = sig.sorts.get(name)
+        if sort is None or sort.kind is not SortKind.UNINTERPRETED:
+            raise LocatedError(f"'{name}' is not a declared uninterpreted sort", at + 2)
+        if k < 1:
+            raise LocatedError(f"universe of '{name}' is empty", at + 3)
+        if name in universes:
+            raise LocatedError(f"duplicate universe for '{name}'", at + 2)
+        universes[name] = k
+        ends[at] = end
 
 
 def _declared(sig, name):
@@ -326,124 +489,96 @@ def _declared(sig, name):
     return sig.functions[name]
 
 
-def _value(form, index, sort, universes) -> Value:
-    """The value written as child index of form, read against sort.  Each
-    level must have its sort's shape, so a value is never read deeper than
-    its sort is nested.  An element must lie in its sort's universe when
-    the model gives one.  The readers of the arrays and datatype values
-    being read wait on an explicit stack, so a value of any depth reads,
-    depth first and left to right as a recursive reader would."""
-    value = _read(form, index, sort, universes)
-    if isinstance(value, Value):
-        return value
-    readers = [value]
-    value = None
-    while readers:
-        try:
-            value = readers[-1].send(value)
-        except StopIteration as done:
-            readers.pop()
-            value = done.value
-        else:  # a compound part: read it first
-            readers.append(value)
-            value = None
-    return value
-
-
-def _read(form, index, sort, universes):
-    """The value at child index of form if it is an atom or an element,
-    else a reader of its parts: a generator that reads each part in turn,
-    yields the reader of a part that is compound itself and is sent back
-    its value, and returns the whole."""
-    v = form[index]
-    if isinstance(v, str):
-        if v in ("true", "false"):
-            if sort.kind is SortKind.BOOL:
-                return BoolVal(v == "true")
-        elif v.lstrip("-").isdigit():
-            n = _int(form, index)
-            if sort.kind is SortKind.INT:
-                return IntVal(n)
-        else:
-            raise LocatedError(f"bad value '{v}'", form.at_child(index))
-    elif not v or not isinstance(v[0], str):
-        raise ModelError("bad value")
-    elif v[0] == "elem" and len(v) == 3:
-        name = _name(v[1])
-        n = _int(v, 2)
-        if sort.kind is SortKind.UNINTERPRETED and sort.name == name:
-            size = universes.get(name)
-            if size is not None and not 0 <= n < size:
-                raise LocatedError(f"element {n} is outside the universe of "
-                                   f"'{name}' (size {size})", v.at_child(2))
-            return Elem(name, n)
-    elif v[0] == "array" and len(v) >= 2:
-        if sort.kind is SortKind.ARRAY:
-            return _array_reader(v, sort, universes)
+def _atom(toks, k, sort) -> Value:
+    """The value of the atom at k: true, false or an integer, of sort."""
+    v = toks[k]
+    if v == "true" or v == "false":
+        if sort.kind is SortKind.BOOL:
+            return BoolVal(v == "true")
+    elif v.lstrip("-").isdigit():
+        n = _int(toks, k)
+        if sort.kind is SortKind.INT:
+            return IntVal(n)
     else:
-        for ctor in sort.constructors:
-            if ctor.name == v[0]:
-                if len(v) != 1 + ctor.arity:
-                    raise ModelError(f"constructor '{ctor.name}' expects "
-                                     f"{ctor.arity} values")
-                return _adt_reader(v, ctor, universes)
-    raise LocatedError(f"expected a value of sort {sort!r}", form.at_child(index))
+        raise LocatedError(f"bad value '{v}'", k)
+    raise LocatedError(f"expected a value of sort {sort!r}", k)
 
 
-def _array_reader(v, sort, universes):
-    default = _read(_default_form(v, 1), 1, sort.value, universes)
-    if not isinstance(default, Value):
-        default = yield default
-    mapping = {}
-    for entry in v[2:]:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ModelError("array entry must be (key value)")
-        key = _read(entry, 0, sort.index, universes)
-        if not isinstance(key, Value):
-            key = yield key
-        if key in mapping:
-            raise ModelError(f"duplicate array key {key!r}")
-        value = _read(entry, 1, sort.value, universes)
-        if not isinstance(value, Value):
-            value = yield value
-        mapping[key] = value
-    return mk_array(default, mapping)
+def _elem(toks, k, sort, universes) -> Elem:
+    """The element (elem S n) at k, of the uninterpreted sort."""
+    name = toks[k + 2]
+    n = _int(toks, k + 3)
+    if sort.kind is not SortKind.UNINTERPRETED or sort.name != name:
+        raise LocatedError(f"expected a value of sort {sort!r}", k)
+    size = universes.get(name)
+    if size is not None and not 0 <= n < size:
+        raise LocatedError(f"element {n} is outside the universe of "
+                           f"'{name}' (size {size})", k + 3)
+    return Elem(name, n)
 
 
-def _adt_reader(v, ctor, universes):
-    args = []
-    for i, (_, s) in enumerate(ctor.selectors, start=1):
-        arg = _read(v, i, s, universes)
-        if not isinstance(arg, Value):
-            arg = yield arg
-        args.append(arg)
-    return AdtVal(ctor.name, tuple(args))
-
-
-def _default(form, index, sort, universes):
-    """The value v of ``(default v)`` at child index of form."""
-    return _value(_default_form(form, index), 1, sort, universes)
-
-
-def _default_form(form, index):
-    d = form[index]
-    if not isinstance(d, list) or len(d) != 2 or _name(d[0]) != "default":
-        raise ModelError("expected (default value)")
-    return d
-
-
-def _name(form) -> str:
-    if not isinstance(form, str):
+def _constructor(toks, k, sort):
+    """The constructor of sort that heads the list at k, which is neither
+    (elem S n) of two atoms nor (array ...) with parts.  An (elem ...) of
+    three children is an element one of whose parts is not an atom."""
+    head = toks[k + 1]
+    if head in _PARENS:
+        raise ModelError("bad value")
+    if head == "elem" and len(read_form(toks, k)[0]) == 3:
         raise ModelError("expected a symbol")
-    return form
+    for ctor in sort.constructors:
+        if ctor.name == head:
+            return ctor
+    raise LocatedError(f"expected a value of sort {sort!r}", k)
 
 
-def _int(form, index) -> int:
-    """The integer at child index of form: an optional '-' and a numeral of
-    ASCII digits, as in problem input (terms.is_numeral)."""
-    text = form[index]
-    if not isinstance(text, str):
+def _check_default(toks, k):
+    """Check that the list at k opens as (default ...); its length is
+    checked as it closes."""
+    if toks[k] == "(" and toks[k + 1] == "default":
+        return
+    if toks[k] == "(" and toks[k + 1] == "(" and len(read_form(toks, k)[0]) == 2:
+        raise ModelError("expected a symbol")
+    raise ModelError("expected (default value)")
+
+
+def _close(toks, k, lists):
+    """The ordinal after the ')' at k that closes the innermost open list
+    of lists, or that list's error."""
+    if toks[k] != ")":
+        raise ModelError(lists[-1][2])
+    lists.pop()
+    return k + 1
+
+
+def _check_lengths(toks, lists):
+    """Raise the error of the outermost list of lists whose number of
+    children is other than assumed.  Each list lies inside the one before
+    it, so one reading of the first as a Form counts them all."""
+    if not lists:
+        return
+    sizes, pending = {}, [read_form(toks, lists[0][0])[0]]
+    while pending:
+        form = pending.pop()
+        sizes[form.at] = len(form)
+        pending += [c for c in form if isinstance(c, Form)]
+    for at, n, error in lists:
+        if sizes[at] != n:
+            raise ModelError(error) from None
+
+
+def _name(toks, k) -> str:
+    if toks[k] == "(":
+        raise ModelError("expected a symbol")
+    return toks[k]
+
+
+def _int(toks, k) -> int:
+    """The integer at token k: an optional '-' and a numeral of ASCII
+    digits, as in problem input (terms.is_numeral)."""
+    text = toks[k]
+    if text == "(":
         raise ModelError("expected a symbol")
     if not is_numeral(text[1:] if text.startswith("-") else text):
-        raise LocatedError(f"expected an integer, got '{text}'", form.at_child(index))
+        raise LocatedError(f"expected an integer, got '{text}'", k)
     return int(text)

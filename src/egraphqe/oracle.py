@@ -811,17 +811,30 @@ _BUILTIN = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
 
 
 def _to_model_value(v):
-    if isinstance(v, bool):
-        return BoolVal(v)
-    if isinstance(v, int):
-        return IntVal(v)
-    if isinstance(v, tuple):
-        if v[0] == "e":
-            return Elem(v[1], v[2])
-        if v[0] == "arr":
-            return mk_array(_to_model_value(v[1]),
-                            {_to_model_value(k): _to_model_value(x)
-                             for k, x in v[2]})
-        if v[0] == "adt":
-            return AdtVal(v[1], tuple(_to_model_value(a) for a in v[2]))
-    raise SearchSpaceError(f"cannot convert value {v!r}")
+    """The model Value of the oracle value v, built children first by an
+    explicit stack of (value, parts converted), so a value of any depth
+    converts.  The parts of an array are its default, then each key and
+    its value; those of a datatype value are its arguments."""
+    done, stack = [], [(v, False)]
+    while stack:
+        v, ready = stack.pop()
+        if isinstance(v, bool):
+            done.append(BoolVal(v))
+        elif isinstance(v, int):
+            done.append(IntVal(v))
+        elif not isinstance(v, tuple) or v[0] not in ("e", "arr", "adt"):
+            raise SearchSpaceError(f"cannot convert value {v!r}")
+        elif v[0] == "e":
+            done.append(Elem(v[1], v[2]))
+        elif not ready:
+            parts = v[2] if v[0] == "adt" else \
+                (v[1], *itertools.chain.from_iterable(v[2]))
+            stack.append((v, True))
+            stack += [(p, False) for p in reversed(parts)]
+        else:
+            n = len(v[2]) if v[0] == "adt" else 1 + 2 * len(v[2])
+            parts = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(AdtVal(v[1], tuple(parts)) if v[0] == "adt" else
+                        mk_array(parts[0], dict(zip(parts[1::2], parts[2::2]))))
+    return done[0]

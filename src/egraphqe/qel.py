@@ -189,13 +189,13 @@ def reduce(g: EGraph, var_names, taint=frozenset()):
     r = find_defs(g)
     r = refine_defs(g, r, var_names)
     core = find_core(g, r, var_names)
+    memo = {}  # one extraction per node, shared by the filter and to_formula
     if taint:
-        memo = {}
         extractions = {n: to_expr(g, n, r, _memo=memo) for n in core}
         core = {n for n in core
                 if taint.isdisjoint(extractions[n].vars)
                 and taint.isdisjoint(extractions[r.get(n)].vars)}
-    return r, to_formula(g, r, set(g.node_ids()) - core)
+    return r, to_formula(g, r, set(g.node_ids()) - core, _memo=memo)
 
 
 def qel(sig: Signature, store: TermStore, formula: Formula,

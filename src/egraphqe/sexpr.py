@@ -1,10 +1,15 @@
 """Minimal s-expression reader shared by the problem and model parsers.
 
-``tokens`` splits a text into its tokens, a list of strings, and readers
-walk that list by index.  Atoms are plain strings and a parenthesized list
-read by ``read_form`` is a ``Form``.  An error is located by the ordinal of
-its token in the list: tokens carry no positions, and ``where`` reads the
-text again to find one, which only error messages do.
+``tokens`` splits a text into its tokens, a list of strings, and both
+readers walk that list by index, building terms and model values straight
+from it.  Atoms are plain strings and a parenthesized list read by
+``read_form`` is a ``Form``: the readers take as Forms only small parts
+(declarations, universe commands) and the lists an error message needs the
+length of.  When reading fails, ``read_all`` reads the whole text as Forms,
+so that an unbalanced ')' or an unclosed '(' is the error reported.  An
+error is located by the ordinal of its token in the list: tokens carry no
+positions, and ``where`` reads the text again to find one, which only
+error messages do.
 """
 from __future__ import annotations
 

@@ -10,9 +10,12 @@ from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
                       compute_cground, parse_model, parse_problem,
                       term_to_sexpr)
 from egraphqe.extraction import has_cycle
+from egraphqe.model import (AdtVal, BoolVal, Elem, IntVal, Model, ModelError,
+                            Value, mk_array)
 from egraphqe.parser import ParseError, Problem
-from egraphqe.sexpr import read_all
-from egraphqe.terms import BOOL, InputError, mk_formula, post_order
+from egraphqe.sexpr import LocatedError, read_all
+from egraphqe.terms import (BOOL, InputError, SortKind, is_numeral, mk_formula,
+                            post_order)
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -749,3 +752,210 @@ def _ref_show(form):
 
 def _ref_quoted(form):
     return f"'{form}'" if isinstance(form, str) else form
+
+
+# -- reference model reader ----------------------------------------------------
+# The reader the token-stream model reader replaced: the text is read into
+# Forms first (sexpr.read_all), the universes are read from the top-level
+# forms, and each value is read by one generator per compound value, kept
+# on an explicit stack.  parse_model must return an equal model, with equal
+# reprs, or fail where this fails, with the same message.
+
+def ref_parse_model(text, sig):
+    try:
+        return _ref_model(read_all(text), sig)
+    except LocatedError as e:
+        raise ModelError(e.located(text)) from None
+
+
+def _ref_model(forms, sig) -> Model:
+    constants = {}
+    functions = {}
+    universes = _ref_universes(forms, sig)
+    for form in forms:
+        if not isinstance(form, list) or not form or not isinstance(form[0], str):
+            raise ModelError("expected a model command")
+        head = form[0]
+        if head == "define-value" and len(form) == 3:
+            name = _ref_name(form[1])
+            args, sort = _ref_declared(sig, name)
+            if args:
+                raise ModelError(f"'{name}' takes arguments: use define-fun-values")
+            if name in constants:
+                raise ModelError(f"duplicate value for '{name}'")
+            constants[name] = _ref_value(form, 2, sort, universes)
+        elif head == "define-fun-values" and len(form) >= 3:
+            name = _ref_name(form[1])
+            args, result = _ref_declared(sig, name)
+            default = _ref_default(form, 2, result, universes)
+            table = {}
+            for entry in form[3:]:
+                if not isinstance(entry, list) or len(entry) != 2 \
+                        or not isinstance(entry[0], list) \
+                        or len(entry[0]) != len(args):
+                    raise ModelError(f"bad table entry for '{name}'")
+                key = tuple(_ref_value(entry[0], i, s, universes)
+                            for i, s in enumerate(args))
+                if key in table:
+                    raise ModelError(f"duplicate table entry for '{name}'")
+                table[key] = _ref_value(entry, 1, result, universes)
+            functions[name] = (default, table)
+        elif head == "universe" and len(form) == 3:
+            pass  # read by _ref_universes
+        else:
+            raise ModelError(f"unknown model command '{head}'")
+    return Model(constants, functions, universes)
+
+
+def _ref_universes(forms, sig) -> dict:
+    """Sort name -> size for each ``(universe S k)`` in forms, read before
+    any value so that an element is checked wherever it appears."""
+    universes = {}
+    for form in forms:
+        if isinstance(form, list) and len(form) == 3 and form[0] == "universe":
+            k = _ref_int(form, 2)
+            name = _ref_name(form[1])
+            sort = sig.sorts.get(name)
+            if sort is None or sort.kind is not SortKind.UNINTERPRETED:
+                raise LocatedError(
+                    f"'{name}' is not a declared uninterpreted sort",
+                    form.at_child(1))
+            if k < 1:
+                raise LocatedError(f"universe of '{name}' is empty", form.at_child(2))
+            if name in universes:
+                raise LocatedError(f"duplicate universe for '{name}'", form.at_child(1))
+            universes[name] = k
+    return universes
+
+
+def _ref_declared(sig, name):
+    """(argument sorts, result sort) of name, a variable or an
+    uninterpreted symbol declared in sig: the names a model defines."""
+    if name in sig.variables:
+        return (), sig.variables[name]
+    if name not in sig.uninterpreted:
+        raise ModelError(f"'{name}' is not declared")
+    return sig.functions[name]
+
+
+def _ref_value(form, index, sort, universes) -> Value:
+    """The value written as child index of form, read against sort.  Each
+    level must have its sort's shape, so a value is never read deeper than
+    its sort is nested.  An element must lie in its sort's universe when
+    the model gives one.  The readers of the arrays and datatype values
+    being read wait on an explicit stack, so a value of any depth reads,
+    depth first and left to right as a recursive reader would."""
+    value = _ref_read(form, index, sort, universes)
+    if isinstance(value, Value):
+        return value
+    readers = [value]
+    value = None
+    while readers:
+        try:
+            value = readers[-1].send(value)
+        except StopIteration as done:
+            readers.pop()
+            value = done.value
+        else:  # a compound part: read it first
+            readers.append(value)
+            value = None
+    return value
+
+
+def _ref_read(form, index, sort, universes):
+    """The value at child index of form if it is an atom or an element,
+    else a reader of its parts: a generator that reads each part in turn,
+    yields the reader of a part that is compound itself and is sent back
+    its value, and returns the whole."""
+    v = form[index]
+    if isinstance(v, str):
+        if v in ("true", "false"):
+            if sort.kind is SortKind.BOOL:
+                return BoolVal(v == "true")
+        elif v.lstrip("-").isdigit():
+            n = _ref_int(form, index)
+            if sort.kind is SortKind.INT:
+                return IntVal(n)
+        else:
+            raise LocatedError(f"bad value '{v}'", form.at_child(index))
+    elif not v or not isinstance(v[0], str):
+        raise ModelError("bad value")
+    elif v[0] == "elem" and len(v) == 3:
+        name = _ref_name(v[1])
+        n = _ref_int(v, 2)
+        if sort.kind is SortKind.UNINTERPRETED and sort.name == name:
+            size = universes.get(name)
+            if size is not None and not 0 <= n < size:
+                raise LocatedError(f"element {n} is outside the universe of "
+                                   f"'{name}' (size {size})", v.at_child(2))
+            return Elem(name, n)
+    elif v[0] == "array" and len(v) >= 2:
+        if sort.kind is SortKind.ARRAY:
+            return _ref_array_reader(v, sort, universes)
+    else:
+        for ctor in sort.constructors:
+            if ctor.name == v[0]:
+                if len(v) != 1 + ctor.arity:
+                    raise ModelError(f"constructor '{ctor.name}' expects "
+                                     f"{ctor.arity} values")
+                return _ref_adt_reader(v, ctor, universes)
+    raise LocatedError(f"expected a value of sort {sort!r}", form.at_child(index))
+
+
+def _ref_array_reader(v, sort, universes):
+    default = _ref_read(_ref_default_form(v, 1), 1, sort.value, universes)
+    if not isinstance(default, Value):
+        default = yield default
+    mapping = {}
+    for entry in v[2:]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ModelError("array entry must be (key value)")
+        key = _ref_read(entry, 0, sort.index, universes)
+        if not isinstance(key, Value):
+            key = yield key
+        if key in mapping:
+            raise ModelError(f"duplicate array key {key!r}")
+        value = _ref_read(entry, 1, sort.value, universes)
+        if not isinstance(value, Value):
+            value = yield value
+        mapping[key] = value
+    return mk_array(default, mapping)
+
+
+def _ref_adt_reader(v, ctor, universes):
+    args = []
+    for i, (_, s) in enumerate(ctor.selectors, start=1):
+        arg = _ref_read(v, i, s, universes)
+        if not isinstance(arg, Value):
+            arg = yield arg
+        args.append(arg)
+    return AdtVal(ctor.name, tuple(args))
+
+
+def _ref_default(form, index, sort, universes):
+    """The value v of ``(default v)`` at child index of form."""
+    return _ref_value(_ref_default_form(form, index), 1, sort, universes)
+
+
+def _ref_default_form(form, index):
+    d = form[index]
+    if not isinstance(d, list) or len(d) != 2 or _ref_name(d[0]) != "default":
+        raise ModelError("expected (default value)")
+    return d
+
+
+def _ref_name(form) -> str:
+    if not isinstance(form, str):
+        raise ModelError("expected a symbol")
+    return form
+
+
+def _ref_int(form, index) -> int:
+    """The integer at child index of form: an optional '-' and a numeral of
+    ASCII digits, as in problem input (terms.is_numeral)."""
+    text = form[index]
+    if not isinstance(text, str):
+        raise ModelError("expected a symbol")
+    if not is_numeral(text[1:] if text.startswith("-") else text):
+        raise LocatedError(f"expected an integer, got '{text}'", form.at_child(index))
+    return int(text)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from egraphqe import EGraph, Literal, formula_to_sexpr, mbp, parse_problem
 from egraphqe.cli import main
+from egraphqe.extraction import ExtractionBudgetError, InadmissibleReprError
 from egraphqe.qel import reduce
 from egraphqe.terms import mk_formula
 
@@ -384,6 +385,31 @@ def test_mbp_check_failure_exits_3(monkeypatch, capsys):
                  "--model", _path("nested_pair_array.model"), "--check"]) == 3
     err = capsys.readouterr().err
     assert "check failed: model does not satisfy the output\n" in err
+
+
+@pytest.mark.parametrize("error, message", [
+    (InadmissibleReprError("representative undefined for node 3"),
+     "representative undefined for node 3"),
+    (ExtractionBudgetError("node 4 is on its own extraction path; repr graph has a cycle"),
+     "node 4 is on its own extraction path; repr graph has a cycle"),
+    (MemoryError(), "out of memory"),
+])
+@pytest.mark.parametrize("command", ["qel", "mbp"])
+def test_internal_errors_exit_5_with_one_line(monkeypatch, capsys, command, error, message):
+    """An error of the pipeline itself exits 5 with one line on stderr, not
+    a traceback."""
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"egraphqe.cli.{'reduce' if command == 'qel' else 'mbp'}",
+                        failing)
+    argv = [command, _path("nested_pair_array.smt2")]
+    if command == "mbp":
+        argv += ["--model", _path("nested_pair_array.model")]
+    assert main(argv) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("depth", [60, 3000])

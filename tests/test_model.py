@@ -1,12 +1,21 @@
+import ast
+import random
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egraphqe import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Literal, Model,
                       Signature, TermStore, eval_term, holds,
                       mk_array, parse_model, parse_problem, satisfies)
 from egraphqe.model import ModelError, array_read, array_write, default_value
+from egraphqe.oracle import Bounds, find_model
 from egraphqe.terms import mk_formula
 
-from conftest import load, load_mbp
+from conftest import (DEMOS, load, load_mbp, random_projection_instance,
+                      ref_parse_model)
 
 
 def _setup():
@@ -150,6 +159,10 @@ def test_satisfies_deep_chain_under_planted_model():
     assert not satisfies(wrong, sig, formula)
 
 
+POSITIONAL_PROBLEM = ("(declare-sort S 0) (declare-sort T 0)\n"
+                      "(declare-const c S) (declare-const d S)")
+
+
 @pytest.mark.parametrize("text, message", [
     ("(define-value c foo)", "bad value 'foo' at 1:16"),
     ("; a (comment)\n(define-value c (elem S 1)) (define-value d bar)",
@@ -169,14 +182,18 @@ def test_satisfies_deep_chain_under_planted_model():
     ("(define-value c (elem S 1)))", "unbalanced ')' at 1:27"),
 ])
 def test_positional_model_errors(text, message):
-    prob = parse_problem("(declare-sort S 0) (declare-sort T 0)\n"
-                         "(declare-const c S) (declare-const d S)")
+    prob = parse_problem(POSITIONAL_PROBLEM)
     with pytest.raises(ModelError) as exc:
         parse_model(text, prob.sig)
     assert str(exc.value) == message
 
 
 DEEP = "(array (default " * 3000 + "0" + "))" * 3000
+SORTS_PROBLEM = (
+    "(declare-sort V 0) (declare-const a (Array Int V)) (declare-var i Int)\n"
+    "(declare-fun f (V Int) Bool)\n"
+    "(declare-datatype P ((mk (fst V) (snd Int)) (nil)))"
+    "(declare-const p P) (assert (= i 1))")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -213,11 +230,7 @@ DEEP = "(array (default " * 3000 + "0" + "))" * 3000
     ("(define-fun-values fst (default (elem V 0)))", "'fst' is not declared"),
 ])
 def test_model_values_fit_declared_sorts(text, message):
-    sig = parse_problem(
-        "(declare-sort V 0) (declare-const a (Array Int V)) (declare-var i Int)\n"
-        "(declare-fun f (V Int) Bool)\n"
-        "(declare-datatype P ((mk (fst V) (snd Int)) (nil)))"
-        "(declare-const p P) (assert (= i 1))").sig
+    sig = parse_problem(SORTS_PROBLEM).sig
     with pytest.raises(ModelError) as exc:
         parse_model(text, sig)
     assert str(exc.value) == message
@@ -235,6 +248,8 @@ UNIVERSE_PROBLEM = ("(declare-sort V 0) (declare-const c V)"
     ("(universe V 3) (universe V 1)", "duplicate universe for 'V' at 1:25"),
     ("(universe V 1) (define-value c (elem V 5))",
      "element 5 is outside the universe of 'V' (size 1) at 1:39"),
+    # a universe inside a value is a value, not a command
+    ("(define-value c (universe Zork 1))", "expected a value of sort V at 1:16"),
     # universes are read first, wherever they stand in the file
     ("(define-value c (elem V 5)) (universe V 1)",
      "element 5 is outside the universe of 'V' (size 1) at 1:24"),
@@ -299,3 +314,160 @@ def test_array_entries_are_compared_with_the_default_at_any_depth():
     (key, entry), = model.constants["a"].entries
     assert key == IntVal(1) and entry is not model.constants["a"].default
     assert model.constants["b"].entries == ()
+
+
+# -- the token-stream reader against the Form-walking reference in conftest ----
+
+def _outcome(parse, text, sig):
+    """What reading text gives: the model and its repr, or the message of
+    the model error."""
+    try:
+        model = parse(text, sig)
+    except ModelError as e:
+        return ModelError, str(e)
+    return model, repr(model)
+
+
+def _agree(text, sig):
+    assert _outcome(parse_model, text, sig) == _outcome(ref_parse_model, text, sig)
+
+
+def _model_texts_in_tests():
+    """Every string constant in the test sources that reads as part of a
+    model file: the model texts the suites feed the reader."""
+    out = set()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.search(r"\((define-value|define-fun-values|universe) ",
+                                  node.value):
+                out.add(node.value)
+    return sorted(out)
+
+
+DEMO_PROBLEM = (DEMOS / "nested_pair_array.smt2").read_text()
+DEMO_SIG = parse_problem(DEMO_PROBLEM).sig
+DEMO_MODELS = [p.read_text() for p in sorted(DEMOS.glob("*.model"))]
+TWIN_PROBLEMS = [DEMO_PROBLEM, POSITIONAL_PROBLEM, SORTS_PROBLEM, UNIVERSE_PROBLEM]
+
+
+@pytest.mark.parametrize("problem", TWIN_PROBLEMS)
+@pytest.mark.parametrize("text", DEMO_MODELS + _model_texts_in_tests())
+def test_reader_matches_reference_on_demo_and_test_models(problem, text):
+    _agree(text, parse_problem(problem).sig)
+
+
+# Models of the shape of the benchmark's array projections -- elements of I
+# and V, arrays of I to V with one entry per index, pairs over them, arrays
+# of pairs -- and beside them integers, Booleans, function tables, a
+# datatype with a constructor named elem and a nullary one, and arrays
+# indexed by arrays and by datatype values.
+GEN_PROBLEM = """\
+(declare-sort I 0) (declare-sort V 0)
+(declare-datatype Pair ((pair (fst (Array I V)) (snd V))))
+(declare-datatype R ((mk (rf I) (rs (Array Int V))) (nil) (elem (re Int))))
+(declare-var a (Array I V)) (declare-var b (Array I V)) (declare-const c (Array I V))
+(declare-var p Pair) (declare-const r Pair) (declare-const q (Array I Pair))
+(declare-var s R) (declare-const t (Array (Array I V) R)) (declare-const u (Array R Bool))
+(declare-var n Int) (declare-const flag Bool)
+(declare-fun f (I Int) Bool) (declare-fun g (R) (Array I V))
+"""
+GEN_SIG = parse_problem(GEN_PROBLEM + "".join(
+    f"(declare-const x{k} I) (declare-const e{k} V)" for k in range(8))).sig
+
+
+def _gen_value(sort, rnd, ui):
+    if sort.name == "Int":
+        return str(rnd.randrange(-3, 8))
+    if sort.name == "Bool":
+        return rnd.choice(("true", "false"))
+    if sort.name in ("I", "V"):
+        return f"(elem {sort.name} {rnd.randrange(ui if sort.name == 'I' else 4)})"
+    if sort.index is not None:
+        # no entry equal to the default, and the keys in repr order: each
+        # array value has one text, so distinct key texts are distinct keys
+        default = _gen_value(sort.value, rnd, ui)
+        rows = {_gen_value(sort.index, rnd, ui): _gen_value(sort.value, rnd, ui)
+                for _ in range(rnd.randrange(5))}
+        return f"(array (default {default})" + "".join(
+            f" ({k} {v})" for k, v in sorted(rows.items()) if v != default) + ")"
+    ctor = rnd.choice(sort.constructors)
+    return "(" + " ".join([ctor.name] + [_gen_value(s, rnd, ui)
+                                         for _, s in ctor.selectors]) + ")"
+
+
+def gen_model(rnd):
+    """A model of GEN_SIG, its commands in random order."""
+    ui = rnd.randrange(2, 12)
+    lines = [f"(universe I {ui})", "(universe V 4)"]
+    for name, sort in GEN_SIG.variables.items():
+        lines.append(f"(define-value {name} {_gen_value(sort, rnd, ui)})")
+    for name in sorted(GEN_SIG.uninterpreted):
+        args, result = GEN_SIG.functions[name]
+        if not args:
+            lines.append(f"(define-value {name} {_gen_value(result, rnd, ui)})")
+            continue
+        rows = {"(" + " ".join(_gen_value(s, rnd, ui) for s in args) + ")"
+                for _ in range(rnd.randrange(4))}
+        lines.append(f"(define-fun-values {name} (default {_gen_value(result, rnd, ui)})"
+                     + "".join(f" ({row} {_gen_value(result, rnd, ui)})"
+                               for row in sorted(rows)) + ")")
+    rnd.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+# a seeded random.Random: hypothesis draws the seed alone, not every call
+# made on the generator
+SEEDED = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SEEDED)
+def test_reader_matches_reference_on_generated_models(rnd):
+    text = gen_model(rnd)
+    _agree(text, GEN_SIG)
+
+
+_SPAN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+def mutate(text, rnd):
+    """text with one token deleted, duplicated, or swapped for '(', ')',
+    'universe', 'elem' or a numeral."""
+    i, j = rnd.choice([m.span() for m in _SPAN.finditer(text)])
+    how = rnd.randrange(3)
+    if how == 0:
+        return text[:i] + text[j:]
+    if how == 1:
+        return text[:j] + " " + text[i:]
+    swap = rnd.choice(("(", ")", "universe", "elem", str(rnd.randrange(-2, 12))))
+    return text[:i] + swap + text[j:]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from([(DEMO_SIG, m) for m in DEMO_MODELS]),
+                 SEEDED.map(lambda rnd: (GEN_SIG, gen_model(rnd)))),
+       SEEDED)
+def test_reader_matches_reference_on_mutants(case, rnd):
+    sig, text = case
+    _agree(mutate(text, rnd), sig)
+
+
+def test_values_of_found_models_read_back():
+    """Reading (define-value n <repr(v)>) gives back v, for every value of
+    the models find_model returns on the criterion-5 instances, and the
+    whole model read back with its universes is the model."""
+    rng = random.Random(5)
+    for _ in range(200):
+        sig, store, formula = random_projection_instance(rng)
+        bounds = Bounds(universe=3 if len(sig.variables) <= 2 else 2)
+        model = find_model(sig, store, formula, bounds)
+        assert model is not None  # every one of these 200 is satisfiable
+        assert not model.functions
+        for name, value in model.constants.items():
+            back = parse_model(f"(define-value {name} {value!r})", sig)
+            assert back.constants == {name: value}
+            assert repr(back.constants[name]) == repr(value)
+        text = "".join(f"(universe {s} {k})\n" for s, k in model.universes.items()) \
+            + "".join(f"(define-value {n} {v!r})\n" for n, v in model.constants.items())
+        assert parse_model(text, sig) == model

@@ -4,9 +4,10 @@ from functools import partial
 
 import pytest
 
-from egraphqe import (Bounds, IntVal, Literal, Model, SearchSpaceError,
-                      Signature, TermStore, equiv_exists, eval_term, find_model,
-                      implies_exists, mbp, qel, satisfies, term_to_sexpr)
+from egraphqe import (AdtVal, ArrayVal, Bounds, Elem, IntVal, Literal, Model,
+                      SearchSpaceError, Signature, TermStore, equiv_exists,
+                      eval_term, find_model, implies_exists, mbp, qel,
+                      satisfies, term_to_sexpr)
 from egraphqe import oracle
 from egraphqe.parser import parse_problem
 from egraphqe.terms import (SortKind, formula_to_sexpr, is_numeral, mk_formula,
@@ -189,6 +190,26 @@ def test_selector_default_of_a_sort_2000_deep_is_built_without_recursion():
                            Bounds(universe=1))
     assert isinstance(verdict, oracle.Verdict)
     assert (verdict.ok, verdict.skipped) == (True, 0)
+
+
+def test_model_of_a_sort_2000_deep_is_converted_without_recursion():
+    """find_model on the selector problem above: its model's values, y's
+    an array 2000 deep, are converted children first, and the model
+    satisfies the formula."""
+    d = 2000
+    sort = "(Array I " * d + "I" + ")" * d
+    prob = parse_problem(
+        f"(declare-sort I 0) (declare-datatype P ((mk (fld {sort})) (nil)))"
+        f" (declare-var x P) (declare-var y {sort})"
+        " (assert (= (is-nil x) true)) (assert (= y (fld x)))")
+    model = find_model(prob.sig, prob.store, prob.formula, Bounds(universe=1))
+    assert model.constants["x"] == AdtVal("nil", ())
+    value = model.constants["y"]
+    for _ in range(d):
+        assert isinstance(value, ArrayVal) and value.entries == ()
+        value = value.default
+    assert value == Elem("I", 0)
+    assert satisfies(model, prob.sig, prob.formula)
 
 
 def test_free_variable_is_a_shared_symbol():
