@@ -17,7 +17,9 @@ to the longer one; no assertion rescans every disequality.
 
 ``merge_log`` lists the surviving root of every merge in order, so a client
 that remembers its length (and the node count) can later visit only what
-changed since: ``qel.compute_cground`` updates its result that way.
+changed since: ``qel.compute_cground`` updates its result that way.  The
+same two lengths stamp ``view``, the read-only ``ClassView`` that the
+reduction tail reads once the graph is final.
 """
 from __future__ import annotations
 
@@ -42,6 +44,19 @@ class ENode:
         return f"ENode({self.id}: {self.label})"
 
 
+class ClassView:
+    """The classes of a graph that no longer changes, for the reduction tail:
+    per node id, its class root (``root``), its class's member ids in
+    creation order (``members``, one list shared by the whole class) and the
+    number of its distinct children (``distinct``)."""
+    __slots__ = ("root", "members", "distinct")
+
+    def __init__(self, root, members, distinct):
+        self.root = root
+        self.members = members
+        self.distinct = distinct
+
+
 class EGraph:
     def __init__(self, sig: Signature, store: TermStore):
         self.sig = sig
@@ -58,6 +73,7 @@ class EGraph:
         self._class_diseqs = {}   # root id -> recorded pairs touching the class
         self._violation = None    # first disequal pair found merged
         self.merge_log = []       # surviving root of each merge, in order
+        self._view = None         # (node count, merge count, ClassView)
 
     # -- construction ------------------------------------------------------
 
@@ -184,8 +200,7 @@ class EGraph:
         return (node.label, tuple([self.find(c) for c in node.children]))
 
     def _check_consistent(self):
-        top = self._term_node.get(self.store.top.id)
-        bot = self._term_node.get(self.store.bot.id)
+        top, bot = self._const_node("true"), self._const_node("false")
         if top is not None and bot is not None and self.find(top) == self.find(bot):
             raise InconsistentFormulaError("true and false were merged")
         if self._violation is not None:
@@ -193,7 +208,34 @@ class EGraph:
             raise InconsistentFormulaError(
                 f"disequal terms merged: {na.term!r} and {nb.term!r}")
 
+    def _const_node(self, label):
+        """Node of the constant term label, or None; makes no term."""
+        term = self.store.find_const(label)
+        return None if term is None else self._term_node.get(term.id)
+
     # -- views ---------------------------------------------------------------
+
+    def view(self) -> ClassView:
+        """The classes as they are now, built in one pass and handed out
+        again until a node is added or a merge happens.  Like ``class_of``'s
+        lists, it is read-only."""
+        stamp = (len(self.nodes), len(self.merge_log))
+        if self._view is not None and self._view[:2] == stamp:
+            return self._view[2]
+        root = [0] * len(self.nodes)
+        members = [None] * len(self.nodes)
+        for r, cls in self._members.items():
+            if len(cls) == 1:
+                root[r], members[r] = r, [r]
+                continue
+            cls = sorted(cls)
+            for m in cls:
+                root[m] = r
+                members[m] = cls
+        distinct = [len(set(node.children)) for node in self.nodes]
+        view = ClassView(root, members, distinct)
+        self._view = (*stamp, view)
+        return view
 
     def class_of(self, n: int) -> list:
         """Member ids of n's class, in creation order.  The list is sorted
@@ -222,11 +264,9 @@ class EGraph:
 
     def var_names(self) -> list:
         """Variable labels present in the graph, in node-id order."""
-        out = []
-        for node in self.nodes:
-            if node.label in self.sig.variables and node.label not in out:
-                out.append(node.label)
-        return out
+        variables = self.sig.variables
+        return list(dict.fromkeys(node.label for node in self.nodes
+                                  if node.label in variables))
 
     def dump_dot(self, repr_fn=None) -> str:
         """DOT rendering: solid child edges, dashed red root edges, and

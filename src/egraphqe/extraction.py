@@ -86,10 +86,11 @@ def has_cycle(g: EGraph, r: ReprFn) -> bool:
 
 def _class_consistent(g: EGraph, r: ReprFn) -> bool:
     """Every member of every class is assigned, all to one member."""
-    for root in g.roots():
-        members = g.class_of(root)
-        reps = {r.get(m) for m in members}
-        if len(reps) != 1 or reps.pop() not in members:
+    view = g.view()
+    get = r.assignment.get
+    for m, root in enumerate(view.root):
+        rep = get(root)
+        if get(m) != rep or (m == root and rep not in view.members[m]):
             return False
     return True
 
@@ -109,17 +110,22 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
     hit = memo.get(n)
     if hit is not None:
         return hit
+    get = r.assignment.get
     nodes = g.nodes
     node = nodes[n]
     if not node.children:
         memo[n] = node.term
         return node.term
+    args = [memo.get(get(c)) for c in node.children]
+    if None not in args:  # every child extracted already
+        memo[n] = term = g.store.mk_app(node.label, args)
+        return term
     path = {n}
     stack = [(node, iter(node.children))]
     while stack:
         node, it = stack[-1]
         for c in it:
-            rep = r.get(c)
+            rep = get(c)
             if rep is None:
                 raise InadmissibleReprError(f"representative undefined for node {c}")
             if rep in memo:
@@ -138,7 +144,7 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
             stack.pop()
             path.discard(node.id)
             memo[node.id] = g.store.mk_app(
-                node.label, [memo[r.get(c)] for c in node.children])
+                node.label, [memo[get(c)] for c in node.children])
     return memo[n]
 
 
@@ -171,16 +177,18 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula
         literals.append(Literal(kind, lhs, rhs))
 
     kept = set()  # representatives of the classes with a non-excluded member
+    members = g.view().members
+    get = r.assignment.get
     for node in g.nodes:
-        if r.get(node.id) != node.id:
+        n = node.id
+        if get(n) != n:
             continue
-        members = g.class_of(node.id)
-        rep_term = to_expr(g, node.id, r, _memo=memo)
-        for m in members:
+        rep_term = to_expr(g, n, r, _memo=memo)
+        for m in members[n]:
             if m in exclude:
                 continue
-            kept.add(node.id)
-            if m == node.id:
+            kept.add(n)
+            if m == n:
                 continue
             if g.nodes[m].label == "peq":
                 # mbp's partial-equality obligations: the rules have already
@@ -190,7 +198,7 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula
             emit("eq", rep_term, to_expr(g, m, r, _memo=memo))
 
     for a, b in g.diseqs:
-        ra, rb = r.get(a), r.get(b)
+        ra, rb = get(a), get(b)
         if ra in kept and rb in kept:
             emit("diseq", to_expr(g, ra, r, _memo=memo),
                  to_expr(g, rb, r, _memo=memo))

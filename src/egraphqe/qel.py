@@ -9,6 +9,13 @@ variable equated (even implicitly, through transitivity and congruence) to
 a ground term is guaranteed to disappear.  Everything after the build is
 ``reduce``, the one reduction tail, which ``mbp`` runs on its saturated
 egraph as well.
+
+The tail reads the graph's frozen class view (``EGraph.view``), built once:
+class roots and member lists by node id, and distinct-child counts.  The
+representative search is a counter fixpoint: each node counts its distinct
+children not yet assigned, and becomes ready when the count reaches zero.
+The core compares congruence keys within each class of two or more members
+only, since congruent nodes share a class.
 """
 from __future__ import annotations
 
@@ -85,35 +92,56 @@ def process(g: EGraph, r: ReprFn, todo: Iterable[int]) -> ReprFn:
     node whose class is already assigned is skipped, so only nodes with all
     children assigned ever become representatives, which keeps the partial
     assignment admissible at every step.
+
+    Each node keeps a counter of its distinct children that are still
+    unassigned; assigning a class decrements the counter of every parent of
+    its members, and a parent whose counter reaches zero is ready.  So each
+    parent edge is looked at once, not once per child.  r must assign whole
+    classes, as find_defs and process leave it.
     """
-    current = deque(todo)
-    while current:
-        ready = []
-        while current:
-            n = current.popleft()
-            if r.defined(n):
-                continue
-            r.set_class(g, n)
-            for m in g.class_of(n):
-                for p in sorted(g.parents(m)):
-                    if not r.defined(p) and \
-                            all(r.defined(c) for c in g.nodes[p].children):
-                        ready.append(p)
-        seen = set()
-        for p in sorted(ready, reverse=True):
-            if p not in seen:
-                seen.add(p)
-                current.append(p)
+    assigned = r.assignment
+    unmet = [len({c for c in node.children if c not in assigned})
+             for node in g.nodes]
+    _process(g, g.view(), r, todo, unmet)
     return r
+
+
+def _process(g: EGraph, view, r: ReprFn, todo, unmet: list):
+    """process on a class view, with the unassigned-children counters of r,
+    which it keeps up to date."""
+    assigned = r.assignment
+    members = view.members
+    parents = g.parents
+    wave = todo
+    while wave:
+        ready = []
+        for n in wave:
+            if n in assigned:
+                continue
+            cls = members[n]
+            for m in cls:
+                assigned[m] = n
+            for m in cls:
+                for p in parents(m):
+                    left = unmet[p] - 1
+                    unmet[p] = left
+                    if not left and p not in assigned:
+                        ready.append(p)
+        ready.sort(reverse=True)
+        wave = ready
 
 
 def find_defs(g: EGraph) -> ReprFn:
     """Total admissible representative function, maximally ground: ground
     leaves are processed first so every ground class ends up with a
-    constructively ground representative."""
+    constructively ground representative.  Both passes share one set of
+    counters (see process), so each parent edge is looked at once."""
+    view = g.view()
     r = ReprFn()
-    process(g, r, [n.id for n in g.nodes if not n.children and n.term.ground])
-    process(g, r, [n.id for n in g.nodes if not n.children])
+    unmet = list(view.distinct)
+    leaves = [n for n in g.nodes if not n.children]
+    _process(g, view, r, [n.id for n in leaves if n.term.ground], unmet)
+    _process(g, view, r, [n.id for n in leaves], unmet)
     return r
 
 
@@ -123,11 +151,15 @@ def refine_defs(g: EGraph, r: ReprFn, var_names) -> ReprFn:
     class representatives are never variables, so ground maximality is
     preserved."""
     var_names = set(var_names)
-    for node in g.nodes:
-        if r.get(node.id) != node.id or node.label not in var_names:
+    members = g.view().members
+    nodes = g.nodes
+    get = r.assignment.get
+    for node in nodes:
+        n = node.id
+        if get(n) != n or node.label not in var_names:
             continue
-        for m in g.class_of(node.id):
-            if m == node.id or g.nodes[m].label in var_names:
+        for m in members[n]:
+            if m == n or nodes[m].label in var_names:
                 continue
             if not _makes_cycle(g, r, m):
                 r.set_class(g, m)
@@ -141,12 +173,14 @@ def _makes_cycle(g: EGraph, r: ReprFn, candidate: int) -> bool:
     path from the candidate back to itself.  The walk reads each child's
     representative as it would be after the retarget: the candidate for a
     child of the candidate's class, r's otherwise."""
-    root = g.find(candidate)
+    root_of = g.view().root
+    get = r.assignment.get
+    root = root_of[candidate]
     stack = [candidate]
     visited = set()
     while stack:
         for c in g.nodes[stack.pop()].children:
-            rep = candidate if g.find(c) == root else r.get(c)
+            rep = candidate if root_of[c] == root else get(c)
             if rep == candidate:
                 return True
             if rep is not None and rep not in visited:
@@ -158,25 +192,37 @@ def _makes_cycle(g: EGraph, r: ReprFn, candidate: int) -> bool:
 def find_core(g: EGraph, r: ReprFn, var_names) -> set:
     """Node subset whose extraction already carries the existential closure:
     all representatives, minus non-representative variable nodes and minus
-    nodes congruent to a node already kept (same label, child classes)."""
+    nodes congruent to a node already kept (same label, child classes).
+
+    Congruent nodes always share a class, since the graph is congruence
+    closed, so congruence keys are compared within a class only, and a
+    class with one member needs none."""
     var_names = set(var_names)
+    view = g.view()
+    root, members = view.root, view.members
+    nodes = g.nodes
+    get = r.assignment.get
+
+    def key(n):
+        node = nodes[n]
+        return node.label, tuple([root[c] for c in node.children])
+
     core = set()
-    keys = set()
-    for node in g.nodes:
-        if r.get(node.id) != node.id:
+    for n in range(len(nodes)):
+        if get(n) != n:
             continue
-        core.add(node.id)
-        keys.add(g.congruence_key(node.id))
-        for m in g.class_of(node.id):
-            if m == node.id:
+        core.add(n)
+        cls = members[n]
+        if len(cls) == 1:
+            continue
+        keys = {key(n)}
+        for m in cls:
+            if m == n or nodes[m].label in var_names:
                 continue
-            if g.nodes[m].label in var_names:
-                continue
-            key = g.congruence_key(m)
-            if key in keys:
-                continue
-            keys.add(key)
-            core.add(m)
+            k = key(m)
+            if k not in keys:
+                keys.add(k)
+                core.add(m)
     return core
 
 

@@ -287,6 +287,10 @@ class TermStore:
         hit = self._table.get((label, ()))
         return hit if hit is not None else self.mk_app(label, ())
 
+    def find_const(self, label: str) -> Optional[Term]:
+        """The constant term label if it has been made, else None."""
+        return self._table.get((label, ()))
+
     @property
     def top(self) -> Term:
         return self.mk_const("true")

@@ -1,7 +1,7 @@
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -379,6 +379,183 @@ DISTINCT_TERM_PROBLEMS = [
     "(declare-fun P (Bool) Bool) (declare-var x S)\n"
     "(assert (P (distinct a x)))\n(assert (= q (distinct a x)))\n",
 ]
+
+
+# -- reference reduction tail ----------------------------------------------------
+# The tail as it was before it read the graph's class view: process sorts every
+# member's parent set and tests all children of a parent on every visit, and
+# find_core keeps one congruence key set for the whole graph.  The library's
+# stages must give the same assignment, in the same insertion order, the same
+# core and the same literals.
+
+def ref_process(g, r, todo):
+    current = deque(todo)
+    while current:
+        ready = []
+        while current:
+            n = current.popleft()
+            if r.defined(n):
+                continue
+            r.set_class(g, n)
+            for m in g.class_of(n):
+                for p in sorted(g.parents(m)):
+                    if not r.defined(p) and \
+                            all(r.defined(c) for c in g.nodes[p].children):
+                        ready.append(p)
+        seen = set()
+        for p in sorted(ready, reverse=True):
+            if p not in seen:
+                seen.add(p)
+                current.append(p)
+    return r
+
+
+def ref_find_defs(g):
+    from egraphqe import ReprFn
+    r = ReprFn()
+    ref_process(g, r, [n.id for n in g.nodes if not n.children and n.term.ground])
+    ref_process(g, r, [n.id for n in g.nodes if not n.children])
+    return r
+
+
+def ref_refine_defs(g, r, var_names):
+    var_names = set(var_names)
+    for node in g.nodes:
+        if r.get(node.id) != node.id or node.label not in var_names:
+            continue
+        for m in g.class_of(node.id):
+            if m == node.id or g.nodes[m].label in var_names:
+                continue
+            if not _ref_makes_cycle(g, r, m):
+                r.set_class(g, m)
+                break
+    return r
+
+
+def _ref_makes_cycle(g, r, candidate):
+    root = g.find(candidate)
+    stack = [candidate]
+    visited = set()
+    while stack:
+        for c in g.nodes[stack.pop()].children:
+            rep = candidate if g.find(c) == root else r.get(c)
+            if rep == candidate:
+                return True
+            if rep is not None and rep not in visited:
+                visited.add(rep)
+                stack.append(rep)
+    return False
+
+
+def ref_find_core(g, r, var_names):
+    var_names = set(var_names)
+    core = set()
+    keys = set()
+    for node in g.nodes:
+        if r.get(node.id) != node.id:
+            continue
+        core.add(node.id)
+        keys.add(g.congruence_key(node.id))
+        for m in g.class_of(node.id):
+            if m == node.id or g.nodes[m].label in var_names:
+                continue
+            key = g.congruence_key(m)
+            if key in keys:
+                continue
+            keys.add(key)
+            core.add(m)
+    return core
+
+
+def ref_to_expr(g, n, r, memo):
+    """Extraction of node n under r by the walk the library's to_expr had,
+    children through their representatives, memoized by node id."""
+    from egraphqe.extraction import ExtractionBudgetError, InadmissibleReprError
+    hit = memo.get(n)
+    if hit is not None:
+        return hit
+    nodes = g.nodes
+    node = nodes[n]
+    if not node.children:
+        memo[n] = node.term
+        return node.term
+    path = {n}
+    stack = [(node, iter(node.children))]
+    while stack:
+        node, it = stack[-1]
+        for c in it:
+            rep = r.get(c)
+            if rep is None:
+                raise InadmissibleReprError(f"representative undefined for node {c}")
+            if rep in memo:
+                continue
+            if rep in path:
+                raise ExtractionBudgetError(f"node {rep} is on its own extraction path")
+            child = nodes[rep]
+            if child.children:
+                path.add(rep)
+                stack.append((child, iter(child.children)))
+                break
+            memo[rep] = child.term
+        else:
+            stack.pop()
+            path.discard(node.id)
+            memo[node.id] = g.store.mk_app(
+                node.label, [memo[r.get(c)] for c in node.children])
+    return memo[n]
+
+
+def ref_to_formula(g, r, exclude=frozenset(), memo=None):
+    from egraphqe.extraction import InadmissibleReprError
+    for root in g.roots():
+        members = g.class_of(root)
+        reps = {r.get(m) for m in members}
+        if len(reps) != 1 or reps.pop() not in members:
+            raise InadmissibleReprError("not a unique in-class assignment per class")
+    exclude = set(exclude)
+    memo = {} if memo is None else memo
+    literals = []
+    seen_pairs = set()
+
+    def emit(kind, lhs, rhs):
+        if lhs is rhs and kind == "eq":
+            return
+        key = (kind, frozenset((lhs.id, rhs.id)))
+        if key not in seen_pairs:
+            seen_pairs.add(key)
+            literals.append(Literal(kind, lhs, rhs))
+
+    kept = set()
+    for node in g.nodes:
+        if r.get(node.id) != node.id:
+            continue
+        rep_term = ref_to_expr(g, node.id, r, memo)
+        for m in g.class_of(node.id):
+            if m in exclude:
+                continue
+            kept.add(node.id)
+            if m == node.id or g.nodes[m].label == "peq":
+                continue
+            emit("eq", rep_term, ref_to_expr(g, m, r, memo))
+    for a, b in g.diseqs:
+        ra, rb = r.get(a), r.get(b)
+        if ra in kept and rb in kept:
+            emit("diseq", ref_to_expr(g, ra, r, memo), ref_to_expr(g, rb, r, memo))
+    return mk_formula(g.store, literals)
+
+
+def ref_reduce(g, var_names, taint=frozenset()):
+    """The reference stages in reduce's order; returns the representative
+    function, the core before the taint filter, and the formula."""
+    r = ref_refine_defs(g, ref_find_defs(g), var_names)
+    core = ref_find_core(g, r, var_names)
+    memo = {}
+    kept = core
+    if taint:
+        kept = {n for n in core
+                if taint.isdisjoint(ref_to_expr(g, n, r, memo).vars)
+                and taint.isdisjoint(ref_to_expr(g, r.get(n), r, memo).vars)}
+    return r, core, ref_to_formula(g, r, set(g.node_ids()) - kept, memo)
 
 
 # -- reference problem reader ---------------------------------------------------

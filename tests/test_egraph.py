@@ -305,7 +305,8 @@ def test_class_lists_and_parents_match_a_reference(rng):
     """On seeded random sequences of new terms and merges: class_of is the
     reference's sorted class, one list per class until a merge touches it,
     and a list returned before a merge is unchanged after it; parents holds
-    exactly the structural parents."""
+    exactly the structural parents; the class view agrees with both, and is
+    built again only after a change."""
     prob = parse_problem("(declare-sort U 0) (declare-fun f (U) U)"
                          " (declare-fun h (U U) U)"
                          + "".join(f" (declare-const {c} U)" for c in "abcde"))
@@ -324,8 +325,40 @@ def test_class_lists_and_parents_match_a_reference(rng):
             g.assert_eq(a, b)
             ref.merge(g, g.add_term(a), g.add_term(b))
             assert given == copies
+            view = g.view()
+            assert g.view() is view
             for n in g.node_ids():
                 members = g.class_of(n)
                 assert members == ref.class_of(n)
                 assert all(g.class_of(m) is members for m in members)
                 assert g.parents(n) == {p.id for p in g.nodes if n in p.children}
+                assert view.members[n] == members and view.root[n] == g.find(n)
+                assert all(view.members[m] is view.members[n] for m in members)
+                assert view.distinct[n] == len(set(g.nodes[n].children))
+
+
+def test_var_names_in_node_order_at_twenty_thousand_variables():
+    from egraphqe import Signature, TermStore
+    import random
+    n = 20_000
+    sig = Signature()
+    u = sig.declare_sort("U")
+    sig.declare_const("c", u)
+    names = [f"v{i}" for i in range(n)]
+    for v in names:
+        sig.declare_var(v, u)
+    random.Random(19).shuffle(names)
+    store = TermStore(sig)
+    c = store.mk_const("c")
+    # every variable twice, and c between them, which is not a variable
+    lits = [Literal("eq", store.mk_const(v), c) for v in names]
+    lits += [Literal("eq", c, store.mk_const(v)) for v in reversed(names)]
+    g = EGraph.from_formula(sig, store, mk_formula(store, lits))
+    assert g.var_names() == names
+
+
+def test_building_a_graph_makes_no_boolean_constants():
+    prob = parse_problem("(declare-sort S 0) (declare-var x S) (declare-const c S)"
+                         " (declare-const d S) (assert (= x c)) (assert (distinct x d))")
+    EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    assert [t.label for t in prob.store.terms] == ["x", "c", "d"]

@@ -1,14 +1,19 @@
 import pytest
 
-from egraphqe import (Bounds, EGraph, ReprFn, compute_cground, equiv_exists,
-                      find_core, find_defs, formula_to_sexpr, is_admissible,
-                      mbp, process, qel, refine_defs, to_expr, to_formula)
+from egraphqe import (Bounds, EGraph, InadmissibleReprError, InconsistentFormulaError,
+                      Literal, ReprFn, SortKind, compute_cground, equiv_exists,
+                      find_core, find_defs, find_model, formula_to_sexpr,
+                      is_admissible, mbp, process, qel, refine_defs, to_expr,
+                      to_formula)
 from egraphqe.parser import parse_problem
-from egraphqe.qel import _makes_cycle
+from egraphqe.qel import _makes_cycle, reduce
+from egraphqe.terms import mk_formula
 
 from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem,
                       core_reachable_nodes, is_ground_class, is_maximally_ground, load, load_mbp,
-                      random_euf_instance, random_grounded_var_instance)
+                      random_euf_instance, random_grounded_var_instance,
+                      random_projection_instance, random_total_repr, ref_find_defs,
+                      ref_process, ref_reduce, ref_to_formula, tower_problem)
 
 
 def _graph(name):
@@ -341,3 +346,143 @@ def test_distinct_term_keeps_its_equality(text):
     out = qel(prob.sig, prob.store, prob.formula)
     assert "(= q (distinct a x))" in formula_to_sexpr(out)
     assert equiv_exists(prob.sig, prob.store, prob.formula, out, Bounds()).ok
+
+
+# a repeated child, and a class that is its own parent
+SELF_PARENT_PROBLEMS = [
+    "(declare-sort S 0) (declare-fun h (S S) S) (declare-var x S) (declare-const d S)\n"
+    "(assert (distinct (h x x) d))\n",
+    "(declare-sort S 0) (declare-fun h (S S) S) (declare-var x S) (declare-const d S)\n"
+    "(assert (= x (h x x)))\n(assert (distinct x d))\n",
+    "(declare-sort S 0) (declare-fun h (S S) S) (declare-var x S) (declare-const c S)\n"
+    "(assert (= x (h x x)))\n(assert (= x c))\n",
+]
+
+
+def _mbp_graph(sig, store, formula, model):
+    """The saturated graph of a projection, its variables and its taint, as
+    mbp hands them to reduce."""
+    g = mbp(sig, store, formula, formula.free_vars, model).graph
+    all_vars = g.var_names()
+    taint = frozenset(v for v in all_vars
+                      if sig.variables[v].kind in (SortKind.ARRAY, SortKind.ADT))
+    return g, all_vars, taint
+
+
+def _random_binary_graph(rng):
+    """Graph of a random conjunction over a unary f and a binary h, whose
+    terms share arguments, so that parents wait on two child classes."""
+    while True:
+        prob = parse_problem("(declare-sort S 0) (declare-fun f (S) S)"
+                             " (declare-fun h (S S) S) (declare-const c S)"
+                             " (declare-const d S) (declare-var x S) (declare-var y S)"
+                             " (declare-var z S)")
+        store = prob.store
+        pool = [store.mk_const(s) for s in "cdxyz"]
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.3:
+                pool.append(store.mk_app("f", (rng.choice(pool),)))
+            else:
+                pool.append(store.mk_app("h", (rng.choice(pool), rng.choice(pool))))
+        lits = [Literal(rng.choice(("eq", "eq", "eq", "diseq")), rng.choice(pool),
+                        rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+        formula = mk_formula(store, lits)
+        try:
+            return EGraph.from_formula(prob.sig, store, formula), formula.free_vars
+        except InconsistentFormulaError:
+            continue
+
+
+def _tail_cases(rng):
+    """(graph, variables, taint) of every input the twin test runs."""
+    for _ in range(300):
+        _, _, formula, g = random_euf_instance(rng, max_nodes=12)
+        yield g, formula.free_vars, frozenset()
+    for _ in range(300):
+        yield (*_random_binary_graph(rng), frozenset())
+    for depth in (3, 12):
+        prob = parse_problem(tower_problem(depth, rng))
+        g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+        yield g, prob.formula.free_vars, frozenset()
+    for _ in range(300):
+        sig, store, formula = random_grounded_var_instance(rng)
+        yield EGraph.from_formula(sig, store, formula), formula.free_vars, frozenset()
+    texts = SELF_PARENT_PROBLEMS + DISTINCT_TERM_PROBLEMS + [chain_problem(10_000)[0]]
+    texts += [path.read_text() for path in sorted(DEMOS.glob("*.smt2"))]
+    for text in texts:
+        prob = parse_problem(text)
+        g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+        yield g, prob.formula.free_vars, frozenset()
+    for model in ("nested_pair_array.model", "nested_pair_array_alt.model"):
+        prob, m = load_mbp(model=model)
+        yield _mbp_graph(prob.sig, prob.store, prob.formula, m)
+    found = 0
+    while found < 100:
+        sig, store, formula = random_projection_instance(rng)
+        model = find_model(sig, store, formula,
+                           Bounds(universe=3 if len(sig.variables) <= 2 else 2))
+        if model is not None:
+            found += 1
+            yield _mbp_graph(sig, store, formula, model)
+
+
+def test_tail_matches_reference(rng):
+    """Every stage of the tail, and reduce with its taint, gives what the
+    reference tail gives: the same assignment in the same insertion order,
+    the same core and the same literals."""
+    tainted = 0
+    for g, var_names, taint in _tail_cases(rng):
+        r = find_defs(g)
+        assert list(r.assignment.items()) == \
+            list(ref_find_defs(g).assignment.items())
+        expected_r, expected_core, expected = ref_reduce(g, var_names, taint)
+        r = refine_defs(g, r, var_names)
+        assert list(r.assignment.items()) == list(expected_r.assignment.items())
+        core = find_core(g, r, var_names)
+        assert core == expected_core
+        assert to_formula(g, r, set(g.node_ids()) - core).literals == \
+            ref_to_formula(g, r, set(g.node_ids()) - core).literals
+        r, out = reduce(g, var_names, taint)
+        assert list(r.assignment.items()) == list(expected_r.assignment.items())
+        assert out.literals == expected.literals
+        tainted += bool(taint)
+    assert tainted > 50
+
+
+def test_process_matches_reference_from_partial_reprs(rng):
+    """process from the seeds and empty functions the tests above use, and
+    from the partial function its ground-leaf pass leaves on every graph of
+    the twin test."""
+    cases = []
+    prob, g = _graph("circular_defs.smt2")
+    cases += [(g, ReprFn(), [_node(g, "6")]), (g, ReprFn(), [])]
+    prob = parse_problem(NO_GROUND)
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    cases.append((g, ReprFn(), [_node(g, "x"), _node(g, "y")]))
+    for g, _, _ in _tail_cases(rng):
+        leaves = [n.id for n in g.nodes if not n.children]
+        seeded = ref_process(g, ReprFn(), [n for n in leaves if g.nodes[n].term.ground])
+        cases.append((g, seeded, leaves))
+    for g, r, todo in cases:
+        expected = ref_process(g, ReprFn(r.assignment), todo)
+        got = process(g, ReprFn(r.assignment), todo)
+        assert list(got.assignment.items()) == list(expected.assignment.items())
+
+
+def test_to_formula_matches_reference_on_random_reprs(rng):
+    """On the criterion-2 pairs of random graphs and random total functions,
+    admissible or not, to_formula and the reference raise alike or return
+    the same literals."""
+    raised = 0
+    for _ in range(500):
+        _, _, _, g = random_euf_instance(rng)
+        r = random_total_repr(rng, g)
+        outcomes = []
+        for extract in (to_formula, ref_to_formula):
+            try:
+                outcomes.append(extract(g, r).literals)
+            except InadmissibleReprError as e:
+                outcomes.append(type(e))
+        assert outcomes[0] == outcomes[1]
+        raised += isinstance(outcomes[0], type)
+    assert 50 < raised < 450
