@@ -11,8 +11,8 @@ from .egraph import EGraph, InconsistentFormulaError
 from .extraction import (ExtractionBudgetError, InadmissibleReprError, ReprFn,
                          build_repr_graph, is_admissible, to_expr, to_formula)
 from .mbp import MbpResult, ModelMismatchError, SaturationBudgetError, mbp
-from .model import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Model, eval_term,
-                    holds, mk_array, parse_model, satisfies)
+from .model import (AdtVal, ArrayVal, Elem, Model, eval_term, holds, mk_array,
+                    parse_model, satisfies)
 from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
 from .parser import ParseError, Problem, parse_problem
@@ -23,9 +23,9 @@ from .terms import (Formula, InputError, Literal, Signature, Sort, SortKind,
                     term_to_sexpr)
 
 __all__ = [
-    "AdtVal", "ArrayVal", "BoolVal", "Bounds", "CGroundInfo", "EGraph",
+    "AdtVal", "ArrayVal", "Bounds", "CGroundInfo", "EGraph",
     "Elem", "ExtractionBudgetError", "Formula", "InadmissibleReprError",
-    "InconsistentFormulaError", "InputError", "IntVal", "Literal",
+    "InconsistentFormulaError", "InputError", "Literal",
     "MbpResult", "Model", "ModelMismatchError", "ParseError", "Problem",
     "ReprFn", "SaturationBudgetError", "SearchSpaceError", "Signature",
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",

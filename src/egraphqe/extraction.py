@@ -149,7 +149,8 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
 
 
 def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula:
-    """Formula of the egraph under r, omitting literals for excluded nodes.
+    """Formula of the egraph under r, omitting literals for the node ids in
+    exclude, a set.
 
     Per class, emits representative-extraction = member-extraction for each
     non-excluded member other than mbp's ``peq`` obligations; the recorded
@@ -162,7 +163,6 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula
     """
     if not _class_consistent(g, r):
         raise InadmissibleReprError("not a unique in-class assignment per class")
-    exclude = set(exclude)
     memo = _memo if _memo is not None else {}
     literals = []
     seen_pairs = set()

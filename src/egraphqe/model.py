@@ -1,18 +1,28 @@
 """Finite first-order models and literal evaluation.
 
 A model gives values to constants and variables, finite tables with a
-default to functions, and sizes to uninterpreted sorts.  Arrays are finite
-maps plus a default (entries equal to the default are normalized away, so
-structural equality is extensional equality); datatype values are
-constructor trees.  Applying a selector to the wrong constructor returns a
-fixed per-sort default value.  What a symbol denotes is looked up in the
-Signature: a model interprets only the variables and the uninterpreted
-symbols (sig.uninterpreted), and constructors, testers and selectors are
-told apart by sig.datatype, the table the finite-model oracle reads too.
+default to functions, and sizes to uninterpreted sorts.  An Int or Bool
+value is a Python int or bool.  Elements, arrays and datatype values are
+hash-consed (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
+each is built from values already built, and its class keeps one live
+object per value in a weak intern table, so two values are equal exactly
+when they are one object, and no comparison or lookup descends into them,
+however deep.  Arrays are finite maps plus a default (entries equal to the
+default are dropped, so equal arrays are one object); datatype values are
+a constructor over argument values.  The finite-model oracle builds its
+values with the same constructors.  Applying a selector to the wrong
+constructor returns a fixed per-sort default value.  What a symbol denotes
+is looked up in the Signature: a model interprets only the variables and
+the uninterpreted symbols (sig.uninterpreted), and constructors, testers
+and selectors are told apart by sig.datatype, the table the finite-model
+oracle reads too.
 """
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .sexpr import Form, LocatedError, read_all, read_form, tokens
 from .terms import (ARITH_FUNS, InputError, Literal, Signature, Sort,
@@ -23,107 +33,173 @@ class ModelError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class Value:
-    pass
+# -- values ------------------------------------------------------------------
+
+_serials = itertools.count()  # each interned value's number, in order made
+_SERIAL = attrgetter("serial")
 
 
-@dataclass(frozen=True)
-class IntVal(Value):
-    n: int
+class _Table(dict):
+    """Intern key -> weak reference to the one live value with that key.
+    The key holds the value's parts, interned values or atoms, and the
+    classes of the atoms: True == 1 and hash(True) == hash(1), so without
+    them (mk true) would be found as (mk 1)."""
 
-    def __repr__(self):
-        return str(self.n)
+    def enter(self, key, value):
+        value.serial = next(_serials)
+        self[key] = weakref.KeyedRef(value, self._forget, key)
 
-
-@dataclass(frozen=True)
-class BoolVal(Value):
-    b: bool
-
-    def __repr__(self):
-        return "true" if self.b else "false"
-
-
-@dataclass(frozen=True)
-class Elem(Value):
-    sort: str
-    k: int
-
-    def __repr__(self):
-        return f"(elem {self.sort} {self.k})"
+    def _forget(self, ref):
+        if self.get(ref.key) is ref:  # no new value has taken the key
+            del self[ref.key]
 
 
-@dataclass(frozen=True)
-class ArrayVal(Value):
-    default: Value
-    entries: tuple  # sorted ((key, value), ...) with value != default
+class _Interned:
+    """A hash-consed value: equal and hashed as object does, by identity."""
+    __slots__ = ("serial", "__weakref__")
 
     def __repr__(self):
-        inner = " ".join(f"({k!r} {v!r})" for k, v in self.entries)
-        sep = " " + inner if inner else ""
-        return f"(array (default {self.default!r}){sep})"
+        return show(self)
 
 
-@dataclass(frozen=True)
-class AdtVal(Value):
-    ctor: str
-    args: tuple
+class Elem(_Interned):
+    """Element k of the uninterpreted sort named sort."""
+    __slots__ = ("sort", "k")
+    _table = _Table()
 
-    def __repr__(self):
-        if not self.args:
-            return f"({self.ctor})"
-        return f"({self.ctor} " + " ".join(repr(a) for a in self.args) + ")"
-
-
-def mk_array(default: Value, mapping) -> ArrayVal:
-    # _equal, not !=, so that values of any depth compare
-    entries = tuple(sorted(((k, v) for k, v in dict(mapping).items()
-                            if not _equal(v, default)), key=lambda kv: repr(kv[0])))
-    return ArrayVal(default, entries)
+    def __new__(cls, sort: str, k: int):
+        ref = cls._table.get((sort, k))
+        value = ref and ref()
+        if value is None:
+            value = object.__new__(cls)
+            value.sort, value.k = sort, k
+            cls._table.enter((sort, k), value)
+        return value
 
 
-def array_read(arr: ArrayVal, key: Value) -> Value:
+class ArrayVal(_Interned):
+    """An array: default, and entries, the sorted ((key, value), ...) with
+    value != default.  Built by mk_array."""
+    __slots__ = ("default", "entries")
+    _table = _Table()
+
+
+class AdtVal(_Interned):
+    """The datatype value of the constructor named ctor over args."""
+    __slots__ = ("ctor", "args")
+    _table = _Table()
+
+    def __new__(cls, ctor: str, args: tuple):
+        key = (ctor, args, *map(type, args))
+        ref = cls._table.get(key)
+        value = ref and ref()
+        if value is None:
+            value = object.__new__(cls)
+            value.ctor, value.args = ctor, args
+            cls._table.enter(key, value)
+        return value
+
+
+def mk_array(default, mapping) -> ArrayVal:
+    """The array of default and mapping (a dict, or (key, value) pairs),
+    its entries equal to default dropped and the rest ordered by key: ints
+    and bools by value, other values by serial number."""
+    if mapping.__class__ is not dict:
+        mapping = dict(mapping)
+    keys = [k for k, v in mapping.items() if v != default]
+    if keys:
+        keys.sort(key=None if isinstance(keys[0], int) else _SERIAL)
+    entries = tuple([(k, mapping[k]) for k in keys])
+    key = (default, entries, type(default), type(keys[0]) if keys else None)
+    ref = ArrayVal._table.get(key)
+    value = ref and ref()
+    if value is None:
+        value = object.__new__(ArrayVal)
+        value.default, value.entries = default, entries
+        ArrayVal._table.enter(key, value)
+    return value
+
+
+def array_read(arr: ArrayVal, key):
     for k, v in arr.entries:
         if k == key:
             return v
     return arr.default
 
 
-def array_write(arr: ArrayVal, key: Value, val: Value) -> ArrayVal:
+def array_write(arr: ArrayVal, key, val) -> ArrayVal:
     mapping = dict(arr.entries)
     mapping[key] = val
     return mk_array(arr.default, mapping)
 
 
-def default_value(sort: Sort) -> Value:
-    """The default value of sort: 0, false, element 0, the array whose
-    default is its value sort's, or the first constructor over its fields'
-    defaults.  The sorts inside it are done first, in the order
-    sorts_within gives, so no call recurses, however deep the sort."""
+def default_values(within) -> dict:
+    """Each sort's default value, by name: 0, false, element 0, the array
+    whose default is its value sort's, or the first constructor over its
+    fields' defaults.  within holds each sort after the sorts inside it
+    (sorts_within), so no sort's default recurses, however deep."""
     made = {}
-    for name, s in sorts_within([sort]).items():
+    for name, s in within.items():
         if s.kind is SortKind.INT:
-            made[name] = IntVal(0)
+            made[name] = 0
         elif s.kind is SortKind.BOOL:
-            made[name] = BoolVal(False)
+            made[name] = False
         elif s.kind is SortKind.UNINTERPRETED:
             made[name] = Elem(name, 0)
         elif s.kind is SortKind.ARRAY:
-            made[name] = ArrayVal(made[s.value.name], ())
+            made[name] = mk_array(made[s.value.name], ())
         else:
             ctor = s.constructors[0]
             made[name] = AdtVal(ctor.name,
                                 tuple(made[f.name] for _, f in ctor.selectors))
-    return made[sort.name]
+    return made
+
+
+def default_value(sort: Sort):
+    """The default value of sort (default_values)."""
+    return default_values(sorts_within([sort]))[sort.name]
+
+
+def show(value) -> str:
+    """The text of value as a model file writes it: an integer, true,
+    false, (elem S k), (array (default d) (k v) ...) or (ctor a ...).  The
+    parts still to print wait on one explicit stack, text before values,
+    so a value of any depth prints."""
+    out = []
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        cls = v.__class__
+        if cls is str:
+            out.append(v)
+        elif cls is bool:
+            out.append("true" if v else "false")
+        elif cls is int:
+            out.append(str(v))
+        elif cls is Elem:
+            out.append(f"(elem {v.sort} {v.k})")
+        elif cls is ArrayVal:
+            parts = ["(array (default ", v.default, ")"]
+            for k, x in v.entries:
+                parts += (" (", k, " ", x, ")")
+            parts.append(")")
+            stack += reversed(parts)
+        else:
+            parts = ["(" + v.ctor]
+            for a in v.args:
+                parts += (" ", a)
+            parts.append(")")
+            stack += reversed(parts)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
 class Model:
-    constants: dict       # name -> Value (covers variables as well)
-    functions: dict       # name -> (default Value, {arg tuple: Value})
+    constants: dict       # name -> value (covers variables as well)
+    functions: dict       # name -> (default value, {arg tuple: value})
     universes: dict       # uninterpreted sort name -> size
 
-    def with_constant(self, name, value: Value) -> "Model":
+    def with_constant(self, name, value) -> "Model":
         if name in self.constants:
             raise ModelError(f"'{name}' is already interpreted")
         consts = dict(self.constants)
@@ -131,11 +207,11 @@ class Model:
         return Model(consts, self.functions, self.universes)
 
 
-def eval_term(model: Model, sig: Signature, term: Term) -> Value:
+def eval_term(model: Model, sig: Signature, term: Term):
     return _eval(model, sig, term, {})
 
 
-def _eval(model, sig, term, memo) -> Value:
+def _eval(model, sig, term, memo):
     """Value of term, by an iterative post-order walk memoized by term id in
     memo, so any depth evaluates and each distinct subterm once."""
     if not term.children:
@@ -148,48 +224,48 @@ def _eval(model, sig, term, memo) -> Value:
     return memo[term.id]
 
 
-def _apply(model, sig, term, args) -> Value:
+def _apply(model, sig, term, args):
     """Value of term's symbol applied to the values of its arguments."""
     label = term.label
     if is_numeral(label):
-        return IntVal(int(label))
+        return int(label)
     if label == "true":
-        return BoolVal(True)
+        return True
     if label == "false":
-        return BoolVal(False)
+        return False
     if label in ARITH_FUNS:
         a, b = args
-        if not isinstance(a, IntVal) or not isinstance(b, IntVal):
+        if a.__class__ is not int or b.__class__ is not int:
             raise ModelError(f"arithmetic on non-integers in {term!r}")
         if label == "+":
-            return IntVal(a.n + b.n)
+            return a + b
         if label == "-":
-            return IntVal(a.n - b.n)
+            return a - b
         if label == "*":
-            return IntVal(a.n * b.n)
+            return a * b
         if label == ">":
-            return BoolVal(a.n > b.n)
+            return a > b
         if label == "<":
-            return BoolVal(a.n < b.n)
+            return a < b
         if label == ">=":
-            return BoolVal(a.n >= b.n)
-        return BoolVal(a.n <= b.n)
+            return a >= b
+        return a <= b
     if label == "read":
         return array_read(args[0], args[1])
     if label == "write":
         return array_write(args[0], args[1], args[2])
     if label == "ueq":
-        return BoolVal(_equal(args[0], args[1]))
+        return args[0] == args[1]
     if label == "distinct":
-        return BoolVal(not _equal(args[0], args[1]))
+        return args[0] != args[1]
     role = sig.datatype.get(label)
     if role is not None:
         kind, ctor, i = role
         if kind == "constructor":
             return AdtVal(label, tuple(args))
-        matches = isinstance(args[0], AdtVal) and args[0].ctor == ctor.name
+        matches = args[0].__class__ is AdtVal and args[0].ctor == ctor.name
         if kind == "tester":
-            return BoolVal(matches)
+            return matches
         return args[0].args[i] if matches else default_value(ctor.selectors[i][1])
     if label in model.constants:
         return model.constants[label]
@@ -199,38 +275,9 @@ def _apply(model, sig, term, args) -> Value:
     raise ModelError(f"symbol '{label}' has no interpretation")
 
 
-def _equal(a: Value, b: Value) -> bool:
-    """a == b, by an explicit stack of the pairs of parts still to compare,
-    so values of any depth compare: as the dataclasses' own __eq__, two
-    values are equal when they have one class and equal fields."""
-    if a.__class__ is not ArrayVal and a.__class__ is not AdtVal:
-        return a == b  # an Int, Bool or element value, whose fields are flat
-    pending = [(a, b)]
-    while pending:
-        a, b = pending.pop()
-        if a is b:
-            continue
-        cls = a.__class__
-        if cls is not b.__class__:
-            return False
-        if cls is ArrayVal:
-            if len(a.entries) != len(b.entries):
-                return False
-            pending.append((a.default, b.default))
-            for (ka, va), (kb, vb) in zip(a.entries, b.entries):
-                pending += ((ka, kb), (va, vb))
-        elif cls is AdtVal:
-            if a.ctor != b.ctor or len(a.args) != len(b.args):
-                return False
-            pending += zip(a.args, b.args)
-        elif a != b:
-            return False
-    return True
-
-
 def holds(model: Model, sig: Signature, lit: Literal, _memo=None) -> bool:
     memo = {} if _memo is None else _memo
-    same = _equal(_eval(model, sig, lit.lhs, memo), _eval(model, sig, lit.rhs, memo))
+    same = _eval(model, sig, lit.lhs, memo) == _eval(model, sig, lit.rhs, memo)
     return not same if lit.kind == "diseq" else same
 
 
@@ -253,8 +300,9 @@ def parse_model(text: str, sig: Signature) -> Model:
 
     The text is split into one token list (``sexpr.tokens``), walked by
     index: the universes first, wherever they stand, then each command in
-    turn, its values built children first by one explicit stack.  One
-    ``Elem`` stands for each ``(elem S k)`` of a read.  Nothing checks the
+    turn, its values built children first by one explicit stack, so each
+    is interned from interned parts.  Each ``(elem S k)`` token pair is
+    checked once per read.  Nothing checks the
     parentheses up front: when reading fails, the text is read as forms
     first, so that an unbalanced ')' or an unclosed '(' is the error
     reported, as it is when it comes first in the text."""
@@ -287,7 +335,7 @@ class _Reader:
     def __init__(self, toks, sig):
         self.toks, self.sig = toks, sig
         self.universes, self.universe_ends = _universes(toks, sig)
-        self.elems = {}  # (S, k) token pair -> its one Elem
+        self.elems = {}  # (S, k) token pair -> its Elem, checked
         self.lists = []
         self.constants, self.functions = {}, {}
 
@@ -417,7 +465,7 @@ class _Reader:
                 array, default, mapping, key = top
                 if key is _PENDING:
                     if value in mapping:
-                        raise ModelError(f"duplicate array key {value!r}")
+                        raise ModelError(f"duplicate array key {show(value)}")
                     top[3] = value
                     sort = array.value
                     break
@@ -489,16 +537,16 @@ def _declared(sig, name):
     return sig.functions[name]
 
 
-def _atom(toks, k, sort) -> Value:
+def _atom(toks, k, sort):
     """The value of the atom at k: true, false or an integer, of sort."""
     v = toks[k]
     if v == "true" or v == "false":
         if sort.kind is SortKind.BOOL:
-            return BoolVal(v == "true")
+            return v == "true"
     elif v.lstrip("-").isdigit():
         n = _int(toks, k)
         if sort.kind is SortKind.INT:
-            return IntVal(n)
+            return n
     else:
         raise LocatedError(f"bad value '{v}'", k)
     raise LocatedError(f"expected a value of sort {sort!r}", k)

@@ -25,8 +25,11 @@ literal fails and holds when all hold; a formula holds when some assignment
 holds and fails when all fail; else each is undefined, whatever the order
 of the literals.  An interpretation on which the comparison is undefined is
 skipped (a soundness note, reported in the verdict).  Deliberately
-independent of the egraph machinery: plain evaluation over plain Python
-values.  Only the declarations are shared with the model evaluator: the
+independent of the egraph machinery: plain evaluation over the model's
+values (ints, bools, and interned elements, arrays and datatype values),
+built by the model's constructors, so find_model returns them as they are
+and any two compare by identity, however deep.  The evaluator is the
+oracle's own; the declarations are shared with the model evaluator: the
 symbols enumerated are the variables and the signature's uninterpreted
 symbols, and constructors, testers and selectors are told apart by its
 datatype table.  Each formula's subterms are listed once, by iterative
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .model import AdtVal, BoolVal, Elem, IntVal, Model, mk_array
+from .model import (AdtVal, ArrayVal, Elem, Model, array_read, array_write,
+                    default_values, mk_array)
 from .terms import (Formula, Sort, SortKind, is_numeral, post_order,
                     sorts_within)
 
@@ -150,13 +154,10 @@ def find_model(sig, store, formula: Formula, bounds: Bounds = None):
         functions = {}
         for name, val in itertools.chain(interp.items(), assign.items()):
             if isinstance(val, dict):
-                table = {tuple(map(_to_model_value, k)): _to_model_value(v)
-                         for k, v in val.items()}
-                functions[name] = (next(iter(table.values())), table)
+                functions[name] = (next(iter(val.values())), val)
             else:
-                constants[name] = _to_model_value(val)
-        universes = dict(ctx._sizes)
-        return Model(constants, functions, universes)
+                constants[name] = val
+        return Model(constants, functions, dict(ctx._sizes))
     return None
 
 
@@ -185,7 +186,7 @@ class _Context:
         # so it is never renamed
         self._pinned = {s.name for sort in within.values()
                         for s in _defaulted(sort) if s.name in self._sizes}
-        self._defaults = _defaults(within)
+        self._defaults = default_values(within)
         evs = {t.id: self._compile(t) for terms in self.terms for t in terms}
         self.plans = [_compiled(plan, evs) for plan in plans]
         # per size vector: each sort's domain by name, and per formula its
@@ -248,40 +249,28 @@ class _Context:
         return hit
 
     def _build_domain(self, sort: Sort) -> list:
-        """The values of sort, the sorts inside it built.  Element 0 is the
-        sort's default (_defaults) when the sorts inside it have theirs
-        there; it is then the default's own object, so that a selector's
-        default and a value of the domain compare without descending,
-        however deep the sort."""
+        """The values of sort, the sorts inside it built."""
         doms = self._domains
-        default = self._defaults.get(sort.name)
         if sort.kind is SortKind.BOOL:
             dom = [False, True]
         elif sort.kind is SortKind.INT:
             lo, hi = self.window
             dom = list(range(lo, hi + 1))
         elif sort.kind is SortKind.UNINTERPRETED:
-            dom = [("e", sort.name, i) for i in range(self._sizes[sort.name])]
-            if default is not None:
-                dom[0] = default
+            dom = [Elem(sort.name, i) for i in range(self._sizes[sort.name])]
         elif sort.kind is SortKind.ARRAY:
             idx = doms[sort.index.name]
             val = doms[sort.value.name]
             # default pinned to the first value: over a fully enumerated index
             # domain each function then has exactly one canonical form
-            dom = [_canon_array(val[0], zip(idx, choice))
+            dom = [mk_array(val[0], zip(idx, choice))
                    for choice in itertools.product(val, repeat=len(idx))]
-            if default is not None and val[0] is default[1]:
-                dom[0] = default
         elif sort.kind is SortKind.ADT:
             dom = []
             for ctor in sort.constructors:
                 arg_doms = [doms[s.name] for _, s in ctor.selectors]
                 for args in itertools.product(*arg_doms):
-                    dom.append(("adt", ctor.name, args))
-            if default is not None and all(
-                    a is b for a, b in zip(dom[0][2], default[2])):
-                dom[0] = default
+                    dom.append(AdtVal(ctor.name, args))
         else:
             raise SearchSpaceError(f"cannot enumerate sort {sort}")
         return dom
@@ -482,7 +471,7 @@ class _Context:
         a numeral, true or false is a constant.  Every other symbol is a
         function of its arguments' values, undefined when an argument is
         (_strict): arithmetic leaves the window undefined, a selector of
-        the other constructor gives its field sort's default (_defaults),
+        the other constructor gives its field sort's default,
         and a symbol with no such function raises SearchSpaceError when its
         term is valued."""
         label = term.label
@@ -508,11 +497,11 @@ class _Context:
         kind, ctor, i = role
         name = ctor.name
         if kind == "constructor":
-            return _strict(lambda *args: ("adt", name, args), ids)
+            return _strict(lambda *args: AdtVal(name, args), ids)
         if kind == "tester":
-            return _strict(lambda v: v[1] == name, ids)
+            return _strict(lambda v: v.ctor == name, ids)
         default = self._defaults[ctor.selectors[i][1].name]
-        return _strict(lambda v: v[2][i] if v[1] == name else default, ids)
+        return _strict(lambda v: v.args[i] if v.ctor == name else default, ids)
 
 
 class _Plan(NamedTuple):
@@ -626,32 +615,10 @@ def _table(label, ids):
         interp[label].get(tuple([val[i] for i in ids]), _UNDEFINED)
 
 
-def _defaults(within):
-    """Each sort's default value, by name: 0, false, element 0, the array
-    whose default is its value sort's, or the first constructor over its
-    fields' defaults.  within holds each sort after the sorts inside it
-    (sorts_within), so no sort's default recurses, however deep."""
-    made = {}
-    for name, s in within.items():
-        if s.kind is SortKind.INT:
-            made[name] = 0
-        elif s.kind is SortKind.BOOL:
-            made[name] = False
-        elif s.kind is SortKind.UNINTERPRETED:
-            made[name] = ("e", name, 0)
-        elif s.kind is SortKind.ARRAY:
-            made[name] = ("arr", made[s.value.name], ())
-        else:
-            ctor = s.constructors[0]
-            made[name] = ("adt", ctor.name,
-                          tuple(made[f.name] for _, f in ctor.selectors))
-    return made
-
-
 def _defaulted(sort):
     """The sorts inside sort whose default value its values may hold: an
     array's value sort (each array's default is pinned, see domain) and a
-    datatype's field sorts (a selector's default, _defaults)."""
+    datatype's field sorts (a selector's default)."""
     if sort.kind is SortKind.ARRAY:
         return [sort.value]
     return [s for ctor in sort.constructors for _, s in ctor.selectors]
@@ -762,15 +729,14 @@ def _elements(value, first):
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, tuple):
-            if v[0] == "e":
-                mask |= 1 << (first[v[1]] + v[2])
-            elif v[0] == "arr":
-                stack.append(v[1])
-                for entry in v[2]:
-                    stack += entry
-            else:
-                stack += v[2]
+        if v.__class__ is Elem:
+            mask |= 1 << (first[v.sort] + v.k)
+        elif v.__class__ is ArrayVal:
+            stack.append(v.default)
+            for entry in v.entries:
+                stack += entry
+        elif v.__class__ is AdtVal:
+            stack += v.args
     return mask
 
 
@@ -786,55 +752,8 @@ def _at_most(n, cap):
     return f"over {cap - 1}" if n == cap else str(n)
 
 
-def _canon_array(default, entries):
-    mapping = {}
-    for k, v in entries:
-        mapping[k] = v
-    items = tuple(sorted(((k, v) for k, v in mapping.items() if v != default),
-                         key=repr))
-    return ("arr", default, items)
-
-
-def _array_read(arr, key):
-    for k, v in arr[2]:
-        if k == key:
-            return v
-    return arr[1]
-
-
 # the builtins that are plain functions of their arguments' values
 _BUILTIN = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
-            "<=": operator.le, "read": _array_read,
-            "write": lambda arr, key, value:
-                _canon_array(arr[1], [*arr[2], (key, value)]),
+            "<=": operator.le, "read": array_read, "write": array_write,
             "ueq": operator.eq, "distinct": operator.ne}
 
-
-def _to_model_value(v):
-    """The model Value of the oracle value v, built children first by an
-    explicit stack of (value, parts converted), so a value of any depth
-    converts.  The parts of an array are its default, then each key and
-    its value; those of a datatype value are its arguments."""
-    done, stack = [], [(v, False)]
-    while stack:
-        v, ready = stack.pop()
-        if isinstance(v, bool):
-            done.append(BoolVal(v))
-        elif isinstance(v, int):
-            done.append(IntVal(v))
-        elif not isinstance(v, tuple) or v[0] not in ("e", "arr", "adt"):
-            raise SearchSpaceError(f"cannot convert value {v!r}")
-        elif v[0] == "e":
-            done.append(Elem(v[1], v[2]))
-        elif not ready:
-            parts = v[2] if v[0] == "adt" else \
-                (v[1], *itertools.chain.from_iterable(v[2]))
-            stack.append((v, True))
-            stack += [(p, False) for p in reversed(parts)]
-        else:
-            n = len(v[2]) if v[0] == "adt" else 1 + 2 * len(v[2])
-            parts = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(AdtVal(v[1], tuple(parts)) if v[0] == "adt" else
-                        mk_array(parts[0], dict(zip(parts[1::2], parts[2::2]))))
-    return done[0]

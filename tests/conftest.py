@@ -2,7 +2,9 @@ import itertools
 import random
 import re
 from collections import Counter, deque
+from dataclasses import dataclass
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 
@@ -10,12 +12,12 @@ from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
                       compute_cground, parse_model, parse_problem,
                       term_to_sexpr)
 from egraphqe.extraction import has_cycle
-from egraphqe.model import (AdtVal, BoolVal, Elem, IntVal, Model, ModelError,
-                            Value, mk_array)
+from egraphqe.model import (AdtVal, ArrayVal, Elem, Model, ModelError, mk_array,
+                            show)
 from egraphqe.parser import ParseError, Problem
 from egraphqe.sexpr import LocatedError, read_all
-from egraphqe.terms import (BOOL, InputError, SortKind, is_numeral, mk_formula,
-                            post_order)
+from egraphqe.terms import (ARITH_FUNS, BOOL, InputError, SortKind, is_numeral,
+                            mk_formula, post_order, sorts_within)
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -367,6 +369,44 @@ def tower_problem(depth, rng):
                      f"(assert (= t{i + 1} ({rng.choice('hk')} t{i} t{i})))")
     lines.append(f"(assert (distinct t{depth} d))")
     return "\n".join(lines) + "\n"
+
+
+def deep_model_problems(depth=2000):
+    """Projection problems over values nested depth deep, with a model of
+    each, by name: (problem text, model text).  S is an (Array Int ...)
+    nested depth deep, and D(v) its value whose every level is default-only
+    down to v at the bottom.
+    - equal, distinct: a = c and a != c with a := D(0), c := D(0) or D(1);
+    - entry: a = c where each maps 1 to a value one level less deep that
+      differs from its default only at the bottom;
+    - selector: y = (fld x) with x := (nil), y := D(0), the field's default;
+    - index_key: a = c over (Array S Int), each mapping D(1) to 5;
+    - datatype: x != y over (mk (fld S)), x := (mk D(0)), y := (mk D(1))."""
+    sort = "(Array Int " * depth + "Int" + ")" * depth
+
+    def deep(v, levels=depth):
+        return "(array (default " * levels + str(v) + "))" * levels
+
+    entry = f"(array (default {deep(0, depth - 1)}) (1 {deep(1, depth - 1)}))"
+    pair = f"(declare-datatype P ((mk (fld {sort})) (nil)))"
+    return {
+        "equal": (f"(declare-var a {sort}) (declare-const c {sort}) (assert (= a c))",
+                  f"(define-value a {deep(0)}) (define-value c {deep(0)})"),
+        "distinct": (f"(declare-var a {sort}) (declare-const c {sort})"
+                     " (assert (distinct a c))",
+                     f"(define-value a {deep(0)}) (define-value c {deep(1)})"),
+        "entry": (f"(declare-var a {sort}) (declare-const c {sort}) (assert (= a c))",
+                  f"(define-value a {entry}) (define-value c {entry})"),
+        "selector": (f"{pair} (declare-var x P) (declare-const y {sort})"
+                     " (assert (= y (fld x)))",
+                     f"(define-value x (nil)) (define-value y {deep(0)})"),
+        "index_key": (f"(declare-var a (Array {sort} Int))"
+                      f" (declare-const c (Array {sort} Int)) (assert (= a c))",
+                      "".join(f"(define-value {name} (array (default 0) ({deep(1)} 5)))"
+                              for name in "ac")),
+        "datatype": (f"{pair} (declare-var x P) (declare-const y P) (assert (distinct x y))",
+                     f"(define-value x (mk {deep(0)})) (define-value y (mk {deep(1)}))"),
+    }
 
 
 # A `distinct` subterm is an ordinary Bool term: equated to a Bool constant,
@@ -1015,7 +1055,7 @@ def _ref_declared(sig, name):
     return sig.functions[name]
 
 
-def _ref_value(form, index, sort, universes) -> Value:
+def _ref_value(form, index, sort, universes):
     """The value written as child index of form, read against sort.  Each
     level must have its sort's shape, so a value is never read deeper than
     its sort is nested.  An element must lie in its sort's universe when
@@ -1023,7 +1063,7 @@ def _ref_value(form, index, sort, universes) -> Value:
     being read wait on an explicit stack, so a value of any depth reads,
     depth first and left to right as a recursive reader would."""
     value = _ref_read(form, index, sort, universes)
-    if isinstance(value, Value):
+    if not isinstance(value, GeneratorType):
         return value
     readers = [value]
     value = None
@@ -1048,11 +1088,11 @@ def _ref_read(form, index, sort, universes):
     if isinstance(v, str):
         if v in ("true", "false"):
             if sort.kind is SortKind.BOOL:
-                return BoolVal(v == "true")
+                return v == "true"
         elif v.lstrip("-").isdigit():
             n = _ref_int(form, index)
             if sort.kind is SortKind.INT:
-                return IntVal(n)
+                return n
         else:
             raise LocatedError(f"bad value '{v}'", form.at_child(index))
     elif not v or not isinstance(v[0], str):
@@ -1081,19 +1121,19 @@ def _ref_read(form, index, sort, universes):
 
 def _ref_array_reader(v, sort, universes):
     default = _ref_read(_ref_default_form(v, 1), 1, sort.value, universes)
-    if not isinstance(default, Value):
+    if isinstance(default, GeneratorType):
         default = yield default
     mapping = {}
     for entry in v[2:]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ModelError("array entry must be (key value)")
         key = _ref_read(entry, 0, sort.index, universes)
-        if not isinstance(key, Value):
+        if isinstance(key, GeneratorType):
             key = yield key
         if key in mapping:
-            raise ModelError(f"duplicate array key {key!r}")
+            raise ModelError(f"duplicate array key {show(key)}")
         value = _ref_read(entry, 1, sort.value, universes)
-        if not isinstance(value, Value):
+        if isinstance(value, GeneratorType):
             value = yield value
         mapping[key] = value
     return mk_array(default, mapping)
@@ -1103,7 +1143,7 @@ def _ref_adt_reader(v, ctor, universes):
     args = []
     for i, (_, s) in enumerate(ctor.selectors, start=1):
         arg = _ref_read(v, i, s, universes)
-        if not isinstance(arg, Value):
+        if isinstance(arg, GeneratorType):
             arg = yield arg
         args.append(arg)
     return AdtVal(ctor.name, tuple(args))
@@ -1136,3 +1176,239 @@ def _ref_int(form, index) -> int:
     if not is_numeral(text[1:] if text.startswith("-") else text):
         raise LocatedError(f"expected an integer, got '{text}'", form.at_child(index))
     return int(text)
+
+
+# -- reference model values and evaluator --------------------------------------
+# The values the model used before they were interned: frozen dataclasses,
+# equal when they have one class and equal fields, compared by ref_equal's
+# explicit stack, with _ref_apply the evaluator over them.  ref_holds and
+# ref_satisfies evaluate a model converted to them (ref_model), so holds
+# and satisfies are checked against a second value representation.  Their
+# own hash and repr recurse per level: an array keyed by a value about
+# 1,000 levels deep raises RecursionError in ref_mk_array.
+
+@dataclass(frozen=True)
+class RefValue:
+    pass
+
+
+@dataclass(frozen=True)
+class RefIntVal(RefValue):
+    n: int
+
+    def __repr__(self):
+        return str(self.n)
+
+
+@dataclass(frozen=True)
+class RefBoolVal(RefValue):
+    b: bool
+
+    def __repr__(self):
+        return "true" if self.b else "false"
+
+
+@dataclass(frozen=True)
+class RefElem(RefValue):
+    sort: str
+    k: int
+
+    def __repr__(self):
+        return f"(elem {self.sort} {self.k})"
+
+
+@dataclass(frozen=True)
+class RefArrayVal(RefValue):
+    default: RefValue
+    entries: tuple  # sorted ((key, value), ...) with value != default
+
+    def __repr__(self):
+        inner = " ".join(f"({k!r} {v!r})" for k, v in self.entries)
+        sep = " " + inner if inner else ""
+        return f"(array (default {self.default!r}){sep})"
+
+
+@dataclass(frozen=True)
+class RefAdtVal(RefValue):
+    ctor: str
+    args: tuple
+
+    def __repr__(self):
+        if not self.args:
+            return f"({self.ctor})"
+        return f"({self.ctor} " + " ".join(repr(a) for a in self.args) + ")"
+
+
+def ref_mk_array(default, mapping):
+    entries = tuple(sorted(((k, v) for k, v in dict(mapping).items()
+                            if not ref_equal(v, default)),
+                           key=lambda kv: repr(kv[0])))
+    return RefArrayVal(default, entries)
+
+
+def ref_array_read(arr, key):
+    for k, v in arr.entries:
+        if k == key:
+            return v
+    return arr.default
+
+
+def ref_array_write(arr, key, val):
+    mapping = dict(arr.entries)
+    mapping[key] = val
+    return ref_mk_array(arr.default, mapping)
+
+
+def ref_default_value(sort):
+    made = {}
+    for name, s in sorts_within([sort]).items():
+        if s.kind is SortKind.INT:
+            made[name] = RefIntVal(0)
+        elif s.kind is SortKind.BOOL:
+            made[name] = RefBoolVal(False)
+        elif s.kind is SortKind.UNINTERPRETED:
+            made[name] = RefElem(name, 0)
+        elif s.kind is SortKind.ARRAY:
+            made[name] = RefArrayVal(made[s.value.name], ())
+        else:
+            ctor = s.constructors[0]
+            made[name] = RefAdtVal(ctor.name,
+                                   tuple(made[f.name] for _, f in ctor.selectors))
+    return made[sort.name]
+
+
+def ref_equal(a, b) -> bool:
+    """a == b, by an explicit stack of the pairs of parts still to compare."""
+    if a.__class__ is not RefArrayVal and a.__class__ is not RefAdtVal:
+        return a == b
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is RefArrayVal:
+            if len(a.entries) != len(b.entries):
+                return False
+            pending.append((a.default, b.default))
+            for (ka, va), (kb, vb) in zip(a.entries, b.entries):
+                pending += ((ka, kb), (va, vb))
+        elif cls is RefAdtVal:
+            if a.ctor != b.ctor or len(a.args) != len(b.args):
+                return False
+            pending += zip(a.args, b.args)
+        elif a != b:
+            return False
+    return True
+
+
+def _ref_apply(model, sig, term, args):
+    label = term.label
+    if is_numeral(label):
+        return RefIntVal(int(label))
+    if label == "true":
+        return RefBoolVal(True)
+    if label == "false":
+        return RefBoolVal(False)
+    if label in ARITH_FUNS:
+        a, b = args
+        if not isinstance(a, RefIntVal) or not isinstance(b, RefIntVal):
+            raise ModelError(f"arithmetic on non-integers in {term!r}")
+        if label == "+":
+            return RefIntVal(a.n + b.n)
+        if label == "-":
+            return RefIntVal(a.n - b.n)
+        if label == "*":
+            return RefIntVal(a.n * b.n)
+        if label == ">":
+            return RefBoolVal(a.n > b.n)
+        if label == "<":
+            return RefBoolVal(a.n < b.n)
+        if label == ">=":
+            return RefBoolVal(a.n >= b.n)
+        return RefBoolVal(a.n <= b.n)
+    if label == "read":
+        return ref_array_read(args[0], args[1])
+    if label == "write":
+        return ref_array_write(args[0], args[1], args[2])
+    if label == "ueq":
+        return RefBoolVal(ref_equal(args[0], args[1]))
+    if label == "distinct":
+        return RefBoolVal(not ref_equal(args[0], args[1]))
+    role = sig.datatype.get(label)
+    if role is not None:
+        kind, ctor, i = role
+        if kind == "constructor":
+            return RefAdtVal(label, tuple(args))
+        matches = isinstance(args[0], RefAdtVal) and args[0].ctor == ctor.name
+        if kind == "tester":
+            return RefBoolVal(matches)
+        return args[0].args[i] if matches else ref_default_value(ctor.selectors[i][1])
+    if label in model.constants:
+        return model.constants[label]
+    if label in model.functions:
+        default, table = model.functions[label]
+        return table.get(tuple(args), default)
+    raise ModelError(f"symbol '{label}' has no interpretation")
+
+
+def ref_eval(model, sig, term, memo):
+    if not term.children:
+        return _ref_apply(model, sig, term, ())
+    hit = memo.get(term.id)
+    if hit is not None:
+        return hit
+    for t in post_order(term, memo):
+        memo[t.id] = _ref_apply(model, sig, t, [memo[c.id] for c in t.children])
+    return memo[term.id]
+
+
+def ref_value(value):
+    """The reference value of a model value, built children first by an
+    explicit stack of (value, whether its parts are converted)."""
+    done, stack = [], [(value, False)]
+    while stack:
+        v, ready = stack.pop()
+        if isinstance(v, bool):
+            done.append(RefBoolVal(v))
+        elif isinstance(v, int):
+            done.append(RefIntVal(v))
+        elif isinstance(v, Elem):
+            done.append(RefElem(v.sort, v.k))
+        elif not ready:
+            parts = v.args if isinstance(v, AdtVal) else \
+                (v.default, *itertools.chain.from_iterable(v.entries))
+            stack.append((v, True))
+            stack += [(p, False) for p in reversed(parts)]
+        else:
+            assert isinstance(v, (AdtVal, ArrayVal))
+            n = len(v.args) if isinstance(v, AdtVal) else 1 + 2 * len(v.entries)
+            parts = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(RefAdtVal(v.ctor, tuple(parts)) if isinstance(v, AdtVal)
+                        else ref_mk_array(parts[0], zip(parts[1::2], parts[2::2])))
+    return done[0]
+
+
+def ref_model(model):
+    """model with every value converted by ref_value."""
+    functions = {name: (ref_value(default),
+                        {tuple(map(ref_value, k)): ref_value(v) for k, v in table.items()})
+                 for name, (default, table) in model.functions.items()}
+    return Model({name: ref_value(v) for name, v in model.constants.items()},
+                 functions, model.universes)
+
+
+def ref_holds(model, sig, lit, memo=None):
+    """holds over a model of reference values (ref_model)."""
+    memo = {} if memo is None else memo
+    same = ref_equal(ref_eval(model, sig, lit.lhs, memo),
+                      ref_eval(model, sig, lit.rhs, memo))
+    return not same if lit.kind == "diseq" else same
+
+
+def ref_satisfies(model, sig, formula):
+    memo = {}
+    return all(ref_holds(model, sig, lit, memo) for lit in formula.literals)

@@ -16,8 +16,8 @@ from egraphqe.terms import mk_formula
 
 import random
 
-from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, TOWER_DECLS, chain_problem, load,
-                      reparse, tower_problem)
+from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, TOWER_DECLS, chain_problem,
+                      deep_model_problems, load, reparse, tower_problem)
 
 
 def _path(name):
@@ -356,6 +356,19 @@ def test_mbp_takes_a_selector_default_2000_deep(tmp_path, capsys, check):
     out = capsys.readouterr()
     assert out.out == "true\n"
     assert ("check skipped: search space too large" in out.err) == bool(check)
+
+
+@pytest.mark.parametrize("name", ["index_key", "datatype"])
+def test_mbp_on_values_2000_deep_as_key_and_under_a_constructor(tmp_path, capsys, name):
+    """The model's array is keyed by a value 2,000 deep, or x and y are
+    (mk D0) and (mk D1) with D0, D1 2,000 deep and differing at the bottom:
+    the model reader, mbp's rules and the check compare and hash those
+    values by identity."""
+    problem, model = deep_model_problems()[name]
+    (tmp_path / "p.smt2").write_text(problem + " (mbp)")
+    (tmp_path / "p.model").write_text(model)
+    assert main(["mbp", str(tmp_path / "p.smt2"), "--model", str(tmp_path / "p.model")]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 def _false(store):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from egraphqe import (Bounds, EGraph, InputError, IntVal, Model,
+from egraphqe import (Bounds, EGraph, InputError, Model,
                       ModelMismatchError, SaturationBudgetError, Signature,
                       TermStore, compute_cground, find_model,
                       formula_to_sexpr, implies_exists, mbp, parse_model, qel,
@@ -371,9 +371,9 @@ def test_adt_split_model_mismatch_detected():
     (assert (= p (mk 1)))
     """)
     from egraphqe.model import AdtVal
-    bad = Model({"p": AdtVal("mk", (IntVal(1),)),
-                 "p2": AdtVal("mk", (IntVal(1),)),
-                 "r": AdtVal("mk", (IntVal(2),))}, {}, {})
+    bad = Model({"p": AdtVal("mk", (1,)),
+                 "p2": AdtVal("mk", (1,)),
+                 "r": AdtVal("mk", (2,))}, {}, {})
     with pytest.raises((ModelMismatchError, InputError)):
         _run(prob, bad)
 
@@ -384,12 +384,12 @@ def test_rejects_non_array_adt_variable():
     (assert (= x 3))
     """)
     with pytest.raises(InputError):
-        _run(prob, Model({"x": IntVal(3)}, {}, {}))
+        _run(prob, Model({"x": 3}, {}, {}))
 
 
 def test_rejects_model_not_satisfying_input():
     prob, model = load_mbp()
-    wrong = Model(dict(model.constants, i=IntVal(9)), model.functions,
+    wrong = Model(dict(model.constants, i=9), model.functions,
                   model.universes)
     with pytest.raises(ModelMismatchError):
         _run(prob, wrong)

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egraphqe import (AdtVal, ArrayVal, BoolVal, Elem, IntVal, Literal, Model,
-                      Signature, TermStore, eval_term, holds,
-                      mk_array, parse_model, parse_problem, satisfies)
-from egraphqe.model import ModelError, array_read, array_write, default_value
+from egraphqe import (AdtVal, ArrayVal, Elem, Literal, Model, Signature,
+                      TermStore, eval_term, holds, mbp, mk_array, parse_model,
+                      parse_problem, satisfies)
+from egraphqe.model import (ModelError, array_read, array_write, default_value,
+                            show)
 from egraphqe.oracle import Bounds, find_model
-from egraphqe.terms import mk_formula
+from egraphqe.terms import mk_formula, post_order
 
-from conftest import (DEMOS, load, load_mbp, random_projection_instance,
-                      ref_parse_model)
+from conftest import (DEMOS, deep_model_problems, load, load_mbp,
+                      random_projection_instance, ref_equal, ref_eval,
+                      ref_holds, ref_model, ref_parse_model, ref_satisfies,
+                      ref_value)
 
 
 def _setup():
@@ -24,8 +27,8 @@ def _setup():
     sig.declare_const("a", arr)
     sig.declare_var("x", sig.sorts["Int"])
     store = TermStore(sig)
-    model = Model({"a": mk_array(IntVal(0), {IntVal(3): IntVal(3)}),
-                   "x": IntVal(3)}, {}, {})
+    model = Model({"a": mk_array(0, {3: 3}),
+                   "x": 3}, {}, {})
     return sig, store, model
 
 
@@ -39,51 +42,51 @@ def test_eval_read_matches_assignment():
 
 def test_eval_true_constant():
     sig, store, model = _setup()
-    assert eval_term(model, sig, store.top) == BoolVal(True)
+    assert eval_term(model, sig, store.top) == True
 
 
 def test_eval_selector_on_value():
     prob = load("nested_pair_array.smt2")
     store = prob.store
-    model = Model({"p": AdtVal("pair", (mk_array(IntVal(0), {}), IntVal(5)))},
+    model = Model({"p": AdtVal("pair", (mk_array(0, {}), 5))},
                   {}, {})
     t = store.mk_app("snd", (store.mk_const("p"),))
-    assert eval_term(model, prob.sig, t) == IntVal(5)
+    assert eval_term(model, prob.sig, t) == 5
     t2 = store.mk_app("fst", (store.mk_const("p"),))
-    assert eval_term(model, prob.sig, t2) == mk_array(IntVal(0), {})
+    assert eval_term(model, prob.sig, t2) == mk_array(0, {})
 
 
 def test_holds_equality_and_disequality():
     sig, store, model = _setup()
     sig.declare_const("i", sig.sorts["Int"])
     sig.declare_const("j", sig.sorts["Int"])
-    m = Model(dict(model.constants, i=IntVal(2), j=IntVal(2)), {}, {})
+    m = Model(dict(model.constants, i=2, j=2), {}, {})
     assert holds(m, sig, Literal("eq", store.mk_const("i"), store.mk_const("j")))
     assert holds(m, sig, Literal("eq", store.mk_const("i"), store.mk_const("i")))
-    m2 = Model(dict(model.constants, i=IntVal(1), j=IntVal(2)), {}, {})
+    m2 = Model(dict(model.constants, i=1, j=2), {}, {})
     assert holds(m2, sig, Literal("diseq", store.mk_const("i"), store.mk_const("j")))
 
 
 def test_read_over_write_semantics():
-    base = mk_array(IntVal(0), {IntVal(1): IntVal(7)})
-    written = array_write(base, IntVal(2), IntVal(9))
-    assert array_read(written, IntVal(2)) == IntVal(9)
-    assert array_read(written, IntVal(1)) == IntVal(7)
-    assert array_read(written, IntVal(5)) == IntVal(0)
+    base = mk_array(0, {1: 7})
+    written = array_write(base, 2, 9)
+    assert array_read(written, 2) == 9
+    assert array_read(written, 1) == 7
+    assert array_read(written, 5) == 0
     # writing the default normalizes away
-    assert array_write(base, IntVal(1), IntVal(0)) == mk_array(IntVal(0), {})
+    assert array_write(base, 1, 0) == mk_array(0, {})
 
 
 def test_extend_fresh_name_only():
     sig, store, model = _setup()
-    m2 = model.with_constant("d!0", IntVal(4))
-    assert m2.constants["d!0"] == IntVal(4)
-    assert eval_term(m2, sig, store.mk_const("x")) == IntVal(3)
+    m2 = model.with_constant("d!0", 4)
+    assert m2.constants["d!0"] == 4
+    assert eval_term(m2, sig, store.mk_const("x")) == 3
     with pytest.raises(ModelError):
-        m2.with_constant("d!0", IntVal(5))
+        m2.with_constant("d!0", 5)
     # extensions with distinct names commute
-    m3 = model.with_constant("u", IntVal(1)).with_constant("v", IntVal(2))
-    m4 = model.with_constant("v", IntVal(2)).with_constant("u", IntVal(1))
+    m3 = model.with_constant("u", 1).with_constant("v", 2)
+    m4 = model.with_constant("v", 2).with_constant("u", 1)
     assert m3 == m4
 
 
@@ -130,7 +133,7 @@ def test_selector_on_wrong_constructor_gives_default():
     t = store.mk_app("fld", (store.mk_const("r"),))
     assert eval_term(m, sig, t) == default_value(val)
     tester = store.mk_app("is-unit", (store.mk_const("r"),))
-    assert eval_term(m, sig, tester) == BoolVal(True)
+    assert eval_term(m, sig, tester) == True
 
 
 def test_missing_interpretation_detected_at_eval():
@@ -312,7 +315,7 @@ def test_array_entries_are_compared_with_the_default_at_any_depth():
                         f"(define-value b (array (default {value(0)}) (1 {value(0)})))",
                         sig)
     (key, entry), = model.constants["a"].entries
-    assert key == IntVal(1) and entry is not model.constants["a"].default
+    assert key == 1 and entry is not model.constants["a"].default
     assert model.constants["b"].entries == ()
 
 
@@ -466,8 +469,163 @@ def test_values_of_found_models_read_back():
         assert not model.functions
         for name, value in model.constants.items():
             back = parse_model(f"(define-value {name} {value!r})", sig)
-            assert back.constants == {name: value}
-            assert repr(back.constants[name]) == repr(value)
+            assert back.constants[name] is value
         text = "".join(f"(universe {s} {k})\n" for s, k in model.universes.items()) \
             + "".join(f"(define-value {n} {v!r})\n" for n, v in model.constants.items())
         assert parse_model(text, sig) == model
+
+
+# -- interned values ----------------------------------------------------------
+
+def test_int_and_bool_arrays_are_different_values():
+    """True == 1 and hash(True) == hash(1) in Python: an (Array Int Int)
+    with default 0 and an (Array Int Bool) with default false, read or
+    built, are still two objects, and each prints its own default; so are
+    arrays keyed by 1 and by true, and constructor values over them."""
+    sig = parse_problem("(declare-const a (Array Int Int)) (declare-const b (Array Int Bool))"
+                        " (declare-const c (Array Bool Int)) (declare-const d (Array Int Int))").sig
+    m = parse_model("(define-value a (array (default 0))) (define-value b (array (default false)))"
+                    " (define-value c (array (default 0) (true 2)))"
+                    " (define-value d (array (default 0) (1 2)))", sig)
+    a, b, c, d = (m.constants[n] for n in "abcd")
+    assert a is mk_array(0, {}) and b is mk_array(False, {})
+    assert a is not b and c is not d
+    assert (repr(a), repr(b)) == ("(array (default 0))", "(array (default false))")
+    assert (repr(c), repr(d)) == ("(array (default 0) (true 2))", "(array (default 0) (1 2))")
+    assert AdtVal("mk", (1,)) is not AdtVal("mk", (True,))
+    assert (repr(AdtVal("mk", (1,))), repr(AdtVal("mk", (True,)))) == ("(mk 1)", "(mk true)")
+    assert (show(True), show(0)) == ("true", "0")
+
+
+def test_equal_values_from_reader_evaluator_and_oracle_are_one_object():
+    prob = parse_problem("""
+    (declare-sort U 0)
+    (declare-datatype Pair ((pair (fst (Array U U)) (snd U))))
+    (declare-var a (Array U U)) (declare-var p Pair) (declare-const u U)
+    (declare-const v U)
+    (assert (= p (pair (write a u v) u))) (assert (distinct u v))
+    """)
+    sig, store = prob.sig, prob.store
+    found = find_model(sig, store, prob.formula, Bounds(universe=2))
+    text = "".join(f"(universe {s} {k})\n" for s, k in found.universes.items()) \
+        + "".join(f"(define-value {n} {show(v)})\n" for n, v in found.constants.items())
+    read = parse_model(text, sig)
+    for name, value in found.constants.items():
+        assert read.constants[name] is value
+    a, u, v = (store.mk_const(n) for n in "auv")
+    written = store.mk_app("write", (a, u, v))
+    for model in (found, read):
+        assert eval_term(model, sig, store.mk_app("pair", (written, u))) \
+            is found.constants["p"]
+        assert eval_term(model, sig, written) is found.constants["p"].args[0]
+        assert eval_term(model, sig, store.mk_app("snd", (store.mk_const("p"),))) \
+            is found.constants["u"]
+
+
+def test_mk_array_is_one_object_for_entries_in_any_order():
+    elems = [Elem("U", k) for k in range(4)]
+    pairs = [AdtVal("p", (e, k)) for k, e in enumerate(elems)]
+    for keys, values in ((list(range(4)), elems), (elems, [5, 6, 7, 8]),
+                         (pairs, [True, False, True, True]),
+                         ([False, True], [3, 4])):
+        entries = list(zip(keys, values))
+        arrays = set()
+        for seed in range(6):
+            random.Random(seed).shuffle(entries)
+            arrays.add(mk_array(values[0], entries))
+            arrays.add(mk_array(values[0], dict(entries)))
+        arrays.add(array_write(mk_array(values[0], entries[1:]), *entries[0]))
+        arr, = arrays
+        assert len(arr.entries) == len(entries) - sum(
+            v == values[0] for v in values)
+
+
+def test_values_are_dropped_with_their_last_reference():
+    before = len(AdtVal._table)
+    value = AdtVal("only_here", (mk_array(Elem("W", 7), {1: Elem("W", 8)}),))
+    assert len(AdtVal._table) == before + 1
+    del value
+    assert len(AdtVal._table) == before
+
+
+def test_deep_index_key_model_reads_without_recursion():
+    """An array whose index sort is an (Array Int ...) 2,000 deep, with one
+    entry keyed by a value that deep: reading it hashes and orders the key
+    by its identity, and it prints by one explicit stack."""
+    problem, text = deep_model_problems()["index_key"]
+    prob = parse_problem(problem)
+    model = parse_model(text, prob.sig)
+    a, c = model.constants["a"], model.constants["c"]
+    assert a is c and satisfies(model, prob.sig, prob.formula)
+    (key, value), = a.entries
+    assert value == 5 and show(key).count("(array (default ") == 2000
+    with pytest.raises(ModelError, match="duplicate array key"):
+        parse_model(text.replace(" 5)))", " 5) (" + show(key) + " 6)))", 1), prob.sig)
+
+
+# -- holds and satisfies against the dataclass values ---------------------------
+
+def _agrees_with_reference(model, sig, formula):
+    """holds and satisfies agree with the reference evaluator over the
+    dataclass values (conftest), and so does every subterm's value."""
+    ref = ref_model(model)
+    memo, seen = {}, set()
+    for lit in formula.literals:
+        got = _outcome_of(holds, model, sig, lit)
+        assert got == _outcome_of(ref_holds, ref, sig, lit), lit
+        for side in (lit.lhs, lit.rhs) if got[0] is not ModelError else ():
+            for t in post_order(side, seen):
+                seen.add(t.id)
+                assert ref_equal(ref_value(eval_term(model, sig, t)),
+                                  ref_eval(ref, sig, t, memo)), t
+    assert _outcome_of(satisfies, model, sig, formula) == \
+        _outcome_of(ref_satisfies, ref, sig, formula)
+
+
+def _outcome_of(check, *args):
+    try:
+        return check(*args), None
+    except ModelError as e:
+        return ModelError, str(e)
+
+
+def _flipped(formula, store, j):
+    lits = list(formula.literals)
+    lit = lits[j]
+    lits[j] = Literal("diseq" if lit.kind == "eq" else "eq", lit.lhs, lit.rhs)
+    return mk_formula(store, lits)
+
+
+def test_holds_agrees_with_reference_on_projection_instances():
+    """On the criterion-5 instances: the input under its found model, the
+    projection under the extended model, and the input under the models
+    of the input with one literal negated, where some literal fails."""
+    rng = random.Random(5)
+    failing = 0
+    for _ in range(200):
+        sig, store, formula = random_projection_instance(rng)
+        bounds = Bounds(universe=3 if len(sig.variables) <= 2 else 2)
+        model = find_model(sig, store, formula, bounds)
+        _agrees_with_reference(model, sig, formula)
+        res = mbp(sig, store, formula, formula.free_vars, model)
+        _agrees_with_reference(res.model, sig, res.formula)
+        _agrees_with_reference(res.model, sig, formula)
+        for j in range(len(formula.literals)):
+            other = find_model(sig, store, _flipped(formula, store, j), bounds)
+            if other is not None:
+                _agrees_with_reference(other, sig, formula)
+                failing += not satisfies(other, sig, formula)
+    assert failing > 100
+
+
+def test_holds_agrees_with_reference_on_demo_and_deep_models():
+    cases = [load_mbp(model=p.name) for p in sorted(DEMOS.glob("*.model"))]
+    for name, (problem, text) in deep_model_problems().items():
+        if name != "index_key":  # the reference's hash recurses on its key
+            prob = parse_problem(problem)
+            cases.append((prob, parse_model(text, prob.sig)))
+    for prob, model in cases:
+        sig, formula = prob.sig, prob.formula
+        _agrees_with_reference(model, sig, formula)
+        res = mbp(sig, prob.store, formula, formula.free_vars, model)
+        _agrees_with_reference(res.model, sig, res.formula)

@@ -4,11 +4,12 @@ from functools import partial
 
 import pytest
 
-from egraphqe import (AdtVal, ArrayVal, Bounds, Elem, IntVal, Literal, Model,
+from egraphqe import (AdtVal, ArrayVal, Bounds, Elem, Literal, Model,
                       SearchSpaceError, Signature, TermStore, equiv_exists,
                       eval_term, find_model, implies_exists, mbp, qel,
                       satisfies, term_to_sexpr)
 from egraphqe import oracle
+from egraphqe.model import array_read, array_write, mk_array
 from egraphqe.parser import parse_problem
 from egraphqe.terms import (SortKind, formula_to_sexpr, is_numeral, mk_formula,
                             post_order)
@@ -178,7 +179,7 @@ def test_domains_of_an_array_sort_2000_deep_are_built_without_recursion():
 def test_selector_default_of_a_sort_2000_deep_is_built_without_recursion():
     """(fld nil) is the default of S, an (Array I ...) 2000 deep: it is built
     inner sort first, once per context, and compares with y's values
-    without descending, since element 0 of S's domain is the same object."""
+    without descending, since interned values compare by identity."""
     d = 2000
     sort = "(Array I " * d + "I" + ")" * d
     prob = parse_problem(
@@ -193,9 +194,9 @@ def test_selector_default_of_a_sort_2000_deep_is_built_without_recursion():
 
 
 def test_model_of_a_sort_2000_deep_is_converted_without_recursion():
-    """find_model on the selector problem above: its model's values, y's
-    an array 2000 deep, are converted children first, and the model
-    satisfies the formula."""
+    """find_model on the selector problem above: its model holds the
+    oracle's own values, y's an array 2000 deep, and satisfies the
+    formula."""
     d = 2000
     sort = "(Array I " * d + "I" + ")" * d
     prob = parse_problem(
@@ -348,10 +349,9 @@ def _apply(self, term, args, interp, assign):
         a, b = args
         out = {">": a > b, "<": a < b, ">=": a >= b, "<=": a <= b}[label]
     elif label == "read":
-        out = oracle._array_read(args[0], args[1])
+        out = array_read(args[0], args[1])
     elif label == "write":
-        out = oracle._canon_array(args[0][1],
-                                  list(args[0][2]) + [(args[1], args[2])])
+        out = array_write(args[0], args[1], args[2])
     elif label in ("ueq",):
         out = args[0] == args[1]
     elif label == "distinct":
@@ -367,11 +367,11 @@ def _eval_adt(self, label, args):
         raise SearchSpaceError(f"symbol '{label}' not enumerable")
     kind, ctor, i = role
     if kind == "constructor":
-        return ("adt", label, tuple(args))
-    matches = args[0][1] == ctor.name
+        return AdtVal(label, tuple(args))
+    matches = args[0].ctor == ctor.name
     if kind == "tester":
         return matches
-    return args[0][2][i] if matches else _default(ctor.selectors[i][1])
+    return args[0].args[i] if matches else _default(ctor.selectors[i][1])
 
 
 def _default(sort):
@@ -380,11 +380,11 @@ def _default(sort):
     if sort.kind is SortKind.BOOL:
         return False
     if sort.kind is SortKind.UNINTERPRETED:
-        return ("e", sort.name, 0)
+        return Elem(sort.name, 0)
     if sort.kind is SortKind.ARRAY:
-        return oracle._canon_array(_default(sort.value), ())
+        return mk_array(_default(sort.value), ())
     ctor = sort.constructors[0]
-    return ("adt", ctor.name, tuple(_default(s) for _, s in ctor.selectors))
+    return AdtVal(ctor.name, tuple(_default(s) for _, s in ctor.selectors))
 
 
 def _choices(self):
@@ -626,11 +626,9 @@ def test_renaming_yields_54_of_260_interpretations():
     assert at == sorted(at)
     # the one interpretation at universe 1; then c0 = e0 at universe 2
     # stands for c0 = e1 too
-    assert shipped[:2] == [({"c0": ("e", "U", 0), "c1": ("e", "U", 0),
-                             "f": {(("e", "U", 0),): ("e", "U", 0)}}, 1),
-                           ({"c0": ("e", "U", 0), "c1": ("e", "U", 0),
-                             "f": {(("e", "U", 0),): ("e", "U", 0),
-                                   (("e", "U", 1),): ("e", "U", 0)}}, 2)]
+    e0, e1 = Elem("U", 0), Elem("U", 1)
+    assert shipped[:2] == [({"c0": e0, "c1": e0, "f": {(e0,): e0}}, 1),
+                           ({"c0": e0, "c1": e0, "f": {(e0,): e0, (e1,): e0}}, 2)]
 
 
 @pytest.mark.parametrize("text, universe", [
@@ -672,7 +670,7 @@ def test_selector_default_pins_element_0(monkeypatch):
              partial(find_model, prob.sig, prob.store, prob.formula,
                      Bounds(universe=2))]
     verdict, model = _assert_twins(monkeypatch, calls)
-    assert verdict == (False, {"e0": ("e", "V", 1)}, 0)
+    assert verdict == (False, {"e0": Elem("V", 1)}, 0)
     assert model.constants["e0"] == model.constants["x"]
 
 
@@ -684,7 +682,7 @@ def test_witness_sets_a_constant_to_a_new_element(monkeypatch):
     calls = [partial(implies_exists, prob.sig, prob.store, true, prob.formula,
                      bounds) for bounds in (Bounds(), Bounds(universe=2))]
     outcomes = _assert_twins(monkeypatch, calls)
-    e0, e1 = ("e", "U", 0), ("e", "U", 1)
+    e0, e1 = Elem("U", 0), Elem("U", 1)
     # c0 = e0 stands for every element, c1 = e1 for every other one
     assert outcomes == [(False, {"c0": e0, "c1": e1,
                                  "f": {(e0,): e0, (e1,): e1}}, 0)] * 2
@@ -702,7 +700,7 @@ def test_failing_skip_count_is_weighted(monkeypatch):
         "eq", prob.store.mk_const("c0"), prob.store.mk_const("c1"))])
     call = partial(equiv_exists, prob.sig, prob.store, prob.formula, both,
                    Bounds(universe=2, int_window=(0, 1)))
-    witness = {"c0": ("e", "U", 0), "c1": ("e", "U", 1), "k": 0}
+    witness = {"c0": Elem("U", 0), "c1": Elem("U", 1), "k": 0}
     assert _outcome(call) == (False, witness, 3)
     with monkeypatch.context() as m:
         m.setattr(oracle._Context, "interpretations", _product_interpretations)
@@ -751,15 +749,13 @@ def test_evaluators_agree_on_every_datatype_symbol():
     first = [ctx.domain(t.sort)[0] for t in (n, b, e)]
     for v in values:
         # mk(n, b, e) is v itself when v is an mk value
-        interp = dict(zip("nbe", v[2] if v[1] == "mk" else first), x=v)
-        model = Model({name: oracle._to_model_value(w)
-                       for name, w in interp.items()}, {}, {"U": 2})
+        interp = dict(zip("nbe", v.args if v.ctor == "mk" else first), x=v)
+        model = Model(interp, {}, {"U": 2})
         for t in terms:
             got = _value(evs, t, interp, [interp[c.label] for c in t.children])
-            assert oracle._to_model_value(got) == \
-                eval_term(model, sig, t), (v, term_to_sexpr(t))
+            assert got is eval_term(model, sig, t), (v, term_to_sexpr(t))
         assert _value(evs, terms[0], interp, [interp[c] for c in "nbe"]) \
-            == (v if v[1] == "mk" else ("adt", "mk", tuple(first)))
+            is (v if v.ctor == "mk" else AdtVal("mk", tuple(first)))
 
 
 def test_evaluators_agree_on_every_int_builtin():
@@ -780,15 +776,15 @@ def test_evaluators_agree_on_every_int_builtin():
     undefined = set()
     for a, b in itertools.product(window, repeat=2):
         interp = {"m": a, "n": b}
-        model = Model({"m": IntVal(a), "n": IntVal(b)}, {}, {})
+        model = Model(interp, {}, {})
         for t in terms:
             got = _value(evs, t, interp, [a, b])
             if got is oracle._UNDEFINED:
-                assert not -2 <= eval_term(model, sig, t).n <= 3
+                assert not -2 <= eval_term(model, sig, t) <= 3
                 undefined.add(t.label)
                 continue
-            assert oracle._to_model_value(got) == \
-                eval_term(model, sig, t), (a, b, term_to_sexpr(t))
+            want = eval_term(model, sig, t)
+            assert (type(got), got) == (type(want), want), (a, b, term_to_sexpr(t))
     assert undefined == {"+", "-", "*"}
 
 
