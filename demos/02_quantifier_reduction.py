@@ -6,9 +6,8 @@ refinement of variable representatives, and the output core.
 """
 from pathlib import Path
 
-from egraphqe import (EGraph, compute_cground, find_core, find_defs,
-                      parse_problem, qel, refine_defs, term_to_sexpr,
-                      to_formula)
+from egraphqe import (EGraph, find_core, find_defs, parse_problem, qel,
+                      refine_defs, term_to_sexpr, to_formula)
 
 HERE = Path(__file__).resolve().parent
 
@@ -19,8 +18,8 @@ def show(name):
     print(f"== {name}")
     print("  input:            ", prob.formula)
 
-    info = compute_cground(g)
-    ground = [term_to_sexpr(g.nodes[n].term) for n in sorted(info.cground)]
+    ground = [term_to_sexpr(g.nodes[n].term) for n in g.node_ids()
+              if g.cground(n)]
     print("  rewritable-to-ground nodes:", "{" + ", ".join(ground) + "}")
 
     r = find_defs(g)

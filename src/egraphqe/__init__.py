@@ -16,20 +16,19 @@ from .model import (AdtVal, ArrayVal, Elem, Model, eval_term, holds, mk_array,
 from .oracle import (Bounds, SearchSpaceError, Verdict, equiv_exists,
                      find_model, implies_exists)
 from .parser import ParseError, Problem, parse_problem
-from .qel import (CGroundInfo, compute_cground, find_core, find_defs, process,
-                  qel, refine_defs)
+from .qel import find_core, find_defs, process, qel, refine_defs
 from .terms import (Formula, InputError, Literal, Signature, Sort, SortKind,
                     Term, TermStore, formula_to_sexpr, literal_to_sexpr,
                     term_to_sexpr)
 
 __all__ = [
-    "AdtVal", "ArrayVal", "Bounds", "CGroundInfo", "EGraph",
+    "AdtVal", "ArrayVal", "Bounds", "EGraph",
     "Elem", "ExtractionBudgetError", "Formula", "InadmissibleReprError",
     "InconsistentFormulaError", "InputError", "Literal",
     "MbpResult", "Model", "ModelMismatchError", "ParseError", "Problem",
     "ReprFn", "SaturationBudgetError", "SearchSpaceError", "Signature",
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",
-    "compute_cground", "equiv_exists", "eval_term",
+    "equiv_exists", "eval_term",
     "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",
     "implies_exists", "is_admissible",
     "literal_to_sexpr", "mbp", "mk_array", "parse_model",

@@ -15,10 +15,12 @@ the class.  A merge can only violate a disequality whose endpoints lie one in
 each merging class, so it scans the shorter of the two lists and appends it
 to the longer one; no assertion rescans every disequality.
 
-``merge_log`` lists the surviving root of every merge in order, so a client
-that remembers its length (and the node count) can later visit only what
-changed since: ``qel.compute_cground`` updates its result that way.  The
-same two lengths stamp ``view``, the read-only ``ClassView`` that the
+The graph keeps constructive groundness as an e-class analysis (egg,
+Willsey et al., POPL 2021, section 4) from the first question on: a node is
+``cground`` if it is a leaf with a ground term or every child's class is
+ground, a class is ground if it holds such a node, and a new node or a merge
+that grounds one side re-checks only the nodes it touches.  The node count
+and a merge counter stamp ``view``, the read-only ``ClassView`` that the
 reduction tail reads once the graph is final.
 """
 from __future__ import annotations
@@ -72,8 +74,10 @@ class EGraph:
         self._diseq_set = set()   # the same pairs, for duplicate checks
         self._class_diseqs = {}   # root id -> recorded pairs touching the class
         self._violation = None    # first disequal pair found merged
-        self.merge_log = []       # surviving root of each merge, in order
+        self._merges = 0          # merges so far, for the view stamp
         self._view = None         # (node count, merge count, ClassView)
+        self._cground = None      # cground node ids, from the first question
+        self._ground = None       # roots of the ground classes, likewise
 
     # -- construction ------------------------------------------------------
 
@@ -119,6 +123,8 @@ class EGraph:
         self._term_node[term.id] = nid
         for c in child_ids:
             self._parents[c].add(nid)
+        if self._cground is not None:
+            self._settle([nid])
         key = self._canon_key(node)
         other = self._cong.setdefault(key, nid)
         if other != nid:
@@ -153,6 +159,7 @@ class EGraph:
 
     def _merge(self, a, b):
         queue = [(a, b)]
+        regrounded = []  # members of the side that was not ground
         while queue:
             x, y = queue.pop()
             rx, ry = self.find(x), self.find(y)
@@ -162,9 +169,15 @@ class EGraph:
                 rx, ry = ry, rx  # the older id stays root
             absorbed = self._members.pop(ry)
             self._uf[ry] = rx
-            self.merge_log.append(rx)
+            self._merges += 1
             self._class_view.pop(rx, None)
             self._class_view.pop(ry, None)
+            ground = self._ground
+            if ground is not None and (rx in ground or ry in ground):
+                if rx not in ground or ry not in ground:
+                    regrounded += absorbed if rx in ground else self._members[rx]
+                ground.discard(ry)
+                ground.add(rx)
             self._members[rx].extend(absorbed)
             moved = self._class_diseqs.pop(ry, None)
             if moved is not None:
@@ -176,6 +189,8 @@ class EGraph:
                     q = self._cong.setdefault(key, p)
                     if self.find(q) != self.find(p):
                         queue.append((q, p))
+        if regrounded:
+            self._settle([p for m in regrounded for p in self._parents[m]])
 
     def _move_diseqs(self, rx, moved):
         """Give root rx the disequalities of a class merged into it, noting
@@ -191,6 +206,38 @@ class EGraph:
                     self._violation = (a, b)
                     break
         kept.extend(moved)
+
+    # -- constructive groundness -------------------------------------------
+
+    def cground(self, n: int) -> bool:
+        """Whether node n rewrites into a ground term: it is a leaf whose
+        term is ground, or every child's class is ground."""
+        if self._cground is None:
+            self._cground, self._ground = set(), set()
+            self._settle(range(len(self.nodes)))
+        return n in self._cground
+
+    def ground_class(self, n: int) -> bool:
+        """Whether n's class holds a constructively ground node."""
+        return self.cground(n) or self.find(n) in self._ground
+
+    def _settle(self, pending):
+        """Check the pending nodes, and the parents of the members of every
+        class that becomes ground, until no node changes."""
+        cground, ground, find = self._cground, self._ground, self.find
+        pending = list(pending)
+        while pending:
+            n = pending.pop()
+            children = self.nodes[n].children
+            if n in cground or not (all(find(c) in ground for c in children)
+                                    if children else self.nodes[n].term.ground):
+                continue
+            cground.add(n)
+            root = find(n)
+            if root not in ground:
+                ground.add(root)
+                for m in self._members[root]:
+                    pending += self._parents[m]
 
     def congruence_key(self, n: int):
         """(label, child class roots): equal keys mean congruent nodes."""
@@ -219,7 +266,7 @@ class EGraph:
         """The classes as they are now, built in one pass and handed out
         again until a node is added or a merge happens.  Like ``class_of``'s
         lists, it is read-only."""
-        stamp = (len(self.nodes), len(self.merge_log))
+        stamp = (len(self.nodes), self._merges)
         if self._view is not None and self._view[:2] == stamp:
             return self._view[2]
         root = [0] * len(self.nodes)

@@ -7,9 +7,9 @@ extraction still mentions one.  Rules only ever add terms, merges, and
 disequalities.  Nodes are append-only, so one integer watermark per rule
 family (the node count at the start of its last pass) says which nodes
 were offered already; per-rule marks on the remaining keys keep saturation
-terminating.  The constructive-groundness analysis that tells a pass which
-nodes to skip is carried from pass to pass and takes in only the nodes and
-merges since the last one.
+terminating.  A pass asks the egraph, which keeps constructive groundness
+up to date as rules add nodes and merge classes, which nodes to skip; it
+reads the answer live, so a rule sees what the rules before it made ground.
 
 The array rules rewrite read-over-write patterns, turn array equalities
 into partial-equality obligations, unwind writes out of those obligations,
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .egraph import EGraph
 from .extraction import ReprFn
 from .model import Model, eval_term, satisfies
-from .qel import CGroundInfo, compute_cground, reduce
+from .qel import reduce
 from .terms import Formula, InputError, Signature, SortKind, Term, TermStore
 
 
@@ -60,7 +60,6 @@ class _State:
     total: int = 0
     fresh: int = 0
     marks: dict = field(default_factory=dict)  # rule name -> set of keys
-    cground: CGroundInfo = None   # as of the start of the last pass
     # projected base node id -> {index value: (first read id, index term)}
     index_classes: dict = field(default_factory=dict)
 
@@ -156,16 +155,17 @@ def apply_rules(state: _State, family, watermark: int) -> tuple:
     watermark on go to the node rules (equality bookkeeping always, others
     only when not constructively ground).  The reads among them, in id
     order, go to each read rule at once, ground or not.  Unresolved
-    disequalities go to the disequality rules.  Returns whether a rule
-    fired and the watermark for the next pass: the node count at the start
-    of this one."""
+    disequalities go to the disequality rules, except those whose sides
+    are both in ground classes.  Groundness is read when each node or
+    disequality is offered, not at the start of the pass.  Returns whether
+    a rule fired and the watermark for the next pass: the node count at the
+    start of this one."""
     node_rules, read_rules, diseq_rules = family
     g = state.g
     progress = False
     size = len(g.nodes)
-    info = state.cground = compute_cground(g, state.cground)
     for n in range(watermark, size):
-        if g.nodes[n].label == "peq" or n not in info.cground:
+        if g.nodes[n].label == "peq" or not g.cground(n):
             for rule in node_rules:
                 if rule(state, n):
                     progress = True
@@ -176,8 +176,7 @@ def apply_rules(state: _State, family, watermark: int) -> tuple:
                 progress = True
     for rule in diseq_rules:
         for a, b in list(g.diseqs):
-            if g.find(a) in info.ground_class and \
-                    g.find(b) in info.ground_class:
+            if g.ground_class(a) and g.ground_class(b):
                 continue  # both sides become ground terms; no split needed
             if rule(state, a, b):
                 progress = True

@@ -213,19 +213,23 @@ def eval_term(model: Model, sig: Signature, term: Term):
 
 def _eval(model, sig, term, memo):
     """Value of term, by an iterative post-order walk memoized by term id in
-    memo, so any depth evaluates and each distinct subterm once."""
+    memo, so any depth evaluates and each distinct subterm once.  memo also
+    keeps, by sort name, the defaults that selectors built (_apply)."""
     if not term.children:
-        return _apply(model, sig, term, ())
+        return _apply(model, sig, term, (), memo)
     hit = memo.get(term.id)
     if hit is not None:
         return hit
     for t in post_order(term, memo):
-        memo[t.id] = _apply(model, sig, t, [memo[c.id] for c in t.children])
+        memo[t.id] = _apply(model, sig, t, [memo[c.id] for c in t.children],
+                            memo)
     return memo[term.id]
 
 
-def _apply(model, sig, term, args):
-    """Value of term's symbol applied to the values of its arguments."""
+def _apply(model, sig, term, args, memo):
+    """Value of term's symbol applied to the values of its arguments.  A
+    selector applied to another constructor's value gives its sort's
+    default, built once per walk and kept in memo under the sort's name."""
     label = term.label
     if is_numeral(label):
         return int(label)
@@ -266,7 +270,12 @@ def _apply(model, sig, term, args):
         matches = args[0].__class__ is AdtVal and args[0].ctor == ctor.name
         if kind == "tester":
             return matches
-        return args[0].args[i] if matches else default_value(ctor.selectors[i][1])
+        if matches:
+            return args[0].args[i]
+        sort = ctor.selectors[i][1]
+        if sort.name not in memo:
+            memo[sort.name] = default_value(sort)
+        return memo[sort.name]
     if label in model.constants:
         return model.constants[label]
     if label in model.functions:

@@ -8,7 +8,9 @@ core whose extraction keeps the existential closure, and extract.  Every
 variable equated (even implicitly, through transitivity and congruence) to
 a ground term is guaranteed to disappear.  Everything after the build is
 ``reduce``, the one reduction tail, which ``mbp`` runs on its saturated
-egraph as well.
+egraph as well.  The tail never asks the egraph's groundness analysis
+(``EGraph.cground``): seeding the search with the ground leaves already
+gives every ground class a constructively ground representative.
 
 The tail reads the graph's frozen class view (``EGraph.view``), built once:
 class roots and member lists by node id, and distinct-child counts.  The
@@ -19,69 +21,11 @@ only, since congruent nodes share a class.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .egraph import EGraph
 from .extraction import ReprFn, to_expr, to_formula
 from .terms import Formula, Signature, TermStore
-
-
-@dataclass
-class CGroundInfo:
-    cground: set        # node ids that rewrite into ground terms
-    ground_class: set   # roots of classes containing such a node
-    nodes: int = 0      # the graph's node count when computed
-    merges: int = 0     # the length of its merge log then
-
-
-def compute_cground(g: EGraph, info: CGroundInfo = None) -> CGroundInfo:
-    """Least fixpoint of: a node is constructively ground if its own term is
-    ground, or it has children and every child's class contains one.
-
-    Given info, an earlier result for g (which has since only gained nodes
-    and merged classes), updates it in place from the nodes added and the
-    merges logged since, and returns it.  A merged class that holds an
-    earlier ground root is ground: its absorbed roots leave ground_class,
-    and the parents of all its members are re-queued, since members of the
-    side that was not ground now sit in a ground class (either side may be
-    the one absorbed)."""
-    if info is None:  # no class is ground yet, so no merge needs a look
-        info = CGroundInfo(set(), set(), 0, len(g.merge_log))
-    ground_class = info.ground_class
-    pending = deque()
-
-    def mark(n):
-        info.cground.add(n)
-        root = g.find(n)
-        if root not in ground_class:
-            ground_class.add(root)
-            for m in g.class_of(root):
-                pending.extend(g.parents(m))
-
-    for root in {g.find(r) for r in g.merge_log[info.merges:]}:
-        members = g.class_of(root)
-        old_roots = [m for m in members if m in ground_class]
-        if old_roots:
-            ground_class.difference_update(old_roots)
-            ground_class.add(root)
-            for m in members:
-                pending.extend(g.parents(m))
-    for n in range(info.nodes, len(g.nodes)):
-        if g.nodes[n].term.ground:
-            mark(n)
-        else:
-            pending.append(n)
-    while pending:
-        p = pending.popleft()
-        node = g.nodes[p]
-        if p in info.cground or not node.children:
-            continue
-        if all(g.find(c) in ground_class for c in node.children):
-            mark(p)
-    info.nodes, info.merges = len(g.nodes), len(g.merge_log)
-    return info
 
 
 def process(g: EGraph, r: ReprFn, todo: Iterable[int]) -> ReprFn:

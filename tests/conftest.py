@@ -9,8 +9,7 @@ from types import GeneratorType
 import pytest
 
 from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
-                      compute_cground, parse_model, parse_problem,
-                      term_to_sexpr)
+                      parse_model, parse_problem, term_to_sexpr)
 from egraphqe.extraction import has_cycle
 from egraphqe.model import (AdtVal, ArrayVal, Elem, Model, ModelError, mk_array,
                             show)
@@ -45,20 +44,55 @@ def check_congruence(g):
     return True
 
 
-def is_ground_class(info, g, n):
-    """Whether n's class holds a constructively ground node (info is
-    compute_cground(g))."""
-    return g.find(n) in info.ground_class
+def ref_compute_cground(g):
+    """Reference for EGraph.cground and EGraph.ground_class: the least
+    fixpoint that ``qel.compute_cground`` computed from scratch before the
+    egraph kept the analysis.  A node is constructively ground if its own
+    term is ground, or it has children and every child's class contains
+    one.  Returns the ground node ids and the roots of the ground classes."""
+    cground, ground_class = set(), set()
+    pending = deque()
+
+    def mark(n):
+        cground.add(n)
+        root = g.find(n)
+        if root not in ground_class:
+            ground_class.add(root)
+            for m in g.class_of(root):
+                pending.extend(g.parents(m))
+
+    for n in range(len(g.nodes)):
+        if g.nodes[n].term.ground:
+            mark(n)
+        else:
+            pending.append(n)
+    while pending:
+        p = pending.popleft()
+        node = g.nodes[p]
+        if p in cground or not node.children:
+            continue
+        if all(g.find(c) in ground_class for c in node.children):
+            mark(p)
+    return cground, ground_class
+
+
+def check_ground_analysis(g, where=""):
+    """The graph's groundness of every node and class equals the
+    reference's."""
+    cground, ground_class = ref_compute_cground(g)
+    for n in g.node_ids():
+        assert g.cground(n) == (n in cground), (where, n)
+        assert g.ground_class(n) == (g.find(n) in ground_class), (where, n)
 
 
 def is_maximally_ground(g, r):
     """Every node of a ground class has a constructively ground
-    representative."""
-    info = compute_cground(g)
+    representative (by the reference analysis)."""
+    cground, ground_class = ref_compute_cground(g)
     for node in g.nodes:
-        if g.find(node.id) in info.ground_class:
+        if g.find(node.id) in ground_class:
             rep = r.get(node.id)
-            if rep is None or rep not in info.cground:
+            if rep is None or rep not in cground:
                 return False
     return True
 

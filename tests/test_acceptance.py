@@ -6,11 +6,11 @@ import random
 import time
 
 from egraphqe import (Bounds, EGraph, InadmissibleReprError, SortKind,
-                      compute_cground, equiv_exists, find_defs, find_model,
+                      equiv_exists, find_defs, find_model,
                       implies_exists, is_admissible, mbp, qel, refine_defs,
                       satisfies, to_expr, to_formula)
 
-from conftest import (is_ground_class, is_maximally_ground, load, load_mbp,
+from conftest import (is_maximally_ground, load, load_mbp,
                       random_euf_instance,
                       random_grounded_var_instance,
                       random_projection_instance, random_total_repr)
@@ -95,11 +95,10 @@ def test_criterion_3_ground_definitions_eliminated():
         sig, store, formula = random_grounded_var_instance(rng)
         g = EGraph.from_formula(sig, store, formula)
         r = find_defs(g)
-        info = compute_cground(g)
         v0 = next(n.id for n in g.nodes if n.label == "v0")
         rep = r.get(v0)
-        assert is_ground_class(info, g, v0), "class of v0 not ground"
-        assert rep in info.cground, "representative not constructively ground"
+        assert g.ground_class(v0), "class of v0 not ground"
+        assert g.cground(rep), "representative not constructively ground"
         assert to_expr(g, rep, r).ground, "extraction not ground"
         out = qel(sig, store, formula)
         assert "v0" not in out.free_vars, "v0 not eliminated"

@@ -1,10 +1,16 @@
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from egraphqe import (EGraph, InconsistentFormulaError, Literal,
                       parse_problem)
 from egraphqe.terms import mk_formula
 
-from conftest import check_congruence, load, random_euf_instance
+from conftest import (check_congruence, check_ground_analysis, load,
+                      random_euf_instance)
 
 
 def _classes(g):
@@ -335,6 +341,42 @@ def test_class_lists_and_parents_match_a_reference(rng):
                 assert view.members[n] == members and view.root[n] == g.find(n)
                 assert all(view.members[m] is view.members[n] for m in members)
                 assert view.distinct[n] == len(set(g.nodes[n].children))
+
+
+def _qel_euf_generate():
+    """The qel-euf benchmark workload's problem generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module.QelEuf.generate
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ground_analysis_matches_the_reference_on_qel_euf_sequences(seed):
+    """The qel-euf literals, one at a time: both sides added, then asserted
+    equal or disequal.  Groundness is first asked before any literal,
+    midway, or after the last, and from then on checked against the
+    reference after every literal."""
+    rng = random.Random(seed)
+    nodes = rng.choice((50, 100, 200, 400))
+    prob = parse_problem(_qel_euf_generate()(rng, nodes)[0])
+    literals = prob.formula.literals
+    for first in (0, len(literals) // 2, len(literals)):
+        g = EGraph(prob.sig, prob.store)
+        for k, lit in enumerate(literals):
+            if k == first:
+                check_ground_analysis(g, (seed, first, k))
+            g.add_term(lit.lhs)
+            g.add_term(lit.rhs)
+            if lit.kind == "eq":
+                g.assert_eq(lit.lhs, lit.rhs)
+            else:
+                g.assert_diseq(lit.lhs, lit.rhs)
+            if k >= first:
+                check_ground_analysis(g, (seed, first, k))
+        check_ground_analysis(g, (seed, first))
 
 
 def test_var_names_in_node_order_at_twenty_thousand_variables():

@@ -5,13 +5,13 @@ import pytest
 
 from egraphqe import (Bounds, EGraph, InputError, Model,
                       ModelMismatchError, SaturationBudgetError, Signature,
-                      TermStore, compute_cground, find_model,
+                      TermStore, find_model,
                       formula_to_sexpr, implies_exists, mbp, parse_model, qel,
                       satisfies)
 from egraphqe.parser import parse_problem
 
-from conftest import (DEMOS, load_mbp, random_projection_instance, reparse,
-                      same_literals)
+from conftest import (DEMOS, check_ground_analysis, load_mbp,
+                      random_projection_instance, reparse, same_literals)
 
 # the package exports the function mbp under the module's name
 mbp_module = importlib.import_module("egraphqe.mbp")
@@ -665,29 +665,27 @@ def test_320_reads_fit_the_default_budget():
     assert satisfies(res.model, prob.sig, res.formula)
 
 
-# -- constructive groundness carried across saturation passes --------------------
+# -- constructive groundness, kept by the egraph across saturation passes ------
 
-def test_carried_cground_equals_a_fresh_one(monkeypatch):
-    """At the start of every pass, and on the saturated graph, the analysis
-    mbp carries equals one computed from scratch."""
-    def checked(g, info=None):
-        got = compute_cground(g, info)
-        fresh = compute_cground(g)
-        assert got.cground == fresh.cground
-        assert got.ground_class == fresh.ground_class
-        carried.append(got)
-        return got
+def test_ground_analysis_matches_the_reference_at_every_pass(monkeypatch):
+    """At the start of every pass, and on the saturated graph, the egraph's
+    groundness of every node and class equals one computed from scratch."""
+    def checked(state, family, watermark):
+        check_ground_analysis(state.g, name)
+        passes.append(watermark)
+        return apply_rules(state, family, watermark)
 
-    monkeypatch.setattr(mbp_module, "compute_cground", checked)
+    apply_rules = mbp_module.apply_rules
+    monkeypatch.setattr(mbp_module, "apply_rules", checked)
     for name, build in _twin_instances():
-        carried = []
+        passes = []
         sig, store, formula, var_names, model = build()
         g = mbp(sig, store, formula, var_names, model).graph
-        assert carried, name
-        checked(g, carried[-1])
+        assert passes, name
+        check_ground_analysis(g, name)
 
 
-def test_carried_cground_takes_in_merges_either_way():
+def test_ground_analysis_takes_in_merges_either_way():
     sig = Signature()
     u = sig.declare_sort("U")
     sig.declare_const("c", u)
@@ -698,35 +696,51 @@ def test_carried_cground_takes_in_merges_either_way():
     c, x = store.mk_const("c"), store.mk_const("x")
     fx, hx = store.mk_app("f", (x,)), store.mk_app("h", (x,))
 
-    def same_as_fresh(g, info):
-        fresh = compute_cground(g)
-        assert (info.cground, info.ground_class) == \
-            (fresh.cground, fresh.ground_class)
-
     # the ground class has the older root and absorbs x, whose member has
-    # the parent f(x): re-canonicalizing the ground roots alone misses it
+    # the parent f(x): re-checking the parents of the absorbed side's
+    # members is what finds it
     g = EGraph(sig, store)
     g.add_term(c)
     g.add_term(fx)
-    info = compute_cground(g)
-    assert info.ground_class == {g.add_term(c)}
+    assert [g.ground_class(n) for n in g.node_ids()] == [True, False, False]
     g.assert_eq(c, x)
-    info = compute_cground(g, info)
-    assert g.add_term(fx) in info.cground
-    same_as_fresh(g, info)
+    assert g.cground(g.add_term(fx))
+    check_ground_analysis(g)
     # a node added later over a child that is ground already
     g.add_term(hx)
-    info = compute_cground(g, info)
-    assert g.add_term(hx) in info.cground
-    same_as_fresh(g, info)
+    assert g.cground(g.add_term(hx))
+    check_ground_analysis(g)
 
-    # the other way round: x's class has the older root and absorbs c
+    # the other way round: x's class has the older root and absorbs c, so
+    # the side that just became ground is the one that survives
     g = EGraph(sig, store)
     g.add_term(fx)
     g.add_term(c)
-    info = compute_cground(g)
+    assert not g.ground_class(g.add_term(x))
     g.assert_eq(x, c)
-    info = compute_cground(g, info)
-    assert info.ground_class == {g.find(g.add_term(x)),
-                                 g.find(g.add_term(fx))}
-    same_as_fresh(g, info)
+    assert g.ground_class(g.add_term(x)) and g.ground_class(g.add_term(fx))
+    assert g.cground(g.add_term(fx))
+    check_ground_analysis(g)
+
+
+def test_a_disequality_made_ground_earlier_in_the_pass_is_not_split():
+    """The node rules of a pass deconstruct q and p2 into selector
+    equalities, which make both sides of p2 != r ground before the
+    disequality rules run.  The pass reads groundness live, so the
+    disequality is left whole, where a snapshot from the start of the pass
+    split it into (distinct (fa t) (fb r))."""
+    prob = parse_problem("""
+    (declare-datatype V ((v0) (v1)))
+    (declare-datatype P ((mk (fa V) (fb V)) (nl)))
+    (declare-var q P) (declare-var p2 P) (declare-var x V)
+    (declare-const t P) (declare-const r P) (declare-const d V)
+    (assert (= q t)) (assert (= q (mk x d))) (assert (= p2 (mk d x)))
+    (assert (distinct p2 r))
+    """)
+    model = find_model(prob.sig, prob.store, prob.formula, Bounds(universe=2))
+    res = mbp(prob.sig, prob.store, prob.formula, ["q", "p2", "x"], model)
+    assert res.rule_fires == {"adt_deconstruct_eq": 2}
+    assert formula_to_sexpr(res.formula) == (
+        "(and (= t (mk (fa t) d)) (= d (fb t)) (= d (fa (mk d (fa t))))"
+        " (= (fa t) (fb (mk d (fa t)))) (distinct (mk d (fa t)) r))")
+    assert satisfies(res.model, prob.sig, res.formula)

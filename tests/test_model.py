@@ -136,6 +136,29 @@ def test_selector_on_wrong_constructor_gives_default():
     assert eval_term(m, sig, tester) == True
 
 
+def test_selector_defaults_are_built_once_per_sort_in_one_walk(monkeypatch):
+    """Fifty selectors applied to the other constructor, over a field sort
+    nested 2,000 deep: one satisfies builds that sort's default once."""
+    import egraphqe.model as model_module
+    problem, text = deep_model_problems()["selector"]
+    problem += "".join(f" (declare-var x{k} P) (assert (= y (fld x{k})))"
+                       for k in range(50))
+    text += "".join(f" (define-value x{k} (nil))" for k in range(50))
+    prob = parse_problem(problem)
+    model = parse_model(text, prob.sig)
+    calls = []
+
+    def counted(within):
+        calls.append(list(within))
+        return default_values(within)
+
+    default_values = model_module.default_values
+    monkeypatch.setattr(model_module, "default_values", counted)
+    assert len(prob.formula.literals) == 51
+    assert satisfies(model, prob.sig, prob.formula)
+    assert len(calls) == 1
+
+
 def test_missing_interpretation_detected_at_eval():
     sig, store, model = _setup()
     sig.declare_const("w", sig.sorts["Int"])

@@ -1,7 +1,7 @@
 import pytest
 
 from egraphqe import (Bounds, EGraph, InadmissibleReprError, InconsistentFormulaError,
-                      Literal, ReprFn, SortKind, compute_cground, equiv_exists,
+                      Literal, ReprFn, SortKind, equiv_exists,
                       find_core, find_defs, find_model, formula_to_sexpr,
                       is_admissible, mbp, process, qel, refine_defs, to_expr,
                       to_formula)
@@ -10,7 +10,7 @@ from egraphqe.qel import _makes_cycle, reduce
 from egraphqe.terms import mk_formula
 
 from conftest import (DEMOS, DISTINCT_TERM_PROBLEMS, chain_problem,
-                      core_reachable_nodes, is_ground_class, is_maximally_ground, load, load_mbp,
+                      core_reachable_nodes, is_maximally_ground, load, load_mbp,
                       random_euf_instance, random_grounded_var_instance,
                       random_projection_instance, random_total_repr, ref_find_defs,
                       ref_process, ref_reduce, ref_to_formula, tower_problem)
@@ -43,29 +43,27 @@ NO_GROUND = """
 
 def test_cground_read_chain():
     prob, g = _graph("read_chain.smt2")
-    info = compute_cground(g)
     gt = _node(g, ">")
-    assert gt in info.cground  # 3 > z rewrites ground although z is a variable
+    assert g.cground(gt)  # 3 > z rewrites ground although z is a variable
     for n in _nodes(g, "read"):
-        assert n not in info.cground
+        assert not g.cground(n)
     z = _node(g, "z")
-    assert is_ground_class(info, g, z)
+    assert g.ground_class(z)
     x = _node(g, "x")
-    assert not is_ground_class(info, g, x)
+    assert not g.ground_class(x)
 
 
 def test_cground_all_ground_formula():
     prob = parse_problem(
         "(declare-const c Int) (declare-const d Int) (assert (= (+ c 1) d))")
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
-    info = compute_cground(g)
-    assert info.cground == set(g.node_ids())
+    assert all(g.cground(n) for n in g.node_ids())
 
 
 def test_cground_empty_without_ground_leaves():
     prob = parse_problem(NO_GROUND)
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
-    assert compute_cground(g).cground == set()
+    assert not any(g.cground(n) for n in g.node_ids())
 
 
 def test_find_defs_read_chain_picks():
@@ -305,11 +303,10 @@ def test_ground_definition_always_eliminates(rng):
         sig, store, formula = random_grounded_var_instance(rng)
         g = EGraph.from_formula(sig, store, formula)
         r = find_defs(g)
-        info = compute_cground(g)
         v0 = next(n.id for n in g.nodes if n.label == "v0")
-        assert is_ground_class(info, g, v0)
+        assert g.ground_class(v0)
         rep = r.get(v0)
-        assert rep in info.cground
+        assert g.cground(rep)
         assert to_expr(g, rep, r).ground
         out = qel(sig, store, formula)
         assert "v0" not in out.free_vars
