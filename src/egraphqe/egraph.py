@@ -1,12 +1,14 @@
 """Egraph: a term DAG plus a congruence-closed equivalence on its nodes.
 
 Nodes are created in term order and never removed; ``add_term`` walks a
-term iteratively, once per distinct subterm, so depth is unbounded.  The
-union-find always keeps the oldest node id as class root, so class
-enumeration is deterministic; ``class_of`` sorts a class once and hands out
-that list until a merge touches the class.  A disequality is recorded once,
-as a node pair in ``diseqs``, and adds no node beyond its two sides; a
-``distinct`` term in the input is an ordinary Bool term.  Disequalities never drive
+term iteratively, once per distinct subterm, so depth is unbounded.  Each
+node stores its class root (quick-find): a merge relabels the members of
+the absorbed class in the walk it makes over them anyway, so ``find`` is a
+list read.  The oldest node id stays class root, so class enumeration is
+deterministic; ``class_of`` sorts a class once and hands out that list
+until a merge touches the class.  A disequality is recorded once, as a node
+pair in ``diseqs``, and adds no node beyond its two sides; a ``distinct``
+term in the input is an ordinary Bool term.  Disequalities never drive
 merging but make the graph reject inconsistent inputs, and extraction
 emits them from ``diseqs``.
 
@@ -16,12 +18,13 @@ each merging class, so it scans the shorter of the two lists and appends it
 to the longer one; no assertion rescans every disequality.
 
 The graph keeps constructive groundness as an e-class analysis (egg,
-Willsey et al., POPL 2021, section 4) from the first question on: a node is
-``cground`` if it is a leaf with a ground term or every child's class is
-ground, a class is ground if it holds such a node, and a new node or a merge
-that grounds one side re-checks only the nodes it touches.  The node count
-and a merge counter stamp ``view``, the read-only ``ClassView`` that the
-reduction tail reads once the graph is final.
+Willsey et al., POPL 2021, section 4): a node is ``cground`` if it is a
+leaf with a ground term or every child's class is ground, and a class is
+ground if it holds such a node.  A question first settles the nodes added
+since the last one (a node-count watermark), and a merge that grounds one
+side re-checks only the parents of the members that just became ground.
+The node count and a merge counter stamp ``view``, the read-only
+``ClassView`` that the reduction tail reads once the graph is final.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ class EGraph:
         self.sig = sig
         self.store = store
         self.nodes = []
-        self._uf = []          # union-find parent per node id
+        self._root = []        # class root per node id
         self._members = {}     # root id -> list of member ids
         self._class_view = {}  # root id -> sorted members, until a merge
         self._parents = {}     # node id -> set of structural parent ids
@@ -76,8 +79,9 @@ class EGraph:
         self._violation = None    # first disequal pair found merged
         self._merges = 0          # merges so far, for the view stamp
         self._view = None         # (node count, merge count, ClassView)
-        self._cground = None      # cground node ids, from the first question
-        self._ground = None       # roots of the ground classes, likewise
+        self._cground = set()     # cground node ids among the settled ones
+        self._ground = set()      # roots of the ground classes
+        self._settled = 0         # nodes below this id are in the analysis
 
     # -- construction ------------------------------------------------------
 
@@ -117,14 +121,12 @@ class EGraph:
         nid = len(self.nodes)
         node = ENode(nid, term.label, child_ids, term)
         self.nodes.append(node)
-        self._uf.append(nid)
+        self._root.append(nid)
         self._members[nid] = [nid]
         self._parents[nid] = set()
         self._term_node[term.id] = nid
         for c in child_ids:
             self._parents[c].add(nid)
-        if self._cground is not None:
-            self._settle([nid])
         key = self._canon_key(node)
         other = self._cong.setdefault(key, nid)
         if other != nid:
@@ -147,33 +149,30 @@ class EGraph:
             self._violation = self._violation or (a, b)
             self._check_consistent()
 
-    # -- union-find + congruence closure ------------------------------------
+    # -- class roots + congruence closure -----------------------------------
 
     def find(self, n: int) -> int:
-        root = n
-        while self._uf[root] != root:
-            root = self._uf[root]
-        while self._uf[n] != root:
-            self._uf[n], n = root, self._uf[n]
-        return root
+        return self._root[n]
 
     def _merge(self, a, b):
+        root = self._root
         queue = [(a, b)]
         regrounded = []  # members of the side that was not ground
         while queue:
             x, y = queue.pop()
-            rx, ry = self.find(x), self.find(y)
+            rx, ry = root[x], root[y]
             if rx == ry:
                 continue
             if rx > ry:
                 rx, ry = ry, rx  # the older id stays root
             absorbed = self._members.pop(ry)
-            self._uf[ry] = rx
+            for m in absorbed:
+                root[m] = rx
             self._merges += 1
             self._class_view.pop(rx, None)
             self._class_view.pop(ry, None)
             ground = self._ground
-            if ground is not None and (rx in ground or ry in ground):
+            if rx in ground or ry in ground:
                 if rx not in ground or ry not in ground:
                     regrounded += absorbed if rx in ground else self._members[rx]
                 ground.discard(ry)
@@ -187,7 +186,7 @@ class EGraph:
                 for p in self._parents[m]:
                     key = self._canon_key(self.nodes[p])
                     q = self._cong.setdefault(key, p)
-                    if self.find(q) != self.find(p):
+                    if root[q] != root[p]:
                         queue.append((q, p))
         if regrounded:
             self._settle([p for m in regrounded for p in self._parents[m]])
@@ -202,7 +201,7 @@ class EGraph:
             self._class_diseqs[rx] = kept
         if self._violation is None:
             for a, b in moved:
-                if self.find(a) == self.find(b):
+                if self._root[a] == self._root[b]:
                     self._violation = (a, b)
                     break
         kept.extend(moved)
@@ -212,31 +211,31 @@ class EGraph:
     def cground(self, n: int) -> bool:
         """Whether node n rewrites into a ground term: it is a leaf whose
         term is ground, or every child's class is ground."""
-        if self._cground is None:
-            self._cground, self._ground = set(), set()
-            self._settle(range(len(self.nodes)))
+        if self._settled < len(self.nodes):
+            self._settle(range(self._settled, len(self.nodes)))
+            self._settled = len(self.nodes)
         return n in self._cground
 
     def ground_class(self, n: int) -> bool:
         """Whether n's class holds a constructively ground node."""
-        return self.cground(n) or self.find(n) in self._ground
+        return self.cground(n) or self._root[n] in self._ground
 
     def _settle(self, pending):
         """Check the pending nodes, and the parents of the members of every
         class that becomes ground, until no node changes."""
-        cground, ground, find = self._cground, self._ground, self.find
+        cground, ground, root = self._cground, self._ground, self._root
         pending = list(pending)
         while pending:
             n = pending.pop()
             children = self.nodes[n].children
-            if n in cground or not (all(find(c) in ground for c in children)
+            if n in cground or not (all(root[c] in ground for c in children)
                                     if children else self.nodes[n].term.ground):
                 continue
             cground.add(n)
-            root = find(n)
-            if root not in ground:
-                ground.add(root)
-                for m in self._members[root]:
+            r = root[n]
+            if r not in ground:
+                ground.add(r)
+                for m in self._members[r]:
                     pending += self._parents[m]
 
     def congruence_key(self, n: int):
@@ -244,7 +243,8 @@ class EGraph:
         return self._canon_key(self.nodes[n])
 
     def _canon_key(self, node: ENode):
-        return (node.label, tuple([self.find(c) for c in node.children]))
+        root = self._root
+        return (node.label, tuple([root[c] for c in node.children]))
 
     def _check_consistent(self):
         top, bot = self._const_node("true"), self._const_node("false")
@@ -269,18 +269,13 @@ class EGraph:
         stamp = (len(self.nodes), self._merges)
         if self._view is not None and self._view[:2] == stamp:
             return self._view[2]
-        root = [0] * len(self.nodes)
         members = [None] * len(self.nodes)
-        for r, cls in self._members.items():
-            if len(cls) == 1:
-                root[r], members[r] = r, [r]
-                continue
+        for cls in self._members.values():
             cls = sorted(cls)
             for m in cls:
-                root[m] = r
                 members[m] = cls
         distinct = [len(set(node.children)) for node in self.nodes]
-        view = ClassView(root, members, distinct)
+        view = ClassView(self._root[:], members, distinct)
         self._view = (*stamp, view)
         return view
 

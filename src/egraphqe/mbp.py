@@ -4,12 +4,14 @@ Saturates theory projection rules over the egraph of the input under a
 satisfying model, then runs the quantifier-reduction tail (``qel.reduce``)
 with every array/datatype variable as taint, which drops every node whose
 extraction still mentions one.  Rules only ever add terms, merges, and
-disequalities.  Nodes are append-only, so one integer watermark per rule
-family (the node count at the start of its last pass) says which nodes
-were offered already; per-rule marks on the remaining keys keep saturation
-terminating.  A pass asks the egraph, which keeps constructive groundness
-up to date as rules add nodes and merge classes, which nodes to skip; it
-reads the answer live, so a rule sees what the rules before it made ground.
+disequalities.  Nodes and disequalities are append-only, so each rule
+family keeps one watermark pair (how many nodes and disequalities its
+passes have offered) and offers each node and each disequality once.  One
+offering visits distinct keys, so a rule keeps no record of what it did,
+except ``partial_eq``, which meets a pair of array nodes from both ends.  A
+pass asks the egraph, which keeps constructive groundness as rules add
+nodes and merge classes, which nodes to skip; it reads the answer live, so
+a rule sees what the rules before it made ground.
 
 The array rules rewrite read-over-write patterns, turn array equalities
 into partial-equality obligations, unwind writes out of those obligations,
@@ -59,7 +61,7 @@ class _State:
     fires: dict = field(default_factory=dict)
     total: int = 0
     fresh: int = 0
-    marks: dict = field(default_factory=dict)  # rule name -> set of keys
+    peqs: set = field(default_factory=set)  # node pairs partial_eq did
     # projected base node id -> {index value: (first read id, index term)}
     index_classes: dict = field(default_factory=dict)
 
@@ -77,14 +79,6 @@ class _State:
         if self.total > self.budget:
             raise SaturationBudgetError(
                 f"more than {self.budget} rule applications")
-
-    def mark(self, rule, key) -> bool:
-        """True (and remembers the key) when (rule, key) is new."""
-        done = self.marks.setdefault(rule, set())
-        if key in done:
-            return False
-        done.add(key)
-        return True
 
     def meval(self, term: Term):
         return eval_term(self.model, self.sig, term)
@@ -112,6 +106,8 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
     variable.  Variables the rules introduce along the way are eliminated by
     the same pipeline.
     """
+    if budget < 0:
+        raise InputError(f"budget must not be negative, got {budget}")
     var_names = list(var_names)
     for v in var_names:
         sort = sig.variables.get(v)
@@ -138,49 +134,55 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
 def _saturate(state: _State):
     """Run the array family to its fixpoint, then the datatype family, and
     repeat until neither makes progress."""
-    marks = dict.fromkeys(_FAMILIES, 0)
+    watermarks = dict.fromkeys(_FAMILIES, (0, 0))
     progress = True
     while progress:
         progress = False
         for family in _FAMILIES:
             fired = True
             while fired:
-                fired, marks[family] = apply_rules(state, family, marks[family])
+                fired, watermarks[family] = apply_rules(
+                    state, family, watermarks[family])
                 progress = progress or fired
 
 
-def apply_rules(state: _State, family, watermark: int) -> tuple:
+def apply_rules(state: _State, family, watermark: tuple) -> tuple:
     """One pass of a rule family (node rules, read rules, disequality
-    rules) over the nodes that exist when it starts.  Nodes from the
-    watermark on go to the node rules (equality bookkeeping always, others
-    only when not constructively ground).  The reads among them, in id
-    order, go to each read rule at once, ground or not.  Unresolved
-    disequalities go to the disequality rules, except those whose sides
-    are both in ground classes.  Groundness is read when each node or
-    disequality is offered, not at the start of the pass.  Returns whether
-    a rule fired and the watermark for the next pass: the node count at the
-    start of this one."""
+    rules) from a watermark, the (node count, disequality count) that
+    earlier passes offered.  The nodes from there to the node count at the
+    start of the pass go to the node rules (equality bookkeeping always,
+    others only when not constructively ground).  The reads among them, in
+    id order, go to each read rule at once, ground or not.  The
+    disequalities from there to the count when the disequality rules start
+    go to those rules, except those whose sides are both in ground classes.
+    Whether a rule fires on a disequality depends only on its two nodes and
+    on groundness, which only grows, so none is offered twice.  Groundness
+    is read when each node or disequality is offered, not at the start of
+    the pass.  Returns whether a rule fired and the watermark for the next
+    pass."""
     node_rules, read_rules, diseq_rules = family
     g = state.g
     progress = False
+    start, diseq_start = watermark
     size = len(g.nodes)
-    for n in range(watermark, size):
+    for n in range(start, size):
         if g.nodes[n].label == "peq" or not g.cground(n):
             for rule in node_rules:
                 if rule(state, n):
                     progress = True
     if read_rules:
-        reads = [n for n in range(watermark, size) if g.nodes[n].label == "read"]
+        reads = [n for n in range(start, size) if g.nodes[n].label == "read"]
         for rule in read_rules:
             if rule(state, reads):
                 progress = True
+    diseq_size = len(g.diseqs)
     for rule in diseq_rules:
-        for a, b in list(g.diseqs):
+        for a, b in g.diseqs[diseq_start:diseq_size]:
             if g.ground_class(a) and g.ground_class(b):
                 continue  # both sides become ground terms; no split needed
             if rule(state, a, b):
                 progress = True
-    return progress, size
+    return progress, (size, diseq_size)
 
 
 # -- array rules --------------------------------------------------------------
@@ -201,8 +203,6 @@ def _rule_elim_wr_rd(state: _State, n: int) -> bool:
             continue
         s, i, v = (g.nodes[c] for c in wnode.children)
         if not state.term_has_projected(s.term):
-            continue
-        if not state.mark("elim_wr_rd", (n, w)):
             continue
         jterm = g.nodes[j].term
         if state.meval(i.term) == state.meval(jterm):
@@ -232,8 +232,9 @@ def _rule_partial_eq(state: _State, n: int) -> bool:
         if not (state.term_has_projected(g.nodes[a].term)
                 or state.term_has_projected(g.nodes[b].term)):
             continue
-        if not state.mark("partial_eq", (a, b)):
+        if (a, b) in state.peqs:
             continue
+        state.peqs.add((a, b))
         peq = state.store.mk_app("peq", (g.nodes[a].term, g.nodes[b].term))
         g.assert_eq(peq, state.store.top)
         state.fired("partial_eq")
@@ -252,14 +253,13 @@ def _rule_elim_wr(state: _State, n: int) -> bool:
         return False
     store = state.store
     fired = False
-    for s_id, w_id in ((node.children[0], node.children[1]),
-                       (node.children[1], node.children[0])):
+    lhs, rhs = node.children[:2]
+    # each side once: peq(s, s, I) has one
+    for s_id, w_id in dict.fromkeys(((lhs, rhs), (rhs, lhs))):
         wnode = g.nodes[w_id]
         if wnode.label != "write":
             continue
         if not state.term_has_projected(wnode.term):
-            continue
-        if not state.mark("elim_wr", (n, w_id)):
             continue
         sterm = g.nodes[s_id].term
         uterm, iterm, vterm = (g.nodes[c].term for c in wnode.children)
@@ -293,8 +293,6 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
             continue
         if v.label in e.term.vars:
             continue
-        if not state.mark("elim_eq", (n, v.id)):
-            return False
         idx_terms = [g.nodes[c].term for c in node.children[2:]]
         chosen = []
         seen_vals = []
@@ -377,8 +375,6 @@ def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
         if role is None or role[0] != "constructor" or role[1].arity == 0:
             continue
         ctor = role[1]
-        if not state.mark("adt_deconstruct_eq", (n, m)):
-            continue
         for (sel, _), arg in zip(ctor.selectors, mnode.children):
             g.assert_eq(store.mk_app(sel, (node.term,)), g.nodes[arg].term)
         state.fired("adt_deconstruct_eq")
@@ -397,8 +393,6 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
             continue
         if v.term.sort.kind is not SortKind.ADT:
             continue
-        if not state.mark("adt_split_diseq", (min(a, b), max(a, b))):
-            return False
         store = state.store
         vv = state.meval(v.term)
         tv = state.meval(t.term)

@@ -10,6 +10,7 @@ import pytest
 
 from egraphqe import (EGraph, Literal, Signature, TermStore, build_repr_graph,
                       parse_model, parse_problem, term_to_sexpr)
+from egraphqe.egraph import ClassView
 from egraphqe.extraction import has_cycle
 from egraphqe.model import (AdtVal, ArrayVal, Elem, Model, ModelError, mk_array,
                             show)
@@ -95,6 +96,80 @@ def is_maximally_ground(g, r):
             if rep is None or rep not in cground:
                 return False
     return True
+
+
+class RefUnionFindEGraph(EGraph):
+    """An egraph whose classes live in the path-compressing union-find
+    forest that ``EGraph`` kept before it stored one root per node: a merge
+    links the newer root under the older one, and ``find`` walks to the
+    root and points every node on the path at it.  It leaves the library's
+    root array alone, so it must not be asked about groundness."""
+
+    def __init__(self, sig, store):
+        super().__init__(sig, store)
+        self._uf = []
+
+    def _add_node(self, term, child_ids):
+        self._uf.append(len(self.nodes))
+        return super()._add_node(term, child_ids)
+
+    def find(self, n):
+        root = n
+        while self._uf[root] != root:
+            root = self._uf[root]
+        while self._uf[n] != root:
+            self._uf[n], n = root, self._uf[n]
+        return root
+
+    def _canon_key(self, node):
+        return (node.label, tuple([self.find(c) for c in node.children]))
+
+    def _merge(self, a, b):
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            rx, ry = self.find(x), self.find(y)
+            if rx == ry:
+                continue
+            if rx > ry:
+                rx, ry = ry, rx
+            absorbed = self._members.pop(ry)
+            self._uf[ry] = rx
+            self._merges += 1
+            self._class_view.pop(rx, None)
+            self._class_view.pop(ry, None)
+            self._members[rx].extend(absorbed)
+            moved = self._class_diseqs.pop(ry, None)
+            if moved is not None:
+                self._move_diseqs(rx, moved)
+            for m in absorbed:
+                for p in self._parents[m]:
+                    key = self._canon_key(self.nodes[p])
+                    q = self._cong.setdefault(key, p)
+                    if self.find(q) != self.find(p):
+                        queue.append((q, p))
+
+    def _move_diseqs(self, rx, moved):
+        kept = self._class_diseqs.setdefault(rx, [])
+        if len(kept) < len(moved):
+            kept, moved = moved, kept
+            self._class_diseqs[rx] = kept
+        if self._violation is None:
+            for a, b in moved:
+                if self.find(a) == self.find(b):
+                    self._violation = (a, b)
+                    break
+        kept.extend(moved)
+
+    def view(self):
+        root = [0] * len(self.nodes)
+        members = [None] * len(self.nodes)
+        for r, cls in self._members.items():
+            cls = sorted(cls)
+            for m in cls:
+                root[m], members[m] = r, cls
+        return ClassView(root, members,
+                         [len(set(node.children)) for node in self.nodes])
 
 
 def is_admissible_partial(g, r):

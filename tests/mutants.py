@@ -28,6 +28,12 @@ MERGES_EITHER_WAY = "tests/test_mbp.py::test_ground_analysis_takes_in_merges_eit
 EVERY_PASS = "tests/test_mbp.py::test_ground_analysis_matches_the_reference_at_every_pass"
 QEL_EUF = ("tests/test_egraph.py::"
            "test_ground_analysis_matches_the_reference_on_qel_euf_sequences")
+ROOT_TWIN = "tests/test_egraph.py::test_root_array_matches_a_union_find_"
+MBP = "src/egraphqe/mbp.py"
+SPLIT_ONCE = ("tests/test_mbp.py::"
+              "test_each_disequality_reaches_the_split_rule_at_most_once")
+WATERMARK_TWIN = ("tests/test_mbp.py::"
+                  "test_watermarks_match_the_loop_with_per_key_marks")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -40,11 +46,30 @@ MUTANTS = [
      "regrounded += absorbed if rx in ground else self._members[rx]",
      "regrounded += absorbed",
      [MERGES_EITHER_WAY, EVERY_PASS, QEL_EUF + "[0]"]),
-    ("the first question starts from an empty analysis", EGRAPH,
-     "        self._settle(range(len(self.nodes)))\n",
-     "        self._settle(())\n",
+    ("a question settles no new node", EGRAPH,
+     "            self._settle(range(self._settled, len(self.nodes)))\n",
+     "",
      [MERGES_EITHER_WAY, QEL_EUF + "[1]",
       "tests/test_qel.py::test_cground_read_chain"]),
+    ("a question settles only the newest node", EGRAPH,
+     "self._settle(range(self._settled, len(self.nodes)))",
+     "self._settle([len(self.nodes) - 1])",
+     [MERGES_EITHER_WAY, QEL_EUF + "[1]",
+      "tests/test_qel.py::test_cground_read_chain"]),
+    ("a merge relabels only the absorbed root", EGRAPH,
+     "            for m in absorbed:\n"
+     "                root[m] = rx\n",
+     "            root[ry] = rx\n",
+     [ROOT_TWIN + "on_random_merges", ROOT_TWIN + "when_the_growing_class_is_absorbed",
+      "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference"]),
+    ("the disequality watermark is never advanced", MBP,
+     "return progress, (size, diseq_size)",
+     "return progress, (size, diseq_start)",
+     [SPLIT_ONCE, WATERMARK_TWIN,
+      "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress"]),
+    ("a partial equality of a node with itself is unwound from both sides",
+     MBP, "dict.fromkeys(((lhs, rhs), (rhs, lhs)))", "((lhs, rhs), (rhs, lhs))",
+     [WATERMARK_TWIN]),
     ("process counters count children, not distinct children", EGRAPH,
      "distinct = [len(set(node.children)) for node in self.nodes]",
      "distinct = [len(node.children) for node in self.nodes]",

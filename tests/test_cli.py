@@ -120,6 +120,15 @@ def test_budget_exit_code(capsys):
     assert code == 4
 
 
+def test_negative_budget_is_bad_input(capsys):
+    code = main(["mbp", _path("nested_pair_array.smt2"),
+                 "--model", _path("nested_pair_array.model"), "--budget", "-1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: budget must not be negative, got -1\n"
+
+
 def test_budget_and_seed_order_rejected_where_meaningless():
     for argv in (["qel", _path("read_chain.smt2"), "--budget", "1"],
                  ["qel", _path("read_chain.smt2"), "--seed-order", "id"],

@@ -9,8 +9,8 @@ from egraphqe import (EGraph, InconsistentFormulaError, Literal,
                       parse_problem)
 from egraphqe.terms import mk_formula
 
-from conftest import (check_congruence, check_ground_analysis, load,
-                      random_euf_instance)
+from conftest import (RefUnionFindEGraph, check_congruence,
+                      check_ground_analysis, load, random_euf_instance)
 
 
 def _classes(g):
@@ -377,6 +377,81 @@ def test_ground_analysis_matches_the_reference_on_qel_euf_sequences(seed):
             if k >= first:
                 check_ground_analysis(g, (seed, first, k))
         check_ground_analysis(g, (seed, first))
+
+
+def _same_classes(g, ref, where):
+    """find, class_of, roots and the class view agree on every node."""
+    assert [g.find(n) for n in g.node_ids()] == \
+        [ref.find(n) for n in ref.node_ids()], where
+    assert [g.class_of(n) for n in g.node_ids()] == \
+        [ref.class_of(n) for n in ref.node_ids()], where
+    assert g.roots() == ref.roots(), where
+    view, ref_view = g.view(), ref.view()
+    assert view.root == ref_view.root, where
+    assert view.members == ref_view.members, where
+
+
+def _replay_on_both(sig, store, steps, where):
+    """Apply (kind, t1, t2) steps to an EGraph and to the union-find twin,
+    comparing the classes after every step and the inconsistency verdict
+    with its message; return the number of steps that went through."""
+    g, ref = EGraph(sig, store), RefUnionFindEGraph(sig, store)
+    for done, (kind, t1, t2) in enumerate(steps):
+        verdicts = []
+        for graph in (g, ref):
+            try:
+                (graph.assert_eq if kind == "eq" else graph.assert_diseq)(t1, t2)
+                verdicts.append(None)
+            except InconsistentFormulaError as e:
+                verdicts.append(str(e))
+        assert verdicts[0] == verdicts[1], (where, done)
+        _same_classes(g, ref, (where, done))
+        if verdicts[0] is not None:
+            return done
+    return len(steps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_root_array_matches_a_union_find_on_qel_euf_literals(seed):
+    rng = random.Random(seed)
+    prob = parse_problem(_qel_euf_generate()(rng, rng.choice((50, 100, 200)))[0])
+    steps = [(lit.kind, lit.lhs, lit.rhs) for lit in prob.formula.literals]
+    assert _replay_on_both(prob.sig, prob.store, steps, seed) == len(steps)
+
+
+def test_root_array_matches_a_union_find_on_random_merges(rng):
+    from egraphqe import Signature, TermStore
+    from egraphqe.terms import BOOL
+    sig = Signature()
+    u = sig.declare_sort("U")
+    for c in "abcde":
+        sig.declare_const(c, u)
+    sig.declare_fun("f", [u], u)
+    sig.declare_fun("h", [u, u], u)
+    sig.declare_fun("P", [u], BOOL)
+    store = TermStore(sig)
+    raised = 0
+    for k in range(300):
+        steps = _random_assertions(rng, store, rng.randint(1, 20))
+        raised += _replay_on_both(sig, store, steps, k) < len(steps)
+    assert 30 < raised < 270  # both verdicts are well exercised
+
+
+def test_root_array_matches_a_union_find_when_the_growing_class_is_absorbed():
+    """x0 .. x{n-1} and f(x0) .. f(x{n-1}) exist first; then x{k} = x{k+1}
+    from the newest k down, so each merge absorbs the growing class into
+    an older singleton and congruence does the same to the f-nodes."""
+    n = 60
+    prob = parse_problem("(declare-sort U 0) (declare-fun f (U) U)"
+                         + "".join(f" (declare-const x{k} U)" for k in range(n)))
+    store = prob.store
+    xs = [store.mk_const(f"x{k}") for k in range(n)]
+    steps = [("eq", x, x) for x in xs]
+    steps += [("eq", store.mk_app("f", (x,)), store.mk_app("f", (x,))) for x in xs]
+    steps += [("eq", xs[k], xs[k + 1]) for k in reversed(range(n - 1))]
+    steps.append(("diseq", store.mk_app("f", (xs[0],)),
+                  store.mk_app("f", (xs[-1],))))
+    assert _replay_on_both(prob.sig, store, steps, "newest first") == len(steps) - 1
 
 
 def test_var_names_in_node_order_at_twenty_thousand_variables():

@@ -401,24 +401,48 @@ def test_budget_exhaustion_is_an_error():
         _run(prob, model, budget=1)
 
 
+def test_negative_budget_is_bad_input():
+    prob, model = load_mbp()
+    with pytest.raises(InputError, match="budget must not be negative"):
+        _run(prob, model, budget=-1)
+    with pytest.raises(SaturationBudgetError):  # zero allows no application
+        _run(prob, model, budget=0)
+
+
 def test_monotone_growth_and_second_pass_no_progress():
     prob, model = load_mbp()
     from egraphqe.egraph import EGraph
-    from egraphqe.mbp import _ARRAY_RULES, _State, apply_rules
+    from egraphqe.mbp import _ADT_RULES, _ARRAY_RULES, _State, apply_rules
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     state = _State(g, model, 10_000)
     before = len(g.nodes)
-    progress, watermark = apply_rules(state, _ARRAY_RULES, 0)
+    progress, watermark = apply_rules(state, _ARRAY_RULES, (0, 0))
     assert progress
-    assert watermark == before  # the next pass starts at this one's nodes
+    # the next pass starts at this one's nodes, and at the disequalities
+    # there were when its disequality rules started (after its node rules)
+    assert watermark[0] == before
+    assert watermark[1] == len(g.diseqs) > 0
     assert len(g.nodes) >= before
     grown = len(g.nodes)
     while progress:
+        seen = len(g.diseqs)
         progress, watermark = apply_rules(state, _ARRAY_RULES, watermark)
         assert len(g.nodes) >= grown
+        assert seen <= watermark[1] == len(g.diseqs)
         grown = len(g.nodes)
     # saturated: one more pass does nothing
     assert not apply_rules(state, _ARRAY_RULES, watermark)[0]
+    # the datatype family's first pass offers every node there is when it
+    # starts and every disequality there is when its disequality rule
+    # starts; a pass from that watermark offers neither again
+    before, diseqs = len(g.nodes), len(g.diseqs)
+    progress, watermark = apply_rules(state, _ADT_RULES, (0, 0))
+    assert progress and diseqs > 0
+    assert watermark == (before, len(g.diseqs))
+    offered = []
+    family = (_ADT_RULES[0], (), (lambda state, a, b: offered.append((a, b)),))
+    assert apply_rules(state, family, watermark)[1][1] == len(g.diseqs)
+    assert offered == []
 
 
 def test_random_projection_contract(rng):
@@ -640,7 +664,8 @@ def _projection_facts(build):
     g = res.graph
     partition = [g.find(n) for n in g.node_ids()]
     diseqs = {frozenset((g.find(a), g.find(b))) for a, b in g.diseqs}
-    return formula_to_sexpr(res.formula), partition, diseqs
+    return (formula_to_sexpr(res.formula), partition, diseqs, res.rule_fires,
+            len(g.nodes))
 
 
 def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
@@ -651,10 +676,264 @@ def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
         (node_rules, (_all_pairs_ackermann,), diseq_rules),
         mbp_module._ADT_RULES))
     for (name, build), got in zip(instances, partitioned):
-        text, partition, diseqs = _projection_facts(build)
+        text, partition, diseqs, _, _ = _projection_facts(build)
         assert got[0] == text, name
         assert got[1] == partition, name
         assert got[2] == diseqs, name
+
+
+# -- the watermarks against the loop with per-key marks -------------------------
+# The saturation loop as it was before each disequality was offered once: one
+# node watermark per family, every disequality offered on every pass, and
+# every rule remembering the keys it has done.  Each copied rule differs from
+# the library's only in its mark.
+
+def _marked(state, rule, key):
+    done = state.__dict__.setdefault("ref_marks", {}).setdefault(rule, set())
+    if key in done:
+        return False
+    done.add(key)
+    return True
+
+
+def _marked_elim_wr_rd(state, n):
+    g = state.g
+    node = g.nodes[n]
+    if node.label != "read":
+        return False
+    arr, j = node.children
+    fired = False
+    for w in g.class_of(arr):
+        wnode = g.nodes[w]
+        if wnode.label != "write":
+            continue
+        s, i, v = (g.nodes[c] for c in wnode.children)
+        if not state.term_has_projected(s.term):
+            continue
+        if not _marked(state, "elim_wr_rd", (n, w)):
+            continue
+        jterm = g.nodes[j].term
+        if state.meval(i.term) == state.meval(jterm):
+            g.assert_eq(i.term, jterm)
+            g.assert_eq(node.term, v.term)
+        else:
+            g.assert_diseq(i.term, jterm)
+            g.assert_eq(node.term, state.store.mk_app("read", (s.term, jterm)))
+        state.fired("elim_wr_rd")
+        fired = True
+    return fired
+
+
+def _marked_partial_eq(state, n):
+    g = state.g
+    node = g.nodes[n]
+    if node.term.sort.kind.value != "array":
+        return False
+    fired = False
+    for m in g.class_of(n):
+        if m == n:
+            continue
+        a, b = min(n, m), max(n, m)
+        if not (state.term_has_projected(g.nodes[a].term)
+                or state.term_has_projected(g.nodes[b].term)):
+            continue
+        if not _marked(state, "partial_eq", (a, b)):
+            continue
+        peq = state.store.mk_app("peq", (g.nodes[a].term, g.nodes[b].term))
+        g.assert_eq(peq, state.store.top)
+        state.fired("partial_eq")
+        fired = True
+    return fired
+
+
+def _marked_elim_wr(state, n):
+    g = state.g
+    node = g.nodes[n]
+    if node.label != "peq":
+        return False
+    store = state.store
+    fired = False
+    for s_id, w_id in ((node.children[0], node.children[1]),
+                       (node.children[1], node.children[0])):
+        wnode = g.nodes[w_id]
+        if wnode.label != "write":
+            continue
+        if not state.term_has_projected(wnode.term):
+            continue
+        if not _marked(state, "elim_wr", (n, w_id)):
+            continue
+        sterm = g.nodes[s_id].term
+        uterm, iterm, vterm = (g.nodes[c].term for c in wnode.children)
+        idx_terms = [g.nodes[c].term for c in node.children[2:]]
+        ival = state.meval(iterm)
+        clash = next((ix for ix in idx_terms if state.meval(ix) == ival), None)
+        if clash is None:
+            g.assert_eq(store.mk_app("read", (sterm, iterm)), vterm)
+            new_idx = idx_terms + [iterm]
+        else:
+            g.assert_eq(iterm, clash)
+            new_idx = idx_terms
+        g.assert_eq(store.mk_app("peq", (sterm, uterm, *new_idx)), store.top)
+        state.fired("elim_wr")
+        fired = True
+    return fired
+
+
+def _marked_elim_eq(state, n):
+    g = state.g
+    node = g.nodes[n]
+    if node.label != "peq":
+        return False
+    lhs, rhs = g.nodes[node.children[0]], g.nodes[node.children[1]]
+    for v, e in ((lhs, rhs), (rhs, lhs)):
+        if not (state.projected(v.label) and not v.children):
+            continue
+        if v.label in e.term.vars:
+            continue
+        if not _marked(state, "elim_eq", (n, v.id)):
+            return False
+        return mbp_module._rule_elim_eq(state, n)
+    return False
+
+
+def _marked_adt_deconstruct_eq(state, n):
+    g = state.g
+    node = g.nodes[n]
+    if not (state.projected(node.label) and not node.children):
+        return False
+    if node.term.sort.kind.value != "adt":
+        return False
+    fired = False
+    for m in g.class_of(n):
+        mnode = g.nodes[m]
+        role = state.sig.datatype.get(mnode.label)
+        if role is None or role[0] != "constructor" or role[1].arity == 0:
+            continue
+        if not _marked(state, "adt_deconstruct_eq", (n, m)):
+            continue
+        for (sel, _), arg in zip(role[1].selectors, mnode.children):
+            g.assert_eq(state.store.mk_app(sel, (node.term,)), g.nodes[arg].term)
+        state.fired("adt_deconstruct_eq")
+        fired = True
+    return fired
+
+
+def _marked_adt_split_diseq(state, a, b):
+    g = state.g
+    for v in (g.nodes[a], g.nodes[b]):
+        if not (state.projected(v.label) and not v.children):
+            continue
+        if v.term.sort.kind.value != "adt":
+            continue
+        if not _marked(state, "adt_split_diseq", (min(a, b), max(a, b))):
+            return False
+        return mbp_module._rule_adt_split_diseq(state, a, b)
+    return False
+
+
+_MARKED_FAMILIES = (
+    ((_marked_elim_wr_rd, _marked_partial_eq, _marked_elim_wr, _marked_elim_eq),
+     (mbp_module._rule_ackermann,), ()),
+    ((_marked_adt_deconstruct_eq,), (), (_marked_adt_split_diseq,)))
+
+
+def _marked_apply_rules(state, family, watermark):
+    node_rules, read_rules, diseq_rules = family
+    g = state.g
+    progress = False
+    size = len(g.nodes)
+    for n in range(watermark, size):
+        if g.nodes[n].label == "peq" or not g.cground(n):
+            for rule in node_rules:
+                if rule(state, n):
+                    progress = True
+    if read_rules:
+        reads = [n for n in range(watermark, size) if g.nodes[n].label == "read"]
+        for rule in read_rules:
+            if rule(state, reads):
+                progress = True
+    for rule in diseq_rules:
+        for a, b in list(g.diseqs):
+            if g.ground_class(a) and g.ground_class(b):
+                continue
+            if rule(state, a, b):
+                progress = True
+    return progress, size
+
+
+def _marked_saturate(state, families=_MARKED_FAMILIES):
+    marks = dict.fromkeys(families, 0)
+    progress = True
+    while progress:
+        progress = False
+        for family in families:
+            fired = True
+            while fired:
+                fired, marks[family] = _marked_apply_rules(state, family,
+                                                           marks[family])
+                progress = progress or fired
+
+
+def _self_partial_equality_instance():
+    """w = write(w, i, v) with w = write(a, j, e): unwinding gives a partial
+    equality of w with itself, which has one side to unwind, not two."""
+    prob = parse_problem("""
+    (declare-var a (Array Int Int)) (declare-const i Int) (declare-const j Int)
+    (declare-const e Int) (declare-const v Int)
+    (assert (= (write a j e) (write (write a j e) i v)))
+    """)
+    model = parse_model("(define-value a (array (default 0)))"
+                        " (define-value i 0) (define-value j 0)"
+                        " (define-value e 0) (define-value v 0)", prob.sig)
+    return prob.sig, prob.store, prob.formula, ["a"], model
+
+
+def test_watermarks_match_the_loop_with_per_key_marks(monkeypatch):
+    """Offering each node and each disequality once does what offering
+    every disequality on every pass, behind per-key marks on every rule,
+    did: the same output, partition, disequalities, fires and node count."""
+    instances = _twin_instances() + [("w = write(w, i, v)",
+                                      _self_partial_equality_instance)]
+    watermarked = [_projection_facts(build) for _, build in instances]
+    monkeypatch.setattr(mbp_module, "_saturate", _marked_saturate)
+    for (name, build), got in zip(instances, watermarked):
+        assert got == _projection_facts(build), name
+    assert watermarked[-1][3] == {"partial_eq": 1, "elim_wr": 6, "elim_wr_rd": 4}
+
+
+def test_each_disequality_reaches_the_split_rule_at_most_once(monkeypatch):
+    """Counted over the twin instances; the loop with per-key marks offers
+    some disequalities again on later passes."""
+    def counting(rule):
+        def counted(state, a, b):
+            offered[a, b] = offered.get((a, b), 0) + 1
+            return rule(state, a, b)
+        return counted
+
+    def most_offers():
+        nonlocal offered
+        most = fires = 0
+        for name, build in _twin_instances():
+            offered = {}
+            sig, store, formula, var_names, model = build()
+            res = mbp(sig, store, formula, var_names, model)
+            most = max(most, *offered.values(), 0)
+            fires += res.rule_fires.get("adt_split_diseq", 0)
+        return most, fires
+
+    offered = {}
+    monkeypatch.setattr(mbp_module, "_FAMILIES", (
+        mbp_module._ARRAY_RULES,
+        (*mbp_module._ADT_RULES[:2],
+         (counting(mbp_module._rule_adt_split_diseq),))))
+    most, fires = most_offers()
+    assert most == 1 and fires > 0
+    families = (_MARKED_FAMILIES[0], (*_MARKED_FAMILIES[1][:2],
+                                      (counting(_marked_adt_split_diseq),)))
+    monkeypatch.setattr(mbp_module, "_saturate",
+                        lambda state: _marked_saturate(state, families))
+    again, same_fires = most_offers()
+    assert again > 1 and same_fires == fires
 
 
 def test_320_reads_fit_the_default_budget():
@@ -668,15 +947,33 @@ def test_320_reads_fit_the_default_budget():
 # -- constructive groundness, kept by the egraph across saturation passes ------
 
 def test_ground_analysis_matches_the_reference_at_every_pass(monkeypatch):
-    """At the start of every pass, and on the saturated graph, the egraph's
-    groundness of every node and class equals one computed from scratch."""
+    """At the start of every pass, after every equality and disequality
+    that the build or a rule asserts, and on the saturated graph, the
+    egraph's groundness of every node and class equals one computed from
+    scratch.  Groundness is also asked as each node is added, so that an
+    assertion's merges join classes whose nodes are all settled: then only
+    the merge's own re-check can make a parent ground."""
     def checked(state, family, watermark):
         check_ground_analysis(state.g, name)
         passes.append(watermark)
         return apply_rules(state, family, watermark)
 
-    apply_rules = mbp_module.apply_rules
+    def checking(assert_lit):
+        def call(g, t1, t2):
+            assert_lit(g, t1, t2)
+            check_ground_analysis(g, (name, assert_lit.__name__))
+        return call
+
+    def asked(g, term, child_ids):
+        n = add_node(g, term, child_ids)
+        g.cground(n)
+        return n
+
+    apply_rules, add_node = mbp_module.apply_rules, EGraph._add_node
     monkeypatch.setattr(mbp_module, "apply_rules", checked)
+    monkeypatch.setattr(EGraph, "_add_node", asked)
+    for method in ("assert_eq", "assert_diseq"):
+        monkeypatch.setattr(EGraph, method, checking(getattr(EGraph, method)))
     for name, build in _twin_instances():
         passes = []
         sig, store, formula, var_names, model = build()
