@@ -6,8 +6,8 @@ choice of class representatives shapes the extracted formula.
 """
 from pathlib import Path
 
-from egraphqe import (EGraph, ReprFn, build_repr_graph, is_admissible,
-                      parse_problem, term_to_sexpr, to_expr, to_formula)
+from egraphqe import (EGraph, build_repr_graph, is_admissible, parse_problem,
+                      term_to_sexpr, to_expr, to_formula)
 
 HERE = Path(__file__).resolve().parent
 
@@ -22,16 +22,17 @@ for root in g.roots():
 # note that read(a,x) and read(a,y) were merged without an explicit literal:
 # x = y makes them congruent, and transitivity pulls in k+1.
 
-# A representative function picks one node per class; extraction rebuilds
-# terms using representatives for children.  Pick z and x:
+# A representative function picks one node per class: a dict from node id
+# to representative id.  Extraction rebuilds terms using representatives
+# for children.  Pick z and x:
 z = next(n.id for n in g.nodes if n.label == "z")
 x = next(n.id for n in g.nodes if n.label == "x")
-r = ReprFn()
-r.set_class(g, z)
-r.set_class(g, x)
+r = {}
+r.update(dict.fromkeys(g.class_of(z), z))
+r.update(dict.fromkeys(g.class_of(x), x))
 for root in g.roots():
-    if not r.defined(root):
-        r.set_class(g, root)
+    if root not in r:
+        r.update(dict.fromkeys(g.class_of(root), root))
 
 read_ay = next(n.id for n in g.nodes
                if n.label == "read" and g.nodes[n.children[1]].label == "y")
@@ -41,7 +42,7 @@ print("  whole graph extracts to", to_formula(g, r))
 
 # Not every choice works.  An inadmissible function (one whose induced
 # node -> child-representative graph has a cycle) makes extraction diverge;
-# the extractor detects this by a depth budget.
+# the extractor raises when a representative is already on its current path.
 print("\nrepresentative edges for this choice:", sorted(build_repr_graph(g, r)))
 print("admissible:", is_admissible(g, r))
 

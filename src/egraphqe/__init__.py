@@ -8,7 +8,7 @@ theory rules under a model to eliminate array/datatype variables entirely.
 """
 
 from .egraph import EGraph, InconsistentFormulaError
-from .extraction import (ExtractionBudgetError, InadmissibleReprError, ReprFn,
+from .extraction import (ExtractionBudgetError, InadmissibleReprError,
                          build_repr_graph, is_admissible, to_expr, to_formula)
 from .mbp import MbpResult, ModelMismatchError, SaturationBudgetError, mbp
 from .model import (AdtVal, ArrayVal, Elem, Model, eval_term, holds, mk_array,
@@ -26,7 +26,7 @@ __all__ = [
     "Elem", "ExtractionBudgetError", "Formula", "InadmissibleReprError",
     "InconsistentFormulaError", "InputError", "Literal",
     "MbpResult", "Model", "ModelMismatchError", "ParseError", "Problem",
-    "ReprFn", "SaturationBudgetError", "SearchSpaceError", "Signature",
+    "SaturationBudgetError", "SearchSpaceError", "Signature",
     "Sort", "SortKind", "Term", "TermStore", "Verdict", "build_repr_graph",
     "equiv_exists", "eval_term",
     "find_core", "find_defs", "find_model", "formula_to_sexpr", "holds",

@@ -63,8 +63,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    with open(args.input) as fh:
-        prob = parse_problem(fh.read())
+    prob = parse_problem(_read(args.input))
     sig, store, formula = prob.sig, prob.store, prob.formula
 
     if args.command == "qel":
@@ -78,8 +77,7 @@ def _run(args) -> int:
                 lambda b: equiv_exists(sig, store, formula, out, b),
                 "existential closures equivalent")
     else:
-        with open(args.model) as fh:
-            model = parse_model(fh.read(), sig)
+        model = parse_model(_read(args.model), sig)
         if args.dot:
             _dot(args, "initial", EGraph.from_formula(sig, store, formula))
         result = mbp(sig, store, formula, formula.free_vars, model,
@@ -103,6 +101,15 @@ def _run(args) -> int:
     print(f"eliminated: {', '.join(eliminated) or '(none)'}", file=sys.stderr)
     print(f"remaining: {', '.join(out.free_vars) or '(none)'}", file=sys.stderr)
     return 0 if check_ok else 3
+
+
+def _read(path) -> str:
+    """The text of a UTF-8 file; a file that does not decode is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _report_check(run, what) -> bool:
@@ -129,7 +136,7 @@ def _report_check(run, what) -> bool:
 
 def _dot(args, stage, g, r=None):
     if args.dot:
-        with open(f"{args.dot}.{stage}.dot", "w") as fh:
+        with open(f"{args.dot}.{stage}.dot", "w", encoding="utf-8") as fh:
             fh.write(g.dump_dot(r))
             fh.write("\n")
 

@@ -5,12 +5,12 @@ term iteratively, once per distinct subterm, so depth is unbounded.  Each
 node stores its class root (quick-find): a merge relabels the members of
 the absorbed class in the walk it makes over them anyway, so ``find`` is a
 list read.  The oldest node id stays class root, so class enumeration is
-deterministic; ``class_of`` sorts a class once and hands out that list
-until a merge touches the class.  A disequality is recorded once, as a node
-pair in ``diseqs``, and adds no node beyond its two sides; a ``distinct``
-term in the input is an ordinary Bool term.  Disequalities never drive
-merging but make the graph reject inconsistent inputs, and extraction
-emits them from ``diseqs``.
+deterministic; ``class_of`` returns a new sorted list of a class's
+members on each call.  A disequality is recorded once, as a node pair in
+``diseqs``, and adds no node beyond its two sides; a ``distinct`` term in
+the input is an ordinary Bool term.  Disequalities never drive merging but
+make the graph reject inconsistent inputs, and extraction emits them from
+``diseqs``.
 
 Each class root keeps the list of recorded disequalities with an endpoint in
 the class.  A merge can only violate a disequality whose endpoints lie one in
@@ -51,15 +51,13 @@ class ENode:
 
 class ClassView:
     """The classes of a graph that no longer changes, for the reduction tail:
-    per node id, its class root (``root``), its class's member ids in
-    creation order (``members``, one list shared by the whole class) and the
-    number of its distinct children (``distinct``)."""
-    __slots__ = ("root", "members", "distinct")
+    per node id, its class root (``root``) and its class's member ids in
+    creation order (``members``, one list shared by the whole class)."""
+    __slots__ = ("root", "members")
 
-    def __init__(self, root, members, distinct):
+    def __init__(self, root, members):
         self.root = root
         self.members = members
-        self.distinct = distinct
 
 
 class EGraph:
@@ -69,7 +67,6 @@ class EGraph:
         self.nodes = []
         self._root = []        # class root per node id
         self._members = {}     # root id -> list of member ids
-        self._class_view = {}  # root id -> sorted members, until a merge
         self._parents = {}     # node id -> set of structural parent ids
         self._cong = {}        # (label, child root ids) -> node id
         self._term_node = {}   # term id -> node id
@@ -169,8 +166,6 @@ class EGraph:
             for m in absorbed:
                 root[m] = rx
             self._merges += 1
-            self._class_view.pop(rx, None)
-            self._class_view.pop(ry, None)
             ground = self._ground
             if rx in ground or ry in ground:
                 if rx not in ground or ry not in ground:
@@ -264,8 +259,7 @@ class EGraph:
 
     def view(self) -> ClassView:
         """The classes as they are now, built in one pass and handed out
-        again until a node is added or a merge happens.  Like ``class_of``'s
-        lists, it is read-only."""
+        again until a node is added or a merge happens.  It is read-only."""
         stamp = (len(self.nodes), self._merges)
         if self._view is not None and self._view[:2] == stamp:
             return self._view[2]
@@ -274,20 +268,14 @@ class EGraph:
             cls = sorted(cls)
             for m in cls:
                 members[m] = cls
-        distinct = [len(set(node.children)) for node in self.nodes]
-        view = ClassView(self._root[:], members, distinct)
+        view = ClassView(self._root[:], members)
         self._view = (*stamp, view)
         return view
 
     def class_of(self, n: int) -> list:
-        """Member ids of n's class, in creation order.  The list is sorted
-        once per class between merges and shared by every caller, so it is
-        read-only; a merge leaves a list returned before it unchanged."""
-        root = self.find(n)
-        view = self._class_view.get(root)
-        if view is None:
-            view = self._class_view[root] = sorted(self._members[root])
-        return view
+        """Member ids of n's class, in creation order: a new list on each
+        call, so a merge leaves a list returned before it unchanged."""
+        return sorted(self._members[self.find(n)])
 
     def parents(self, n: int) -> set:
         """Ids of the nodes that have n as a child.  This is the graph's own
@@ -312,10 +300,12 @@ class EGraph:
 
     def dump_dot(self, repr_fn=None) -> str:
         """DOT rendering: solid child edges, dashed red root edges, and
-        dotted blue representative edges when a repr function is given."""
+        dotted blue representative edges when a representative dict is
+        given.  A label escapes the backslashes and quotes of its symbol."""
         lines = ["digraph egraph {"]
         for node in self.nodes:
-            lines.append(f'  n{node.id} [label="{node.id}: {node.label}"];')
+            label = node.label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{node.id} [label="{node.id}: {label}"];')
         for node in self.nodes:
             for c in node.children:
                 lines.append(f"  n{node.id} -> n{c};")

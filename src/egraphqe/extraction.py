@@ -1,17 +1,16 @@
 """Representative functions and node-to-term / egraph-to-formula extraction.
 
-A representative function picks one node per class; extraction rebuilds a
-term for a node by replacing every child with the extraction of its
-representative.  That terminates exactly when the induced graph (node ->
-representative of child) is acyclic, which together with per-class
-uniqueness and root-consistency makes the function admissible.  Extraction
-is an iterative post-order walk memoized by node id, so it takes each
-representative once and any depth; it catches a cycle when a representative
-it meets is already on the current path from the start node.
+A representative function picks one node per class: a plain dict from node
+id to representative node id, where an absent key means undefined.
+Extraction rebuilds a term for a node by replacing every child with the
+extraction of its representative.  That terminates exactly when the induced
+graph (node -> representative of child) is acyclic, which together with
+per-class uniqueness and root-consistency makes the function admissible.
+Extraction is an iterative post-order walk memoized by node id, so it takes
+each representative once and any depth; it catches a cycle when a
+representative it meets is already on the current path from the start node.
 """
 from __future__ import annotations
-
-from typing import Optional
 
 from .egraph import EGraph
 from .terms import Formula, Literal, Term, mk_formula
@@ -25,27 +24,7 @@ class ExtractionBudgetError(InadmissibleReprError):
     """Extraction met a cycle in the representative graph."""
 
 
-class ReprFn:
-    """Partial map node id -> representative node id (absent = undefined)."""
-
-    def __init__(self, assignment=None):
-        self.assignment = dict(assignment) if assignment else {}
-
-    def get(self, n) -> Optional[int]:
-        return self.assignment.get(n)
-
-    def defined(self, n) -> bool:
-        return n in self.assignment
-
-    def set_class(self, g: EGraph, rep: int):
-        for m in g.class_of(rep):
-            self.assignment[m] = rep
-
-    def __repr__(self):
-        return f"ReprFn({self.assignment})"
-
-
-def build_repr_graph(g: EGraph, r: ReprFn) -> set:
+def build_repr_graph(g: EGraph, r: dict) -> set:
     """Edge set {(n, repr(c)) | c child of n, repr(c) defined}."""
     edges = set()
     for node in g.nodes:
@@ -56,7 +35,7 @@ def build_repr_graph(g: EGraph, r: ReprFn) -> set:
     return edges
 
 
-def has_cycle(g: EGraph, r: ReprFn) -> bool:
+def has_cycle(g: EGraph, r: dict) -> bool:
     succ = {}
     for a, b in build_repr_graph(g, r):
         succ.setdefault(a, set()).add(b)
@@ -84,10 +63,10 @@ def has_cycle(g: EGraph, r: ReprFn) -> bool:
     return False
 
 
-def _class_consistent(g: EGraph, r: ReprFn) -> bool:
+def _class_consistent(g: EGraph, r: dict) -> bool:
     """Every member of every class is assigned, all to one member."""
     view = g.view()
-    get = r.assignment.get
+    get = r.get
     for m, root in enumerate(view.root):
         rep = get(root)
         if get(m) != rep or (m == root and rep not in view.members[m]):
@@ -95,13 +74,13 @@ def _class_consistent(g: EGraph, r: ReprFn) -> bool:
     return True
 
 
-def is_admissible(g: EGraph, r: ReprFn) -> bool:
+def is_admissible(g: EGraph, r: dict) -> bool:
     """Total admissibility: unique in-class representative per class,
     representative equivalence = root equivalence, acyclic repr graph."""
     return _class_consistent(g, r) and not has_cycle(g, r)
 
 
-def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
+def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
     """Term of node n with every child replaced by its representative's
     extraction.  Raises ExtractionBudgetError when the walk meets a
     representative that is already on its current path from n: the repr
@@ -110,7 +89,7 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
     hit = memo.get(n)
     if hit is not None:
         return hit
-    get = r.assignment.get
+    get = r.get
     nodes = g.nodes
     node = nodes[n]
     if not node.children:
@@ -148,7 +127,7 @@ def to_expr(g: EGraph, n: int, r: ReprFn, _memo=None) -> Term:
     return memo[n]
 
 
-def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula:
+def to_formula(g: EGraph, r: dict, exclude=frozenset(), _memo=None) -> Formula:
     """Formula of the egraph under r, omitting literals for the node ids in
     exclude, a set.
 
@@ -178,7 +157,7 @@ def to_formula(g: EGraph, r: ReprFn, exclude=frozenset(), _memo=None) -> Formula
 
     kept = set()  # representatives of the classes with a non-excluded member
     members = g.view().members
-    get = r.assignment.get
+    get = r.get
     for node in g.nodes:
         n = node.id
         if get(n) != n:

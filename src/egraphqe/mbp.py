@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .egraph import EGraph
-from .extraction import ReprFn
 from .model import Model, eval_term, satisfies
 from .qel import reduce
 from .terms import Formula, InputError, Signature, SortKind, Term, TermStore
@@ -50,7 +49,7 @@ class MbpResult:
     model: Model              # input model plus any fresh constants
     rule_fires: dict          # rule name -> number of applications
     graph: EGraph             # the saturated egraph
-    repr_fn: ReprFn           # representative function used for extraction
+    repr_fn: dict             # node id -> representative id, for extraction
 
 
 @dataclass

@@ -12,23 +12,25 @@ egraph as well.  The tail never asks the egraph's groundness analysis
 (``EGraph.cground``): seeding the search with the ground leaves already
 gives every ground class a constructively ground representative.
 
-The tail reads the graph's frozen class view (``EGraph.view``), built once:
-class roots and member lists by node id, and distinct-child counts.  The
-representative search is a counter fixpoint: each node counts its distinct
-children not yet assigned, and becomes ready when the count reaches zero.
-The core compares congruence keys within each class of two or more members
-only, since congruent nodes share a class.
+The representative function is a plain dict, node id -> representative
+id.  The tail reads the graph's frozen class view (``EGraph.view``), built
+once: class roots and member lists by node id; ``refine_defs`` retargets a
+class by writing its member list.  The representative search is a counter
+fixpoint: each node counts its distinct children not yet assigned, and
+becomes ready when the count reaches zero.  The core compares congruence
+keys within each class of two or more members only, since congruent nodes
+share a class.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
 from .egraph import EGraph
-from .extraction import ReprFn, to_expr, to_formula
+from .extraction import to_expr, to_formula
 from .terms import Formula, Signature, TermStore
 
 
-def process(g: EGraph, r: ReprFn, todo: Iterable[int]) -> ReprFn:
+def process(g: EGraph, r: dict, todo: Iterable[int]) -> dict:
     """Assign representatives bottom-up starting from the given nodes.
 
     Work proceeds in waves: the seed list in order, then the parents whose
@@ -43,53 +45,50 @@ def process(g: EGraph, r: ReprFn, todo: Iterable[int]) -> ReprFn:
     parent edge is looked at once, not once per child.  r must assign whole
     classes, as find_defs and process leave it.
     """
-    assigned = r.assignment
-    unmet = [len({c for c in node.children if c not in assigned})
-             for node in g.nodes]
+    unmet = [len({c for c in node.children if c not in r}) for node in g.nodes]
     _process(g, g.view(), r, todo, unmet)
     return r
 
 
-def _process(g: EGraph, view, r: ReprFn, todo, unmet: list):
+def _process(g: EGraph, view, r: dict, todo, unmet: list):
     """process on a class view, with the unassigned-children counters of r,
     which it keeps up to date."""
-    assigned = r.assignment
     members = view.members
     parents = g.parents
     wave = todo
     while wave:
         ready = []
         for n in wave:
-            if n in assigned:
+            if n in r:
                 continue
             cls = members[n]
             for m in cls:
-                assigned[m] = n
+                r[m] = n
             for m in cls:
                 for p in parents(m):
                     left = unmet[p] - 1
                     unmet[p] = left
-                    if not left and p not in assigned:
+                    if not left and p not in r:
                         ready.append(p)
         ready.sort(reverse=True)
         wave = ready
 
 
-def find_defs(g: EGraph) -> ReprFn:
+def find_defs(g: EGraph) -> dict:
     """Total admissible representative function, maximally ground: ground
     leaves are processed first so every ground class ends up with a
     constructively ground representative.  Both passes share one set of
     counters (see process), so each parent edge is looked at once."""
     view = g.view()
-    r = ReprFn()
-    unmet = list(view.distinct)
+    r = {}
+    unmet = [len(set(node.children)) for node in g.nodes]
     leaves = [n for n in g.nodes if not n.children]
     _process(g, view, r, [n.id for n in leaves if n.term.ground], unmet)
     _process(g, view, r, [n.id for n in leaves], unmet)
     return r
 
 
-def refine_defs(g: EGraph, r: ReprFn, var_names) -> ReprFn:
+def refine_defs(g: EGraph, r: dict, var_names) -> dict:
     """Retarget variable-labeled representatives to a non-variable class
     member whenever that keeps the representative graph acyclic.  Ground
     class representatives are never variables, so ground maximality is
@@ -97,7 +96,7 @@ def refine_defs(g: EGraph, r: ReprFn, var_names) -> ReprFn:
     var_names = set(var_names)
     members = g.view().members
     nodes = g.nodes
-    get = r.assignment.get
+    get = r.get
     for node in nodes:
         n = node.id
         if get(n) != n or node.label not in var_names:
@@ -106,19 +105,19 @@ def refine_defs(g: EGraph, r: ReprFn, var_names) -> ReprFn:
             if m == n or nodes[m].label in var_names:
                 continue
             if not _makes_cycle(g, r, m):
-                r.set_class(g, m)
+                r.update(dict.fromkeys(members[m], m))
                 break
     return r
 
 
-def _makes_cycle(g: EGraph, r: ReprFn, candidate: int) -> bool:
+def _makes_cycle(g: EGraph, r: dict, candidate: int) -> bool:
     """Would retargeting candidate's class onto candidate close a cycle?
     All new edges point into the candidate, so it suffices to look for a
     path from the candidate back to itself.  The walk reads each child's
     representative as it would be after the retarget: the candidate for a
     child of the candidate's class, r's otherwise."""
     root_of = g.view().root
-    get = r.assignment.get
+    get = r.get
     root = root_of[candidate]
     stack = [candidate]
     visited = set()
@@ -133,7 +132,7 @@ def _makes_cycle(g: EGraph, r: ReprFn, candidate: int) -> bool:
     return False
 
 
-def find_core(g: EGraph, r: ReprFn, var_names) -> set:
+def find_core(g: EGraph, r: dict, var_names) -> set:
     """Node subset whose extraction already carries the existential closure:
     all representatives, minus non-representative variable nodes and minus
     nodes congruent to a node already kept (same label, child classes).
@@ -145,7 +144,7 @@ def find_core(g: EGraph, r: ReprFn, var_names) -> set:
     view = g.view()
     root, members = view.root, view.members
     nodes = g.nodes
-    get = r.assignment.get
+    get = r.get
 
     def key(n):
         node = nodes[n]

@@ -136,8 +136,6 @@ class RefUnionFindEGraph(EGraph):
             absorbed = self._members.pop(ry)
             self._uf[ry] = rx
             self._merges += 1
-            self._class_view.pop(rx, None)
-            self._class_view.pop(ry, None)
             self._members[rx].extend(absorbed)
             moved = self._class_diseqs.pop(ry, None)
             if moved is not None:
@@ -168,8 +166,7 @@ class RefUnionFindEGraph(EGraph):
             cls = sorted(cls)
             for m in cls:
                 root[m], members[m] = r, cls
-        return ClassView(root, members,
-                         [len(set(node.children)) for node in self.nodes])
+        return ClassView(root, members)
 
 
 def is_admissible_partial(g, r):
@@ -178,7 +175,7 @@ def is_admissible_partial(g, r):
     representative has all children defined."""
     for root in g.roots():
         members = g.class_of(root)
-        assigned = [m for m in members if r.defined(m)]
+        assigned = [m for m in members if m in r]
         if not assigned:
             continue
         reps = {r.get(m) for m in assigned}
@@ -189,8 +186,8 @@ def is_admissible_partial(g, r):
             return False
         if len(assigned) != len(members):
             return False  # partially assigned class
-    for rep in set(r.assignment.values()):
-        if any(not r.defined(c) for c in g.nodes[rep].children):
+    for rep in set(r.values()):
+        if any(c not in r for c in g.nodes[rep].children):
             return False
     return not has_cycle(g, r)
 
@@ -330,18 +327,17 @@ def random_euf_instance(rng, max_nodes=8):
 
 def random_total_repr(rng, g):
     """Random total node map; half the time class-respecting, half arbitrary."""
-    from egraphqe import ReprFn
-    r = ReprFn()
+    r = {}
     if rng.random() < 0.5:
         for root in g.roots():
             members = g.class_of(root)
             rep = rng.choice(members)
             for m in members:
-                r.assignment[m] = rep
+                r[m] = rep
     else:
         ids = list(g.node_ids())
         for n in ids:
-            r.assignment[n] = rng.choice(ids)
+            r[n] = rng.choice(ids)
     return r
 
 
@@ -543,13 +539,13 @@ def ref_process(g, r, todo):
         ready = []
         while current:
             n = current.popleft()
-            if r.defined(n):
+            if n in r:
                 continue
-            r.set_class(g, n)
+            r.update(dict.fromkeys(g.class_of(n), n))
             for m in g.class_of(n):
                 for p in sorted(g.parents(m)):
-                    if not r.defined(p) and \
-                            all(r.defined(c) for c in g.nodes[p].children):
+                    if p not in r and \
+                            all(c in r for c in g.nodes[p].children):
                         ready.append(p)
         seen = set()
         for p in sorted(ready, reverse=True):
@@ -560,8 +556,7 @@ def ref_process(g, r, todo):
 
 
 def ref_find_defs(g):
-    from egraphqe import ReprFn
-    r = ReprFn()
+    r = {}
     ref_process(g, r, [n.id for n in g.nodes if not n.children and n.term.ground])
     ref_process(g, r, [n.id for n in g.nodes if not n.children])
     return r
@@ -576,7 +571,7 @@ def ref_refine_defs(g, r, var_names):
             if m == node.id or g.nodes[m].label in var_names:
                 continue
             if not _ref_makes_cycle(g, r, m):
-                r.set_class(g, m)
+                r.update(dict.fromkeys(g.class_of(m), m))
                 break
     return r
 

@@ -8,8 +8,11 @@ must fail on the mutant.  For each entry the script copies ``src``,
 ``tests``, ``demos`` and ``perfbench`` into a temporary directory, applies
 the one change there, and runs only the named tests.  It exits 1 if the old
 text no longer occurs exactly once, or if a named test passes on the mutant
-(the mutant survives).  Tier 1 does not collect this file; add the mutants
-of a change here instead of describing them.
+(the mutant survives).  From the ``find_defs`` counters on, an entry lists
+every test that fails on its mutant in a full tier-1 run; the seven entries
+before it list the twin tests written against them.  Tier 1 does not
+collect this file; add the mutants of a change here instead of describing
+them.
 """
 from __future__ import annotations
 
@@ -30,10 +33,15 @@ QEL_EUF = ("tests/test_egraph.py::"
            "test_ground_analysis_matches_the_reference_on_qel_euf_sequences")
 ROOT_TWIN = "tests/test_egraph.py::test_root_array_matches_a_union_find_"
 MBP = "src/egraphqe/mbp.py"
+QEL = "src/egraphqe/qel.py"
+ORACLE = "src/egraphqe/oracle.py"
 SPLIT_ONCE = ("tests/test_mbp.py::"
               "test_each_disequality_reaches_the_split_rule_at_most_once")
 WATERMARK_TWIN = ("tests/test_mbp.py::"
                   "test_watermarks_match_the_loop_with_per_key_marks")
+TAIL_TWIN = "tests/test_qel.py::test_tail_matches_reference"
+UNDEFINED_ARGUMENT = ("tests/test_oracle.py::"
+                      "test_every_compiled_kind_is_undefined_at_an_undefined_argument")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -70,11 +78,66 @@ MUTANTS = [
     ("a partial equality of a node with itself is unwound from both sides",
      MBP, "dict.fromkeys(((lhs, rhs), (rhs, lhs)))", "((lhs, rhs), (rhs, lhs))",
      [WATERMARK_TWIN]),
-    ("process counters count children, not distinct children", EGRAPH,
-     "distinct = [len(set(node.children)) for node in self.nodes]",
-     "distinct = [len(node.children) for node in self.nodes]",
-     ["tests/test_qel.py::test_tail_matches_reference",
-      "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference"]),
+    ("process counters count children, not distinct children", QEL,
+     "unmet = [len(set(node.children)) for node in g.nodes]",
+     "unmet = [len(node.children) for node in g.nodes]",
+     [TAIL_TWIN, "tests/test_qel.py::test_find_defs_counts_a_repeated_child_once"]),
+    ("refine_defs retargets only the candidate", QEL,
+     "r.update(dict.fromkeys(members[m], m))", "r[m] = m",
+     ["tests/test_qel.py::test_refine_defs_no_ground",
+      "tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_4_admissibility_preservation",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_euf",
+      "tests/test_oracle.py::"
+      "test_backtracking_matches_product_search_on_qel_demos[no_ground_defs.smt2]",
+      "tests/test_qel.py::test_refine_defs_order_insensitive",
+      "tests/test_qel.py::test_makes_cycle_agrees_with_reference",
+      "tests/test_qel.py::test_qel_golden_outputs",
+      "tests/test_qel.py::test_qel_equivalence_small",
+      "tests/test_qel.py::test_qel_idempotent",
+      "tests/test_qel.py::test_find_defs_admissible_and_maximally_ground",
+      "tests/test_qel.py::test_unreachable_variables_never_survive",
+      TAIL_TWIN]),
+    ("class_of hands out the live member list", EGRAPH,
+     "return sorted(self._members[self.find(n)])",
+     "return self._members[self.find(n)]",
+     ["tests/test_egraph.py::test_class_lists_and_parents_match_a_reference",
+      TAIL_TWIN, "tests/test_qel.py::test_process_matches_reference_from_partial_reprs",
+      "tests/test_qel.py::test_to_formula_matches_reference_on_random_reprs"]),
+    ("the Ackermann decisions are not sorted", MBP,
+     "    decisions.sort(key=lambda d: d[:2])\n", "",
+     ["tests/test_mbp.py::test_partitioned_ackermann_matches_all_pairs"]),
+    ("no renaming pin", ORACLE,
+     "self._pinned = {s.name for sort in within.values()\n"
+     "                        for s in _defaulted(sort) if s.name in self._sizes}",
+     "self._pinned = set()",
+     ["tests/test_oracle.py::"
+      "test_walk_yields_the_product_where_nothing_renames[pinned-element]",
+      "tests/test_oracle.py::test_selector_default_pins_element_0"]),
+    ("no undefined-argument rule at arity 1", ORACLE,
+     "return _UNDEFINED if x is _UNDEFINED else op(x)", "return op(x)",
+     [UNDEFINED_ARGUMENT]),
+    ("no undefined-argument rule at arity 2", ORACLE,
+     "return _UNDEFINED if x is _UNDEFINED or y is _UNDEFINED \\\n"
+     "                else op(x, y)",
+     "return op(x, y)",
+     ["tests/test_oracle.py::test_qel_read_chain_equivalence_with_arithmetic",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_arithmetic",
+      "tests/test_oracle.py::"
+      "test_backtracking_matches_product_search_on_qel_demos[read_chain.smt2]",
+      UNDEFINED_ARGUMENT]),
+    ("a parallel let read sequentially", "src/egraphqe/parser.py",
+     "        scope.update([(name, _term(store, toks, at, scope)[0])\n"
+     "                      for name, at in bindings])\n",
+     "        for name, at in bindings:\n"
+     "            scope[name] = _term(store, toks, at, scope)[0]\n",
+     ["tests/test_parser.py::test_reader_matches_reference_on_generated_let_problems",
+      "tests/test_parser.py::test_reader_matches_reference_on_lets["
+      "(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\\n"
+      "(declare-fun P (S) Bool) (declare-const c S) (declare-const d S)\\n"
+      "(declare-var x S)\\n"
+      "(assert (let ((y c)) (let ((y d) (z y)) (= z (f y)))))]",
+      "tests/test_parser.py::test_reader_matches_reference_on_mutants"]),
 ]
 
 
@@ -93,9 +156,10 @@ def run(name, path, old, new, tests) -> str:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
              *tests], cwd=tmp, env=env, capture_output=True, text=True)
-        failed = {line.split()[1] for line in proc.stdout.splitlines()
-                  if line.startswith("FAILED ")}
-        survivors = [t for t in tests if t not in failed]
+        # a test id may hold spaces, so each listed id is looked up whole
+        lines = proc.stdout.splitlines()
+        survivors = [t for t in tests if f"FAILED {t}" not in lines
+                     and not any(line.startswith(f"FAILED {t} - ") for line in lines)]
         if survivors:
             return "these tests pass: " + ", ".join(survivors)
     return None

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -261,6 +262,53 @@ def test_malformed_input_exits_2(tmp_path, capsys, problem, model, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, reason, at", [
+    ("qel", "invalid continuation byte", 37),
+    ("mbp", "invalid start byte", 0),
+], ids=["problem", "model"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command, reason, at):
+    """A problem byte 0xe9 in a symbol, or a model starting with a UTF-16
+    byte order mark, is bad input named by its file, not a traceback."""
+    path = tmp_path / "p.smt2"
+    args = [command, str(path)]
+    if command == "qel":
+        path.write_bytes(b"(declare-sort S 0) (declare-const caf\xe9 S)\n")
+        bad = path
+    else:
+        path.write_text(ARRAY_PROBLEM)
+        bad = tmp_path / "m.model"
+        bad.write_bytes(b"\xff\xfe(define-value c 0)\n")
+        args += ["--model", str(bad)]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {bad} is not UTF-8: {reason} at byte {at}\n"
+
+
+def test_dot_labels_are_quoted_strings(tmp_path, capsys):
+    """Symbols with a quote or a backslash are escaped in DOT labels, so
+    every label is one well-formed quoted string that reads back as the
+    node id and its symbol."""
+    path = tmp_path / "p.smt2"
+    path.write_text('(declare-sort S 0) (declare-fun f (S) S) (declare-const a"b S)'
+                    ' (declare-const c\\d S) (declare-var x S)'
+                    ' (assert (= x (f a"b))) (assert (distinct x c\\d))')
+    prefix = tmp_path / "viz"
+    assert main(["qel", str(path), "--dot", str(prefix)]) == 0
+    capsys.readouterr()
+    prob = parse_problem(path.read_text())
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    expected = [f"{node.id}: {node.label}" for node in g.nodes]
+    assert {'a"b', "c\\d"} <= {node.label for node in g.nodes}
+    for stage in ("initial", "final"):
+        text = Path(f"{prefix}.{stage}.dot").read_text()
+        labels = [line for line in text.splitlines() if "label=" in line]
+        quoted = [re.fullmatch(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];', line)
+                  for line in labels]
+        assert None not in quoted, labels
+        assert [re.sub(r"\\(.)", r"\1", m[2]) for m in quoted] == expected
 
 
 @pytest.mark.parametrize("nest", [

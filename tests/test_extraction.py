@@ -1,9 +1,9 @@
 import pytest
 
 from egraphqe import (Bounds, EGraph, ExtractionBudgetError,
-                      InadmissibleReprError, ReprFn, build_repr_graph,
-                      equiv_exists, find_defs, is_admissible, parse_problem,
-                      term_to_sexpr, to_expr, to_formula)
+                      InadmissibleReprError, build_repr_graph, equiv_exists,
+                      find_defs, is_admissible, parse_problem, term_to_sexpr,
+                      to_expr, to_formula)
 
 from conftest import (is_admissible_partial, load, random_euf_instance,
                       random_total_repr)
@@ -40,12 +40,12 @@ def _node(g, label):
 
 
 def _repr_from_reps(g, reps):
-    r = ReprFn()
+    r = {}
     for rep in reps:
-        r.set_class(g, rep)
+        r.update(dict.fromkeys(g.class_of(rep), rep))
     for root in g.roots():
-        if not r.defined(root):
-            r.set_class(g, root)
+        if root not in r:
+            r.update(dict.fromkeys(g.class_of(root), root))
     return r
 
 
@@ -105,7 +105,7 @@ def test_identity_repr_admissible_without_merges():
     t = store.mk_app("+", (store.mk_const("c"), store.mk_const("1")))
     formula = mk_formula(store, [Literal("eq", t, t)])
     g = EGraph.from_formula(sig, store, formula)
-    r = ReprFn({n: n for n in g.node_ids()})
+    r = {n: n for n in g.node_ids()}
     assert is_admissible(g, r)
 
 
@@ -145,7 +145,7 @@ def test_to_expr_cycle_deep_down_the_path():
     # representing c's class by g(a) closes a cycle 5000 steps below the top
     prob, g, top, ga = _deep_chain_graph(5000)
     r = find_defs(g)
-    r.set_class(g, ga)
+    r.update(dict.fromkeys(g.class_of(ga), ga))
     with pytest.raises(ExtractionBudgetError):
         to_expr(g, top, r)
 
@@ -186,7 +186,7 @@ def test_to_formula_detects_nonunique_assignment():
     prob, g = _graph("congruent_funs.smt2")
     x, y = _node(g, "x"), _node(g, "y")
     r = find_defs(g)
-    r.assignment[y] = y  # two representatives in one class
+    r[y] = y  # two representatives in one class
     with pytest.raises(InadmissibleReprError):
         to_formula(g, r)
 
@@ -227,13 +227,11 @@ def test_path_bound_on_admissible_reprs(rng):
 def test_partial_admissibility_conditions():
     prob, g = _graph("circular_defs.smt2")
     six = _node(g, "6")
-    r = ReprFn()
-    r.set_class(g, six)
+    r = dict.fromkeys(g.class_of(six), six)
     assert is_admissible_partial(g, r)
     # a representative whose children are unassigned violates condition (c)
     f = _node(g, "f")
-    bad = ReprFn()
-    bad.set_class(g, f)
+    bad = dict.fromkeys(g.class_of(f), f)
     assert not is_admissible_partial(g, bad)
 
 

@@ -1,10 +1,9 @@
 import pytest
 
 from egraphqe import (Bounds, EGraph, InadmissibleReprError, InconsistentFormulaError,
-                      Literal, ReprFn, SortKind, equiv_exists,
-                      find_core, find_defs, find_model, formula_to_sexpr,
-                      is_admissible, mbp, process, qel, refine_defs, to_expr,
-                      to_formula)
+                      Literal, SortKind, equiv_exists, find_core, find_defs,
+                      find_model, formula_to_sexpr, is_admissible, mbp, process,
+                      qel, refine_defs, to_expr, to_formula)
 from egraphqe.parser import parse_problem
 from egraphqe.qel import _makes_cycle, reduce
 from egraphqe.terms import mk_formula
@@ -93,9 +92,20 @@ def test_find_defs_no_ground_picks():
     assert r.get(f_nodes[0]) == f_nodes[1]
 
 
+def test_find_defs_counts_a_repeated_child_once():
+    """h(c, c) waits for c's class once: it is ready as soon as c is
+    assigned, so it, not x, represents their class."""
+    prob = parse_problem("(declare-sort S 0) (declare-fun h (S S) S)"
+                         " (declare-const c S) (declare-var x S)"
+                         " (assert (= x (h c c)))")
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    r = find_defs(g)
+    assert r[_node(g, "x")] == r[_node(g, "h")] == _node(g, "h")
+
+
 def test_process_from_ground_leaf_circular():
     prob, g = _graph("circular_defs.smt2")
-    r = ReprFn()
+    r = {}
     process(g, r, [_node(g, "6")])
     six, gg = _node(g, "6"), _node(g, "g")
     y, x = _node(g, "y"), _node(g, "x")
@@ -105,17 +115,17 @@ def test_process_from_ground_leaf_circular():
 
 def test_process_empty_todo_is_identity():
     prob, g = _graph("circular_defs.smt2")
-    r = ReprFn()
+    r = {}
     process(g, r, [])
-    assert r.assignment == {}
+    assert r == {}
 
 
 def test_process_no_ground_leaves():
     prob = parse_problem(NO_GROUND)
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
-    r = ReprFn()
+    r = {}
     process(g, r, [_node(g, "x"), _node(g, "y")])
-    assert all(r.defined(n) for n in g.node_ids())
+    assert all(n in r for n in g.node_ids())
     assert r.get(_node(g, "x")) == _node(g, "x")
 
 
@@ -132,9 +142,9 @@ def test_refine_defs_no_ground():
 def test_refine_defs_no_variable_reps_unchanged():
     prob, g = _graph("circular_defs.smt2")
     r = find_defs(g)
-    before = dict(r.assignment)
+    before = dict(r)
     refine_defs(g, r, prob.formula.free_vars)
-    assert r.assignment == before
+    assert r == before
 
 
 def test_refine_defs_order_insensitive():
@@ -152,17 +162,17 @@ def test_refine_defs_order_insensitive():
                 if m == n or g.nodes[m].label in prob.formula.free_vars:
                     continue
                 if not _makes_cycle(g, r2, m):
-                    r2.set_class(g, m)
+                    r2.update(dict.fromkeys(g.class_of(m), m))
                     break
-    assert r1.assignment == r2.assignment
+    assert r1 == r2
 
 
 def _makes_cycle_reference(g, r, candidate):
     """The cycle check as first written: retarget a copy of r, build the
     successor map of the whole representative graph and search it for a
     path from the candidate back to itself."""
-    trial = ReprFn(r.assignment)
-    trial.set_class(g, candidate)
+    trial = dict(r)
+    trial.update(dict.fromkeys(g.class_of(candidate), candidate))
     succ = {}
     for node in g.nodes:
         for c in node.children:
@@ -198,7 +208,7 @@ def _refine_with_reference(g, var_names, verdicts):
             assert _makes_cycle(g, r, m) == cycles
             verdicts[cycles] += 1
             if not cycles:
-                r.set_class(g, m)
+                r.update(dict.fromkeys(g.class_of(m), m))
                 break
     return r
 
@@ -221,7 +231,7 @@ def test_makes_cycle_agrees_with_reference(rng):
     for g, var_names in _refine_cases(rng):
         expected = _refine_with_reference(g, var_names, verdicts)
         refined = refine_defs(g, find_defs(g), var_names)
-        assert refined.assignment == expected.assignment
+        assert refined == expected
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
@@ -430,17 +440,16 @@ def test_tail_matches_reference(rng):
     tainted = 0
     for g, var_names, taint in _tail_cases(rng):
         r = find_defs(g)
-        assert list(r.assignment.items()) == \
-            list(ref_find_defs(g).assignment.items())
+        assert list(r.items()) == list(ref_find_defs(g).items())
         expected_r, expected_core, expected = ref_reduce(g, var_names, taint)
         r = refine_defs(g, r, var_names)
-        assert list(r.assignment.items()) == list(expected_r.assignment.items())
+        assert list(r.items()) == list(expected_r.items())
         core = find_core(g, r, var_names)
         assert core == expected_core
         assert to_formula(g, r, set(g.node_ids()) - core).literals == \
             ref_to_formula(g, r, set(g.node_ids()) - core).literals
         r, out = reduce(g, var_names, taint)
-        assert list(r.assignment.items()) == list(expected_r.assignment.items())
+        assert list(r.items()) == list(expected_r.items())
         assert out.literals == expected.literals
         tainted += bool(taint)
     assert tainted > 50
@@ -452,18 +461,18 @@ def test_process_matches_reference_from_partial_reprs(rng):
     the twin test."""
     cases = []
     prob, g = _graph("circular_defs.smt2")
-    cases += [(g, ReprFn(), [_node(g, "6")]), (g, ReprFn(), [])]
+    cases += [(g, {}, [_node(g, "6")]), (g, {}, [])]
     prob = parse_problem(NO_GROUND)
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
-    cases.append((g, ReprFn(), [_node(g, "x"), _node(g, "y")]))
+    cases.append((g, {}, [_node(g, "x"), _node(g, "y")]))
     for g, _, _ in _tail_cases(rng):
         leaves = [n.id for n in g.nodes if not n.children]
-        seeded = ref_process(g, ReprFn(), [n for n in leaves if g.nodes[n].term.ground])
+        seeded = ref_process(g, {}, [n for n in leaves if g.nodes[n].term.ground])
         cases.append((g, seeded, leaves))
     for g, r, todo in cases:
-        expected = ref_process(g, ReprFn(r.assignment), todo)
-        got = process(g, ReprFn(r.assignment), todo)
-        assert list(got.assignment.items()) == list(expected.assignment.items())
+        expected = ref_process(g, dict(r), todo)
+        got = process(g, dict(r), todo)
+        assert list(got.items()) == list(expected.items())
 
 
 def test_to_formula_matches_reference_on_random_reprs(rng):
