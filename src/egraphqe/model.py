@@ -7,24 +7,26 @@ hash-consed (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
 each is built from values already built, and its class keeps one live
 object per value in a weak intern table, so two values are equal exactly
 when they are one object, and no comparison or lookup descends into them,
-however deep.  Arrays are finite maps plus a default (entries equal to the
-default are dropped, so equal arrays are one object); datatype values are
-a constructor over argument values.  The finite-model oracle builds its
-values with the same constructors.  Applying a selector to the wrong
-constructor returns a fixed per-sort default value.  What a symbol denotes
-is looked up in the Signature: a model interprets only the variables and
-the uninterpreted symbols (sig.uninterpreted), and constructors, testers
-and selectors are told apart by sig.datatype, the table the finite-model
-oracle reads too.
+however deep.  Arrays are finite maps plus a default: entries equal to the
+default are dropped and the rest are ordered by their keys' content (an
+array or datatype key by its text), so equal arrays are one object and
+print alike whatever the process made before.  Datatype values are a
+constructor over argument values.  The finite-model oracle builds its
+values with the same constructors, and what each builtin symbol computes
+is one table, OPS, that the oracle compiles too.  Applying a selector to
+the wrong constructor returns a fixed per-sort default value.  What a
+symbol denotes is looked up in the Signature: a model interprets only the
+variables and the uninterpreted symbols (sig.uninterpreted), and
+constructors, testers and selectors are told apart by sig.datatype, the
+table the finite-model oracle reads too.
 """
 from __future__ import annotations
 
-import itertools
+import operator
 import weakref
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .sexpr import Form, LocatedError, read_all, read_form, tokens
+from .sexpr import Form, LocatedError, read_form, read_text
 from .terms import (ARITH_FUNS, InputError, Literal, Signature, Sort,
                     SortKind, Term, is_numeral, post_order, sorts_within)
 
@@ -35,10 +37,6 @@ class ModelError(InputError):
 
 # -- values ------------------------------------------------------------------
 
-_serials = itertools.count()  # each interned value's number, in order made
-_SERIAL = attrgetter("serial")
-
-
 class _Table(dict):
     """Intern key -> weak reference to the one live value with that key.
     The key holds the value's parts, interned values or atoms, and the
@@ -46,7 +44,6 @@ class _Table(dict):
     them (mk true) would be found as (mk 1)."""
 
     def enter(self, key, value):
-        value.serial = next(_serials)
         self[key] = weakref.KeyedRef(value, self._forget, key)
 
     def _forget(self, ref):
@@ -56,7 +53,7 @@ class _Table(dict):
 
 class _Interned:
     """A hash-consed value: equal and hashed as object does, by identity."""
-    __slots__ = ("serial", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __repr__(self):
         return show(self)
@@ -100,15 +97,21 @@ class AdtVal(_Interned):
         return value
 
 
+_K = operator.attrgetter("k")
+
+
 def mk_array(default, mapping) -> ArrayVal:
     """The array of default and mapping (a dict, or (key, value) pairs),
     its entries equal to default dropped and the rest ordered by key: ints
-    and bools by value, other values by serial number."""
+    and bools by value, elements by number, arrays and datatype values by
+    their text (show), so the order depends on the keys alone."""
     if mapping.__class__ is not dict:
         mapping = dict(mapping)
     keys = [k for k, v in mapping.items() if v != default]
-    if keys:
-        keys.sort(key=None if isinstance(keys[0], int) else _SERIAL)
+    if len(keys) > 1:
+        first = keys[0]
+        keys.sort(key=None if isinstance(first, int)
+                  else _K if first.__class__ is Elem else show)
     entries = tuple([(k, mapping[k]) for k in keys])
     key = (default, entries, type(default), type(keys[0]) if keys else None)
     ref = ArrayVal._table.get(key)
@@ -131,6 +134,14 @@ def array_write(arr: ArrayVal, key, val) -> ArrayVal:
     mapping = dict(arr.entries)
     mapping[key] = val
     return mk_array(arr.default, mapping)
+
+
+# What each builtin symbol computes from its arguments' values: the model
+# evaluator and the finite-model oracle both read this one table.
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le,
+       "read": array_read, "write": array_write,
+       "ueq": operator.eq, "distinct": operator.ne}
 
 
 def default_values(within) -> dict:
@@ -231,37 +242,19 @@ def _apply(model, sig, term, args, memo):
     selector applied to another constructor's value gives its sort's
     default, built once per walk and kept in memo under the sort's name."""
     label = term.label
+    op = OPS.get(label)
+    if op is not None:
+        if label in ARITH_FUNS:
+            a, b = args
+            if a.__class__ is not int or b.__class__ is not int:
+                raise ModelError(f"arithmetic on non-integers in {term!r}")
+        return op(*args)
     if is_numeral(label):
         return int(label)
     if label == "true":
         return True
     if label == "false":
         return False
-    if label in ARITH_FUNS:
-        a, b = args
-        if a.__class__ is not int or b.__class__ is not int:
-            raise ModelError(f"arithmetic on non-integers in {term!r}")
-        if label == "+":
-            return a + b
-        if label == "-":
-            return a - b
-        if label == "*":
-            return a * b
-        if label == ">":
-            return a > b
-        if label == "<":
-            return a < b
-        if label == ">=":
-            return a >= b
-        return a <= b
-    if label == "read":
-        return array_read(args[0], args[1])
-    if label == "write":
-        return array_write(args[0], args[1], args[2])
-    if label == "ueq":
-        return args[0] == args[1]
-    if label == "distinct":
-        return args[0] != args[1]
     role = sig.datatype.get(label)
     if role is not None:
         kind, ctor, i = role
@@ -311,21 +304,9 @@ def parse_model(text: str, sig: Signature) -> Model:
     index: the universes first, wherever they stand, then each command in
     turn, its values built children first by one explicit stack, so each
     is interned from interned parts.  Each ``(elem S k)`` token pair is
-    checked once per read.  Nothing checks the
-    parentheses up front: when reading fails, the text is read as forms
-    first, so that an unbalanced ')' or an unclosed '(' is the error
-    reported, as it is when it comes first in the text."""
-    toks = tokens(text)
-    try:
-        try:
-            return _Reader(toks, sig).model()
-        except (InputError, LocatedError, IndexError):
-            # an unbalanced ')' or an unclosed '(' is reported first; only
-            # an unclosed '(' lets the reader run off the end of toks
-            read_all(text)
-            raise
-    except LocatedError as e:
-        raise ModelError(e.located(text)) from None
+    checked once per read.  ``sexpr.read_text`` is the frame: it drops a
+    byte order mark and reports an unbalanced ')' or an unclosed '(' first."""
+    return read_text(text, lambda toks: _Reader(toks, sig).model(), ModelError)
 
 
 _PARENS = frozenset("()")

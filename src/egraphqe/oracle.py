@@ -28,8 +28,9 @@ skipped (a soundness note, reported in the verdict).  Deliberately
 independent of the egraph machinery: plain evaluation over the model's
 values (ints, bools, and interned elements, arrays and datatype values),
 built by the model's constructors, so find_model returns them as they are
-and any two compare by identity, however deep.  The evaluator is the
-oracle's own; the declarations are shared with the model evaluator: the
+and any two compare by identity, however deep.  What the builtins compute
+is shared with the model evaluator, one table (model.OPS) that each
+context compiles into its evaluators, and so are the declarations: the
 symbols enumerated are the variables and the signature's uninterpreted
 symbols, and constructors, testers and selectors are told apart by its
 datatype table.  Each formula's subterms are listed once, by iterative
@@ -48,13 +49,11 @@ sized, and their domains and defaults built, without recursion.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .model import (AdtVal, ArrayVal, Elem, Model, array_read, array_write,
-                    default_values, mk_array)
+from .model import OPS, AdtVal, ArrayVal, Elem, Model, default_values, mk_array
 from .terms import (Formula, Sort, SortKind, is_numeral, post_order,
                     sorts_within)
 
@@ -65,9 +64,6 @@ class SearchSpaceError(Exception):
 
 # the value of a term that leaves the enumerated domains
 _UNDEFINED = object()
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
 
 @dataclass
 class Bounds:
@@ -470,10 +466,10 @@ class _Context:
         a constant or function table of the interpretation from interp, and
         a numeral, true or false is a constant.  Every other symbol is a
         function of its arguments' values, undefined when an argument is
-        (_strict): arithmetic leaves the window undefined, a selector of
-        the other constructor gives its field sort's default,
-        and a symbol with no such function raises SearchSpaceError when its
-        term is valued."""
+        (_strict): a builtin is its entry in model.OPS, + - * undefined
+        where they leave the window, a selector of the other constructor
+        gives its field sort's default, and a symbol with no such function
+        raises SearchSpaceError when its term is valued."""
         label = term.label
         ids = [c.id for c in term.children]
         if label in self.variables:
@@ -485,10 +481,11 @@ class _Context:
         if is_numeral(label) or label in ("true", "false"):
             value = int(label) if is_numeral(label) else label == "true"
             return lambda val, interp, assign: value
-        if label in _ARITH:
-            return _strict(_windowed(_ARITH[label], *self.window), ids)
-        if label in _BUILTIN:
-            return _strict(_BUILTIN[label], ids)
+        op = OPS.get(label)
+        if op is not None:
+            if label in ("+", "-", "*"):
+                op = _windowed(op, *self.window)
+            return _strict(op, ids)
         role = self.sig.datatype.get(label)
         if role is None:
             def refuse(*args):
@@ -750,10 +747,3 @@ def _capped_pow(base, exp, cap):
 
 def _at_most(n, cap):
     return f"over {cap - 1}" if n == cap else str(n)
-
-
-# the builtins that are plain functions of their arguments' values
-_BUILTIN = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
-            "<=": operator.le, "read": array_read, "write": array_write,
-            "ueq": operator.eq, "distinct": operator.ne}
-

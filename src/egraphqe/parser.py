@@ -31,17 +31,16 @@ The text is split into one token list (``sexpr.tokens``), walked by index.
 The terms of an assert are hash-consed straight from the tokens, and a
 declaration is read as a small ``Form``, or directly when its sort is one
 atom.  One reader, ``_term``, reads every term, lets and all, with one
-explicit stack; it looks at the scope only while a let is open.  Nothing
-checks the parentheses up front: when reading fails, the text is read as
-forms first, so that an unbalanced ')' or an unclosed '(' is the error
-reported, as it is when it comes first in the text.
+explicit stack; it looks at the scope only while a let is open.  The
+frame is ``sexpr.read_text``: it drops a byte order mark and reports an
+unbalanced ')' or an unclosed '(' first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .sexpr import Form, LocatedError, read_all, read_form, tokens
+from .sexpr import Form, LocatedError, read_form, read_text
 from .terms import (BOOL, Formula, InputError, Literal, Signature,
                     TermStore, mk_formula)
 
@@ -59,17 +58,7 @@ class Problem:
 
 
 def parse_problem(text: str) -> Problem:
-    toks = tokens(text)
-    try:
-        try:
-            return _problem(toks)
-        except (InputError, LocatedError, IndexError):
-            # an unbalanced ')' or an unclosed '(' is reported first; only
-            # an unclosed '(' lets the readers run off the end of toks
-            read_all(text)
-            raise
-    except LocatedError as e:
-        raise ParseError(e.located(text)) from None
+    return read_text(text, _problem, ParseError)
 
 
 _PARENS = frozenset("()")

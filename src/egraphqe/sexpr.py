@@ -5,16 +5,19 @@ readers walk that list by index, building terms and model values straight
 from it.  Atoms are plain strings and a parenthesized list read by
 ``read_form`` is a ``Form``: the readers take as Forms only small parts
 (declarations, universe commands) and the lists an error message needs the
-length of.  When reading fails, ``read_all`` reads the whole text as Forms,
-so that an unbalanced ')' or an unclosed '(' is the error reported.  An
-error is located by the ordinal of its token in the list: tokens carry no
-positions, and ``where`` reads the text again to find one, which only
+length of.  ``read_text`` is the frame of both readers: it drops a byte
+order mark, and when reading fails, ``read_all`` reads the whole text as
+Forms, so that an unbalanced ')' or an unclosed '(' is the error reported.
+An error is located by the ordinal of its token in the list: tokens carry
+no positions, and ``where`` reads the text again to find one, which only
 error messages do.
 """
 from __future__ import annotations
 
 import itertools
 import re
+
+from .terms import InputError
 
 # Whitespace is exactly space, tab, CR and LF; ';' starts a comment that
 # runs to the end of the line.  Every other character is an atom character,
@@ -96,6 +99,26 @@ def read_all(text):
         form, k = read_form(toks, k)
         forms.append(form)
     return forms
+
+
+def read_text(text, read, error):
+    """read(toks), toks the tokens of text after one leading U+FEFF (a byte
+    order mark) is dropped.  Nothing checks the parentheses up front: when
+    reading fails, the text is read as forms first, so that an unbalanced
+    ')' or an unclosed '(' is the error reported, as it is when it comes
+    first in the text.  A LocatedError is raised as error("message at
+    line:col"), located in the text after the mark."""
+    text = text.removeprefix("\ufeff")
+    toks = tokens(text)
+    try:
+        try:
+            return read(toks)
+        except (InputError, LocatedError, IndexError):
+            # only an unclosed '(' lets a reader run off the end of toks
+            read_all(text)
+            raise
+    except LocatedError as e:
+        raise error(e.located(text)) from None
 
 
 def where(text, at):

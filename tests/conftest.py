@@ -767,6 +767,7 @@ def ref_where(text, form, index):
 
 
 def ref_parse_problem(text):
+    text = text.removeprefix("\ufeff")  # a byte order mark
     try:
         return _ref_problem(_ref_read_all(text))
     except _RefLocated as e:
@@ -1083,6 +1084,7 @@ def _ref_quoted(form):
 # reprs, or fail where this fails, with the same message.
 
 def ref_parse_model(text, sig):
+    text = text.removeprefix("\ufeff")  # a byte order mark
     try:
         return _ref_model(read_all(text), sig)
     except LocatedError as e:

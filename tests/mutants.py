@@ -40,8 +40,16 @@ SPLIT_ONCE = ("tests/test_mbp.py::"
 WATERMARK_TWIN = ("tests/test_mbp.py::"
                   "test_watermarks_match_the_loop_with_per_key_marks")
 TAIL_TWIN = "tests/test_qel.py::test_tail_matches_reference"
+BY_CONTENT = "tests/test_model.py::test_array_keys_are_ordered_by_content"
 UNDEFINED_ARGUMENT = ("tests/test_oracle.py::"
                       "test_every_compiled_kind_is_undefined_at_an_undefined_argument")
+
+# every test that fails when the reading frame does not read the text as
+# forms first (an unclosed '(' then ends in an IndexError), one id a line.
+# The ids quote model and problem texts, so they are kept out of the .py
+# sources, whose string constants the reader twin tests take as inputs.
+FRAME_KILLS = (ROOT / "tests" / "frame_mutant_kills.txt").read_text().splitlines()
+
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -138,6 +146,28 @@ MUTANTS = [
       "(declare-var x S)\\n"
       "(assert (let ((y c)) (let ((y d) (z y)) (= z (f y)))))]",
       "tests/test_parser.py::test_reader_matches_reference_on_mutants"]),
+    ("distinct computes equality in the table of builtins", "src/egraphqe/model.py",
+     '"ueq": operator.eq, "distinct": operator.ne}',
+     '"ueq": operator.eq, "distinct": operator.eq}',
+     ["tests/test_model.py::test_every_builtin_agrees_with_the_reference_evaluator",
+      "tests/test_oracle.py::test_evaluators_agree_on_every_int_builtin"]),
+    ("the oracle does not window +", ORACLE,
+     'if label in ("+", "-", "*"):', 'if label in ("-", "*"):',
+     ["tests/test_oracle.py::test_out_of_window_interpretations_skipped",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_arithmetic",
+      "tests/test_oracle.py::"
+      "test_backtracking_matches_product_search_on_qel_demos[read_chain.smt2]",
+      "tests/test_oracle.py::test_failing_skip_count_is_weighted",
+      "tests/test_oracle.py::test_evaluators_agree_on_every_int_builtin"]),
+    ("array keys ordered by id", "src/egraphqe/model.py",
+     "else _K if first.__class__ is Elem else show)", "else id)",
+     # test_array_text_does_not_depend_on_the_values_made_before fails on it
+     # too when freed values' addresses are reused in the other order, not
+     # on every run, so it is not listed
+     [BY_CONTENT + "[elements]", BY_CONTENT + "[datatype-values]",
+      BY_CONTENT + "[arrays]"]),
+    ("the reading frame does not read the text as forms first", "src/egraphqe/sexpr.py",
+     "            read_all(text)\n", "", FRAME_KILLS),
 ]
 
 

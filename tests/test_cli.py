@@ -287,6 +287,26 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command, reason, at):
     assert out.err == f"error: {bad} is not UTF-8: {reason} at byte {at}\n"
 
 
+@pytest.mark.parametrize("marked", ["read_chain.smt2", "nested_pair_array.smt2",
+                                    "nested_pair_array.model"])
+def test_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, marked):
+    """A UTF-8 file that starts with a byte order mark, as some editors
+    write it, gives the stdout and exit code of the file without it."""
+    copy = tmp_path / marked
+    copy.write_bytes(b"\xef\xbb\xbf" + (DEMOS / marked).read_bytes())
+    if marked == "read_chain.smt2":
+        runs = [["qel", _path(marked)], ["qel", str(copy)]]
+    else:
+        args = ["mbp", _path("nested_pair_array.smt2"), "--model",
+                _path("nested_pair_array.model")]
+        runs = [args, [str(copy) if a.endswith(marked) else a for a in args]]
+    outs = []
+    for args in runs:
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+
+
 def test_dot_labels_are_quoted_strings(tmp_path, capsys):
     """Symbols with a quote or a backslash are escaped in DOT labels, so
     every label is one well-formed quoted string that reads back as the

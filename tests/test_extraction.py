@@ -120,6 +120,17 @@ def test_to_expr_read_chain():
     assert term_to_sexpr(to_expr(g, leaf, r)) == "a"
 
 
+def test_to_expr_on_a_partial_repr_is_inadmissible():
+    prob, g = _graph("read_chain.smt2")
+    r = _repr_from_reps(g, [_node(g, "z"), _node(g, "x")])
+    leaf = _node(g, "a")
+    del r[leaf]
+    read = next(n.id for n in g.nodes if n.label == "read")
+    with pytest.raises(InadmissibleReprError) as exc:
+        to_expr(g, read, r)
+    assert str(exc.value) == f"representative undefined for node {leaf}"
+
+
 def test_to_expr_circular_b():
     prob, g = _graph("circular_defs.smt2")
     reprs = _circular_reprs(g)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from egraphqe import (Bounds, EGraph, InputError, Model,
-                      ModelMismatchError, SaturationBudgetError, Signature,
+                      ModelMismatchError, SaturationBudgetError, Signature, SortKind,
                       TermStore, find_model,
                       formula_to_sexpr, implies_exists, mbp, parse_model, qel,
                       satisfies)
@@ -216,6 +216,28 @@ def test_partial_eq_and_elim_eq_solve_variable():
     assert verdict.ok
 
 
+def test_elim_eq_declares_an_array_valued_fresh_variable():
+    """Solving a for its write leaves a fresh d!k in place of (read a i),
+    itself an array, so it is declared a variable and projected too."""
+    prob = parse_problem("""
+    (declare-sort I 0) (declare-sort V 0)
+    (declare-var a (Array I (Array I V)))
+    (declare-const b (Array I (Array I V)))
+    (declare-const i I) (declare-const j I) (declare-const v V)
+    (assert (= (read (read a j) i) v))
+    (assert (= (write a i (read b i)) b))
+    """)
+    model = find_model(prob.sig, prob.store, prob.formula, Bounds(universe=2))
+    res = _run(prob, model)
+    fresh = [name for name in prob.sig.variables if name.startswith("d!")]
+    assert res.rule_fires["elim_eq"] >= 1 and fresh
+    assert all(prob.sig.variables[name].kind is SortKind.ARRAY for name in fresh)
+    assert res.formula.free_vars == ()
+    assert satisfies(res.model, prob.sig, res.formula)
+    assert implies_exists(prob.sig, prob.store, res.formula, prob.formula,
+                          Bounds(universe=2)).ok
+
+
 def test_elim_eq_zero_index_merges_sides():
     prob = parse_problem("""
     (declare-var v (Array Int Int))
@@ -385,6 +407,12 @@ def test_rejects_non_array_adt_variable():
     """)
     with pytest.raises(InputError):
         _run(prob, Model({"x": 3}, {}, {}))
+
+
+def test_rejects_undeclared_variable():
+    prob, model = load_mbp()
+    with pytest.raises(InputError, match="'nosuch' is not a declared variable"):
+        mbp(prob.sig, prob.store, prob.formula, ["nosuch"], model)
 
 
 def test_rejects_model_not_satisfying_input():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import re
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from egraphqe import (AdtVal, ArrayVal, Elem, Literal, Model, Signature,
                       TermStore, eval_term, holds, mbp, mk_array, parse_model,
                       parse_problem, satisfies)
-from egraphqe.model import (ModelError, array_read, array_write, default_value,
-                            show)
+from egraphqe.model import (OPS, ModelError, array_read, array_write,
+                            default_value, show)
 from egraphqe.oracle import Bounds, find_model
 from egraphqe.terms import mk_formula, post_order
 
@@ -166,6 +167,40 @@ def test_missing_interpretation_detected_at_eval():
         eval_term(model, sig, store.mk_const("w"))
 
 
+def test_every_builtin_agrees_with_the_reference_evaluator():
+    """Each symbol of OPS, on every pair of Ints in a window and on an
+    array, has the value that the reference evaluator gives it."""
+    sig = parse_problem("(declare-const m Int) (declare-const n Int)"
+                        " (declare-const a (Array Int Int))").sig
+    store = TermStore(sig)
+    m, n, a = (store.mk_const(s) for s in "mna")
+    app = store.mk_app
+    written = app("write", (a, m, n))
+    terms = [app(op, (m, n)) for op in
+             ("+", "-", "*", ">", "<", ">=", "<=", "ueq", "distinct")]
+    terms += [app("read", (a, m)), written, app("read", (written, n)),
+              app("ueq", (a, written)), app("distinct", (a, written))]
+    assert {t.label for t in terms} == set(OPS)
+    for i, j in itertools.product(range(-2, 3), repeat=2):
+        model = Model({"m": i, "n": j, "a": mk_array(0, {0: 1, 2: -1})}, {}, {})
+        ref = ref_model(model)
+        for t in terms:
+            assert ref_equal(ref_value(eval_term(model, sig, t)),
+                             ref_eval(ref, sig, t, {})), (i, j, t)
+
+
+@pytest.mark.parametrize("op", ["+", "<="])
+def test_arithmetic_on_non_integers_is_a_model_error(op):
+    """A hand-built model may give an Int symbol a Bool value; arithmetic
+    on it is an error, not the int arithmetic of Python's bools."""
+    sig, store, model = _setup()
+    bad = Model(dict(model.constants, x=True), {}, {})
+    term = store.mk_app(op, (store.mk_const("x"), store.mk_const("1")))
+    with pytest.raises(ModelError) as exc:
+        eval_term(bad, sig, term)
+    assert str(exc.value) == f"arithmetic on non-integers in ({op} x 1)"
+
+
 def test_satisfies_deep_chain_under_planted_model():
     sig = Signature()
     u = sig.declare_sort("U")
@@ -206,6 +241,9 @@ POSITIONAL_PROBLEM = ("(declare-sort S 0) (declare-sort T 0)\n"
     ("(universe S --2)", "expected an integer, got '--2' at 1:12"),
     ("(universe S +2)", "expected an integer, got '+2' at 1:12"),
     ("(define-value c (elem S 1)))", "unbalanced ')' at 1:27"),
+    # a byte order mark is dropped, and columns count from after it
+    ("\ufeff(define-value c foo)", "bad value 'foo' at 1:16"),
+    ("\ufeff(define-value c (elem S 1)))", "unbalanced ')' at 1:27"),
 ])
 def test_positional_model_errors(text, message):
     prob = parse_problem(POSITIONAL_PROBLEM)
@@ -237,6 +275,10 @@ SORTS_PROBLEM = (
     ("(define-fun-values f (default true) (((elem V 0)) false))",
      "bad table entry for 'f'"),
     ("(define-value f true)", "'f' takes arguments: use define-fun-values"),
+    # a name or a table entry given twice
+    ("(define-value i 1) (define-value i 1)", "duplicate value for 'i'"),
+    ("(define-fun-values f (default true) (((elem V 0) 1) false)"
+     " (((elem V 0) 1) true))", "duplicate table entry for 'f'"),
     # a value nested deeper than its sort
     ("(define-value a (array (default (array (default (elem V 0))))))",
      "expected a value of sort V at 1:32"),
@@ -563,6 +605,56 @@ def test_mk_array_is_one_object_for_entries_in_any_order():
             v == values[0] for v in values)
 
 
+ORDER_PROBLEM = ("(declare-sort OrdI 0) (declare-sort OrdV 0)"
+                 " (declare-datatype OrdP ((op (ofst OrdI))))"
+                 " (declare-const a (Array OrdI OrdV))"
+                 " (declare-const p (Array OrdP OrdV))")
+
+
+@pytest.mark.parametrize("text, make", [
+    ("(define-value a (array (default (elem OrdV 0))"
+     " ((elem OrdI 1) (elem OrdV 1)) ((elem OrdI 0) (elem OrdV 1))))",
+     lambda k: Elem("OrdI", k)),
+    ("(define-value p (array (default (elem OrdV 0))"
+     " ((op (elem OrdI 1)) (elem OrdV 1)) ((op (elem OrdI 0)) (elem OrdV 1))))",
+     lambda k: AdtVal("op", (Elem("OrdI", k),))),
+], ids=["elements", "datatype-values"])
+def test_array_text_does_not_depend_on_the_values_made_before(text, make):
+    """The first read makes the key with element 1 first; the second finds
+    both keys made in the other order.  Both print the entries in one
+    order, element 0 first."""
+    sig = parse_problem(ORDER_PROBLEM).sig
+    first = repr(parse_model(text, sig))
+    made = [make(0), make(1)]  # alive through the second read
+    assert repr(parse_model(text, sig)) == first
+    assert first.index("(elem OrdI 0)") < first.index("(elem OrdI 1)")
+
+
+def _keys(kind, ks):
+    if kind == "elements":
+        return [Elem("OrdK", k) for k in ks]
+    if kind == "datatype-values":
+        return [AdtVal("ok", (k, Elem("OrdK", k % 3))) for k in ks]
+    return [mk_array(0, {k: 1, k + 1: 2}) for k in ks]
+
+
+@pytest.mark.parametrize("kind", ["elements", "datatype-values", "arrays"])
+def test_array_keys_are_ordered_by_content(kind):
+    """Keys made in a shuffled order, and alive together, are ordered by
+    element number, or by text for composite keys: the order of the keys
+    alone, not of their making."""
+    ks = list(range(12))
+    random.Random(3).shuffle(ks)
+    keys = _keys(kind, ks)
+    arr = mk_array(False, {key: True for key in keys})
+    got = [key for key, _ in arr.entries]
+    if kind == "elements":
+        assert [key.k for key in got] == list(range(12))
+    else:
+        assert [show(key) for key in got] == sorted(show(key) for key in keys)
+    assert got != keys
+
+
 def test_values_are_dropped_with_their_last_reference():
     before = len(AdtVal._table)
     value = AdtVal("only_here", (mk_array(Elem("W", 7), {1: Elem("W", 8)}),))
@@ -573,8 +665,8 @@ def test_values_are_dropped_with_their_last_reference():
 
 def test_deep_index_key_model_reads_without_recursion():
     """An array whose index sort is an (Array Int ...) 2,000 deep, with one
-    entry keyed by a value that deep: reading it hashes and orders the key
-    by its identity, and it prints by one explicit stack."""
+    entry keyed by a value that deep: reading it hashes the key by its
+    identity, and it prints by one explicit stack."""
     problem, text = deep_model_problems()["index_key"]
     prob = parse_problem(problem)
     model = parse_model(text, prob.sig)

@@ -762,7 +762,8 @@ def test_evaluators_agree_on_every_int_builtin():
     """On every pair of values of the oracle's Int window, both evaluators
     agree on each arithmetic symbol, comparison, ueq and distinct term
     wherever the oracle's value is defined; the oracle's value is undefined
-    only where arithmetic leaves the window."""
+    only where arithmetic leaves the window.  Both read model.OPS, so the
+    oracle's value is also checked against the reference _apply here."""
     sig = parse_problem("(declare-const m Int) (declare-const n Int)").sig
     store = TermStore(sig)
     m, n = store.mk_const("m"), store.mk_const("n")
@@ -779,6 +780,8 @@ def test_evaluators_agree_on_every_int_builtin():
         model = Model(interp, {}, {})
         for t in terms:
             got = _value(evs, t, interp, [a, b])
+            ref = _apply(ctx, t, [a, b], interp, {})
+            assert (type(got), got) == (type(ref), ref), (a, b, term_to_sexpr(t))
             if got is oracle._UNDEFINED:
                 assert not -2 <= eval_term(model, sig, t) <= 3
                 undefined.add(t.label)

@@ -9,9 +9,10 @@ from egraphqe import (InputError, Literal, Signature, SortKind, TermStore,
                       formula_to_sexpr, literal_to_sexpr, parse_model, qel,
                       parse_problem, term_to_sexpr)
 from egraphqe.parser import ParseError
+from egraphqe import terms as terms_module
 from egraphqe.sexpr import Form, LocatedError, read_all, where
 from egraphqe.terms import (DuplicateDeclarationError, SortMismatchError,
-                            UnknownSymbolError, mk_formula, post_order)
+                            UnknownSymbolError, _binders, mk_formula, post_order)
 
 from conftest import (DEMOS, TOWER_DECLS, conjuncts, expand_lets, load, reparse,
                       ref_var_order, same_literals, tower_problem)
@@ -93,6 +94,8 @@ def test_sort_mismatch_and_unknown_symbol():
         store.mk_const("nosuch")
     with pytest.raises(DuplicateDeclarationError):
         sig.declare_const("a", sig.sorts["Int"])
+    with pytest.raises(DuplicateDeclarationError, match="sort 'U' is already declared"):
+        sig.declare_datatype("U", [("mk", [])])
     # a numeral always denotes its Int value
     with pytest.raises(DuplicateDeclarationError):
         sig.declare_var("3", sig.sorts["Int"])
@@ -411,6 +414,25 @@ def test_binder_names_skip_the_labels_of_the_literal():
     assert literal_to_sexpr(lit) == text
 
 
+def test_dense_join_of_a_small_tree_prints_flat(monkeypatch):
+    """A 300-character name makes the second (f C) a join of more than
+    _DENSE characters per piece, so the flat attempt aborts; the tree is
+    small, so the literal gets no binders, prints flat and reads back."""
+    binders = []
+
+    def spy(sides):
+        binders.append(_binders(sides))
+        return binders[-1]
+    monkeypatch.setattr(terms_module, "_binders", spy)
+    name = "c" * 300
+    decls = ("(declare-sort U 0) (declare-fun f (U) U) (declare-fun h (U U) U)"
+             f" (declare-const {name} U) (declare-const d U)")
+    text = f"(distinct (h (f {name}) (f {name})) d)"
+    (lit,) = reparse(decls, text).literals
+    assert literal_to_sexpr(lit) == text
+    assert binders == [[]]
+
+
 _LEAVES = ("c", "d", "x0", "x1", "x2", "x3")
 _DAG_STEP = st.tuples(st.sampled_from(("leaf", "f", "h", "tower")),
                       st.integers(0, 63), st.integers(0, 63), st.integers(1, 6))
@@ -509,6 +531,12 @@ DECLS = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun g (S) S)\n"
     (DECLS + "; comment (with (parens\n(declare-const c S) ; more ((\n"
      "(assert (= c (g (= c c))))", "nested '=' at 4:17"),
     ("(declare-sort S 0) ; ) ( ;\n  (declare-const c Q)", "unknown sort 'Q' at 2:19"),
+    # a byte order mark is dropped, and columns count from after it
+    ("\ufeff   (foo a b)", "unknown command 'foo' at 1:4"),
+    ("\ufeff(declare-sort S 0))", "unbalanced ')' at 1:18"),
+    # errors of a whole command carry no position
+    ("(declare-sort S 0) (qel x)", "(qel) takes no arguments"),
+    ("(declare-datatype P ())", "declare-datatype needs a non-empty constructor list"),
 ])
 def test_positional_parse_errors(text, message):
     with pytest.raises(ParseError) as exc:
