@@ -36,6 +36,9 @@ class InconsistentFormulaError(InputError):
     pass
 
 
+_TRUTH = ("true", "false")  # the labels of the Bool constants' leaves
+
+
 class ENode:
     __slots__ = ("id", "label", "children", "term")
 
@@ -79,6 +82,7 @@ class EGraph:
         self._cground = set()     # cground node ids among the settled ones
         self._ground = set()      # roots of the ground classes
         self._settled = 0         # nodes below this id are in the analysis
+        self._truth = {}          # "true" and "false" -> node id, once added
 
     # -- construction ------------------------------------------------------
 
@@ -115,17 +119,19 @@ class EGraph:
     def _add_node(self, term, child_ids) -> int:
         """A node for term over existing child nodes, merged at once with a
         congruent node if there is one."""
-        nid = len(self.nodes)
+        nodes, parents = self.nodes, self._parents
+        nid = len(nodes)
         node = ENode(nid, term.label, child_ids, term)
-        self.nodes.append(node)
+        nodes.append(node)
         self._root.append(nid)
         self._members[nid] = [nid]
-        self._parents[nid] = set()
+        parents[nid] = set()
         self._term_node[term.id] = nid
         for c in child_ids:
-            self._parents[c].add(nid)
-        key = self._canon_key(node)
-        other = self._cong.setdefault(key, nid)
+            parents[c].add(nid)
+        if not child_ids and term.label in _TRUTH:
+            self._truth[term.label] = nid
+        other = self._cong.setdefault(self._canon_key(node), nid)
         if other != nid:
             self._merge(nid, other)
         return nid
@@ -242,18 +248,13 @@ class EGraph:
         return (node.label, tuple([root[c] for c in node.children]))
 
     def _check_consistent(self):
-        top, bot = self._const_node("true"), self._const_node("false")
-        if top is not None and bot is not None and self.find(top) == self.find(bot):
+        truth = self._truth
+        if len(truth) == 2 and self.find(truth["true"]) == self.find(truth["false"]):
             raise InconsistentFormulaError("true and false were merged")
         if self._violation is not None:
             na, nb = (self.nodes[n] for n in self._violation)
             raise InconsistentFormulaError(
                 f"disequal terms merged: {na.term!r} and {nb.term!r}")
-
-    def _const_node(self, label):
-        """Node of the constant term label, or None; makes no term."""
-        term = self.store.find_const(label)
-        return None if term is None else self._term_node.get(term.id)
 
     # -- views ---------------------------------------------------------------
 

@@ -302,10 +302,12 @@ def _term(store, toks, k, scope=None):
     turn in the scope around it; then they are entered in scope together
     for its body, and when it closes the entries they shadowed come back.
     While no let is open, an atom or an application already in the store
-    costs one table lookup."""
-    if scope is None:
-        scope = {}
+    costs one table lookup; a term that is one atom skips the stack."""
     table = store._table
+    tok = toks[k]
+    if tok != "(" and tok != ")" and not (scope and tok in scope):
+        term = table.get((tok, ()))
+        return (_const(store, tok) if term is None else term), k + 1
     stack = []
     while True:
         tok = toks[k]
@@ -315,6 +317,8 @@ def _term(store, toks, k, scope=None):
             if head in _BAD_HEADS:
                 if head != "let":
                     _bad_head(toks, k - 1)
+                if scope is None:
+                    scope = {}
                 bindings, body = _let_header(toks, k - 1)
                 stack.append([bindings, [], None, body])
                 k = bindings[0][1]

@@ -21,17 +21,23 @@ from .terms import InputError
 
 # Whitespace is exactly space, tab, CR and LF; ';' starts a comment that
 # runs to the end of the line.  Every other character is an atom character,
-# \x0b, \x0c, \x1c and \xa0 among them, so str.split would not do.  A
-# comment is removed (or blanked, to keep positions) before the tokens are
-# matched; the newline after it stays, so it never joins two atoms.
+# \x0b, \x0c, \x1c and \xa0 among them.  A comment is removed (or blanked,
+# to keep positions) before the tokens are matched; the newline after it
+# stays, so it never joins two atoms.  str.split, with a space put around
+# each parenthesis, gives the same tokens faster on a text that is ASCII
+# and holds none of _SPLIT_ALSO, the only other ASCII characters it splits
+# on; every other text is matched by _TOKEN, which ``where`` also uses.
 _COMMENT = re.compile(r";[^\n]*")
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+_SPLIT_ALSO = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def tokens(text):
     """The tokens of text: '(', ')' and atoms, in order."""
     if ";" in text:
         text = _COMMENT.sub("", text)
+    if text.isascii() and not any(c in text for c in _SPLIT_ALSO):
+        return text.replace("(", " ( ").replace(")", " ) ").split()
     return _TOKEN.findall(text)
 
 

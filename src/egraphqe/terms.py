@@ -268,16 +268,21 @@ class TermStore:
         hit = self._table.get(key)
         if hit is not None:
             return hit  # its sorts were checked when it was made
-        sort = self._resolve_sort(label, args)
-        if label in self.sig.variables:
-            order = (label,)
+        variables = self.sig.variables
+        if not args and label in variables:
+            sort, order = variables[label], (label,)
         else:
+            sort = self._resolve_sort(label, args)
             # the children's orders merged left to right without repeats;
             # a single non-empty order is shared, not copied
-            orders = [a.vars for a in args if a.vars]
-            order = orders[0] if orders else ()
-            if any(o is not order for o in orders):
-                order = tuple(dict.fromkeys(v for o in orders for v in o))
+            order = ()
+            for a in args:
+                if a.vars and a.vars is not order:
+                    if order:
+                        order = tuple(dict.fromkeys(
+                            v for c in args for v in c.vars))
+                        break
+                    order = a.vars
         term = Term(len(self.terms), label, args, sort, order)
         self.terms.append(term)
         self._table[key] = term
@@ -286,10 +291,6 @@ class TermStore:
     def mk_const(self, label: str) -> Term:
         hit = self._table.get((label, ()))
         return hit if hit is not None else self.mk_app(label, ())
-
-    def find_const(self, label: str) -> Optional[Term]:
-        """The constant term label if it has been made, else None."""
-        return self._table.get((label, ()))
 
     @property
     def top(self) -> Term:
@@ -307,14 +308,15 @@ class TermStore:
         if len(arg_sorts) != len(args):
             raise SortMismatchError(
                 f"'{label}' expects {len(arg_sorts)} arguments, got {len(args)}")
-        for got, want in zip(args, arg_sorts):
-            self._check(label, got.sort, want)
+        for a, want in zip(args, arg_sorts):
+            if a.sort is not want and a.sort != want:
+                self._check(label, a.sort, want)
         return result
 
     def _resolve_builtin(self, label, args) -> Sort:
         """The sort of a label that is not in the function table: a
-        polymorphic builtin, a variable, or a numeral met for the first
-        time."""
+        polymorphic builtin or a numeral met for the first time; a variable
+        here is applied to arguments."""
         sig = self.sig
         if label == "read":
             arr = self._need_array(label, args, 2)
@@ -338,9 +340,7 @@ class TermStore:
                 self._check(label, ix.sort, args[0].sort.index)
             return BOOL
         if label in sig.variables:
-            if args:
-                raise SortMismatchError(f"variable '{label}' applied to arguments")
-            return sig.variables[label]
+            raise SortMismatchError(f"variable '{label}' applied to arguments")
         if not is_numeral(label):
             raise UnknownSymbolError(f"unknown symbol '{label}'")
         sig._ensure_numeral(label)
@@ -357,11 +357,26 @@ class TermStore:
             raise SortMismatchError(f"'{label}': expected {want}, got {got}")
 
 
-@dataclass(frozen=True)
 class Literal:
-    kind: str  # "eq" | "diseq" | "ueq"
-    lhs: Term
-    rhs: Term
+    """The literal lhs = rhs, lhs != rhs or ueq(lhs, rhs), as kind is "eq",
+    "diseq" or "ueq".  Two literals are equal when their fields are.  Like
+    a Term, it is read-only by convention: nothing assigns its fields after
+    it is made."""
+    __slots__ = ("kind", "lhs", "rhs")
+
+    def __init__(self, kind, lhs, rhs):
+        self.kind = kind
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other):
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return (self.kind == other.kind and self.lhs == other.lhs
+                and self.rhs == other.rhs)
+
+    def __hash__(self):
+        return hash((self.kind, self.lhs, self.rhs))
 
     def __repr__(self):
         return literal_to_sexpr(self)
@@ -378,8 +393,12 @@ class Formula:
 
 def mk_formula(store: TermStore, literals: Iterable[Literal]) -> Formula:
     literals = tuple(literals)
-    ordered = dict.fromkeys(v for lit in literals for side in (lit.lhs, lit.rhs)
-                            for v in side.vars)
+    ordered = {}
+    for lit in literals:
+        for v in lit.lhs.vars:
+            ordered[v] = None
+        for v in lit.rhs.vars:
+            ordered[v] = None
     return Formula(literals, tuple(ordered))
 
 

@@ -149,6 +149,20 @@ def test_top_bottom_never_share_a_class():
         EGraph.from_formula(prob.sig, prob.store, prob.formula)
 
 
+@pytest.mark.parametrize("text", [
+    "(declare-sort S 0) (declare-fun P (S) Bool) (declare-const c S) (declare-var x S)\n"
+    "(assert (= x c)) (assert (P c)) (assert (not (P x)))",
+    "(declare-sort S 0) (declare-fun P (S) Bool) (declare-const c S) (declare-var x S)\n"
+    "(assert (= x c)) (assert (not (P c))) (assert (P x))",
+], ids=["true-first", "false-first"])
+def test_true_and_false_merged_after_literals_that_made_neither(text):
+    """true and false get nodes only at the second and third literals, and
+    the third merges them through congruence: the graph rejects it."""
+    prob = parse_problem(text)
+    with pytest.raises(InconsistentFormulaError, match="true and false were merged"):
+        EGraph.from_formula(prob.sig, prob.store, prob.formula)
+
+
 def test_parents_view():
     prob = load("read_chain.smt2")
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)

@@ -15,7 +15,8 @@ from egraphqe.terms import (SortKind, formula_to_sexpr, is_numeral, mk_formula,
                             post_order)
 
 from conftest import (DEMOS, chain_problem, load, load_mbp,
-                      random_euf_instance, random_projection_instance)
+                      random_euf_instance, random_projection_instance, ref_equal,
+                      ref_eval, ref_model, ref_value)
 
 
 def _euf():
@@ -789,6 +790,75 @@ def test_evaluators_agree_on_every_int_builtin():
             want = eval_term(model, sig, t)
             assert (type(got), got) == (type(want), want), (a, b, term_to_sexpr(t))
     assert undefined == {"+", "-", "*"}
+
+
+BOOL_BUILTINS_PROBLEM = (
+    "(declare-sort U 0) (declare-fun f (U) U) (declare-fun g (Bool U) U)"
+    " (declare-fun p (Bool Bool) Bool) (declare-const a U) (declare-const b U)"
+    " (declare-const q Bool)")
+
+
+def _bool_builtin_term(store, rnd, sort, depth):
+    """A random term of sort U or Bool in which distinct and ueq terms,
+    over U or over Bool, stand under the uninterpreted p and g."""
+    app = store.mk_app
+    if sort == "U":
+        if depth == 0 or rnd.random() < 0.25:
+            return store.mk_const(rnd.choice("ab"))
+        if rnd.random() < 0.3:
+            return app("f", (_bool_builtin_term(store, rnd, "U", depth - 1),))
+        return app("g", (_bool_builtin_term(store, rnd, "Bool", depth - 1),
+                         _bool_builtin_term(store, rnd, "U", depth - 1)))
+    if depth == 0 or rnd.random() < 0.15:
+        return store.mk_const(rnd.choice(("q", "true", "false")))
+    head = rnd.choice(("distinct", "ueq", "p"))
+    args = ("Bool", "Bool") if head == "p" else (rnd.choice(("U", "Bool")),) * 2
+    return app(head, tuple(_bool_builtin_term(store, rnd, s, depth - 1) for s in args))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_and_ueq_under_functions_match_the_references(seed):
+    """Random terms that nest distinct and ueq under uninterpreted Bool
+    arguments, valued under random interpretations: the oracle's compiled
+    evaluators agree with its reference _apply, and model.eval_term agrees
+    with the reference evaluator of conftest, on every subterm."""
+    rnd = random.Random(seed)
+    sig = parse_problem(BOOL_BUILTINS_PROBLEM).sig
+    store = TermStore(sig)
+    roots = [store.mk_const("a"), store.mk_const("b")]
+    roots += [_bool_builtin_term(store, rnd, rnd.choice(("U", "Bool")), 5)
+              for _ in range(10)]
+    terms, memo = [], set()
+    for root in roots:
+        for t in post_order(root, memo):
+            memo.add(t.id)
+            terms.append(t)
+    assert any(t.label in ("p", "g") and c.label in ("distinct", "ueq")
+               for t in terms for c in t.children)
+    formula = mk_formula(store, [Literal("eq", t, t) for t in roots])
+    ctx = oracle._Context(sig, store, (formula,), Bounds(universe=2))
+    evs = _evaluators(ctx)
+    bools, elems = [False, True], ctx.domain(sig.sorts["U"])
+    domains = {"Bool": bools, "U": elems}
+    for _ in range(20):
+        interp = {"a": rnd.choice(elems), "b": rnd.choice(elems), "q": rnd.choice(bools)}
+        for name in "fgp":
+            arg_sorts, result = sig.functions[name]
+            keys = itertools.product(*(domains[s.name] for s in arg_sorts))
+            interp[name] = {k: rnd.choice(domains[result.name]) for k in keys}
+        model = Model({n: v for n, v in interp.items() if not isinstance(v, dict)},
+                      {n: (v[next(iter(v))], v) for n, v in interp.items()
+                       if isinstance(v, dict)}, {"U": 2})
+        ref = ref_model(model)
+        val, ref_memo = {}, {}
+        for t in terms:
+            val[t.id] = got = evs[t.id](val, interp, {})
+            want = _apply(ctx, t, [val[c.id] for c in t.children], interp, {})
+            assert (type(got), got) == (type(want), want), term_to_sexpr(t)
+            value = eval_term(model, sig, t)
+            assert ref_equal(ref_value(value), ref_eval(ref, sig, t, ref_memo)), \
+                term_to_sexpr(t)
+            assert value == got, term_to_sexpr(t)
 
 
 def test_every_compiled_kind_is_undefined_at_an_undefined_argument():

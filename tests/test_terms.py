@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,31 @@ def test_hash_consing_identity():
     t2 = store.mk_app("read", (store.mk_const("a"), store.mk_const("x")))
     assert t1 is t2
     assert t1.id == t2.id
+
+
+@dataclass(frozen=True)
+class _RefLiteral:
+    """Literal as the frozen dataclass it was: equality and hash by fields."""
+    kind: str
+    lhs: object
+    rhs: object
+
+
+def test_literal_equality_and_hash_are_by_fields():
+    """Literals compare and hash as the frozen dataclass of their three
+    fields does, kind included, and are equal to nothing else."""
+    sig, store = _store()
+    k, x = store.mk_const("k"), store.mk_const("x")
+    sides = [k, x, store.mk_app("+", (k, x))]
+    fields = [(kind, lhs, rhs) for kind in ("eq", "diseq", "ueq")
+              for lhs in sides for rhs in sides]
+    for f in fields:
+        assert hash(Literal(*f)) == hash(_RefLiteral(*f))
+        assert Literal(*f) != f and Literal(*f) != _RefLiteral(*f)
+        for g in fields:
+            assert (Literal(*f) == Literal(*g)) is (_RefLiteral(*f) == _RefLiteral(*g))
+            assert (Literal(*f) != Literal(*g)) is (_RefLiteral(*f) != _RefLiteral(*g))
+    assert len({Literal(*f) for f in fields + fields}) == len(fields)
 
 
 def test_read_term_sort_and_ground_flag():
