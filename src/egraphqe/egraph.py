@@ -1,7 +1,9 @@
 """Egraph: a term DAG plus a congruence-closed equivalence on its nodes.
 
-Nodes are created in term order and never removed; ``add_term`` walks a
-term iteratively, once per distinct subterm, so depth is unbounded.  Each
+A graph holds a prefix of its store, node id = term id: ``add_term`` adopts
+the store terms up to the one asked for in store order, children first, with
+no walk or map, so a term made for another purpose becomes a node of the
+next graph grown past it on the store.  Nodes are never removed.  Each
 node stores its class root (quick-find): a merge relabels the members of
 the absorbed class in the walk it makes over them anyway, so ``find`` is a
 list read.  The oldest node id stays class root, so class enumeration is
@@ -28,8 +30,7 @@ The node count and a merge counter stamp ``view``, the read-only
 """
 from __future__ import annotations
 
-from .terms import (Formula, InputError, Signature, Term, TermStore,
-                    post_order)
+from .terms import Formula, InputError, Signature, Term, TermStore
 
 
 class InconsistentFormulaError(InputError):
@@ -70,9 +71,8 @@ class EGraph:
         self.nodes = []
         self._root = []        # class root per node id
         self._members = {}     # root id -> list of member ids
-        self._parents = {}     # node id -> set of structural parent ids
+        self._parents = []     # node id -> set of structural parent ids
         self._cong = {}        # (label, child root ids) -> node id
-        self._term_node = {}   # term id -> node id
         self.diseqs = []       # recorded (node id, node id) pairs
         self._diseq_set = set()   # the same pairs, for duplicate checks
         self._class_diseqs = {}   # root id -> recorded pairs touching the class
@@ -102,31 +102,28 @@ class EGraph:
         return g
 
     def add_term(self, term: Term) -> int:
-        """Ensure a node exists for term and all subterms; return its id.
+        """term's node, whose id is term's: every store term up to it
+        becomes a node, in order.  Another store's term is a ValueError."""
+        n = term.id
+        terms = self.store.terms
+        if n >= len(terms) or terms[n] is not term:
+            raise ValueError(f"'{term!r}' is not a term of the graph's store")
+        nodes = self.nodes
+        while len(nodes) <= n:
+            self._add_node(terms[len(nodes)])
+        return n
 
-        New nodes are numbered in post-order, children left to right, each
-        distinct subterm once."""
-        term_node = self._term_node
-        hit = term_node.get(term.id)
-        if hit is not None:
-            return hit
-        if not term.children:
-            return self._add_node(term, ())
-        for t in post_order(term, term_node):
-            self._add_node(t, tuple([term_node[c.id] for c in t.children]))
-        return term_node[term.id]
-
-    def _add_node(self, term, child_ids) -> int:
-        """A node for term over existing child nodes, merged at once with a
-        congruent node if there is one."""
+    def _add_node(self, term) -> int:
+        """The node of term, the next store term, whose children are nodes
+        already, merged at once with a congruent node if there is one."""
         nodes, parents = self.nodes, self._parents
         nid = len(nodes)
+        child_ids = tuple([c.id for c in term.children])
         node = ENode(nid, term.label, child_ids, term)
         nodes.append(node)
         self._root.append(nid)
         self._members[nid] = [nid]
-        parents[nid] = set()
-        self._term_node[term.id] = nid
+        parents.append(set())
         for c in child_ids:
             parents[c].add(nid)
         if not child_ids and term.label in _TRUTH:

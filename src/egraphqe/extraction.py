@@ -92,12 +92,10 @@ def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
     get = r.get
     nodes = g.nodes
     node = nodes[n]
-    if not node.children:
-        memo[n] = node.term
-        return node.term
-    args = [memo.get(get(c)) for c in node.children]
+    store = g.store
+    args = tuple([memo.get(get(c)) for c in node.children])
     if None not in args:  # every child extracted already
-        memo[n] = term = g.store.mk_app(node.label, args)
+        memo[n] = term = _rebuilt(store, node, args)
         return term
     path = {n}
     stack = [(node, iter(node.children))]
@@ -122,9 +120,16 @@ def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
         else:
             stack.pop()
             path.discard(node.id)
-            memo[node.id] = g.store.mk_app(
-                node.label, [memo[get(c)] for c in node.children])
+            memo[node.id] = _rebuilt(
+                store, node, tuple([memo[get(c)] for c in node.children]))
     return memo[n]
+
+
+def _rebuilt(store, node, args) -> Term:
+    """node's term over the extracted children args, a tuple: its own term,
+    found with no store lookup, when they are its own children."""
+    term = node.term
+    return term if args == term.children else store.mk_app(node.label, args)
 
 
 def to_formula(g: EGraph, r: dict, exclude=frozenset(), _memo=None) -> Formula:

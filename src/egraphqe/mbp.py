@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .egraph import EGraph
-from .model import Model, eval_term, satisfies
+from .model import Model, array_read, eval_term, satisfies
 from .qel import reduce
 from .terms import Formula, InputError, Signature, SortKind, Term, TermStore
 
@@ -310,7 +310,7 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
                 sig.declare_const(name, value_sort)
             dterm = store.mk_const(name)
             state.model = state.model.with_constant(
-                name, state.meval(store.mk_app("read", (v.term, ix))))
+                name, array_read(state.meval(v.term), state.meval(ix)))
             chain = store.mk_app("write", (chain, ix, dterm))
         g.assert_eq(v.term, chain)
         state.fired("elim_eq")

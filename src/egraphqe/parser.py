@@ -251,6 +251,8 @@ def _binary(store, toks, k, kind, scope):
     if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
         raise ParseError(f"'{head}' needs two arguments of one sort, "
                          f"got {lhs.sort!r} and {rhs.sort!r}")
+    if kind == "ueq":  # the graph's marker, the term right after the sides
+        store.mk_app("ueq", (lhs, rhs))
     return Literal(kind, lhs, rhs), j + 1
 
 
@@ -306,8 +308,7 @@ def _term(store, toks, k, scope=None):
     table = store._table
     tok = toks[k]
     if tok != "(" and tok != ")" and not (scope and tok in scope):
-        term = table.get((tok, ()))
-        return (_const(store, tok) if term is None else term), k + 1
+        return table.get((tok, ())) or _const(store, tok), k + 1
     stack = []
     while True:
         tok = toks[k]
@@ -329,15 +330,11 @@ def _term(store, toks, k, scope=None):
         if tok == ")" and stack:
             head, args = stack.pop()
             key = (head, tuple(args))
-            term = table.get(key)
-            if term is None:
-                term = store.mk_app(head, key[1])
+            term = table.get(key) or store._make(head, key[1], key)
         elif scope and tok in scope:
             term = scope[tok]
         else:
-            term = table.get((tok, ()))
-            if term is None:
-                term = _const(store, tok)
+            term = table.get((tok, ())) or _const(store, tok)
         while stack:
             top = stack[-1]
             if type(top) is tuple:
@@ -370,7 +367,7 @@ def _term(store, toks, k, scope=None):
 def _const(store, atom):
     """The constant atom, not yet in the store."""
     try:
-        return store.mk_app(atom, ())
+        return store._make(atom, (), (atom, ()))
     except InputError:
         # sort_of rejects every label that mk_const rejects, with the
         # message for a symbol used as a constant

@@ -265,9 +265,11 @@ class TermStore:
     def mk_app(self, label: str, args: Sequence[Term] = ()) -> Term:
         args = tuple(args)
         key = (label, args)
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit  # its sorts were checked when it was made
+        return self._table.get(key) or self._make(label, args, key)
+
+    def _make(self, label, args, key) -> Term:
+        """A new term for key, (label, args), which is not in the table.
+        A term in the table had its sorts checked when it was made."""
         variables = self.sig.variables
         if not args and label in variables:
             sort, order = variables[label], (label,)
@@ -289,8 +291,7 @@ class TermStore:
         return term
 
     def mk_const(self, label: str) -> Term:
-        hit = self._table.get((label, ()))
-        return hit if hit is not None else self.mk_app(label, ())
+        return self._table.get((label, ())) or self._make(label, (), (label, ()))
 
     @property
     def top(self) -> Term:

@@ -109,9 +109,9 @@ class RefUnionFindEGraph(EGraph):
         super().__init__(sig, store)
         self._uf = []
 
-    def _add_node(self, term, child_ids):
+    def _add_node(self, term):
         self._uf.append(len(self.nodes))
-        return super()._add_node(term, child_ids)
+        return super()._add_node(term)
 
     def find(self, n):
         root = n
@@ -891,6 +891,8 @@ def _ref_binary(store, kind, form):
     if lhs.sort is not rhs.sort and lhs.sort != rhs.sort:
         raise ParseError(f"'{form[0]}' needs two arguments of one sort, "
                          f"got {lhs.sort!r} and {rhs.sort!r}")
+    if kind == "ueq":
+        store.mk_app("ueq", (lhs, rhs))  # the graph's marker, after the sides
     return Literal(kind, lhs, rhs)
 
 

@@ -54,6 +54,18 @@ MADE_NEITHER = ("tests/test_egraph.py::"
                 "test_true_and_false_merged_after_literals_that_made_neither")
 UNDEFINED_ARGUMENT = ("tests/test_oracle.py::"
                       "test_every_compiled_kind_is_undefined_at_an_undefined_argument")
+EXTRACTION = "src/egraphqe/extraction.py"
+UEQ_TEXTS = ("[\\n    (declare-const c Int)\\n    (declare-const d Int)\\n"
+             "    (declare-fun f (Int) Int)\\n    (declare-var x Int)\\n"
+             "    (declare-var y Int)\\n    (assert (ueq c (f x)))\\n"
+             "    (assert (ueq d (f y)))\\n    (assert (ueq x y))\\n    ]",
+             "[(declare-sort U 0) (declare-fun f (U) U)\\n(declare-const c U) "
+             "(declare-const d U) (declare-var x U) (declare-var y U)\\n"
+             "(assert (ueq y (f x)))\\n(assert (= (f x) c))\\n(assert (distinct x d))\\n]")
+UEQ_LET_TEXT = ("[(declare-sort S 0) (declare-fun f (S) S) (declare-fun h (S S) S)\\n"
+                "(declare-fun P (S) Bool) (declare-const c S) (declare-const d S)\\n"
+                "(declare-var x S)\\n"
+                "(assert (let ((y (let ((z c)) (f z)))) (ueq y x)))]")
 
 # every test that fails when the reading frame does not read the text as
 # forms first (an unclosed '(' then ends in an IndexError), one id a line.
@@ -116,6 +128,9 @@ MUTANTS = [
       "tests/test_qel.py::test_qel_idempotent",
       "tests/test_qel.py::test_find_defs_admissible_and_maximally_ground",
       "tests/test_qel.py::test_unreachable_variables_never_survive",
+      "tests/test_qel.py::test_qel_twice_on_one_store_prints_the_same[nested_pair_array.smt2]",
+      "tests/test_qel.py::test_qel_twice_on_one_store_prints_the_same[no_ground_defs.smt2]",
+      "tests/test_qel.py::test_qel_twice_on_one_generated_store_prints_the_same",
       TAIL_TWIN]),
     ("class_of hands out the live member list", EGRAPH,
      "return sorted(self._members[self.find(n)])",
@@ -202,6 +217,80 @@ MUTANTS = [
      ["tests/test_egraph.py::test_top_bottom_never_share_a_class",
       MADE_NEITHER + "[true-first]", MADE_NEITHER + "[false-first]",
       "tests/test_egraph.py::test_inconsistency_raised_exactly_when_rescan_finds_violation"]),
+    ("solving a partial equality makes the term read(v, i) to value d!k", MBP,
+     "array_read(state.meval(v.term), state.meval(ix))",
+     'state.meval(store.mk_app("read", (v.term, ix)))',
+     ["tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model"]),
+    ("extraction reuses a node's term without comparing its children", EXTRACTION,
+     "return term if args == term.children else store.mk_app(node.label, args)",
+     "return term",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_3_ground_definitions_eliminated",
+      "tests/test_cli.py::test_qel_read_chain_golden",
+      "tests/test_cli.py::test_mbp_golden_with_check",
+      "tests/test_cli.py::test_qel_check_passes",
+      "tests/test_cli.py::test_output_reparses",
+      "tests/test_cli.py::test_qel_prints_a_tower_under_lets[60]",
+      "tests/test_cli.py::test_qel_prints_a_tower_under_lets[3000]",
+      "tests/test_extraction.py::test_to_expr_read_chain",
+      "tests/test_extraction.py::test_to_expr_circular_b",
+      "tests/test_extraction.py::test_to_formula_read_chain_no_exclusions",
+      "tests/test_mbp.py::test_projection_example_output",
+      "tests/test_mbp.py::test_projection_example_model_independent",
+      "tests/test_mbp.py::test_elim_wr_rd_skipped_when_class_is_ground",
+      "tests/test_mbp.py::test_adt_deconstruct_selector_equalities",
+      "tests/test_mbp.py::test_a_disequality_made_ground_earlier_in_the_pass_is_not_split",
+      "tests/test_oracle.py::test_qel_read_chain_equivalence_with_arithmetic",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[circular_defs.smt2]",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[no_ground_defs.smt2]",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[read_chain.smt2]",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo",
+      "tests/test_qel.py::test_qel_golden_outputs",
+      "tests/test_qel.py::test_qel_eliminates_expected_vars",
+      "tests/test_qel.py::test_qel_equivalence_small",
+      "tests/test_qel.py::test_ground_definition_always_eliminates",
+      "tests/test_qel.py::test_unreachable_variables_never_survive",
+      "tests/test_qel.py::test_tail_matches_reference",
+      "tests/test_qel.py::test_to_formula_matches_reference_on_random_reprs",
+      "tests/test_terms.py::test_tower_prints_linear_and_reads_back[12]",
+      "tests/test_terms.py::test_tower_prints_linear_and_reads_back[15]",
+      "tests/test_terms.py::test_tower_prints_linear_and_reads_back[60]",
+      "tests/test_terms.py::test_tower_prints_linear_and_reads_back[3000]"]),
+    ("the reader makes no ueq marker", "src/egraphqe/parser.py",
+     '        store.mk_app("ueq", (lhs, rhs))\n', "        pass\n",
+     ["tests/test_cli.py::test_dot_golden_of_a_ueq_problem",
+      *(TEXTS_TWIN + text for text in UEQ_TEXTS),
+      PARSER + "test_reader_matches_reference_on_generated_problems",
+      PARSER + "test_reader_matches_reference_on_generated_let_problems",
+      PARSER + "test_reader_matches_reference_on_lets" + UEQ_LET_TEXT,
+      PARSER + "test_reader_matches_reference_on_mutants"]),
+    ("a new node is not looked up among the congruence keys", EGRAPH,
+     "        other = self._cong.setdefault(self._canon_key(node), nid)\n"
+     "        if other != nid:\n"
+     "            self._merge(nid, other)\n",
+     "",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_5_projection_contract",
+      "tests/test_cli.py::test_qel_read_chain_golden",
+      "tests/test_egraph.py::test_read_chain_classes",
+      "tests/test_egraph.py::test_explicit_equality_keeps_nodes_and_merges",
+      "tests/test_egraph.py::test_add_term_idempotent_and_congruent",
+      "tests/test_egraph.py::test_assert_eq_congruence_propagates",
+      "tests/test_egraph.py::test_true_and_false_merged_after_literals_that_made_neither[true-first]",
+      "tests/test_egraph.py::test_true_and_false_merged_after_literals_that_made_neither[false-first]",
+      "tests/test_egraph.py::test_root_idempotent_and_congruence_invariant",
+      "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference",
+      "tests/test_egraph.py::test_root_array_matches_a_union_find_when_the_growing_class_is_absorbed",
+      "tests/test_egraph.py::test_a_graph_holds_a_prefix_of_its_store",
+      "tests/test_extraction.py::test_to_formula_read_chain_no_exclusions",
+      "tests/test_mbp.py::test_ackermann_equal_and_diseq_branches",
+      "tests/test_mbp.py::test_random_projection_contract",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[read_chain.smt2]",
+      "tests/test_qel.py::test_cground_read_chain",
+      "tests/test_qel.py::test_find_defs_read_chain_picks",
+      "tests/test_qel.py::test_find_core_read_chain",
+      "tests/test_qel.py::test_qel_golden_outputs",
+      "tests/test_qel.py::test_tail_matches_reference"]),
 ]
 
 

@@ -171,6 +171,46 @@ def test_dot_output(tmp_path, capsys):
     assert Path(f"{prefix}.saturated.dot").exists()
 
 
+UEQ_PROBLEM = """\
+(declare-sort U 0) (declare-fun f (U) U)
+(declare-const c U) (declare-const d U) (declare-var x U) (declare-var y U)
+(assert (ueq y (f x)))
+(assert (= (f x) c))
+(assert (distinct x d))
+"""
+
+UEQ_DOT_NODES = """\
+digraph egraph {
+  n0 [label="0: y"];
+  n1 [label="1: x"];
+  n2 [label="2: f"];
+  n3 [label="3: ueq"];
+  n4 [label="4: c"];
+  n5 [label="5: d"];
+  n2 -> n1;
+  n3 -> n0;
+  n3 -> n2;
+  n2 -> n0 [style=dashed, color=red];
+  n4 -> n0 [style=dashed, color=red];
+"""
+
+
+def test_dot_golden_of_a_ueq_problem(tmp_path, capsys):
+    """The ueq marker is the node right after its literal's two sides, and
+    the literals after it number their new nodes from there."""
+    path = tmp_path / "ueq.smt2"
+    path.write_text(UEQ_PROBLEM)
+    prefix = tmp_path / "viz"
+    assert main(["qel", str(path), "--dot", str(prefix)]) == 0
+    assert capsys.readouterr().out == "(and (= c (f x)) (distinct x d))\n"
+    assert Path(f"{prefix}.initial.dot").read_bytes() == \
+        (UEQ_DOT_NODES + "}\n").encode()
+    assert Path(f"{prefix}.final.dot").read_bytes() == \
+        (UEQ_DOT_NODES + "  n2 -> n1 [style=dotted, color=blue];\n"
+         "  n3 -> n4 [style=dotted, color=blue];\n"
+         "  n3 -> n4 [style=dotted, color=blue];\n}\n").encode()
+
+
 @pytest.mark.parametrize("model", ["(universe S x)",
                                    "(define-value c (elem S zero))",
                                    "(define-value c \u00b2)"])

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from egraphqe import (EGraph, InconsistentFormulaError, Literal,
+from egraphqe import (EGraph, InconsistentFormulaError, Literal, mbp,
                       parse_problem)
 from egraphqe.terms import mk_formula
 
-from conftest import (RefUnionFindEGraph, check_congruence,
-                      check_ground_analysis, load, random_euf_instance)
+from conftest import (DEMOS, RefUnionFindEGraph, check_congruence,
+                      check_ground_analysis, load, load_mbp, random_euf_instance,
+                      random_grounded_var_instance)
 
 
 def _classes(g):
@@ -490,3 +491,62 @@ def test_building_a_graph_makes_no_boolean_constants():
                          " (declare-const d S) (assert (= x c)) (assert (distinct x d))")
     EGraph.from_formula(prob.sig, prob.store, prob.formula)
     assert [t.label for t in prob.store.terms] == ["x", "c", "d"]
+
+
+# -- node id = term id ------------------------------------------------------------
+
+def _ids_are_term_ids(g):
+    return [node.term.id for node in g.nodes] == list(range(len(g.nodes)))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.smt2")))
+def test_node_ids_are_term_ids_on_the_demos(name):
+    prob = load(name)
+    assert _ids_are_term_ids(EGraph.from_formula(prob.sig, prob.store, prob.formula))
+
+
+@pytest.mark.parametrize("model", ["nested_pair_array.model",
+                                   "nested_pair_array_alt.model"])
+def test_node_ids_are_term_ids_in_a_saturated_graph(model):
+    prob, model = load_mbp(model=model)
+    res = mbp(prob.sig, prob.store, prob.formula, prob.formula.free_vars, model)
+    assert _ids_are_term_ids(res.graph)
+
+
+def test_node_ids_are_term_ids_on_the_acceptance_generators():
+    rng = random.Random(17)
+    for _ in range(300):
+        assert _ids_are_term_ids(random_euf_instance(rng)[3])
+        sig, store, formula = random_grounded_var_instance(rng)
+        assert _ids_are_term_ids(EGraph.from_formula(sig, store, formula))
+
+
+def test_a_graph_holds_a_prefix_of_its_store():
+    """A term beyond the graph makes every store term before it a node, in
+    store order, also one that no literal or caller asked for; congruence
+    holds among them as among any nodes."""
+    prob = parse_problem("(declare-sort S 0) (declare-fun f (S) S)"
+                         " (declare-const c S) (declare-var x S) (assert (= x c))")
+    store = prob.store
+    fc = store.mk_app("f", (store.mk_const("c"),))
+    fx = store.mk_app("f", (store.mk_const("x"),))
+    g = EGraph.from_formula(prob.sig, store, prob.formula)
+    assert [node.label for node in g.nodes] == ["x", "c"]
+    assert g.add_term(fx) == fx.id == 3
+    assert [node.term for node in g.nodes] == store.terms
+    assert g.find(fc.id) == g.find(fx.id)
+    # a second graph on the store adopts the same prefix
+    g2 = EGraph.from_formula(prob.sig, store, prob.formula)
+    assert g2.add_term(fc) == 2 and len(g2.nodes) == 3
+
+
+def test_add_term_of_another_stores_term_is_a_value_error():
+    prob, other = load("circular_defs.smt2"), load("circular_defs.smt2")
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    nodes = len(g.nodes)
+    beyond = other.store.mk_const("7777")  # the id one past prob's store
+    assert beyond.id == len(prob.store.terms)
+    for term in (other.store.terms[0], other.store.terms[nodes - 1], beyond):
+        with pytest.raises(ValueError, match="not a term of the graph's store"):
+            g.add_term(term)
+    assert len(g.nodes) == nodes

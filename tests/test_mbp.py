@@ -252,6 +252,32 @@ def test_elim_eq_zero_index_merges_sides():
     assert res.formula.literals == ()  # v = b collapses to true
 
 
+def test_elim_eq_reads_the_fresh_value_off_the_model():
+    """Solving v = write(s, i, d!0) values d!0 as v's model array at i,
+    without making the term read(v, i): a store term would become a node of
+    the next graph grown on the store."""
+    prob = parse_problem("""
+    (declare-var v (Array Int Int))
+    (declare-const i Int)
+    (declare-const e Int)
+    (declare-const s (Array Int Int))
+    (assert (= s (write v i e)))
+    """)
+    model = parse_model("""
+    (define-value v (array (default 0) (2 7)))
+    (define-value s (array (default 0) (1 4) (2 7)))
+    (define-value i 1)
+    (define-value e 4)
+    """, prob.sig)
+    res = _run(prob, model)
+    assert res.rule_fires["elim_eq"] == 1
+    v, i = prob.store.mk_const("v"), prob.store.mk_const("i")
+    assert ("read", (v, i)) not in prob.store._table
+    assert res.model.constants["d!0"] == 0
+    assert [node.term for node in res.graph.nodes] == \
+        prob.store.terms[:len(res.graph.nodes)]
+
+
 def test_elim_wr_unwinds_write_and_keeps_read_fact():
     prob = parse_problem("""
     (declare-var v (Array Int Int))
@@ -992,8 +1018,8 @@ def test_ground_analysis_matches_the_reference_at_every_pass(monkeypatch):
             check_ground_analysis(g, (name, assert_lit.__name__))
         return call
 
-    def asked(g, term, child_ids):
-        n = add_node(g, term, child_ids)
+    def asked(g, term):
+        n = add_node(g, term)
         g.cground(n)
         return n
 
@@ -1037,10 +1063,14 @@ def test_ground_analysis_takes_in_merges_either_way():
     check_ground_analysis(g)
 
     # the other way round: x's class has the older root and absorbs c, so
-    # the side that just became ground is the one that survives
+    # the side that just became ground is the one that survives; node ids
+    # are term ids, so x is made first, in a store of its own
+    store = TermStore(sig)
+    x, c = store.mk_const("x"), store.mk_const("c")
+    fx = store.mk_app("f", (x,))
     g = EGraph(sig, store)
     g.add_term(fx)
-    g.add_term(c)
+    assert (g.add_term(x), g.add_term(c)) == (0, 1)
     assert not g.ground_class(g.add_term(x))
     g.assert_eq(x, c)
     assert g.ground_class(g.add_term(x)) and g.ground_class(g.add_term(fx))

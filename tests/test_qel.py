@@ -296,6 +296,24 @@ def test_qel_idempotent(rng):
         assert set(twice.free_vars) <= set(once.free_vars)
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.smt2")))
+def test_qel_twice_on_one_store_prints_the_same(name):
+    """The first call's extractions add terms to the store; the second graph
+    stops below them, since it holds only the prefix up to its literals."""
+    prob = load(name)
+    first = formula_to_sexpr(qel(prob.sig, prob.store, prob.formula))
+    made = len(prob.store.terms)
+    assert formula_to_sexpr(qel(prob.sig, prob.store, prob.formula)) == first
+    assert len(prob.store.terms) == made
+
+
+def test_qel_twice_on_one_generated_store_prints_the_same(rng):
+    for _ in range(100):
+        sig, store, formula, _ = random_euf_instance(rng)
+        first = formula_to_sexpr(qel(sig, store, formula))
+        assert formula_to_sexpr(qel(sig, store, formula)) == first
+
+
 def test_find_defs_admissible_and_maximally_ground(rng):
     for _ in range(150):
         sig, store, formula, g = random_euf_instance(rng, max_nodes=12)
