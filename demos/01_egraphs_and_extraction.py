@@ -17,7 +17,7 @@ g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
 print("input:", prob.formula)
 print("\nequivalence classes (congruence closure):")
 for root in g.roots():
-    members = [term_to_sexpr(g.nodes[m].term) for m in g.class_of(root)]
+    members = [term_to_sexpr(g.nodes[m]) for m in g.class_of(root)]
     print("  {" + ", ".join(members) + "}")
 # note that read(a,x) and read(a,y) were merged without an explicit literal:
 # x = y makes them congruent, and transitivity pulls in k+1.
@@ -35,7 +35,7 @@ for root in g.roots():
         r.update(dict.fromkeys(g.class_of(root), root))
 
 read_ay = next(n.id for n in g.nodes
-               if n.label == "read" and g.nodes[n.children[1]].label == "y")
+               if n.label == "read" and n.children[1].label == "y")
 print("\nwith z and x as representatives:")
 print("  read(a,y) extracts to", term_to_sexpr(to_expr(g, read_ay, r)))
 print("  whole graph extracts to", to_formula(g, r))

@@ -18,23 +18,23 @@ def show(name):
     print(f"== {name}")
     print("  input:            ", prob.formula)
 
-    ground = [term_to_sexpr(g.nodes[n].term) for n in g.node_ids()
+    ground = [term_to_sexpr(g.nodes[n]) for n in g.node_ids()
               if g.cground(n)]
     print("  rewritable-to-ground nodes:", "{" + ", ".join(ground) + "}")
 
     r = find_defs(g)
     reps = sorted({r.get(n) for n in g.node_ids()})
     print("  representatives:  ",
-          ", ".join(term_to_sexpr(g.nodes[n].term) for n in reps))
+          ", ".join(term_to_sexpr(g.nodes[n]) for n in reps))
 
     r = refine_defs(g, r, prob.formula.free_vars)
     reps2 = sorted({r.get(n) for n in g.node_ids()})
     if reps2 != reps:
         print("  after refinement: ",
-              ", ".join(term_to_sexpr(g.nodes[n].term) for n in reps2))
+              ", ".join(term_to_sexpr(g.nodes[n]) for n in reps2))
 
     core = find_core(g, r, prob.formula.free_vars)
-    dropped = [term_to_sexpr(g.nodes[n].term)
+    dropped = [term_to_sexpr(g.nodes[n])
                for n in sorted(set(g.node_ids()) - core)]
     print("  dropped from core:", "{" + ", ".join(dropped) + "}")
 

@@ -28,7 +28,7 @@ print("p's class contains read(p2, j), so p != q is rewritable to ground form")
 print("\nclasses after saturation:")
 g = res.graph
 for root in g.roots():
-    members = [term_to_sexpr(g.nodes[m].term) for m in g.class_of(root)]
+    members = [term_to_sexpr(g.nodes[m]) for m in g.class_of(root)]
     if len(members) > 1:
         print("  {" + ", ".join(members) + "}")
 

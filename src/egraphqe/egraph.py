@@ -1,18 +1,20 @@
 """Egraph: a term DAG plus a congruence-closed equivalence on its nodes.
 
-A graph holds a prefix of its store, node id = term id: ``add_term`` adopts
-the store terms up to the one asked for in store order, children first, with
-no walk or map, so a term made for another purpose becomes a node of the
-next graph grown past it on the store.  Nodes are never removed.  Each
-node stores its class root (quick-find): a merge relabels the members of
-the absorbed class in the walk it makes over them anyway, so ``find`` is a
-list read.  The oldest node id stays class root, so class enumeration is
-deterministic; ``class_of`` returns a new sorted list of a class's
-members on each call.  A disequality is recorded once, as a node pair in
-``diseqs``, and adds no node beyond its two sides; a ``distinct`` term in
-the input is an ordinary Bool term.  Disequalities never drive merging but
-make the graph reject inconsistent inputs, and extraction emits them from
-``diseqs``.
+A node is its store term: ``nodes`` is the adopted prefix of
+``store.terms``, so node id = term id, and a child's node id is its ``id``.
+``add_term`` adopts the store terms up to the one asked for in store order,
+children first, with no walk or map, so a term made for another purpose
+becomes a node of the next graph grown past it on the store.  The class
+fields sit next to the terms, in lists and dicts keyed by node id.  Nodes
+are never removed.  Each node stores its class root (quick-find): a merge
+relabels the members of the absorbed class in the walk it makes over them
+anyway, so ``find`` is a list read.  The oldest node id stays class root,
+so class enumeration is deterministic; ``class_of`` returns a new sorted
+list of a class's members on each call.  A disequality is recorded once, as
+a node pair in ``diseqs``, and adds no node beyond its two sides; a
+``distinct`` term in the input is an ordinary Bool term.  Disequalities
+never drive merging but make the graph reject inconsistent inputs, and
+extraction emits them from ``diseqs``.
 
 Each class root keeps the list of recorded disequalities with an endpoint in
 the class.  A merge can only violate a disequality whose endpoints lie one in
@@ -38,19 +40,6 @@ class InconsistentFormulaError(InputError):
 
 
 _TRUTH = ("true", "false")  # the labels of the Bool constants' leaves
-
-
-class ENode:
-    __slots__ = ("id", "label", "children", "term")
-
-    def __init__(self, id, label, children, term):
-        self.id = id
-        self.label = label
-        self.children = children  # tuple of node ids, fixed at creation
-        self.term = term
-
-    def __repr__(self):
-        return f"ENode({self.id}: {self.label})"
 
 
 class ClassView:
@@ -113,22 +102,20 @@ class EGraph:
             self._add_node(terms[len(nodes)])
         return n
 
-    def _add_node(self, term) -> int:
-        """The node of term, the next store term, whose children are nodes
+    def _add_node(self, term: Term) -> int:
+        """Adopt term, the next store term, whose children are nodes
         already, merged at once with a congruent node if there is one."""
-        nodes, parents = self.nodes, self._parents
-        nid = len(nodes)
-        child_ids = tuple([c.id for c in term.children])
-        node = ENode(nid, term.label, child_ids, term)
-        nodes.append(node)
+        parents = self._parents
+        nid = term.id
+        self.nodes.append(term)
         self._root.append(nid)
         self._members[nid] = [nid]
         parents.append(set())
-        for c in child_ids:
-            parents[c].add(nid)
-        if not child_ids and term.label in _TRUTH:
+        for c in term.children:
+            parents[c.id].add(nid)
+        if not term.children and term.label in _TRUTH:
             self._truth[term.label] = nid
-        other = self._cong.setdefault(self._canon_key(node), nid)
+        other = self._cong.setdefault(self._canon_key(term), nid)
         if other != nid:
             self._merge(nid, other)
         return nid
@@ -225,9 +212,9 @@ class EGraph:
         pending = list(pending)
         while pending:
             n = pending.pop()
-            children = self.nodes[n].children
-            if n in cground or not (all(root[c] in ground for c in children)
-                                    if children else self.nodes[n].term.ground):
+            t = self.nodes[n]
+            if n in cground or not (all(root[c.id] in ground for c in t.children)
+                                    if t.children else t.ground):
                 continue
             cground.add(n)
             r = root[n]
@@ -240,18 +227,17 @@ class EGraph:
         """(label, child class roots): equal keys mean congruent nodes."""
         return self._canon_key(self.nodes[n])
 
-    def _canon_key(self, node: ENode):
+    def _canon_key(self, t: Term):
         root = self._root
-        return (node.label, tuple([root[c] for c in node.children]))
+        return (t.label, tuple([root[c.id] for c in t.children]))
 
     def _check_consistent(self):
         truth = self._truth
         if len(truth) == 2 and self.find(truth["true"]) == self.find(truth["false"]):
             raise InconsistentFormulaError("true and false were merged")
         if self._violation is not None:
-            na, nb = (self.nodes[n] for n in self._violation)
-            raise InconsistentFormulaError(
-                f"disequal terms merged: {na.term!r} and {nb.term!r}")
+            ta, tb = (self.nodes[n] for n in self._violation)
+            raise InconsistentFormulaError(f"disequal terms merged: {ta!r} and {tb!r}")
 
     # -- views ---------------------------------------------------------------
 
@@ -306,7 +292,7 @@ class EGraph:
             lines.append(f'  n{node.id} [label="{node.id}: {label}"];')
         for node in self.nodes:
             for c in node.children:
-                lines.append(f"  n{node.id} -> n{c};")
+                lines.append(f"  n{node.id} -> n{c.id};")
         for node in self.nodes:
             root = self.find(node.id)
             if root != node.id:
@@ -314,7 +300,7 @@ class EGraph:
         if repr_fn is not None:
             for node in self.nodes:
                 for c in node.children:
-                    rep = repr_fn.get(c)
+                    rep = repr_fn.get(c.id)
                     if rep is not None:
                         lines.append(
                             f"  n{node.id} -> n{rep} [style=dotted, color=blue];")

@@ -29,7 +29,7 @@ def build_repr_graph(g: EGraph, r: dict) -> set:
     edges = set()
     for node in g.nodes:
         for c in node.children:
-            rep = r.get(c)
+            rep = r.get(c.id)
             if rep is not None:
                 edges.add((node.id, rep))
     return edges
@@ -93,7 +93,7 @@ def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
     nodes = g.nodes
     node = nodes[n]
     store = g.store
-    args = tuple([memo.get(get(c)) for c in node.children])
+    args = tuple([memo.get(get(c.id)) for c in node.children])
     if None not in args:  # every child extracted already
         memo[n] = term = _rebuilt(store, node, args)
         return term
@@ -102,9 +102,9 @@ def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
     while stack:
         node, it = stack[-1]
         for c in it:
-            rep = get(c)
+            rep = get(c.id)
             if rep is None:
-                raise InadmissibleReprError(f"representative undefined for node {c}")
+                raise InadmissibleReprError(f"representative undefined for node {c.id}")
             if rep in memo:
                 continue
             if rep in path:
@@ -116,20 +116,19 @@ def to_expr(g: EGraph, n: int, r: dict, _memo=None) -> Term:
                 path.add(rep)
                 stack.append((child, iter(child.children)))
                 break
-            memo[rep] = child.term
+            memo[rep] = child
         else:
             stack.pop()
             path.discard(node.id)
             memo[node.id] = _rebuilt(
-                store, node, tuple([memo[get(c)] for c in node.children]))
+                store, node, tuple([memo[get(c.id)] for c in node.children]))
     return memo[n]
 
 
-def _rebuilt(store, node, args) -> Term:
-    """node's term over the extracted children args, a tuple: its own term,
-    found with no store lookup, when they are its own children."""
-    term = node.term
-    return term if args == term.children else store.mk_app(node.label, args)
+def _rebuilt(store, term, args) -> Term:
+    """term over the extracted children args, a tuple: term itself, found
+    with no store lookup, when they are its own children."""
+    return term if args == term.children else store.mk_app(term.label, args)
 
 
 def to_formula(g: EGraph, r: dict, exclude=frozenset(), _memo=None) -> Formula:

@@ -196,20 +196,19 @@ def _rule_elim_wr_rd(state: _State, n: int) -> bool:
         return False
     arr, j = node.children
     fired = False
-    for w in g.class_of(arr):
+    for w in g.class_of(arr.id):
         wnode = g.nodes[w]
         if wnode.label != "write":
             continue
-        s, i, v = (g.nodes[c] for c in wnode.children)
-        if not state.term_has_projected(s.term):
+        s, i, v = wnode.children
+        if not state.term_has_projected(s):
             continue
-        jterm = g.nodes[j].term
-        if state.meval(i.term) == state.meval(jterm):
-            g.assert_eq(i.term, jterm)
-            g.assert_eq(node.term, v.term)
+        if state.meval(i) == state.meval(j):
+            g.assert_eq(i, j)
+            g.assert_eq(node, v)
         else:
-            g.assert_diseq(i.term, jterm)
-            g.assert_eq(node.term, state.store.mk_app("read", (s.term, jterm)))
+            g.assert_diseq(i, j)
+            g.assert_eq(node, state.store.mk_app("read", (s, j)))
         state.fired("elim_wr_rd")
         fired = True
     return fired
@@ -221,21 +220,19 @@ def _rule_partial_eq(state: _State, n: int) -> bool:
     exception set."""
     g = state.g
     node = g.nodes[n]
-    if node.term.sort.kind is not SortKind.ARRAY:
+    if node.sort.kind is not SortKind.ARRAY:
         return False
     fired = False
     for m in g.class_of(n):
         if m == n:
             continue
-        a, b = min(n, m), max(n, m)
-        if not (state.term_has_projected(g.nodes[a].term)
-                or state.term_has_projected(g.nodes[b].term)):
+        a, b = g.nodes[min(n, m)], g.nodes[max(n, m)]
+        if not (state.term_has_projected(a) or state.term_has_projected(b)):
             continue
-        if (a, b) in state.peqs:
+        if (a.id, b.id) in state.peqs:
             continue
-        state.peqs.add((a, b))
-        peq = state.store.mk_app("peq", (g.nodes[a].term, g.nodes[b].term))
-        g.assert_eq(peq, state.store.top)
+        state.peqs.add((a.id, b.id))
+        g.assert_eq(state.store.mk_app("peq", (a, b)), state.store.top)
         state.fired("partial_eq")
         fired = True
     return fired
@@ -254,24 +251,22 @@ def _rule_elim_wr(state: _State, n: int) -> bool:
     fired = False
     lhs, rhs = node.children[:2]
     # each side once: peq(s, s, I) has one
-    for s_id, w_id in dict.fromkeys(((lhs, rhs), (rhs, lhs))):
-        wnode = g.nodes[w_id]
-        if wnode.label != "write":
+    for s, w in dict.fromkeys(((lhs, rhs), (rhs, lhs))):
+        if w.label != "write":
             continue
-        if not state.term_has_projected(wnode.term):
+        if not state.term_has_projected(w):
             continue
-        sterm = g.nodes[s_id].term
-        uterm, iterm, vterm = (g.nodes[c].term for c in wnode.children)
-        idx_terms = [g.nodes[c].term for c in node.children[2:]]
-        ival = state.meval(iterm)
+        u, i, v = w.children
+        idx_terms = list(node.children[2:])
+        ival = state.meval(i)
         clash = next((ix for ix in idx_terms if state.meval(ix) == ival), None)
         if clash is None:
-            g.assert_eq(store.mk_app("read", (sterm, iterm)), vterm)
-            new_idx = idx_terms + [iterm]
+            g.assert_eq(store.mk_app("read", (s, i)), v)
+            new_idx = idx_terms + [i]
         else:
-            g.assert_eq(iterm, clash)
+            g.assert_eq(i, clash)
             new_idx = idx_terms
-        g.assert_eq(store.mk_app("peq", (sterm, uterm, *new_idx)), store.top)
+        g.assert_eq(store.mk_app("peq", (s, u, *new_idx)), store.top)
         state.fired("elim_wr")
         fired = True
     return fired
@@ -286,33 +281,32 @@ def _rule_elim_eq(state: _State, n: int) -> bool:
     if node.label != "peq":
         return False
     store, sig = state.store, state.sig
-    lhs, rhs = g.nodes[node.children[0]], g.nodes[node.children[1]]
+    lhs, rhs = node.children[:2]
     for v, e in ((lhs, rhs), (rhs, lhs)):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.label in e.term.vars:
+        if v.label in e.vars:
             continue
-        idx_terms = [g.nodes[c].term for c in node.children[2:]]
         chosen = []
         seen_vals = []
-        for ix in idx_terms:
+        for ix in node.children[2:]:
             val = state.meval(ix)
             if val not in seen_vals:  # duplicates modulo the model collapse
                 seen_vals.append(val)
                 chosen.append(ix)
-        chain = e.term
+        chain = e
         for ix in chosen:
             name = state.fresh_name()
-            value_sort = v.term.sort.value
+            value_sort = v.sort.value
             if value_sort.kind in (SortKind.ARRAY, SortKind.ADT):
                 sig.declare_var(name, value_sort)
             else:
                 sig.declare_const(name, value_sort)
             dterm = store.mk_const(name)
             state.model = state.model.with_constant(
-                name, array_read(state.meval(v.term), state.meval(ix)))
+                name, array_read(state.meval(v), state.meval(ix)))
             chain = store.mk_app("write", (chain, ix, dterm))
-        g.assert_eq(v.term, chain)
+        g.assert_eq(v, chain)
         state.fired("elim_eq")
         return True
     return False
@@ -332,19 +326,17 @@ def _rule_ackermann(state: _State, reads) -> bool:
     g = state.g
     decisions = []
     for b in reads:
-        base_id, idx = g.nodes[b].children
-        base = g.nodes[base_id]
+        base, idx = g.nodes[b].children
         if not (state.projected(base.label) and not base.children):
             continue
-        classes = state.index_classes.setdefault(base_id, {})
-        term = g.nodes[idx].term
-        value = state.meval(term)
+        classes = state.index_classes.setdefault(base.id, {})
+        value = state.meval(idx)
         first = classes.get(value)
         if first is not None:
-            decisions.append((first[0], b, True, first[1], term))
+            decisions.append((first[0], b, True, first[1], idx))
         else:
-            decisions += [(a, b, False, t, term) for a, t in classes.values()]
-            classes[value] = (b, term)
+            decisions += [(a, b, False, t, idx) for a, t in classes.values()]
+            classes[value] = (b, idx)
     decisions.sort(key=lambda d: d[:2])
     for _, _, equal, t1, t2 in decisions:
         if equal:
@@ -364,7 +356,7 @@ def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
     node = g.nodes[n]
     if not (state.projected(node.label) and not node.children):
         return False
-    if node.term.sort.kind is not SortKind.ADT:
+    if node.sort.kind is not SortKind.ADT:
         return False
     store = state.store
     fired = False
@@ -375,7 +367,7 @@ def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
             continue
         ctor = role[1]
         for (sel, _), arg in zip(ctor.selectors, mnode.children):
-            g.assert_eq(store.mk_app(sel, (node.term,)), g.nodes[arg].term)
+            g.assert_eq(store.mk_app(sel, (node,)), arg)
         state.fired("adt_deconstruct_eq")
         fired = True
     return fired
@@ -386,27 +378,26 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
     model: different constructors yield tester literals, equal constructors
     yield a selector disequality at an argument where the values differ."""
     g = state.g
-    na, nb = g.nodes[a], g.nodes[b]
-    for v, t in ((na, nb), (nb, na)):
+    ta, tb = g.nodes[a], g.nodes[b]
+    for v, t in ((ta, tb), (tb, ta)):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.term.sort.kind is not SortKind.ADT:
+        if v.sort.kind is not SortKind.ADT:
             continue
         store = state.store
-        vv = state.meval(v.term)
-        tv = state.meval(t.term)
+        vv = state.meval(v)
+        tv = state.meval(t)
         if vv == tv:
             raise ModelMismatchError(
-                f"model equates disequal terms {v.term!r} and {t.term!r}")
+                f"model equates disequal terms {v!r} and {t!r}")
         vctor = state.sig.datatype[vv.ctor][1]
         if vv.ctor != tv.ctor:
-            g.assert_eq(store.mk_app(vctor.tester, (v.term,)), store.top)
-            g.assert_eq(store.mk_app(vctor.tester, (t.term,)), store.bot)
+            g.assert_eq(store.mk_app(vctor.tester, (v,)), store.top)
+            g.assert_eq(store.mk_app(vctor.tester, (t,)), store.bot)
         else:
             i = next(i for i in range(vctor.arity) if vv.args[i] != tv.args[i])
             sel = vctor.selectors[i][0]
-            g.assert_diseq(store.mk_app(sel, (v.term,)),
-                           store.mk_app(sel, (t.term,)))
+            g.assert_diseq(store.mk_app(sel, (v,)), store.mk_app(sel, (t,)))
         state.fired("adt_split_diseq")
         return True
     return False

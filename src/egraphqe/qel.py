@@ -45,7 +45,7 @@ def process(g: EGraph, r: dict, todo: Iterable[int]) -> dict:
     parent edge is looked at once, not once per child.  r must assign whole
     classes, as find_defs and process leave it.
     """
-    unmet = [len({c for c in node.children if c not in r}) for node in g.nodes]
+    unmet = [len({c for c in node.children if c.id not in r}) for node in g.nodes]
     _process(g, g.view(), r, todo, unmet)
     return r
 
@@ -82,9 +82,9 @@ def find_defs(g: EGraph) -> dict:
     view = g.view()
     r = {}
     unmet = [len(set(node.children)) for node in g.nodes]
-    leaves = [n for n in g.nodes if not n.children]
-    _process(g, view, r, [n.id for n in leaves if n.term.ground], unmet)
-    _process(g, view, r, [n.id for n in leaves], unmet)
+    leaves = [t for t in g.nodes if not t.children]
+    _process(g, view, r, [t.id for t in leaves if t.ground], unmet)
+    _process(g, view, r, [t.id for t in leaves], unmet)
     return r
 
 
@@ -123,7 +123,7 @@ def _makes_cycle(g: EGraph, r: dict, candidate: int) -> bool:
     visited = set()
     while stack:
         for c in g.nodes[stack.pop()].children:
-            rep = candidate if root_of[c] == root else get(c)
+            rep = candidate if root_of[c.id] == root else get(c.id)
             if rep == candidate:
                 return True
             if rep is not None and rep not in visited:
@@ -138,18 +138,13 @@ def find_core(g: EGraph, r: dict, var_names) -> set:
     nodes congruent to a node already kept (same label, child classes).
 
     Congruent nodes always share a class, since the graph is congruence
-    closed, so congruence keys are compared within a class only, and a
-    class with one member needs none."""
+    closed, so the graph's congruence keys are compared within a class
+    only, and a class with one member needs none.  The graph is final, so
+    its roots are the view's."""
     var_names = set(var_names)
-    view = g.view()
-    root, members = view.root, view.members
+    members = g.view().members
     nodes = g.nodes
     get = r.get
-
-    def key(n):
-        node = nodes[n]
-        return node.label, tuple([root[c] for c in node.children])
-
     core = set()
     for n in range(len(nodes)):
         if get(n) != n:
@@ -158,11 +153,11 @@ def find_core(g: EGraph, r: dict, var_names) -> set:
         cls = members[n]
         if len(cls) == 1:
             continue
-        keys = {key(n)}
+        keys = {g.congruence_key(n)}
         for m in cls:
             if m == n or nodes[m].label in var_names:
                 continue
-            k = key(m)
+            k = g.congruence_key(m)
             if k not in keys:
                 keys.add(k)
                 core.add(m)

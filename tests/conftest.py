@@ -63,7 +63,7 @@ def ref_compute_cground(g):
                 pending.extend(g.parents(m))
 
     for n in range(len(g.nodes)):
-        if g.nodes[n].term.ground:
+        if g.nodes[n].ground:
             mark(n)
         else:
             pending.append(n)
@@ -72,7 +72,7 @@ def ref_compute_cground(g):
         node = g.nodes[p]
         if p in cground or not node.children:
             continue
-        if all(g.find(c) in ground_class for c in node.children):
+        if all(g.find(c.id) in ground_class for c in node.children):
             mark(p)
     return cground, ground_class
 
@@ -121,8 +121,8 @@ class RefUnionFindEGraph(EGraph):
             self._uf[n], n = root, self._uf[n]
         return root
 
-    def _canon_key(self, node):
-        return (node.label, tuple([self.find(c) for c in node.children]))
+    def _canon_key(self, t):
+        return (t.label, tuple([self.find(c.id) for c in t.children]))
 
     def _merge(self, a, b):
         queue = [(a, b)]
@@ -187,7 +187,7 @@ def is_admissible_partial(g, r):
         if len(assigned) != len(members):
             return False  # partially assigned class
     for rep in set(r.values()):
-        if any(c not in r for c in g.nodes[rep].children):
+        if any(c.id not in r for c in g.nodes[rep].children):
             return False
     return not has_cycle(g, r)
 
@@ -545,7 +545,7 @@ def ref_process(g, r, todo):
             for m in g.class_of(n):
                 for p in sorted(g.parents(m)):
                     if p not in r and \
-                            all(c in r for c in g.nodes[p].children):
+                            all(c.id in r for c in g.nodes[p].children):
                         ready.append(p)
         seen = set()
         for p in sorted(ready, reverse=True):
@@ -557,8 +557,8 @@ def ref_process(g, r, todo):
 
 def ref_find_defs(g):
     r = {}
-    ref_process(g, r, [n.id for n in g.nodes if not n.children and n.term.ground])
-    ref_process(g, r, [n.id for n in g.nodes if not n.children])
+    ref_process(g, r, [t.id for t in g.nodes if not t.children and t.ground])
+    ref_process(g, r, [t.id for t in g.nodes if not t.children])
     return r
 
 
@@ -582,7 +582,7 @@ def _ref_makes_cycle(g, r, candidate):
     visited = set()
     while stack:
         for c in g.nodes[stack.pop()].children:
-            rep = candidate if g.find(c) == root else r.get(c)
+            rep = candidate if g.find(c.id) == root else r.get(c.id)
             if rep == candidate:
                 return True
             if rep is not None and rep not in visited:
@@ -621,16 +621,16 @@ def ref_to_expr(g, n, r, memo):
     nodes = g.nodes
     node = nodes[n]
     if not node.children:
-        memo[n] = node.term
-        return node.term
+        memo[n] = node
+        return node
     path = {n}
     stack = [(node, iter(node.children))]
     while stack:
         node, it = stack[-1]
         for c in it:
-            rep = r.get(c)
+            rep = r.get(c.id)
             if rep is None:
-                raise InadmissibleReprError(f"representative undefined for node {c}")
+                raise InadmissibleReprError(f"representative undefined for node {c.id}")
             if rep in memo:
                 continue
             if rep in path:
@@ -640,12 +640,12 @@ def ref_to_expr(g, n, r, memo):
                 path.add(rep)
                 stack.append((child, iter(child.children)))
                 break
-            memo[rep] = child.term
+            memo[rep] = child
         else:
             stack.pop()
             path.discard(node.id)
             memo[node.id] = g.store.mk_app(
-                node.label, [memo[r.get(c)] for c in node.children])
+                node.label, [memo[r.get(c.id)] for c in node.children])
     return memo[n]
 
 

@@ -218,11 +218,11 @@ MUTANTS = [
       MADE_NEITHER + "[true-first]", MADE_NEITHER + "[false-first]",
       "tests/test_egraph.py::test_inconsistency_raised_exactly_when_rescan_finds_violation"]),
     ("solving a partial equality makes the term read(v, i) to value d!k", MBP,
-     "array_read(state.meval(v.term), state.meval(ix))",
-     'state.meval(store.mk_app("read", (v.term, ix)))',
+     "array_read(state.meval(v), state.meval(ix))",
+     'state.meval(store.mk_app("read", (v, ix)))',
      ["tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model"]),
     ("extraction reuses a node's term without comparing its children", EXTRACTION,
-     "return term if args == term.children else store.mk_app(node.label, args)",
+     "return term if args == term.children else store.mk_app(term.label, args)",
      "return term",
      ["tests/test_acceptance.py::test_criterion_1_golden_examples",
       "tests/test_acceptance.py::test_criterion_3_ground_definitions_eliminated",
@@ -248,6 +248,7 @@ MUTANTS = [
       "tests/test_qel.py::test_qel_golden_outputs",
       "tests/test_qel.py::test_qel_eliminates_expected_vars",
       "tests/test_qel.py::test_qel_equivalence_small",
+      "tests/test_qel.py::test_qel_idempotent",
       "tests/test_qel.py::test_ground_definition_always_eliminates",
       "tests/test_qel.py::test_unreachable_variables_never_survive",
       "tests/test_qel.py::test_tail_matches_reference",
@@ -265,7 +266,7 @@ MUTANTS = [
       PARSER + "test_reader_matches_reference_on_lets" + UEQ_LET_TEXT,
       PARSER + "test_reader_matches_reference_on_mutants"]),
     ("a new node is not looked up among the congruence keys", EGRAPH,
-     "        other = self._cong.setdefault(self._canon_key(node), nid)\n"
+     "        other = self._cong.setdefault(self._canon_key(term), nid)\n"
      "        if other != nid:\n"
      "            self._merge(nid, other)\n",
      "",
@@ -291,6 +292,33 @@ MUTANTS = [
       "tests/test_qel.py::test_find_core_read_chain",
       "tests/test_qel.py::test_qel_golden_outputs",
       "tests/test_qel.py::test_tail_matches_reference"]),
+    ("congruence keys hold the child ids, not their class roots", EGRAPH,
+     "return (t.label, tuple([root[c.id] for c in t.children]))",
+     "return (t.label, tuple([c.id for c in t.children]))",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_5_projection_contract",
+      "tests/test_cli.py::test_qel_read_chain_golden",
+      "tests/test_egraph.py::test_a_graph_holds_a_prefix_of_its_store",
+      "tests/test_egraph.py::test_add_term_idempotent_and_congruent",
+      "tests/test_egraph.py::test_assert_eq_congruence_propagates",
+      "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference",
+      "tests/test_egraph.py::test_explicit_equality_keeps_nodes_and_merges",
+      "tests/test_egraph.py::test_read_chain_classes",
+      *(f"{ROOT_TWIN}on_qel_euf_literals[{k}]" for k in range(4)),
+      ROOT_TWIN + "on_random_merges", ROOT_TWIN + "when_the_growing_class_is_absorbed",
+      MADE_NEITHER + "[false-first]", MADE_NEITHER + "[true-first]",
+      "tests/test_extraction.py::test_to_formula_read_chain_no_exclusions",
+      "tests/test_mbp.py::test_ackermann_equal_and_diseq_branches",
+      "tests/test_mbp.py::test_random_projection_contract",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[read_chain.smt2]",
+      "tests/test_qel.py::test_cground_read_chain",
+      "tests/test_qel.py::test_find_core_one_rep_per_class_when_congruent",
+      "tests/test_qel.py::test_find_core_read_chain",
+      "tests/test_qel.py::test_find_defs_read_chain_picks",
+      "tests/test_qel.py::test_qel_golden_outputs"]),
+    ("process looks a child term up among r's node ids", QEL,
+     "if c.id not in r}) for node in g.nodes]", "if c not in r}) for node in g.nodes]",
+     ["tests/test_qel.py::test_process_matches_reference_from_partial_reprs"]),
 ]
 
 

@@ -205,8 +205,7 @@ def test_merge_soundness_on_small_instances(rng):
             members = g.class_of(root)
             for m in members[1:]:
                 augmented = mk_formula(store, list(formula.literals) + [
-                    Literal("diseq", g.nodes[members[0]].term,
-                            g.nodes[m].term)])
+                    Literal("diseq", g.nodes[members[0]], g.nodes[m])])
                 assert find_model(sig, store, augmented,
                                   Bounds(universe=2)) is None
 
@@ -233,10 +232,9 @@ def _random_assertions(rng, store, n_ops):
 
 
 def _rescan_finds_violation(g):
-    # true and false have nodes only once some literal added them
-    node_of = {node.term.id: node.id for node in g.nodes}
-    top, bot = node_of.get(g.store.top.id), node_of.get(g.store.bot.id)
-    if top is not None and bot is not None and g.find(top) == g.find(bot):
+    # true and false have nodes only once the graph adopted them
+    top, bot = g.store.top.id, g.store.bot.id
+    if max(top, bot) < len(g.nodes) and g.find(top) == g.find(bot):
         return True
     return any(g.find(a) == g.find(b) for a, b in g.diseqs)
 
@@ -316,7 +314,8 @@ class _RefClasses:
     def _congruent(self, p, q):
         return p.label == q.label and p.children and \
             len(p.children) == len(q.children) and \
-            all(self.find(c) == self.find(d) for c, d in zip(p.children, q.children))
+            all(self.find(c.id) == self.find(d.id)
+                for c, d in zip(p.children, q.children))
 
     def class_of(self, n):
         return [m for m in range(len(self.parent)) if self.find(m) == self.find(n)]
@@ -350,7 +349,8 @@ def test_class_lists_and_parents_match_a_reference(rng):
             for n in g.node_ids():
                 members = g.class_of(n)
                 assert members == ref.class_of(n)
-                assert g.parents(n) == {p.id for p in g.nodes if n in p.children}
+                assert g.parents(n) == {p.id for p in g.nodes
+                                        if n in [c.id for c in p.children]}
                 assert view.members[n] == members and view.root[n] == g.find(n)
                 assert all(view.members[m] is view.members[n] for m in members)
 
@@ -493,16 +493,17 @@ def test_building_a_graph_makes_no_boolean_constants():
     assert [t.label for t in prob.store.terms] == ["x", "c", "d"]
 
 
-# -- node id = term id ------------------------------------------------------------
+# -- a node is its store term -----------------------------------------------------
 
-def _ids_are_term_ids(g):
-    return [node.term.id for node in g.nodes] == list(range(len(g.nodes)))
+def _nodes_are_store_terms(g):
+    """Node n is the store's term n itself."""
+    return all(t is g.store.terms[i] for i, t in enumerate(g.nodes))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.smt2")))
 def test_node_ids_are_term_ids_on_the_demos(name):
     prob = load(name)
-    assert _ids_are_term_ids(EGraph.from_formula(prob.sig, prob.store, prob.formula))
+    assert _nodes_are_store_terms(EGraph.from_formula(prob.sig, prob.store, prob.formula))
 
 
 @pytest.mark.parametrize("model", ["nested_pair_array.model",
@@ -510,15 +511,15 @@ def test_node_ids_are_term_ids_on_the_demos(name):
 def test_node_ids_are_term_ids_in_a_saturated_graph(model):
     prob, model = load_mbp(model=model)
     res = mbp(prob.sig, prob.store, prob.formula, prob.formula.free_vars, model)
-    assert _ids_are_term_ids(res.graph)
+    assert _nodes_are_store_terms(res.graph)
 
 
 def test_node_ids_are_term_ids_on_the_acceptance_generators():
     rng = random.Random(17)
     for _ in range(300):
-        assert _ids_are_term_ids(random_euf_instance(rng)[3])
+        assert _nodes_are_store_terms(random_euf_instance(rng)[3])
         sig, store, formula = random_grounded_var_instance(rng)
-        assert _ids_are_term_ids(EGraph.from_formula(sig, store, formula))
+        assert _nodes_are_store_terms(EGraph.from_formula(sig, store, formula))
 
 
 def test_a_graph_holds_a_prefix_of_its_store():
@@ -533,7 +534,7 @@ def test_a_graph_holds_a_prefix_of_its_store():
     g = EGraph.from_formula(prob.sig, store, prob.formula)
     assert [node.label for node in g.nodes] == ["x", "c"]
     assert g.add_term(fx) == fx.id == 3
-    assert [node.term for node in g.nodes] == store.terms
+    assert g.nodes == store.terms
     assert g.find(fc.id) == g.find(fx.id)
     # a second graph on the store adopts the same prefix
     g2 = EGraph.from_formula(prob.sig, store, prob.formula)

@@ -274,8 +274,7 @@ def test_elim_eq_reads_the_fresh_value_off_the_model():
     v, i = prob.store.mk_const("v"), prob.store.mk_const("i")
     assert ("read", (v, i)) not in prob.store._table
     assert res.model.constants["d!0"] == 0
-    assert [node.term for node in res.graph.nodes] == \
-        prob.store.terms[:len(res.graph.nodes)]
+    assert res.graph.nodes == prob.store.terms[:len(res.graph.nodes)]
 
 
 def test_elim_wr_unwinds_write_and_keeps_read_fact():
@@ -621,8 +620,8 @@ def test_many_reads_saturate_completely(rng):
         assert "a" not in res.formula.free_vars
         g = res.graph
         disequal = {frozenset((g.find(x), g.find(y))) for x, y in g.diseqs}
-        reads = [n.children[1] for n in g.nodes
-                 if n.label == "read" and g.nodes[n.children[0]].label == "a"]
+        reads = [n.children[1].id for n in g.nodes
+                 if n.label == "read" and n.children[0].label == "a"]
         assert len(reads) == 40
         for k, i in enumerate(reads):
             for j in reads[k + 1:]:
@@ -637,11 +636,9 @@ def _all_pairs_rule_ackermann(state, a, b):
     node that is a projected array variable, at syntactically distinct
     indices: record the index (dis)equality the model chooses."""
     g = state.g
-    na, nb = g.nodes[a], g.nodes[b]
-    base = g.nodes[na.children[0]]
+    (base, e1), e2 = g.nodes[a].children, g.nodes[b].children[1]
     if not (state.projected(base.label) and not base.children):
         return False
-    e1, e2 = g.nodes[na.children[1]].term, g.nodes[nb.children[1]].term
     if e1 is e2:
         return False
     if state.meval(e1) == state.meval(e2):
@@ -661,7 +658,7 @@ def _read_pairs(g, new_reads):
     for n in range(max(new_reads, default=-1) + 1):
         node = g.nodes[n]
         if node.label == "read":
-            by_base.setdefault(node.children[0], []).append(n)
+            by_base.setdefault(node.children[0].id, []).append(n)
     return sorted((a, b) for group in by_base.values()
                   for i, a in enumerate(group) for b in group[i + 1:]
                   if b in new)
@@ -757,22 +754,21 @@ def _marked_elim_wr_rd(state, n):
         return False
     arr, j = node.children
     fired = False
-    for w in g.class_of(arr):
+    for w in g.class_of(arr.id):
         wnode = g.nodes[w]
         if wnode.label != "write":
             continue
-        s, i, v = (g.nodes[c] for c in wnode.children)
-        if not state.term_has_projected(s.term):
+        s, i, v = wnode.children
+        if not state.term_has_projected(s):
             continue
         if not _marked(state, "elim_wr_rd", (n, w)):
             continue
-        jterm = g.nodes[j].term
-        if state.meval(i.term) == state.meval(jterm):
-            g.assert_eq(i.term, jterm)
-            g.assert_eq(node.term, v.term)
+        if state.meval(i) == state.meval(j):
+            g.assert_eq(i, j)
+            g.assert_eq(node, v)
         else:
-            g.assert_diseq(i.term, jterm)
-            g.assert_eq(node.term, state.store.mk_app("read", (s.term, jterm)))
+            g.assert_diseq(i, j)
+            g.assert_eq(node, state.store.mk_app("read", (s, j)))
         state.fired("elim_wr_rd")
         fired = True
     return fired
@@ -781,19 +777,19 @@ def _marked_elim_wr_rd(state, n):
 def _marked_partial_eq(state, n):
     g = state.g
     node = g.nodes[n]
-    if node.term.sort.kind.value != "array":
+    if node.sort.kind.value != "array":
         return False
     fired = False
     for m in g.class_of(n):
         if m == n:
             continue
         a, b = min(n, m), max(n, m)
-        if not (state.term_has_projected(g.nodes[a].term)
-                or state.term_has_projected(g.nodes[b].term)):
+        if not (state.term_has_projected(g.nodes[a])
+                or state.term_has_projected(g.nodes[b])):
             continue
         if not _marked(state, "partial_eq", (a, b)):
             continue
-        peq = state.store.mk_app("peq", (g.nodes[a].term, g.nodes[b].term))
+        peq = state.store.mk_app("peq", (g.nodes[a], g.nodes[b]))
         g.assert_eq(peq, state.store.top)
         state.fired("partial_eq")
         fired = True
@@ -807,27 +803,25 @@ def _marked_elim_wr(state, n):
         return False
     store = state.store
     fired = False
-    for s_id, w_id in ((node.children[0], node.children[1]),
-                       (node.children[1], node.children[0])):
-        wnode = g.nodes[w_id]
-        if wnode.label != "write":
+    for s, w in ((node.children[0], node.children[1]),
+                 (node.children[1], node.children[0])):
+        if w.label != "write":
             continue
-        if not state.term_has_projected(wnode.term):
+        if not state.term_has_projected(w):
             continue
-        if not _marked(state, "elim_wr", (n, w_id)):
+        if not _marked(state, "elim_wr", (n, w.id)):
             continue
-        sterm = g.nodes[s_id].term
-        uterm, iterm, vterm = (g.nodes[c].term for c in wnode.children)
-        idx_terms = [g.nodes[c].term for c in node.children[2:]]
-        ival = state.meval(iterm)
+        u, i, v = w.children
+        idx_terms = list(node.children[2:])
+        ival = state.meval(i)
         clash = next((ix for ix in idx_terms if state.meval(ix) == ival), None)
         if clash is None:
-            g.assert_eq(store.mk_app("read", (sterm, iterm)), vterm)
-            new_idx = idx_terms + [iterm]
+            g.assert_eq(store.mk_app("read", (s, i)), v)
+            new_idx = idx_terms + [i]
         else:
-            g.assert_eq(iterm, clash)
+            g.assert_eq(i, clash)
             new_idx = idx_terms
-        g.assert_eq(store.mk_app("peq", (sterm, uterm, *new_idx)), store.top)
+        g.assert_eq(store.mk_app("peq", (s, u, *new_idx)), store.top)
         state.fired("elim_wr")
         fired = True
     return fired
@@ -838,11 +832,11 @@ def _marked_elim_eq(state, n):
     node = g.nodes[n]
     if node.label != "peq":
         return False
-    lhs, rhs = g.nodes[node.children[0]], g.nodes[node.children[1]]
+    lhs, rhs = node.children[:2]
     for v, e in ((lhs, rhs), (rhs, lhs)):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.label in e.term.vars:
+        if v.label in e.vars:
             continue
         if not _marked(state, "elim_eq", (n, v.id)):
             return False
@@ -855,7 +849,7 @@ def _marked_adt_deconstruct_eq(state, n):
     node = g.nodes[n]
     if not (state.projected(node.label) and not node.children):
         return False
-    if node.term.sort.kind.value != "adt":
+    if node.sort.kind.value != "adt":
         return False
     fired = False
     for m in g.class_of(n):
@@ -866,7 +860,7 @@ def _marked_adt_deconstruct_eq(state, n):
         if not _marked(state, "adt_deconstruct_eq", (n, m)):
             continue
         for (sel, _), arg in zip(role[1].selectors, mnode.children):
-            g.assert_eq(state.store.mk_app(sel, (node.term,)), g.nodes[arg].term)
+            g.assert_eq(state.store.mk_app(sel, (node,)), arg)
         state.fired("adt_deconstruct_eq")
         fired = True
     return fired
@@ -877,7 +871,7 @@ def _marked_adt_split_diseq(state, a, b):
     for v in (g.nodes[a], g.nodes[b]):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.term.sort.kind.value != "adt":
+        if v.sort.kind.value != "adt":
             continue
         if not _marked(state, "adt_split_diseq", (min(a, b), max(a, b))):
             return False

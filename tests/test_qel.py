@@ -176,7 +176,7 @@ def _makes_cycle_reference(g, r, candidate):
     succ = {}
     for node in g.nodes:
         for c in node.children:
-            rep = trial.get(c)
+            rep = trial.get(c.id)
             if rep is not None:
                 succ.setdefault(node.id, set()).add(rep)
     stack = list(succ.get(candidate, ()))
@@ -289,11 +289,15 @@ def test_qel_equivalence_small(rng):
 
 
 def test_qel_idempotent(rng):
+    """qel of qel's output on one store: its graph also adopts the first
+    input's terms that precede the output's, which no literal mentions, and
+    the result still keeps the input's existential closure."""
     for _ in range(60):
         sig, store, formula, _ = random_euf_instance(rng)
         once = qel(sig, store, formula)
         twice = qel(sig, store, once, var_names=formula.free_vars)
         assert set(twice.free_vars) <= set(once.free_vars)
+        assert equiv_exists(sig, store, formula, twice, Bounds(universe=2)).ok
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.smt2")))
@@ -484,8 +488,8 @@ def test_process_matches_reference_from_partial_reprs(rng):
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     cases.append((g, {}, [_node(g, "x"), _node(g, "y")]))
     for g, _, _ in _tail_cases(rng):
-        leaves = [n.id for n in g.nodes if not n.children]
-        seeded = ref_process(g, {}, [n for n in leaves if g.nodes[n].term.ground])
+        leaves = [t.id for t in g.nodes if not t.children]
+        seeded = ref_process(g, {}, [n for n in leaves if g.nodes[n].ground])
         cases.append((g, seeded, leaves))
     for g, r, todo in cases:
         expected = ref_process(g, dict(r), todo)
