@@ -136,13 +136,13 @@ def to_formula(g: EGraph, r: dict, exclude=frozenset(), _memo=None) -> Formula:
     exclude, a set.
 
     Per class, emits representative-extraction = member-extraction for each
-    non-excluded member other than mbp's ``peq`` obligations; the recorded
-    disequalities (``g.diseqs``, their only record) are emitted over the
-    representative extractions whenever both endpoint classes keep at least
-    one non-excluded node.  Duplicate and reflexive literals are dropped.
-    With an empty exclusion set the result's existential closure matches the
-    input formula's.  _memo, node id -> extraction under r, is shared
-    with the to_expr calls of a caller that has extracted some nodes first.
+    non-excluded member; the recorded disequalities (``g.diseqs``, their
+    only record) are emitted over the representative extractions whenever
+    both endpoint classes keep at least one non-excluded node.  Duplicate
+    and reflexive literals are dropped.  With an empty exclusion set the
+    result's existential closure matches the input formula's.  _memo, node
+    id -> extraction under r, is shared with the to_expr calls of a caller
+    that has extracted some nodes first.
     """
     if not _class_consistent(g, r):
         raise InadmissibleReprError("not a unique in-class assignment per class")
@@ -172,11 +172,6 @@ def to_formula(g: EGraph, r: dict, exclude=frozenset(), _memo=None) -> Formula:
                 continue
             kept.add(n)
             if m == n:
-                continue
-            if g.nodes[m].label == "peq":
-                # mbp's partial-equality obligations: the rules have already
-                # put their content into the graph, and the parser keeps
-                # peq out of problem input
                 continue
             emit("eq", rep_term, to_expr(g, m, r, _memo=memo))
 

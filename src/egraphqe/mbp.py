@@ -3,27 +3,31 @@
 Saturates theory projection rules over the egraph of the input under a
 satisfying model, then runs the quantifier-reduction tail (``qel.reduce``)
 with every array/datatype variable as taint, which drops every node whose
-extraction still mentions one.  Rules only ever add terms, merges, and
-disequalities.  Nodes and disequalities are append-only, so each rule
-family keeps one watermark pair (how many nodes and disequalities its
-passes have offered) and offers each node and each disequality once.  One
-offering visits distinct keys, so a rule keeps no record of what it did,
-except ``partial_eq``, which meets a pair of array nodes from both ends.  A
-pass asks the egraph, which keeps constructive groundness as rules add
+extraction still mentions one.  Rules only ever add terms, merges,
+disequalities and partial equalities.  A partial equality (arrays s and t
+equal outside some indices) is a record (s, t, exceptions), not a term:
+exceptions maps each excepted index's model value to the first index term
+with that value.  Nodes, partial equalities and disequalities are
+append-only, so each rule family keeps one watermark triple (how many of
+each its passes have offered) and offers each once.  One offering visits
+distinct keys, so a rule keeps no record of what it did, except that a
+partial equality is made once per (s, t, index terms), since ``partial_eq``
+meets a pair of array nodes from both ends and two write chains may unwind
+to one, and that ``elim_eq`` keeps what each variable's solutions mention.
+A pass asks the egraph, which keeps constructive groundness as rules add
 nodes and merge classes, which nodes to skip; it reads the answer live, so
 a rule sees what the rules before it made ground.
 
 The array rules rewrite read-over-write patterns, turn array equalities
-into partial-equality obligations, unwind writes out of those obligations,
-solve them for projected variables with fresh write values, and
-Ackermannize the reads over one projected array: the reads are split into
-classes by the model value of their index, as in Spacer's array MBP, so a
-read costs one index equality, or one disequality per class seen before.
-The datatype rules split projected-variable equalities into selector
-equalities and resolve disequalities by the model, except that a
-disequality whose both sides sit in ground classes is skipped: its
-operands are rewritten to ground terms in the output, so no splitting is
-necessary.
+into partial equalities, unwind writes out of them, solve them for
+projected variables with fresh write values, and Ackermannize the reads
+over one projected array: the reads are split into classes by the model
+value of their index, as in Spacer's array MBP, so a read costs one index
+equality, or one disequality per class seen before.  The datatype rules
+split projected-variable equalities into selector equalities and resolve
+disequalities by the model, except that a disequality whose both sides sit
+in ground classes is skipped: its operands are rewritten to ground terms in
+the output, so no splitting is necessary.
 """
 from __future__ import annotations
 
@@ -60,7 +64,13 @@ class _State:
     fires: dict = field(default_factory=dict)
     total: int = 0
     fresh: int = 0
-    peqs: set = field(default_factory=set)  # node pairs partial_eq did
+    # partial equalities (s, t, exceptions) in the order made: exceptions
+    # maps each excepted index's model value to the first index term with it
+    peqs: list = field(default_factory=list)
+    peq_keys: set = field(default_factory=set)  # (s.id, t.id, *index ids)
+    peq_at: list = field(default_factory=list)  # node count when each was made
+    # variable id -> the sets of variables its solutions by elim_eq mention
+    solved: dict = field(default_factory=dict)
     # projected base node id -> {index value: (first read id, index term)}
     index_classes: dict = field(default_factory=dict)
 
@@ -87,6 +97,17 @@ class _State:
 
     def term_has_projected(self, term: Term) -> bool:
         return not term.ground
+
+    def partial_eq(self, s: Term, t: Term, exceptions: dict) -> bool:
+        """Record that s and t agree outside the exceptions, unless that
+        record exists; returns whether it is new."""
+        key = (s.id, t.id, *[ix.id for ix in exceptions.values()])
+        if key in self.peq_keys:
+            return False
+        self.peq_keys.add(key)
+        self.peqs.append((s, t, exceptions))
+        self.peq_at.append(len(self.g.nodes))
+        return True
 
     def fresh_name(self) -> str:
         while True:
@@ -133,7 +154,7 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
 def _saturate(state: _State):
     """Run the array family to its fixpoint, then the datatype family, and
     repeat until neither makes progress."""
-    watermarks = dict.fromkeys(_FAMILIES, (0, 0))
+    watermarks = dict.fromkeys(_FAMILIES, (0, 0, 0))
     progress = True
     while progress:
         progress = False
@@ -146,26 +167,34 @@ def _saturate(state: _State):
 
 
 def apply_rules(state: _State, family, watermark: tuple) -> tuple:
-    """One pass of a rule family (node rules, read rules, disequality
-    rules) from a watermark, the (node count, disequality count) that
-    earlier passes offered.  The nodes from there to the node count at the
-    start of the pass go to the node rules (equality bookkeeping always,
-    others only when not constructively ground).  The reads among them, in
-    id order, go to each read rule at once, ground or not.  The
-    disequalities from there to the count when the disequality rules start
-    go to those rules, except those whose sides are both in ground classes.
-    Whether a rule fires on a disequality depends only on its two nodes and
-    on groundness, which only grows, so none is offered twice.  Groundness
-    is read when each node or disequality is offered, not at the start of
-    the pass.  Returns whether a rule fired and the watermark for the next
-    pass."""
-    node_rules, read_rules, diseq_rules = family
+    """One pass of a rule family (node rules, partial-equality rules, read
+    rules, disequality rules) from a watermark, the (node count, partial
+    equality count, disequality count) that earlier passes offered.  The
+    nodes from there to the node count at the start of the pass go to the
+    node rules, unless constructively ground.  The partial equalities from
+    there to the count at the start of the pass go to their rules, each just
+    before the first node made after it, so that rules meet both in the
+    order they were made.  The reads among the nodes, in id order, go to
+    each read rule at once, ground or not.  The disequalities from there to
+    the count when the disequality rules start go to those rules, except
+    those whose sides are both in ground classes.  Whether a rule fires on a
+    disequality depends only on its two nodes and on groundness, which only
+    grows, so none is offered twice.  Groundness is read when each node or
+    disequality is offered, not at the start of the pass.  Returns whether
+    a rule fired and the watermark for the next pass."""
+    node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
     progress = False
-    start, diseq_start = watermark
-    size = len(g.nodes)
-    for n in range(start, size):
-        if g.nodes[n].label == "peq" or not g.cground(n):
+    start, peq_start, diseq_start = watermark
+    size, peq_size = len(g.nodes), len(state.peqs)
+    k = peq_start
+    for n in range(start, size + 1):
+        while k < peq_size and state.peq_at[k] <= n:
+            for rule in peq_rules:
+                if rule(state, state.peqs[k]):
+                    progress = True
+            k += 1
+        if n < size and not g.cground(n):
             for rule in node_rules:
                 if rule(state, n):
                     progress = True
@@ -181,7 +210,7 @@ def apply_rules(state: _State, family, watermark: tuple) -> tuple:
                 continue  # both sides become ground terms; no split needed
             if rule(state, a, b):
                 progress = True
-    return progress, (size, diseq_size)
+    return progress, (size, peq_size, diseq_size)
 
 
 # -- array rules --------------------------------------------------------------
@@ -216,8 +245,7 @@ def _rule_elim_wr_rd(state: _State, n: int) -> bool:
 
 def _rule_partial_eq(state: _State, n: int) -> bool:
     """An array equality (two array nodes in one class) involving a
-    projected variable becomes a partial-equality obligation with an empty
-    exception set."""
+    projected variable becomes a partial equality with no exceptions."""
     g = state.g
     node = g.nodes[n]
     if node.sort.kind is not SortKind.ARRAY:
@@ -229,73 +257,65 @@ def _rule_partial_eq(state: _State, n: int) -> bool:
         a, b = g.nodes[min(n, m)], g.nodes[max(n, m)]
         if not (state.term_has_projected(a) or state.term_has_projected(b)):
             continue
-        if (a.id, b.id) in state.peqs:
+        if not state.partial_eq(a, b, {}):
             continue
-        state.peqs.add((a.id, b.id))
-        g.assert_eq(state.store.mk_app("peq", (a, b)), state.store.top)
         state.fired("partial_eq")
         fired = True
     return fired
 
 
-def _rule_elim_wr(state: _State, n: int) -> bool:
-    """Unwind a write inside a partial equality: peq(s, write(u, i, v), I)
-    yields read(s, i) = v plus peq(s, u, I + [i]) when i is fresh w.r.t. I
-    under the model; otherwise only the write is dropped, recording the
-    index equality the model used."""
-    g = state.g
-    node = g.nodes[n]
-    if node.label != "peq":
-        return False
-    store = state.store
+def _rule_elim_wr(state: _State, peq) -> bool:
+    """Unwind a write inside a partial equality: s =_I write(u, i, v)
+    yields read(s, i) = v plus s =_(I + [i]) u when no index of I has i's
+    model value; otherwise only the write is dropped, recording the index
+    equality the model used."""
+    g, store = state.g, state.store
     fired = False
-    lhs, rhs = node.children[:2]
-    # each side once: peq(s, s, I) has one
+    lhs, rhs, exceptions = peq
+    # each side once: s =_I s has one
     for s, w in dict.fromkeys(((lhs, rhs), (rhs, lhs))):
         if w.label != "write":
             continue
         if not state.term_has_projected(w):
             continue
         u, i, v = w.children
-        idx_terms = list(node.children[2:])
         ival = state.meval(i)
-        clash = next((ix for ix in idx_terms if state.meval(ix) == ival), None)
+        clash = exceptions.get(ival)
         if clash is None:
             g.assert_eq(store.mk_app("read", (s, i)), v)
-            new_idx = idx_terms + [i]
+            state.partial_eq(s, u, {**exceptions, ival: i})
         else:
             g.assert_eq(i, clash)
-            new_idx = idx_terms
-        g.assert_eq(store.mk_app("peq", (s, u, *new_idx)), store.top)
+            state.partial_eq(s, u, exceptions)
         state.fired("elim_wr")
         fired = True
     return fired
 
 
-def _rule_elim_eq(state: _State, n: int) -> bool:
+def _rule_elim_eq(state: _State, peq) -> bool:
     """Solve a partial equality for a projected array variable: the variable
     equals the other side overwritten at the exception indices with fresh
-    values, and the model is extended to keep satisfying the result."""
+    values, and the model is extended to keep satisfying the result.  A
+    variable is solved again only while its class has no ground member,
+    and only over a set of variables that no solution of it mentioned
+    before: a solution makes the class ground once the variables it
+    mentions are, so a second one over the same set adds nothing.  Each
+    solution puts a write into the class, which partial_eq pairs anew, and
+    solving every such pair would mint fresh values without end."""
     g = state.g
-    node = g.nodes[n]
-    if node.label != "peq":
-        return False
     store, sig = state.store, state.sig
-    lhs, rhs = node.children[:2]
+    lhs, rhs, exceptions = peq
     for v, e in ((lhs, rhs), (rhs, lhs)):
         if not (state.projected(v.label) and not v.children):
             continue
-        if v.label in e.vars:
+        tried = state.solved.setdefault(v.id, set())
+        mentions = frozenset(e.vars)
+        if v.label in mentions or mentions in tried \
+                or tried and g.ground_class(v.id):
             continue
-        chosen = []
-        seen_vals = []
-        for ix in node.children[2:]:
-            val = state.meval(ix)
-            if val not in seen_vals:  # duplicates modulo the model collapse
-                seen_vals.append(val)
-                chosen.append(ix)
+        tried.add(mentions)
         chain = e
-        for ix in chosen:
+        for ix in exceptions.values():
             name = state.fresh_name()
             value_sort = v.sort.value
             if value_sort.kind in (SortKind.ARRAY, SortKind.ADT):
@@ -403,9 +423,9 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
     return False
 
 
-# -- rule families: (node rules, read rules, disequality rules) ---------------
+# -- rule families: (node, partial-equality, read, disequality rules) --------
 
-_ARRAY_RULES = ((_rule_elim_wr_rd, _rule_partial_eq, _rule_elim_wr,
-                 _rule_elim_eq), (_rule_ackermann,), ())
-_ADT_RULES = ((_rule_adt_deconstruct_eq,), (), (_rule_adt_split_diseq,))
+_ARRAY_RULES = ((_rule_elim_wr_rd, _rule_partial_eq),
+                (_rule_elim_wr, _rule_elim_eq), (_rule_ackermann,), ())
+_ADT_RULES = ((_rule_adt_deconstruct_eq,), (), (), (_rule_adt_split_diseq,))
 _FAMILIES = (_ARRAY_RULES, _ADT_RULES)

@@ -464,12 +464,12 @@ class _Context:
         holding its children's values by id.  What the term's symbol does
         is decided here, once per context.  A variable is read from assign,
         a constant or function table of the interpretation from interp, and
-        a numeral, true or false is a constant.  Every other symbol is a
-        function of its arguments' values, undefined when an argument is
-        (_strict): a builtin is its entry in model.OPS, + - * undefined
-        where they leave the window, a selector of the other constructor
-        gives its field sort's default, and a symbol with no such function
-        raises SearchSpaceError when its term is valued."""
+        a numeral, true or false is a constant.  Every other symbol, a
+        builtin or a datatype symbol, is a function of its arguments'
+        values, undefined when an argument is (_strict): a builtin is its
+        entry in model.OPS, + - * undefined where they leave the window,
+        and a selector of the other constructor gives its field sort's
+        default."""
         label = term.label
         ids = [c.id for c in term.children]
         if label in self.variables:
@@ -486,12 +486,7 @@ class _Context:
             if label in ("+", "-", "*"):
                 op = _windowed(op, *self.window)
             return _strict(op, ids)
-        role = self.sig.datatype.get(label)
-        if role is None:
-            def refuse(*args):
-                raise SearchSpaceError(f"symbol '{label}' not enumerable")
-            return _strict(refuse, ids)
-        kind, ctor, i = role
+        kind, ctor, i = self.sig.datatype[label]
         name = ctor.name
         if kind == "constructor":
             return _strict(lambda *args: AdtVal(name, args), ids)

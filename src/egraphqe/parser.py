@@ -16,8 +16,6 @@ distinct takes exactly two arguments in both forms.  The two sides of
 every literal have one sort.  Terms use read/write
 for array access and the usual prefix arithmetic symbols; numerals are
 auto-declared.  Inside a term, (distinct t u) is an ordinary Bool term.
-``peq`` is reserved for the partial equalities of array projection and
-rejected in input.
 
 SMT-LIB ``(let ((x t) ...) body)`` may stand wherever a literal or a term
 may, as the printer writes it around a literal whose tree blows up.  The
@@ -292,7 +290,7 @@ def _need_bool(term):
         raise ParseError(f"literal '{term!r}' is not Bool-sorted")
 
 
-_BAD_HEADS = frozenset(("(", ")", "=", "peq", "let"))
+_BAD_HEADS = frozenset(("(", ")", "=", "let"))
 
 
 def _term(store, toks, k, scope=None):
@@ -403,8 +401,6 @@ def _bad_head(toks, k):
     head = toks[k + 1]
     if head == "=":
         raise LocatedError("nested '='", k + 1)
-    if head == "peq":
-        raise LocatedError("'peq' is reserved", k + 1)
     raise ParseError(f"bad term {_show(read_form(toks, k)[0])}")
 
 

@@ -77,10 +77,8 @@ BOOL = Sort("Bool", SortKind.BOOL)
 INT = Sort("Int", SortKind.INT)
 
 # Polymorphic builtins resolved structurally in mk_app rather than held in
-# the function table: array access, disequality, explicit equality, and the
-# partial-equality bookkeeping predicate used by array projection (which
-# only mbp makes; the parser rejects it in input).
-POLYMORPHIC = ("read", "write", "distinct", "ueq", "peq")
+# the function table: array access, disequality and explicit equality.
+POLYMORPHIC = ("read", "write", "distinct", "ueq")
 
 ARITH_FUNS = {
     "+": ((INT, INT), INT),
@@ -332,13 +330,6 @@ class TermStore:
             if len(args) != 2 or (args[0].sort is not args[1].sort
                                   and args[0].sort != args[1].sort):
                 raise SortMismatchError(f"'{label}' needs two arguments of one sort")
-            return BOOL
-        if label == "peq":
-            if len(args) < 2 or args[0].sort != args[1].sort \
-                    or args[0].sort.kind is not SortKind.ARRAY:
-                raise SortMismatchError("'peq' needs two array arguments")
-            for ix in args[2:]:
-                self._check(label, ix.sort, args[0].sort.index)
             return BOOL
         if label in sig.variables:
             raise SortMismatchError(f"variable '{label}' applied to arguments")

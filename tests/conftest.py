@@ -448,6 +448,93 @@ def random_projection_instance(rng):
     return sig, store, mk_formula(store, lits)
 
 
+def random_write_instance(rng):
+    """Random array projection instance with a planted model, built to reach
+    the partial-equality rules: chains of 1-4 writes over one or two
+    projected arrays equated to a kept array, array equalities written on
+    both sides with one or both sides projected, two projected arrays
+    equated, one under a chain equated to a kept array and the other read,
+    and reads over a chain.  Both universes have two elements, e0 and e1
+    name the two of V, and there are three index constants, so two of them
+    always share a model value: an exception set may clash.  A literal over a new kept array or
+    over the second projected array plants that array so that the literal
+    holds.  Returns (problem, model); every declared variable is
+    projected."""
+    decls = ["(declare-sort I 0)", "(declare-sort V 0)"]
+    values = {}
+    lits = []
+
+    def const(name, sort, value):
+        decls.append(f"(declare-const {name} {sort})")
+        values[name] = value
+        return name
+
+    idx = [const(f"i{k}", "I", rng.randrange(2)) for k in range(3)]
+    vals = [const(f"e{k}", "V", k) for k in range(2)]
+    arrays = {"a0": (rng.randrange(2), rng.randrange(2))}
+
+    def over(base, writes):
+        for i, v in writes:
+            base = f"(write {base} {i} {v})"
+        return base
+
+    def chain(base, n):
+        """(text, value) of n random writes over base."""
+        writes = [(rng.choice(idx), rng.choice(vals)) for _ in range(n)]
+        value = list(arrays[base])
+        for i, v in writes:
+            value[values[i]] = values[v]
+        return over(base, writes), tuple(value)
+
+    def solve(base, n, target):
+        """n writes over base, each of target's value at its index, with
+        base planted so that the chain equals target."""
+        writes = [rng.choice(idx) for _ in range(n)]
+        value = list(target)
+        for i in writes:
+            value[values[i]] = rng.randrange(2)
+        arrays[base] = tuple(value)
+        return over(base, [(i, vals[target[values[i]]]) for i in writes])
+
+    for _ in range(rng.randint(1, 2)):
+        shape = rng.randrange(5)
+        lhs, lval = chain("a0", rng.randint(1, 4))
+        if shape == 0:  # a chain equated to a kept array
+            c = f"c{len(arrays)}"
+            arrays[c] = lval
+            lits.append(f"(= {c} {lhs})" if rng.randrange(2) else f"(= {lhs} {c})")
+        elif shape == 1 and "a1" not in arrays:  # two chains, one kept array
+            c = f"c{len(arrays)}"
+            arrays[c] = lval
+            lits.append(f"(= {c} {lhs})")
+            lits.append(f"(= {c} {solve('a1', rng.randint(1, 4), lval)})")
+        elif shape == 2:  # written on both sides; the other side kept or not
+            other = "a1" if "a1" not in arrays and rng.randrange(2) \
+                else f"c{len(arrays)}"
+            lits.append(f"(= {lhs} {solve(other, rng.randint(1, 2), lval)})")
+        elif shape == 4 and "a1" not in arrays:  # two projected arrays equated
+            c, j = f"c{len(arrays)}", rng.choice(idx)
+            arrays[c], arrays["a1"] = lval, arrays["a0"]
+            lits.append("(= a0 a1)" if rng.randrange(2) else "(= a1 a0)")
+            lits.append(f"(= {c} {lhs})")
+            lits.append(f"(= (read a1 {j}) {vals[arrays['a1'][values[j]]]})")
+        else:  # a read over a chain
+            j = rng.choice(idx)
+            lits.append(f"(= (read {lhs} {j}) {vals[lval[values[j]]]})")
+    for name in arrays:
+        kind = "var" if name.startswith("a") else "const"
+        decls.append(f"(declare-{kind} {name} (Array I V))")
+    text = "\n".join(decls + [f"(assert {lit})" for lit in lits]) + "\n"
+    model = ["(universe I 2)", "(universe V 2)"]
+    model += [f"(define-value {k} (elem {'I' if k[0] == 'i' else 'V'} {v}))"
+              for k, v in values.items()]
+    model += [f"(define-value {k} (array (default (elem V 0))"
+              + "".join(f" ((elem I {i}) (elem V {v}))" for i, v in enumerate(a)
+                        if v) + "))" for k, a in arrays.items()]
+    prob = parse_problem(text)
+    return prob, parse_model("\n".join(model), prob.sig)
+
+
 def chain_problem(depth):
     """Problem text asserting ``x = f(g(f(...(c))))``, a chain of the given
     depth, and ``x != d``; with the chain's text, which qel keeps as
@@ -678,7 +765,7 @@ def ref_to_formula(g, r, exclude=frozenset(), memo=None):
             if m in exclude:
                 continue
             kept.add(node.id)
-            if m == node.id or g.nodes[m].label == "peq":
+            if m == node.id:
                 continue
             emit("eq", rep_term, ref_to_expr(g, m, r, memo))
     for a, b in g.diseqs:
@@ -1042,8 +1129,6 @@ def _ref_check_app(form):
         raise ParseError(f"bad term {_ref_show(form)}")
     if form[0] == "=":
         raise _RefLocated("nested '='", form, 0)
-    if form[0] == "peq":
-        raise _RefLocated("'peq' is reserved", form, 0)
 
 
 def _ref_exact(form, n, what):

@@ -45,6 +45,7 @@ PARSER = "tests/test_parser.py::"
 TOKENS_TWIN = PARSER + "test_tokens_match_reference_tokenizer"
 TEXTS_TWIN = PARSER + "test_reader_matches_reference_on_test_and_demo_problems"
 POSITIONS_TWIN = PARSER + "test_error_positions_match_reference"
+READER_MUTANTS = PARSER + "test_reader_matches_reference_on_mutants"
 X1D_TEXT = "[(declare-sort S 0) (declare-const c\\x1dd S)\\n(assert (= c\\x1dd (= c c)))]"
 NBSP_TEXT = ("[(declare-sort S 0) (declare-const c\\xa0d S)\\n"
              "(assert (= c\\xa0d\\u2028(= c c)))]")
@@ -102,8 +103,8 @@ MUTANTS = [
      [ROOT_TWIN + "on_random_merges", ROOT_TWIN + "when_the_growing_class_is_absorbed",
       "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference"]),
     ("the disequality watermark is never advanced", MBP,
-     "return progress, (size, diseq_size)",
-     "return progress, (size, diseq_start)",
+     "return progress, (size, peq_size, diseq_size)",
+     "return progress, (size, peq_size, diseq_start)",
      [SPLIT_ONCE, WATERMARK_TWIN,
       "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress"]),
     ("a partial equality of a node with itself is unwound from both sides",
@@ -131,7 +132,11 @@ MUTANTS = [
       "tests/test_qel.py::test_qel_twice_on_one_store_prints_the_same[nested_pair_array.smt2]",
       "tests/test_qel.py::test_qel_twice_on_one_store_prints_the_same[no_ground_defs.smt2]",
       "tests/test_qel.py::test_qel_twice_on_one_generated_store_prints_the_same",
-      TAIL_TWIN]),
+      TAIL_TWIN,
+      "tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
+      "tests/test_mbp.py::test_elim_eq_declares_an_array_valued_fresh_variable",
+      "tests/test_mbp.py::test_write_projections_keep_the_contract",
+      WATERMARK_TWIN]),
     ("class_of hands out the live member list", EGRAPH,
      "return sorted(self._members[self.find(n)])",
      "return self._members[self.find(n)]",
@@ -198,15 +203,12 @@ MUTANTS = [
     ("the split guard lets \\x1d through", "src/egraphqe/sexpr.py",
      '"\\x1c", "\\x1d", "\\x1e"', '"\\x1c", "\\x1e"',
      [TOKENS_TWIN + "[(a\\x1db)]", TOKENS_TWIN + "_on_random_texts",
-      TEXTS_TWIN + X1D_TEXT, POSITIONS_TWIN + X1D_TEXT]),
+      TEXTS_TWIN + X1D_TEXT, POSITIONS_TWIN + X1D_TEXT, READER_MUTANTS]),
     ("the split guard does not ask for ASCII", "src/egraphqe/sexpr.py",
      "if text.isascii() and not any(", "if not any(",
-     # test_reader_matches_reference_on_mutants fails on it too in a full
-     # tier-1 run, but its draws there differ from a run of these tests
-     # alone, which passes it, so it is not listed
      [TOKENS_TWIN + "[(a\\x85b \\u3000c)]", TOKENS_TWIN + "_on_random_texts",
       TEXTS_TWIN + NBSP_TEXT, TEXTS_TWIN + LS_TEXT, POSITIONS_TWIN + NBSP_TEXT,
-      POSITIONS_TWIN + LS_TEXT]),
+      POSITIONS_TWIN + LS_TEXT, READER_MUTANTS]),
     ("literal equality ignores the kind", "src/egraphqe/terms.py",
      "return (self.kind == other.kind and self.lhs == other.lhs\n"
      "                and self.rhs == other.rhs)",
@@ -220,7 +222,9 @@ MUTANTS = [
     ("solving a partial equality makes the term read(v, i) to value d!k", MBP,
      "array_read(state.meval(v), state.meval(ix))",
      'state.meval(store.mk_app("read", (v, ix)))',
-     ["tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model"]),
+     ["tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
+      "tests/test_mbp.py::"
+      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made"]),
     ("extraction reuses a node's term without comparing its children", EXTRACTION,
      "return term if args == term.children else store.mk_app(term.label, args)",
      "return term",
@@ -232,6 +236,8 @@ MUTANTS = [
       "tests/test_cli.py::test_output_reparses",
       "tests/test_cli.py::test_qel_prints_a_tower_under_lets[60]",
       "tests/test_cli.py::test_qel_prints_a_tower_under_lets[3000]",
+      "tests/test_cli.py::test_peq_is_an_ordinary_symbol[check0]",
+      "tests/test_cli.py::test_peq_is_an_ordinary_symbol[check1]",
       "tests/test_extraction.py::test_to_expr_read_chain",
       "tests/test_extraction.py::test_to_expr_circular_b",
       "tests/test_extraction.py::test_to_formula_read_chain_no_exclusions",
@@ -240,6 +246,11 @@ MUTANTS = [
       "tests/test_mbp.py::test_elim_wr_rd_skipped_when_class_is_ground",
       "tests/test_mbp.py::test_adt_deconstruct_selector_equalities",
       "tests/test_mbp.py::test_a_disequality_made_ground_earlier_in_the_pass_is_not_split",
+      "tests/test_mbp.py::"
+      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
+      "tests/test_mbp.py::"
+      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+      "tests/test_mbp.py::test_write_projections_keep_the_contract",
       "tests/test_oracle.py::test_qel_read_chain_equivalence_with_arithmetic",
       "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[circular_defs.smt2]",
       "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[no_ground_defs.smt2]",
@@ -319,6 +330,81 @@ MUTANTS = [
     ("process looks a child term up among r's node ids", QEL,
      "if c.id not in r}) for node in g.nodes]", "if c not in r}) for node in g.nodes]",
      ["tests/test_qel.py::test_process_matches_reference_from_partial_reprs"]),
+    ("a partial equality is recorded again under its key", MBP,
+     "        if key in self.peq_keys:\n"
+     "            return False\n",
+     "",
+     ["tests/test_mbp.py::"
+      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      WATERMARK_TWIN]),
+    ("elim_wr also excepts the index on a clash", MBP,
+     "            state.partial_eq(s, u, exceptions)",
+     "            state.partial_eq(s, u, {**exceptions, ival: i})",
+     ["tests/test_mbp.py::test_a_clash_keeps_the_first_index", WATERMARK_TWIN]),
+    ("elim_eq solves a variable whenever it may", MBP,
+     "        if v.label in mentions or mentions in tried \\\n"
+     "                or tried and g.ground_class(v.id):",
+     "        if v.label in mentions:",
+     ["tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
+    ("elim_eq solves a variable once whatever its solutions mention", MBP,
+     "        if v.label in mentions or mentions in tried \\\n",
+     "        if v.label in mentions or tried \\\n",
+     ["tests/test_mbp.py::"
+      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
+      "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
+    ("elim_eq solves a variable in a ground class again", MBP,
+     " \\\n                or tried and g.ground_class(v.id):",
+     ":",
+     ["tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again"]),
+    ("partial equalities are offered after all of a pass's nodes", MBP,
+     "        while k < peq_size and state.peq_at[k] <= n:",
+     "        while k < peq_size and n == size:",
+     ["tests/test_mbp.py::"
+      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+      WATERMARK_TWIN]),
+    ("the partial-equality watermark is never advanced", MBP,
+     "return progress, (size, peq_size, diseq_size)",
+     "return progress, (size, peq_start, diseq_size)",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
+      "tests/test_cli.py::test_mbp_golden_with_check",
+      "tests/test_cli.py::test_dot_output",
+      "tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
+      "tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without[nested_pair_array.smt2]",
+      "tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without[nested_pair_array.model]",
+      "tests/test_cli.py::test_mbp_check_failure_exits_3",
+      "tests/test_egraph.py::test_node_ids_are_term_ids_in_a_saturated_graph[nested_pair_array.model]",
+      "tests/test_egraph.py::test_node_ids_are_term_ids_in_a_saturated_graph[nested_pair_array_alt.model]",
+      "tests/test_mbp.py::test_projection_example_output",
+      "tests/test_mbp.py::test_saturated_projection_graph_has_no_distinct_node",
+      "tests/test_mbp.py::test_projection_example_model_independent",
+      "tests/test_mbp.py::test_projection_example_model_holds_on_output",
+      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
+      "tests/test_mbp.py::test_elim_eq_declares_an_array_valued_fresh_variable",
+      "tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
+      "tests/test_mbp.py::test_elim_wr_unwinds_write_and_keeps_read_fact",
+      "tests/test_mbp.py::test_adt_deconstruct_selector_equalities",
+      "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress",
+      "tests/test_mbp.py::test_saturated_graph_keeps_congruent_terms_apart",
+      "tests/test_mbp.py::test_nested_write_unwinds_twice",
+      "tests/test_mbp.py::test_a_clash_keeps_the_first_index",
+      "tests/test_mbp.py::"
+      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
+      "tests/test_mbp.py::"
+      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+      "tests/test_mbp.py::test_write_projections_keep_the_contract",
+      "tests/test_mbp.py::test_partitioned_ackermann_matches_all_pairs",
+      "tests/test_mbp.py::test_watermarks_match_the_loop_with_per_key_marks",
+      "tests/test_mbp.py::test_each_disequality_reaches_the_split_rule_at_most_once",
+      "tests/test_mbp.py::test_ground_analysis_matches_the_reference_at_every_pass",
+      "tests/test_model.py::test_holds_agrees_with_reference_on_demo_and_deep_models",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo",
+      "tests/test_qel.py::test_makes_cycle_agrees_with_reference",
+      "tests/test_qel.py::test_tail_matches_reference",
+      "tests/test_qel.py::test_process_matches_reference_from_partial_reprs"]),
 ]
 
 

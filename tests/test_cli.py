@@ -237,14 +237,64 @@ def test_distinct_term_passes_check(tmp_path, capsys, text):
     assert "check passed" in capsys.readouterr().err
 
 
+USER_PEQ = """(declare-sort S 0)
+{}(declare-const a (Array S S))
+(declare-var x (Array S S))
+(assert (peq x))
+(assert (= a x))
+"""
+USER_PEQ_DECL = "(declare-fun peq ((Array S S)) Bool)\n"
+USER_PEQ_MODEL = """(universe S 2)
+(define-fun-values peq (default true))
+(define-value a (array (default (elem S 0))))
+(define-value x (array (default (elem S 0))))
+"""
+
+
 @pytest.mark.parametrize("check", [[], ["--check"]])
-def test_peq_in_input_is_an_input_error(tmp_path, capsys, check):
+def test_peq_is_an_ordinary_symbol(tmp_path, capsys, check):
+    """Undeclared, peq is an unknown symbol.  Declared, it is a function
+    like any other, and mbp's own partial equality of a and x leaves it
+    alone."""
     path = tmp_path / "p.smt2"
-    path.write_text("(declare-sort S 0) (declare-const a (Array S S))\n"
-                    "(declare-const b (Array S S)) (declare-var x (Array S S))\n"
-                    "(assert (peq a b))\n(assert (= x a))\n")
+    path.write_text(USER_PEQ.format(""))
     assert main(["qel", str(path), *check]) == 2
-    assert "error: 'peq' is reserved at 3:9" in capsys.readouterr().err
+    assert "error: unknown symbol 'peq'" in capsys.readouterr().err
+    path.write_text(USER_PEQ.format(USER_PEQ_DECL))
+    model = tmp_path / "m.model"
+    model.write_text(USER_PEQ_MODEL)
+    for command in (["qel", str(path)], ["mbp", str(path), "--model", str(model)]):
+        assert main([*command, *check]) == 0
+        out, err = capsys.readouterr()
+        assert out == "(and (peq a))\n", command
+        assert ("check passed" in err) == bool(check)
+
+
+WRITTEN_BOTH_SIDES = """(declare-sort I 0) (declare-sort V 0)
+(declare-const i0 I) (declare-const i1 I) (declare-const v0 V) (declare-const w0 V)
+(declare-var a (Array I V)) (declare-var b (Array I V))
+(assert (= (write a i0 v0) (write b i1 w0)))
+"""
+WRITTEN_BOTH_SIDES_MODEL = """(universe I 2) (universe V 1)
+(define-value i0 (elem I 0)) (define-value i1 (elem I 1))
+(define-value v0 (elem V 0)) (define-value w0 (elem V 0))
+(define-value a (array (default (elem V 0))))
+(define-value b (array (default (elem V 0))))
+"""
+
+
+def test_projecting_both_sides_of_a_written_equality_ends(tmp_path, capsys):
+    """Solving a puts writes into its class, which partial_eq pairs anew;
+    solving a again for each pair would mint fresh values until the budget
+    runs out."""
+    problem, model = tmp_path / "p.smt2", tmp_path / "m.model"
+    problem.write_text(WRITTEN_BOTH_SIDES)
+    model.write_text(WRITTEN_BOTH_SIDES_MODEL)
+    assert main(["mbp", str(problem), "--model", str(model), "--budget", "200",
+                 "--check"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "(and (distinct i0 i1))\n"
+    assert "check passed" in err
 
 
 @pytest.mark.parametrize("check", [[], ["--check"]])

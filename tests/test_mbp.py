@@ -1,17 +1,20 @@
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
 from egraphqe import (Bounds, EGraph, InputError, Model,
-                      ModelMismatchError, SaturationBudgetError, Signature, SortKind,
+                      ModelMismatchError, SaturationBudgetError, SearchSpaceError,
+                      Signature, SortKind,
                       TermStore, find_model,
                       formula_to_sexpr, implies_exists, mbp, parse_model, qel,
                       satisfies)
 from egraphqe.parser import parse_problem
 
 from conftest import (DEMOS, check_ground_analysis, load_mbp,
-                      random_projection_instance, reparse, same_literals)
+                      random_projection_instance, random_write_instance, reparse,
+                      same_literals)
 
 # the package exports the function mbp under the module's name
 mbp_module = importlib.import_module("egraphqe.mbp")
@@ -469,19 +472,22 @@ def test_monotone_growth_and_second_pass_no_progress():
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     state = _State(g, model, 10_000)
     before = len(g.nodes)
-    progress, watermark = apply_rules(state, _ARRAY_RULES, (0, 0))
+    progress, watermark = apply_rules(state, _ARRAY_RULES, (0, 0, 0))
     assert progress
-    # the next pass starts at this one's nodes, and at the disequalities
-    # there were when its disequality rules started (after its node rules)
-    assert watermark[0] == before
-    assert watermark[1] == len(g.diseqs) > 0
+    # the next pass starts at this one's nodes, at the partial equalities
+    # there were when it started (none: its node rules make the first), and
+    # at the disequalities there were when its disequality rules started
+    # (after its node rules)
+    assert watermark[:2] == (before, 0) and state.peqs
+    assert watermark[2] == len(g.diseqs) > 0
     assert len(g.nodes) >= before
     grown = len(g.nodes)
     while progress:
-        seen = len(g.diseqs)
+        seen, made = len(g.diseqs), len(state.peqs)
         progress, watermark = apply_rules(state, _ARRAY_RULES, watermark)
         assert len(g.nodes) >= grown
-        assert seen <= watermark[1] == len(g.diseqs)
+        assert watermark[1] == made
+        assert seen <= watermark[2] == len(g.diseqs)
         grown = len(g.nodes)
     # saturated: one more pass does nothing
     assert not apply_rules(state, _ARRAY_RULES, watermark)[0]
@@ -489,12 +495,13 @@ def test_monotone_growth_and_second_pass_no_progress():
     # starts and every disequality there is when its disequality rule
     # starts; a pass from that watermark offers neither again
     before, diseqs = len(g.nodes), len(g.diseqs)
-    progress, watermark = apply_rules(state, _ADT_RULES, (0, 0))
+    progress, watermark = apply_rules(state, _ADT_RULES, (0, 0, 0))
     assert progress and diseqs > 0
-    assert watermark == (before, len(g.diseqs))
+    assert watermark == (before, len(state.peqs), len(g.diseqs))
     offered = []
-    family = (_ADT_RULES[0], (), (lambda state, a, b: offered.append((a, b)),))
-    assert apply_rules(state, family, watermark)[1][1] == len(g.diseqs)
+    family = (_ADT_RULES[0], (), (),
+              (lambda state, a, b: offered.append((a, b)),))
+    assert apply_rules(state, family, watermark)[1][2] == len(g.diseqs)
     assert offered == []
 
 
@@ -585,6 +592,158 @@ def test_nested_write_unwinds_twice():
     assert satisfies(res2.model, prob2.sig, res2.formula)
     assert implies_exists(prob2.sig, prob2.store, res2.formula, prob2.formula,
                           Bounds(int_window=(0, 2))).ok
+
+
+def test_a_clash_keeps_the_first_index():
+    """Unwinding c = write(write(a, i0, e0), i1, e1), where the model gives
+    i0 and i1 one value: i1 is excepted first and i0 clashes with it, so
+    the partial equality of c and a keeps i1 alone, and i0 = i1 is
+    recorded instead of a second read fact."""
+    prob = parse_problem("""
+    (declare-var a (Array Int Int)) (declare-const c (Array Int Int))
+    (declare-const i0 Int) (declare-const i1 Int)
+    (declare-const e0 Int) (declare-const e1 Int)
+    (assert (= c (write (write a i0 e0) i1 e1)))
+    """)
+    model = parse_model("""
+    (define-value a (array (default 0))) (define-value c (array (default 0) (1 5)))
+    (define-value i0 1) (define-value i1 1) (define-value e0 4) (define-value e1 5)
+    """, prob.sig)
+    g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
+    state = mbp_module._State(g, model, 10_000)
+    mbp_module._saturate(state)
+    c, a, i0, i1 = (prob.store.mk_const(name) for name in ("c", "a", "i0", "i1"))
+    assert ("read", (c, i0)) not in prob.store._table
+    inner = prob.store.mk_app("write", (a, i0, prob.store.mk_const("e0")))
+    outer = prob.store.mk_app("write", (inner, i1, prob.store.mk_const("e1")))
+    assert [(s, t, list(exceptions.items())) for s, t, exceptions in state.peqs] \
+        == [(c, outer, []), (c, inner, [(1, i1)]), (c, a, [(1, i1)])]
+    assert state.fires == {"partial_eq": 1, "elim_wr": 2, "elim_eq": 1}
+    assert g.find(i0.id) == g.find(i1.id)
+
+
+def test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one():
+    """a = b first solves a as b, which adds nothing.  Unwinding
+    c = write(a, i, v) then gives a partial equality of c and a, solved by
+    the ground write(c, i, d!0).  Without that second solution the class
+    {a, b} has no ground member, so the output keeps only read(c, i) = v
+    and loses read(b, j) = w: it no longer implies the input's closure."""
+    prob = parse_problem("""
+    (declare-sort I 0) (declare-sort V 0)
+    (declare-const i I) (declare-const j I) (declare-const v V) (declare-const w V)
+    (declare-const c (Array I V))
+    (declare-var a (Array I V)) (declare-var b (Array I V))
+    (assert (= a b))
+    (assert (= c (write a i v)))
+    (assert (= (read b j) w))
+    """)
+    model = parse_model("""
+    (universe I 2) (universe V 2)
+    (define-value i (elem I 0)) (define-value j (elem I 1))
+    (define-value v (elem V 0)) (define-value w (elem V 1))
+    (define-value a (array (default (elem V 1))))
+    (define-value b (array (default (elem V 1))))
+    (define-value c (array (default (elem V 1)) ((elem I 0) (elem V 0))))
+    """, prob.sig)
+    res = mbp(prob.sig, prob.store, prob.formula, ["a", "b"], model)
+    assert formula_to_sexpr(res.formula) == (
+        "(and (= c (write (write c i d!0) i v)) (= v (read c i))"
+        " (= w (read (write c i d!0) j)))")
+    assert res.rule_fires["elim_eq"] == 2
+    assert implies_exists(prob.sig, prob.store, res.formula, prob.formula,
+                          Bounds(universe=2)).ok
+
+
+def test_a_variable_in_a_ground_class_is_not_solved_again():
+    """The class {a0, a1, write(b, i, e)} gives three partial equalities.
+    elim_eq solves a0 as a1, which adds nothing.  It skips a0 = write(b,
+    i, e), since a0 is solved and its class is ground, and solves a1 as
+    the write."""
+    prob = parse_problem("""
+    (declare-sort I 0) (declare-sort V 0)
+    (declare-const b (Array I V)) (declare-const i I) (declare-const e V)
+    (declare-var a0 (Array I V)) (declare-var a1 (Array I V))
+    (assert (= a0 (write b i e)))
+    (assert (= a1 (write b i e)))
+    """)
+    model = parse_model("""
+    (universe I 1) (universe V 1)
+    (define-value i (elem I 0)) (define-value e (elem V 0))
+    (define-value b (array (default (elem V 0))))
+    (define-value a0 (array (default (elem V 0))))
+    (define-value a1 (array (default (elem V 0))))
+    """, prob.sig)
+    res = mbp(prob.sig, prob.store, prob.formula, ["a0", "a1"], model)
+    assert formula_to_sexpr(res.formula) == "true"
+    assert res.rule_fires == {"partial_eq": 3, "elim_eq": 2}
+
+
+def test_partial_equalities_meet_the_rules_in_the_order_they_were_made():
+    """A pass offers each partial equality between the nodes made before it
+    and those made after it.  Offered after all of the pass's nodes
+    instead, they leave a read over a write that elim_wr_rd rewrites once
+    more, and the output differs."""
+    prob = parse_problem("""
+    (declare-sort I 0) (declare-sort V 0)
+    (declare-const i0 I) (declare-const i1 I) (declare-const i2 I)
+    (declare-const e0 V) (declare-const e1 V)
+    (declare-var a0 (Array I V)) (declare-const c1 (Array I V))
+    (assert (= c1 (write (write a0 i0 e1) i2 e0)))
+    (assert (= (read (write (write (write (write a0 i1 e1) i2 e0) i2 e1) i2 e0) i0) e1))
+    """)
+    model = parse_model("""
+    (universe I 2) (universe V 2)
+    (define-value i0 (elem I 1)) (define-value i1 (elem I 1))
+    (define-value i2 (elem I 0)) (define-value e0 (elem V 0))
+    (define-value e1 (elem V 1))
+    (define-value a0 (array (default (elem V 0)) ((elem I 0) (elem V 1))))
+    (define-value c1 (array (default (elem V 0)) ((elem I 1) (elem V 1))))
+    """, prob.sig)
+    res = mbp(prob.sig, prob.store, prob.formula, ["a0"], model)
+    chain = "(write (write c1 i2 d!0) i0 d!1)"
+    assert formula_to_sexpr(res.formula) == (
+        f"(and (= c1 (write (write {chain} i0 e1) i2 e0))"
+        f" (= e1 (read (write (write (write (write {chain} i1 e1) i2 e0) i2 e1)"
+        " i2 e0) i0))"
+        f" (= e1 (read (write (write (write {chain} i1 e1) i2 e0) i2 e1) i0))"
+        f" (= e1 (read (write (write {chain} i1 e1) i2 e0) i0))"
+        f" (= e1 (read c1 i0)) (= e1 (read (write {chain} i1 e1) i0))"
+        " (= e0 (read c1 i2)) (distinct i2 i0))")
+    assert res.rule_fires == {"partial_eq": 1, "elim_wr_rd": 3, "elim_wr": 2,
+                              "elim_eq": 1}
+
+
+WRITE_INSTANCES = 120
+
+
+def test_write_projections_keep_the_contract():
+    """The contract of criterion 5 on write chains, equalities written on
+    both sides and reads over chains, whose exception sets clash: nothing
+    projected is left, the extended model satisfies the output, and the
+    oracle at universe 2 accepts it or refuses, counted.  Each of the
+    partial-equality rules fires in at least a tenth of the instances."""
+    rng = random.Random(2028)
+    fired = Counter()
+    refused = 0
+    for k in range(WRITE_INSTANCES):
+        prob, model = random_write_instance(rng)
+        project = prob.formula.free_vars
+        res = mbp(prob.sig, prob.store, prob.formula, project, model)
+        assert not set(res.formula.free_vars) & set(project), k
+        assert satisfies(res.model, prob.sig, res.formula), k
+        fired.update(res.rule_fires.keys())
+        try:
+            verdict = implies_exists(prob.sig, prob.store, res.formula,
+                                     prob.formula, Bounds(universe=2))
+        except SearchSpaceError:
+            refused += 1
+            continue
+        assert verdict.ok, (k, formula_to_sexpr(res.formula))
+    print(f"fires in {WRITE_INSTANCES} instances: {dict(fired)};"
+          f" refused {refused}")
+    assert refused <= WRITE_INSTANCES // 10
+    for rule in ("partial_eq", "elim_wr", "elim_eq"):
+        assert fired[rule] >= WRITE_INSTANCES // 10, rule
 
 
 def _many_reads_instance(rng, n):
@@ -722,9 +881,9 @@ def _projection_facts(build):
 def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
     instances = _twin_instances()
     partitioned = [_projection_facts(build) for _, build in instances]
-    node_rules, _, diseq_rules = mbp_module._ARRAY_RULES
+    node_rules, peq_rules, _, diseq_rules = mbp_module._ARRAY_RULES
     monkeypatch.setattr(mbp_module, "_FAMILIES", (
-        (node_rules, (_all_pairs_ackermann,), diseq_rules),
+        (node_rules, peq_rules, (_all_pairs_ackermann,), diseq_rules),
         mbp_module._ADT_RULES))
     for (name, build), got in zip(instances, partitioned):
         text, partition, diseqs, _, _ = _projection_facts(build)
@@ -735,9 +894,10 @@ def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
 
 # -- the watermarks against the loop with per-key marks -------------------------
 # The saturation loop as it was before each disequality was offered once: one
-# node watermark per family, every disequality offered on every pass, and
-# every rule remembering the keys it has done.  Each copied rule differs from
-# the library's only in its mark.
+# node watermark per family, every partial equality made before the pass and
+# every disequality offered on every pass, and every rule remembering the
+# keys it has done.  Each copied rule differs from the library's only in its
+# mark.
 
 def _marked(state, rule, key):
     done = state.__dict__.setdefault("ref_marks", {}).setdefault(rule, set())
@@ -789,59 +949,51 @@ def _marked_partial_eq(state, n):
             continue
         if not _marked(state, "partial_eq", (a, b)):
             continue
-        peq = state.store.mk_app("peq", (g.nodes[a], g.nodes[b]))
-        g.assert_eq(peq, state.store.top)
+        state.partial_eq(g.nodes[a], g.nodes[b], {})
         state.fired("partial_eq")
         fired = True
     return fired
 
 
-def _marked_elim_wr(state, n):
+def _peq_key(peq):
+    s, t, exceptions = peq
+    return (s.id, t.id, *[ix.id for ix in exceptions.values()])
+
+
+def _marked_elim_wr(state, peq):
     g = state.g
-    node = g.nodes[n]
-    if node.label != "peq":
-        return False
     store = state.store
     fired = False
-    for s, w in ((node.children[0], node.children[1]),
-                 (node.children[1], node.children[0])):
+    lhs, rhs, exceptions = peq
+    for s, w in ((lhs, rhs), (rhs, lhs)):
         if w.label != "write":
             continue
         if not state.term_has_projected(w):
             continue
-        if not _marked(state, "elim_wr", (n, w.id)):
+        if not _marked(state, "elim_wr", (_peq_key(peq), w.id)):
             continue
         u, i, v = w.children
-        idx_terms = list(node.children[2:])
         ival = state.meval(i)
-        clash = next((ix for ix in idx_terms if state.meval(ix) == ival), None)
+        clash = exceptions.get(ival)
         if clash is None:
             g.assert_eq(store.mk_app("read", (s, i)), v)
-            new_idx = idx_terms + [i]
+            state.partial_eq(s, u, {**exceptions, ival: i})
         else:
             g.assert_eq(i, clash)
-            new_idx = idx_terms
-        g.assert_eq(store.mk_app("peq", (s, u, *new_idx)), store.top)
+            state.partial_eq(s, u, exceptions)
         state.fired("elim_wr")
         fired = True
     return fired
 
 
-def _marked_elim_eq(state, n):
-    g = state.g
-    node = g.nodes[n]
-    if node.label != "peq":
+def _marked_elim_eq(state, peq):
+    """elim_eq fires at most once per record.  A record it skips is offered
+    again, so a skip that a later pass would turn into a solve shows."""
+    if _peq_key(peq) in state.__dict__.get("ref_marks", {}).get("elim_eq", ()):
         return False
-    lhs, rhs = node.children[:2]
-    for v, e in ((lhs, rhs), (rhs, lhs)):
-        if not (state.projected(v.label) and not v.children):
-            continue
-        if v.label in e.vars:
-            continue
-        if not _marked(state, "elim_eq", (n, v.id)):
-            return False
-        return mbp_module._rule_elim_eq(state, n)
-    return False
+    if not mbp_module._rule_elim_eq(state, peq):
+        return False
+    return _marked(state, "elim_eq", _peq_key(peq))
 
 
 def _marked_adt_deconstruct_eq(state, n):
@@ -880,18 +1032,24 @@ def _marked_adt_split_diseq(state, a, b):
 
 
 _MARKED_FAMILIES = (
-    ((_marked_elim_wr_rd, _marked_partial_eq, _marked_elim_wr, _marked_elim_eq),
+    ((_marked_elim_wr_rd, _marked_partial_eq), (_marked_elim_wr, _marked_elim_eq),
      (mbp_module._rule_ackermann,), ()),
-    ((_marked_adt_deconstruct_eq,), (), (_marked_adt_split_diseq,)))
+    ((_marked_adt_deconstruct_eq,), (), (), (_marked_adt_split_diseq,)))
 
 
 def _marked_apply_rules(state, family, watermark):
-    node_rules, read_rules, diseq_rules = family
+    node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
     progress = False
-    size = len(g.nodes)
-    for n in range(watermark, size):
-        if g.nodes[n].label == "peq" or not g.cground(n):
+    size, peq_size = len(g.nodes), len(state.peqs)
+    k = 0
+    for n in range(watermark, size + 1):
+        while k < peq_size and state.peq_at[k] <= n:
+            for rule in peq_rules:
+                if rule(state, state.peqs[k]):
+                    progress = True
+            k += 1
+        if n < size and not g.cground(n):
             for rule in node_rules:
                 if rule(state, n):
                     progress = True
@@ -936,12 +1094,29 @@ def _self_partial_equality_instance():
     return prob.sig, prob.store, prob.formula, ["a"], model
 
 
+def _write_instances(n):
+    """(name, build) pairs of the first n write projections at seed 2028."""
+    out = []
+    rng = random.Random(2028)
+    for k in range(n):
+        def build(state=rng.getstate()):
+            again = random.Random()
+            again.setstate(state)
+            prob, model = random_write_instance(again)
+            return (prob.sig, prob.store, prob.formula, prob.formula.free_vars,
+                    model)
+        random_write_instance(rng)
+        out.append((f"write #{k}", build))
+    return out
+
+
 def test_watermarks_match_the_loop_with_per_key_marks(monkeypatch):
-    """Offering each node and each disequality once does what offering
-    every disequality on every pass, behind per-key marks on every rule,
-    did: the same output, partition, disequalities, fires and node count."""
-    instances = _twin_instances() + [("w = write(w, i, v)",
-                                      _self_partial_equality_instance)]
+    """Offering each node, partial equality and disequality once does what
+    offering every partial equality and disequality on every pass, behind
+    per-key marks on every rule, did: the same output, partition,
+    disequalities, fires and node count."""
+    instances = _twin_instances() + _write_instances(40) + [
+        ("w = write(w, i, v)", _self_partial_equality_instance)]
     watermarked = [_projection_facts(build) for _, build in instances]
     monkeypatch.setattr(mbp_module, "_saturate", _marked_saturate)
     for (name, build), got in zip(instances, watermarked):
@@ -972,11 +1147,11 @@ def test_each_disequality_reaches_the_split_rule_at_most_once(monkeypatch):
     offered = {}
     monkeypatch.setattr(mbp_module, "_FAMILIES", (
         mbp_module._ARRAY_RULES,
-        (*mbp_module._ADT_RULES[:2],
+        (*mbp_module._ADT_RULES[:3],
          (counting(mbp_module._rule_adt_split_diseq),))))
     most, fires = most_offers()
     assert most == 1 and fires > 0
-    families = (_MARKED_FAMILIES[0], (*_MARKED_FAMILIES[1][:2],
+    families = (_MARKED_FAMILIES[0], (*_MARKED_FAMILIES[1][:3],
                                       (counting(_marked_adt_split_diseq),)))
     monkeypatch.setattr(mbp_module, "_saturate",
                         lambda state: _marked_saturate(state, families))

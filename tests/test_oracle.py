@@ -864,8 +864,7 @@ def test_distinct_and_ueq_under_functions_match_the_references(seed):
 def test_every_compiled_kind_is_undefined_at_an_undefined_argument():
     """Each evaluator of a term with arguments, of every kind and arity,
     gives _UNDEFINED when any one argument is undefined and the others are
-    defined.  That holds for a symbol that is not enumerable too, which
-    raises SearchSpaceError only when every argument is defined."""
+    defined."""
     prob = parse_problem(
         "(declare-sort U 0) (declare-fun f (U) U) (declare-fun g (U Int) U)"
         " (declare-fun h (U U Int) Int)"
@@ -884,8 +883,7 @@ def test_every_compiled_kind_is_undefined_at_an_undefined_argument():
              app("read", (a, c)), app("write", (a, c, k)),
              app("ueq", (c, d)), app("distinct", (k, j)),
              app("mk", (k, store.top, c)), app("w1", (k,)), app("w2", (c, d)),
-             app("is-mk", (x,)), app("num", (x,)), app("elt", (x,)),
-             app("peq", (a, b, c))]
+             app("is-mk", (x,)), app("num", (x,)), app("elt", (x,))]
     formula = mk_formula(store, [Literal("eq", t, t) for t in terms])
     ctx = oracle._Context(sig, store, (formula,),
                           Bounds(universe=1, int_window=(0, 1)))
@@ -901,9 +899,5 @@ def test_every_compiled_kind_is_undefined_at_an_undefined_argument():
                          + args[pos + 1:])
             assert got is oracle._UNDEFINED, (term_to_sexpr(t), pos)
         kinds.add(t.label)
-        if t.label == "peq":
-            with pytest.raises(SearchSpaceError, match="'peq' not enumerable"):
-                _value(evs, t, interp, args)
-        else:
-            assert _value(evs, t, interp, args) is not oracle._UNDEFINED
+        assert _value(evs, t, interp, args) is not oracle._UNDEFINED
     assert len(kinds) == len(terms)

@@ -385,7 +385,7 @@ def test_tokens_match_reference_tokenizer_on_random_texts(text):
 @pytest.mark.parametrize("text", [
     "(declare-sort S 0);c\n(declare-const c S)(assert (= c (f c)))",
     "(declare-sort S 0) (declare-const c S) (assert (= c nosuch)) ; at EOF",
-    "(declare-sort S 0)\r\n(declare-const c S)\r\n(assert (= c (peq c c)))",
+    "(declare-sort S 0)\r\n(declare-const c S)\r\n(assert (= c (= c c)))",
     "(declare-sort S 0)\t(declare-const c\tS)\n\t(assert\t(= c (= c c)))",
     "(declare-sort S\x0b0) (declare-const c\x0cd S)\n(assert (= c\x1c (= c c)))",
     "(declare-sort S 0) (declare-const c\x1dd S)\n(assert (= c\x1dd (= c c)))",

@@ -513,8 +513,8 @@ def test_each_term_carries_its_variable_order(steps):
     ("(= c (h (= c c) nosuch))", ParseError, "nested '=' at 3:17"),
     ("(= c (h nosuch (= c c)))", UnknownSymbolError, "unknown symbol 'nosuch'"),
     ("(= c (h (f c c) nosuch))", SortMismatchError, "'f' expects 1 arguments, got 2"),
-    # peq is mbp's internal partial equality; numerals are ASCII digits only
-    ("(= c (f (peq c c)))", ParseError, "'peq' is reserved at 3:17"),
+    # peq is a name like any other; numerals are ASCII digits only
+    ("(= c (f (peq c c)))", UnknownSymbolError, "unknown symbol 'peq'"),
     ("(= c (f \u00b2))", UnknownSymbolError, "unknown symbol '\u00b2'"),
     # the two sides of every literal have one sort
     ("(= c 5)", ParseError, "'=' needs two arguments of one sort, got S and Int"),
@@ -551,8 +551,7 @@ DECLS = "(declare-sort S 0) (declare-fun f (S) S) (declare-fun g (S) S)\n"
      "unknown sort 'W' at 2:38"),
     # a tab and a CRLF line ending count as one column each
     (DECLS + "(declare-const c S)\n\t(assert (= c (f\t(= c c))))", "nested '=' at 3:18"),
-    (DECLS + "(declare-const c S)\r\n(assert (= c (g (peq c c))))",
-     "'peq' is reserved at 3:17"),
+    (DECLS + "(declare-const c S)\r\n(assert (= c (g (= c c))))", "nested '=' at 3:17"),
     # parentheses inside a comment are not tokens
     (DECLS + "; comment (with (parens\n(declare-const c S) ; more ((\n"
      "(assert (= c (g (= c c))))", "nested '=' at 4:17"),
@@ -568,6 +567,17 @@ def test_positional_parse_errors(text, message):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
     assert str(exc.value) == message
+
+
+def test_peq_is_an_ordinary_symbol():
+    """Undeclared, peq is an unknown symbol; declared, it is a function."""
+    text = "(declare-const c S)\r\n(assert (= c (g (peq c c))))"
+    with pytest.raises(UnknownSymbolError) as exc:
+        parse_problem(DECLS + text)
+    assert str(exc.value) == "unknown symbol 'peq'"
+    prob = parse_problem(DECLS + "(declare-fun peq (S S) S) " + text)
+    (lit,) = prob.formula.literals
+    assert term_to_sexpr(lit.rhs) == "(g (peq c c))"
 
 
 @pytest.mark.parametrize("literal, message", [
