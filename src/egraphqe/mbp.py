@@ -9,11 +9,14 @@ equal outside some indices) is a record (s, t, exceptions), not a term:
 exceptions maps each excepted index's model value to the first index term
 with that value.  Nodes, partial equalities and disequalities are
 append-only, so each rule family keeps one watermark triple (how many of
-each its passes have offered) and offers each once.  One offering visits
-distinct keys, so a rule keeps no record of what it did, except that a
-partial equality is made once per (s, t, index terms), since ``partial_eq``
-meets a pair of array nodes from both ends and two write chains may unwind
-to one, and that ``elim_eq`` keeps what each variable's solutions mention.
+each its passes have offered) and offers each once.  A pass is due exactly
+when its family's watermark is behind those counts, so rules report
+nothing and saturation ends when no watermark is behind.  One offering
+visits distinct keys, so a rule keeps no record of what it did, except
+that a partial equality is made once per (s, t, index terms), since
+``partial_eq`` meets a pair of array nodes from both ends and two write
+chains may unwind to one, and that ``elim_eq`` keeps what each variable's
+solutions mention.
 A pass asks the egraph, which keeps constructive groundness as rules add
 nodes and merge classes, which nodes to skip; it reads the answer live, so
 a rule sees what the rules before it made ground.
@@ -124,7 +127,8 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
     The result implies the input's existential closure, is satisfied by the
     (possibly extended) model, and contains no projected array or datatype
     variable.  Variables the rules introduce along the way are eliminated by
-    the same pipeline.
+    the same pipeline.  Today every declared variable is treated as
+    projected, whether or not it is in ``var_names``.
     """
     if budget < 0:
         raise InputError(f"budget must not be negative, got {budget}")
@@ -152,18 +156,21 @@ def mbp(sig: Signature, store: TermStore, formula: Formula, var_names,
 # -- saturation loop ----------------------------------------------------------
 
 def _saturate(state: _State):
-    """Run the array family to its fixpoint, then the datatype family, and
-    repeat until neither makes progress."""
+    """Run each family, array then datatype, while its watermark is behind
+    the counts (nodes, partial equalities, disequalities), and repeat until
+    neither is.  A pass is due exactly then: one from the counts offers
+    nothing.  Every node, record or disequality a rule makes comes with a
+    fire, so the budget bounds the loop."""
+    g = state.g
     watermarks = dict.fromkeys(_FAMILIES, (0, 0, 0))
-    progress = True
-    while progress:
-        progress = False
+
+    def behind(family):
+        return watermarks[family] != (len(g.nodes), len(state.peqs), len(g.diseqs))
+
+    while any(map(behind, _FAMILIES)):
         for family in _FAMILIES:
-            fired = True
-            while fired:
-                fired, watermarks[family] = apply_rules(
-                    state, family, watermarks[family])
-                progress = progress or fired
+            while behind(family):
+                watermarks[family] = apply_rules(state, family, watermarks[family])
 
 
 def apply_rules(state: _State, family, watermark: tuple) -> tuple:
@@ -180,51 +187,46 @@ def apply_rules(state: _State, family, watermark: tuple) -> tuple:
     those whose sides are both in ground classes.  Whether a rule fires on a
     disequality depends only on its two nodes and on groundness, which only
     grows, so none is offered twice.  Groundness is read when each node or
-    disequality is offered, not at the start of the pass.  Returns whether
-    a rule fired and the watermark for the next pass."""
+    disequality is offered, not at the start of the pass.  Returns the
+    watermark for the next pass: the counts at the start of the pass, and
+    at the start of its disequality rules."""
     node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
-    progress = False
     start, peq_start, diseq_start = watermark
     size, peq_size = len(g.nodes), len(state.peqs)
     k = peq_start
     for n in range(start, size + 1):
         while k < peq_size and state.peq_at[k] <= n:
             for rule in peq_rules:
-                if rule(state, state.peqs[k]):
-                    progress = True
+                rule(state, state.peqs[k])
             k += 1
         if n < size and not g.cground(n):
             for rule in node_rules:
-                if rule(state, n):
-                    progress = True
+                rule(state, n)
     if read_rules:
         reads = [n for n in range(start, size) if g.nodes[n].label == "read"]
         for rule in read_rules:
-            if rule(state, reads):
-                progress = True
+            rule(state, reads)
     diseq_size = len(g.diseqs)
     for rule in diseq_rules:
         for a, b in g.diseqs[diseq_start:diseq_size]:
             if g.ground_class(a) and g.ground_class(b):
                 continue  # both sides become ground terms; no split needed
-            if rule(state, a, b):
-                progress = True
-    return progress, (size, peq_size, diseq_size)
+            rule(state, a, b)
+    return size, peq_size, diseq_size
 
 
 # -- array rules --------------------------------------------------------------
 
-def _rule_elim_wr_rd(state: _State, n: int) -> bool:
+def _rule_elim_wr_rd(state: _State, n: int):
     """read over a write whose array part mentions a projected variable:
     merge with the written value or with a read of the inner array,
     depending on whether the model equates the two indices."""
     g = state.g
     node = g.nodes[n]
     if node.label != "read":
-        return False
+        return
     arr, j = node.children
-    fired = False
     for w in g.class_of(arr.id):
         wnode = g.nodes[w]
         if wnode.label != "write":
@@ -239,38 +241,31 @@ def _rule_elim_wr_rd(state: _State, n: int) -> bool:
             g.assert_diseq(i, j)
             g.assert_eq(node, state.store.mk_app("read", (s, j)))
         state.fired("elim_wr_rd")
-        fired = True
-    return fired
 
 
-def _rule_partial_eq(state: _State, n: int) -> bool:
+def _rule_partial_eq(state: _State, n: int):
     """An array equality (two array nodes in one class) involving a
     projected variable becomes a partial equality with no exceptions."""
     g = state.g
     node = g.nodes[n]
     if node.sort.kind is not SortKind.ARRAY:
-        return False
-    fired = False
+        return
     for m in g.class_of(n):
         if m == n:
             continue
         a, b = g.nodes[min(n, m)], g.nodes[max(n, m)]
         if not (state.term_has_projected(a) or state.term_has_projected(b)):
             continue
-        if not state.partial_eq(a, b, {}):
-            continue
-        state.fired("partial_eq")
-        fired = True
-    return fired
+        if state.partial_eq(a, b, {}):
+            state.fired("partial_eq")
 
 
-def _rule_elim_wr(state: _State, peq) -> bool:
+def _rule_elim_wr(state: _State, peq):
     """Unwind a write inside a partial equality: s =_I write(u, i, v)
     yields read(s, i) = v plus s =_(I + [i]) u when no index of I has i's
     model value; otherwise only the write is dropped, recording the index
     equality the model used."""
     g, store = state.g, state.store
-    fired = False
     lhs, rhs, exceptions = peq
     # each side once: s =_I s has one
     for s, w in dict.fromkeys(((lhs, rhs), (rhs, lhs))):
@@ -288,11 +283,9 @@ def _rule_elim_wr(state: _State, peq) -> bool:
             g.assert_eq(i, clash)
             state.partial_eq(s, u, exceptions)
         state.fired("elim_wr")
-        fired = True
-    return fired
 
 
-def _rule_elim_eq(state: _State, peq) -> bool:
+def _rule_elim_eq(state: _State, peq):
     """Solve a partial equality for a projected array variable: the variable
     equals the other side overwritten at the exception indices with fresh
     values, and the model is extended to keep satisfying the result.  A
@@ -328,11 +321,10 @@ def _rule_elim_eq(state: _State, peq) -> bool:
             chain = store.mk_app("write", (chain, ix, dterm))
         g.assert_eq(v, chain)
         state.fired("elim_eq")
-        return True
-    return False
+        return
 
 
-def _rule_ackermann(state: _State, reads) -> bool:
+def _rule_ackermann(state: _State, reads):
     """Ackermannize the new reads over projected array variables, split by
     the model: per base node, state.index_classes maps each index value met
     so far to the first read at it and that read's index term.  A read at a
@@ -364,22 +356,20 @@ def _rule_ackermann(state: _State, reads) -> bool:
         else:
             g.assert_diseq(t1, t2)
         state.fired("ackermann")
-    return bool(decisions)
 
 
 # -- datatype rules -----------------------------------------------------------
 
-def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
+def _rule_adt_deconstruct_eq(state: _State, n: int):
     """A projected datatype variable equal to a constructor application:
     assert one selector equality per constructor argument."""
     g = state.g
     node = g.nodes[n]
     if not (state.projected(node.label) and not node.children):
-        return False
+        return
     if node.sort.kind is not SortKind.ADT:
-        return False
+        return
     store = state.store
-    fired = False
     for m in g.class_of(n):
         mnode = g.nodes[m]
         role = state.sig.datatype.get(mnode.label)
@@ -389,11 +379,9 @@ def _rule_adt_deconstruct_eq(state: _State, n: int) -> bool:
         for (sel, _), arg in zip(ctor.selectors, mnode.children):
             g.assert_eq(store.mk_app(sel, (node,)), arg)
         state.fired("adt_deconstruct_eq")
-        fired = True
-    return fired
 
 
-def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
+def _rule_adt_split_diseq(state: _State, a: int, b: int):
     """Resolve a datatype disequality on a projected variable using the
     model: different constructors yield tester literals, equal constructors
     yield a selector disequality at an argument where the values differ."""
@@ -419,8 +407,7 @@ def _rule_adt_split_diseq(state: _State, a: int, b: int) -> bool:
             sel = vctor.selectors[i][0]
             g.assert_diseq(store.mk_app(sel, (v,)), store.mk_app(sel, (t,)))
         state.fired("adt_split_diseq")
-        return True
-    return False
+        return
 
 
 # -- rule families: (node, partial-equality, read, disequality rules) --------

@@ -8,11 +8,14 @@ must fail on the mutant.  For each entry the script copies ``src``,
 ``tests``, ``demos`` and ``perfbench`` into a temporary directory, applies
 the one change there, and runs only the named tests.  It exits 1 if the old
 text no longer occurs exactly once, or if a named test passes on the mutant
-(the mutant survives).  From the ``find_defs`` counters on, an entry lists
-every test that fails on its mutant in a full tier-1 run; the seven entries
-before it list the twin tests written against them.  Tier 1 does not
-collect this file; add the mutants of a change here instead of describing
-them.
+(the mutant survives).  A run that takes longer than ``TIMEOUT_S`` is
+stopped and counts as a kill, reported as ``killed (timed out)``, as PIT
+counts a timeout: a watermark that never advances makes saturation loop
+without firing, so its mutants hang rather than fail.  From the
+``find_defs`` counters on, an entry lists every test that fails on its
+mutant in a full tier-1 run; the seven entries before it list the twin
+tests written against them.  Tier 1 does not collect this file; add the
+mutants of a change here instead of describing them.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "perfbench")
+# the slowest entry's tests take about 29 s on an unchanged checkout (Python
+# 3.11, 2 vCPUs), so a run past this is a hang
+TIMEOUT_S = 120
 
 EGRAPH = "src/egraphqe/egraph.py"
 MERGES_EITHER_WAY = "tests/test_mbp.py::test_ground_analysis_takes_in_merges_either_way"
@@ -103,8 +109,7 @@ MUTANTS = [
      [ROOT_TWIN + "on_random_merges", ROOT_TWIN + "when_the_growing_class_is_absorbed",
       "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference"]),
     ("the disequality watermark is never advanced", MBP,
-     "return progress, (size, peq_size, diseq_size)",
-     "return progress, (size, peq_size, diseq_start)",
+     "return size, peq_size, diseq_size", "return size, peq_size, diseq_start",
      [SPLIT_ONCE, WATERMARK_TWIN,
       "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress"]),
     ("a partial equality of a node with itself is unwound from both sides",
@@ -366,8 +371,7 @@ MUTANTS = [
       "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
       WATERMARK_TWIN]),
     ("the partial-equality watermark is never advanced", MBP,
-     "return progress, (size, peq_size, diseq_size)",
-     "return progress, (size, peq_start, diseq_size)",
+     "return size, peq_size, diseq_size", "return size, peq_start, diseq_size",
      ["tests/test_acceptance.py::test_criterion_1_golden_examples",
       "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
       "tests/test_cli.py::test_mbp_golden_with_check",
@@ -405,11 +409,57 @@ MUTANTS = [
       "tests/test_qel.py::test_makes_cycle_agrees_with_reference",
       "tests/test_qel.py::test_tail_matches_reference",
       "tests/test_qel.py::test_process_matches_reference_from_partial_reprs"]),
+    ("saturation compares only the node counts", MBP,
+     "return watermarks[family] != (len(g.nodes), len(state.peqs), len(g.diseqs))",
+     "return watermarks[family][0] != len(g.nodes)",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
+      "tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
+      "tests/test_mbp.py::test_a_clash_keeps_the_first_index",
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      "tests/test_mbp.py::"
+      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
+      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
+      SPLIT_ONCE,
+      "tests/test_mbp.py::test_elim_eq_declares_an_array_valued_fresh_variable",
+      "tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
+      "tests/test_mbp.py::test_elim_wr_unwinds_write_and_keeps_read_fact",
+      "tests/test_mbp.py::test_nested_write_unwinds_twice",
+      "tests/test_mbp.py::test_projection_example_model_independent",
+      "tests/test_mbp.py::test_projection_example_output",
+      WATERMARK_TWIN,
+      "tests/test_mbp.py::test_write_projections_keep_the_contract",
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo"]),
+    ("each family runs one pass per round", MBP,
+     "            while behind(family):", "            if behind(family):",
+     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
+      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
+      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
+      SPLIT_ONCE,
+      "tests/test_mbp.py::test_projection_example_model_independent",
+      "tests/test_mbp.py::test_projection_example_output",
+      WATERMARK_TWIN,
+      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo"]),
+    ("elim_wr_rd records no index disequality when the indices differ", MBP,
+     "            g.assert_diseq(i, j)\n", "",
+     ["tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
+      "tests/test_mbp.py::test_elim_wr_rd_diseq_branch",
+      "tests/test_mbp.py::"
+      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+      WATERMARK_TWIN,
+      "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
+    ("elim_wr records no index equality on a clash", MBP,
+     "            g.assert_eq(i, clash)\n", "",
+     ["tests/test_mbp.py::test_a_clash_keeps_the_first_index",
+      "tests/test_mbp.py::test_nested_write_unwinds_twice", WATERMARK_TWIN]),
+    ("adt_split_diseq splits on the first selector", MBP,
+     "i = next(i for i in range(vctor.arity) if vv.args[i] != tv.args[i])", "i = 0",
+     ["tests/test_mbp.py::test_adt_split_same_constructor_selects_differing_field"]),
 ]
 
 
-def run(name, path, old, new, tests) -> str:
-    """None if the mutant is killed, else why not."""
+def run(name, path, old, new, tests) -> tuple:
+    """The verdict on the mutant, and why it survived (None if killed)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for sub in COPIED:
@@ -417,26 +467,30 @@ def run(name, path, old, new, tests) -> str:
                             ignore=shutil.ignore_patterns("__pycache__"))
         text = (tmp / path).read_text()
         if text.count(old) != 1:
-            return f"old text occurs {text.count(old)} times in {path}"
+            return "SURVIVED", f"old text occurs {text.count(old)} times in {path}"
         (tmp / path).write_text(text.replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(tmp / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             *tests], cwd=tmp, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                 *tests], cwd=tmp, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed (timed out)", None
         # a test id may hold spaces, so each listed id is looked up whole
         lines = proc.stdout.splitlines()
         survivors = [t for t in tests if f"FAILED {t}" not in lines
                      and not any(line.startswith(f"FAILED {t} - ") for line in lines)]
         if survivors:
-            return "these tests pass: " + ", ".join(survivors)
-    return None
+            return "SURVIVED", "these tests pass: " + ", ".join(survivors)
+    return "killed", None
 
 
 def main() -> int:
     status = 0
     for name, path, old, new, tests in MUTANTS:
-        why = run(name, path, old, new, tests)
-        print(f"{'killed  ' if why is None else 'SURVIVED'} {name}")
+        verdict, why = run(name, path, old, new, tests)
+        print(f"{verdict:8} {name}")
         if why is not None:
             print(f"         {why}")
             status = 1

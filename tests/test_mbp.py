@@ -428,6 +428,26 @@ def test_adt_split_model_mismatch_detected():
         _run(prob, bad)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: mbp treats every declared variable"
+                          " as projected, so it drops the kept c")
+def test_a_declared_variable_outside_the_projection_is_kept():
+    prob = parse_problem("""
+    (declare-sort I 0) (declare-sort V 0)
+    (declare-const i I) (declare-const e V)
+    (declare-var a (Array I V)) (declare-var c (Array I V))
+    (assert (= (read a i) e)) (assert (= a c))
+    """)
+    model = parse_model("(universe I 1) (universe V 2)"
+                        " (define-value i (elem I 0)) (define-value e (elem V 1))"
+                        " (define-value a (array (default (elem V 1))))"
+                        " (define-value c (array (default (elem V 1))))", prob.sig)
+    res = mbp(prob.sig, prob.store, prob.formula, ["a"], model)
+    verdict = implies_exists(prob.sig, prob.store, res.formula, prob.formula,
+                             Bounds(universe=2), free={"c"})
+    assert verdict.ok, (formula_to_sexpr(res.formula), verdict.witness)
+
+
 def test_rejects_non_array_adt_variable():
     prob = parse_problem("""
     (declare-var x Int)
@@ -471,9 +491,13 @@ def test_monotone_growth_and_second_pass_no_progress():
     from egraphqe.mbp import _ADT_RULES, _ARRAY_RULES, _State, apply_rules
     g = EGraph.from_formula(prob.sig, prob.store, prob.formula)
     state = _State(g, model, 10_000)
+
+    def counts():
+        return len(g.nodes), len(state.peqs), len(g.diseqs)
+
     before = len(g.nodes)
-    progress, watermark = apply_rules(state, _ARRAY_RULES, (0, 0, 0))
-    assert progress
+    watermark = apply_rules(state, _ARRAY_RULES, (0, 0, 0))
+    assert state.total > 0
     # the next pass starts at this one's nodes, at the partial equalities
     # there were when it started (none: its node rules make the first), and
     # at the disequalities there were when its disequality rules started
@@ -482,26 +506,29 @@ def test_monotone_growth_and_second_pass_no_progress():
     assert watermark[2] == len(g.diseqs) > 0
     assert len(g.nodes) >= before
     grown = len(g.nodes)
-    while progress:
+    while watermark != counts():
         seen, made = len(g.diseqs), len(state.peqs)
-        progress, watermark = apply_rules(state, _ARRAY_RULES, watermark)
+        watermark = apply_rules(state, _ARRAY_RULES, watermark)
         assert len(g.nodes) >= grown
         assert watermark[1] == made
         assert seen <= watermark[2] == len(g.diseqs)
         grown = len(g.nodes)
-    # saturated: one more pass does nothing
-    assert not apply_rules(state, _ARRAY_RULES, watermark)[0]
+    # saturated: the watermark is the counts, and one more pass returns it
+    # unchanged and leaves nodes, records, disequalities and fires as they are
+    facts = (list(g.nodes), list(state.peqs), list(g.diseqs), dict(state.fires))
+    assert apply_rules(state, _ARRAY_RULES, watermark) == watermark == counts()
+    assert (list(g.nodes), list(state.peqs), list(g.diseqs), state.fires) == facts
     # the datatype family's first pass offers every node there is when it
     # starts and every disequality there is when its disequality rule
     # starts; a pass from that watermark offers neither again
-    before, diseqs = len(g.nodes), len(g.diseqs)
-    progress, watermark = apply_rules(state, _ADT_RULES, (0, 0, 0))
-    assert progress and diseqs > 0
+    before, diseqs, total = len(g.nodes), len(g.diseqs), state.total
+    watermark = apply_rules(state, _ADT_RULES, (0, 0, 0))
+    assert state.total > total and diseqs > 0
     assert watermark == (before, len(state.peqs), len(g.diseqs))
     offered = []
     family = (_ADT_RULES[0], (), (),
               (lambda state, a, b: offered.append((a, b)),))
-    assert apply_rules(state, family, watermark)[1][2] == len(g.diseqs)
+    assert apply_rules(state, family, watermark)[2] == len(g.diseqs)
     assert offered == []
 
 
@@ -797,15 +824,14 @@ def _all_pairs_rule_ackermann(state, a, b):
     g = state.g
     (base, e1), e2 = g.nodes[a].children, g.nodes[b].children[1]
     if not (state.projected(base.label) and not base.children):
-        return False
+        return
     if e1 is e2:
-        return False
+        return
     if state.meval(e1) == state.meval(e2):
         g.assert_eq(e1, e2)
     else:
         g.assert_diseq(e1, e2)
     state.fired("ackermann")
-    return True
 
 
 def _read_pairs(g, new_reads):
@@ -824,11 +850,8 @@ def _read_pairs(g, new_reads):
 
 
 def _all_pairs_ackermann(state, reads):
-    fired = False
     for a, b in _read_pairs(state.g, reads):
-        if _all_pairs_rule_ackermann(state, a, b):
-            fired = True
-    return fired
+        _all_pairs_rule_ackermann(state, a, b)
 
 
 def _twin_instances():
@@ -911,9 +934,8 @@ def _marked_elim_wr_rd(state, n):
     g = state.g
     node = g.nodes[n]
     if node.label != "read":
-        return False
+        return
     arr, j = node.children
-    fired = False
     for w in g.class_of(arr.id):
         wnode = g.nodes[w]
         if wnode.label != "write":
@@ -930,16 +952,13 @@ def _marked_elim_wr_rd(state, n):
             g.assert_diseq(i, j)
             g.assert_eq(node, state.store.mk_app("read", (s, j)))
         state.fired("elim_wr_rd")
-        fired = True
-    return fired
 
 
 def _marked_partial_eq(state, n):
     g = state.g
     node = g.nodes[n]
     if node.sort.kind.value != "array":
-        return False
-    fired = False
+        return
     for m in g.class_of(n):
         if m == n:
             continue
@@ -951,8 +970,6 @@ def _marked_partial_eq(state, n):
             continue
         state.partial_eq(g.nodes[a], g.nodes[b], {})
         state.fired("partial_eq")
-        fired = True
-    return fired
 
 
 def _peq_key(peq):
@@ -963,7 +980,6 @@ def _peq_key(peq):
 def _marked_elim_wr(state, peq):
     g = state.g
     store = state.store
-    fired = False
     lhs, rhs, exceptions = peq
     for s, w in ((lhs, rhs), (rhs, lhs)):
         if w.label != "write":
@@ -982,28 +998,26 @@ def _marked_elim_wr(state, peq):
             g.assert_eq(i, clash)
             state.partial_eq(s, u, exceptions)
         state.fired("elim_wr")
-        fired = True
-    return fired
 
 
 def _marked_elim_eq(state, peq):
     """elim_eq fires at most once per record.  A record it skips is offered
     again, so a skip that a later pass would turn into a solve shows."""
     if _peq_key(peq) in state.__dict__.get("ref_marks", {}).get("elim_eq", ()):
-        return False
-    if not mbp_module._rule_elim_eq(state, peq):
-        return False
-    return _marked(state, "elim_eq", _peq_key(peq))
+        return
+    total = state.total
+    mbp_module._rule_elim_eq(state, peq)
+    if state.total > total:
+        _marked(state, "elim_eq", _peq_key(peq))
 
 
 def _marked_adt_deconstruct_eq(state, n):
     g = state.g
     node = g.nodes[n]
     if not (state.projected(node.label) and not node.children):
-        return False
+        return
     if node.sort.kind.value != "adt":
-        return False
-    fired = False
+        return
     for m in g.class_of(n):
         mnode = g.nodes[m]
         role = state.sig.datatype.get(mnode.label)
@@ -1014,8 +1028,6 @@ def _marked_adt_deconstruct_eq(state, n):
         for (sel, _), arg in zip(role[1].selectors, mnode.children):
             g.assert_eq(state.store.mk_app(sel, (node,)), arg)
         state.fired("adt_deconstruct_eq")
-        fired = True
-    return fired
 
 
 def _marked_adt_split_diseq(state, a, b):
@@ -1025,10 +1037,9 @@ def _marked_adt_split_diseq(state, a, b):
             continue
         if v.sort.kind.value != "adt":
             continue
-        if not _marked(state, "adt_split_diseq", (min(a, b), max(a, b))):
-            return False
-        return mbp_module._rule_adt_split_diseq(state, a, b)
-    return False
+        if _marked(state, "adt_split_diseq", (min(a, b), max(a, b))):
+            mbp_module._rule_adt_split_diseq(state, a, b)
+        return
 
 
 _MARKED_FAMILIES = (
@@ -1038,33 +1049,31 @@ _MARKED_FAMILIES = (
 
 
 def _marked_apply_rules(state, family, watermark):
+    """Whether a rule fired in the pass, read off the fire count, and the
+    node count at its start."""
     node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
-    progress = False
+    total = state.total
     size, peq_size = len(g.nodes), len(state.peqs)
     k = 0
     for n in range(watermark, size + 1):
         while k < peq_size and state.peq_at[k] <= n:
             for rule in peq_rules:
-                if rule(state, state.peqs[k]):
-                    progress = True
+                rule(state, state.peqs[k])
             k += 1
         if n < size and not g.cground(n):
             for rule in node_rules:
-                if rule(state, n):
-                    progress = True
+                rule(state, n)
     if read_rules:
         reads = [n for n in range(watermark, size) if g.nodes[n].label == "read"]
         for rule in read_rules:
-            if rule(state, reads):
-                progress = True
+            rule(state, reads)
     for rule in diseq_rules:
         for a, b in list(g.diseqs):
             if g.ground_class(a) and g.ground_class(b):
                 continue
-            if rule(state, a, b):
-                progress = True
-    return progress, size
+            rule(state, a, b)
+    return state.total > total, size
 
 
 def _marked_saturate(state, families=_MARKED_FAMILIES):
@@ -1157,6 +1166,26 @@ def test_each_disequality_reaches_the_split_rule_at_most_once(monkeypatch):
                         lambda state: _marked_saturate(state, families))
     again, same_fires = most_offers()
     assert again > 1 and same_fires == fires
+
+
+def test_every_pass_starts_behind_the_counts(monkeypatch):
+    """Saturation runs a family's pass only while its watermark is behind
+    the counts (nodes, partial equalities, disequalities): a pass from the
+    counts would offer nothing."""
+    def checked(state, family, watermark):
+        g = state.g
+        counts = (len(g.nodes), len(state.peqs), len(g.diseqs))
+        assert all(w <= c for w, c in zip(watermark, counts)), name
+        assert watermark != counts, name
+        passes.append(watermark)
+        return apply_rules(state, family, watermark)
+
+    apply_rules = mbp_module.apply_rules
+    monkeypatch.setattr(mbp_module, "apply_rules", checked)
+    for name, build in _twin_instances():
+        passes = []
+        mbp(*build())
+        assert passes, name
 
 
 def test_320_reads_fit_the_default_budget():
