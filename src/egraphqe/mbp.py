@@ -7,16 +7,17 @@ extraction still mentions one.  Rules only ever add terms, merges,
 disequalities and partial equalities.  A partial equality (arrays s and t
 equal outside some indices) is a record (s, t, exceptions), not a term:
 exceptions maps each excepted index's model value to the first index term
-with that value.  Nodes, partial equalities and disequalities are
-append-only, so each rule family keeps one watermark triple (how many of
-each its passes have offered) and offers each once.  A pass is due exactly
-when its family's watermark is behind those counts, so rules report
-nothing and saturation ends when no watermark is behind.  One offering
-visits distinct keys, so a rule keeps no record of what it did, except
-that a partial equality is made once per (s, t, index terms), since
-``partial_eq`` meets a pair of array nodes from both ends and two write
-chains may unwind to one, and that ``elim_eq`` keeps what each variable's
-solutions mention.
+with that value.  An array node is paired with the oldest other member of
+its class, so a class of k array nodes gets at most k - 1 records.  Nodes,
+partial equalities and disequalities are append-only, so each rule family
+keeps one watermark triple (how many of each its passes have offered) and
+offers each once, a record in the pass that made it.  A pass is due
+exactly when its family's watermark is behind those counts, so rules
+report nothing and saturation ends when no watermark is behind.  One
+offering visits distinct keys, so a rule keeps no record of what it did,
+except that a partial equality is made once per (s, t, index terms), since
+two nodes may pick each other and two write chains may unwind to one, and
+that ``elim_eq`` keeps what each variable's solutions mention.
 A pass asks the egraph, which keeps constructive groundness as rules add
 nodes and merge classes, which nodes to skip; it reads the answer live, so
 a rule sees what the rules before it made ground.
@@ -71,7 +72,6 @@ class _State:
     # maps each excepted index's model value to the first index term with it
     peqs: list = field(default_factory=list)
     peq_keys: set = field(default_factory=set)  # (s.id, t.id, *index ids)
-    peq_at: list = field(default_factory=list)  # node count when each was made
     # variable id -> the sets of variables its solutions by elim_eq mention
     solved: dict = field(default_factory=dict)
     # projected base node id -> {index value: (first read id, index term)}
@@ -109,7 +109,6 @@ class _State:
             return False
         self.peq_keys.add(key)
         self.peqs.append((s, t, exceptions))
-        self.peq_at.append(len(self.g.nodes))
         return True
 
     def fresh_name(self) -> str:
@@ -178,31 +177,30 @@ def apply_rules(state: _State, family, watermark: tuple) -> tuple:
     rules, disequality rules) from a watermark, the (node count, partial
     equality count, disequality count) that earlier passes offered.  The
     nodes from there to the node count at the start of the pass go to the
-    node rules, unless constructively ground.  The partial equalities from
-    there to the count at the start of the pass go to their rules, each just
-    before the first node made after it, so that rules meet both in the
-    order they were made.  The reads among the nodes, in id order, go to
-    each read rule at once, ground or not.  The disequalities from there to
-    the count when the disequality rules start go to those rules, except
-    those whose sides are both in ground classes.  Whether a rule fires on a
-    disequality depends only on its two nodes and on groundness, which only
-    grows, so none is offered twice.  Groundness is read when each node or
-    disequality is offered, not at the start of the pass.  Returns the
-    watermark for the next pass: the counts at the start of the pass, and
-    at the start of its disequality rules."""
+    node rules, unless constructively ground.  Then the partial equalities
+    from there go to their rules until no more are made, so a record is
+    offered in the pass that made it.  The reads among the nodes, in id
+    order, go to each read rule at once, ground or not.  The disequalities
+    from there to the count when the disequality rules start go to those
+    rules, except those whose sides are both in ground classes.  Whether a
+    rule fires on a disequality depends only on its two nodes and on
+    groundness, which only grows, so none is offered twice.  Groundness is
+    read when each node or disequality is offered, not at the start of the
+    pass.  Returns the watermark for the next pass: the node count at its
+    start, the record count, and the disequality count at the start of its
+    disequality rules."""
     node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
-    start, peq_start, diseq_start = watermark
-    size, peq_size = len(g.nodes), len(state.peqs)
-    k = peq_start
-    for n in range(start, size + 1):
-        while k < peq_size and state.peq_at[k] <= n:
-            for rule in peq_rules:
-                rule(state, state.peqs[k])
-            k += 1
-        if n < size and not g.cground(n):
+    start, k, diseq_start = watermark
+    size = len(g.nodes)
+    for n in range(start, size):
+        if not g.cground(n):
             for rule in node_rules:
                 rule(state, n)
+    while k < len(state.peqs):
+        for rule in peq_rules:
+            rule(state, state.peqs[k])
+        k += 1
     if read_rules:
         reads = [n for n in range(start, size) if g.nodes[n].label == "read"]
         for rule in read_rules:
@@ -213,7 +211,7 @@ def apply_rules(state: _State, family, watermark: tuple) -> tuple:
             if g.ground_class(a) and g.ground_class(b):
                 continue  # both sides become ground terms; no split needed
             rule(state, a, b)
-    return size, peq_size, diseq_size
+    return size, k, diseq_size
 
 
 # -- array rules --------------------------------------------------------------
@@ -244,19 +242,21 @@ def _rule_elim_wr_rd(state: _State, n: int):
 
 
 def _rule_partial_eq(state: _State, n: int):
-    """An array equality (two array nodes in one class) involving a
-    projected variable becomes a partial equality with no exceptions."""
+    """An array equality involving a projected variable becomes a partial
+    equality with no exceptions: a node is paired with the oldest other
+    member of its class, the root, and the root with the next oldest.  A
+    ground member, never offered itself, is thus met by every node when it
+    is the root and by the root when it is the next oldest.  Classes that
+    merge after their nodes were offered get no record."""
     g = state.g
     node = g.nodes[n]
     if node.sort.kind is not SortKind.ARRAY:
         return
-    for m in g.class_of(n):
-        if m == n:
-            continue
+    root = g.find(n)
+    for m in [root] if root != n else g.class_of(n)[1:2]:
         a, b = g.nodes[min(n, m)], g.nodes[max(n, m)]
-        if not (state.term_has_projected(a) or state.term_has_projected(b)):
-            continue
-        if state.partial_eq(a, b, {}):
+        if (state.term_has_projected(a) or state.term_has_projected(b)) \
+                and state.partial_eq(a, b, {}):
             state.fired("partial_eq")
 
 
@@ -293,8 +293,8 @@ def _rule_elim_eq(state: _State, peq):
     and only over a set of variables that no solution of it mentioned
     before: a solution makes the class ground once the variables it
     mentions are, so a second one over the same set adds nothing.  Each
-    solution puts a write into the class, which partial_eq pairs anew, and
-    solving every such pair would mint fresh values without end."""
+    solution puts a write into the class, which partial_eq pairs with the
+    root, and solving every such record would mint fresh values without end."""
     g = state.g
     store, sig = state.store, state.sig
     lhs, rhs, exceptions = peq

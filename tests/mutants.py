@@ -10,12 +10,13 @@ the one change there, and runs only the named tests.  It exits 1 if the old
 text no longer occurs exactly once, or if a named test passes on the mutant
 (the mutant survives).  A run that takes longer than ``TIMEOUT_S`` is
 stopped and counts as a kill, reported as ``killed (timed out)``, as PIT
-counts a timeout: a watermark that never advances makes saturation loop
-without firing, so its mutants hang rather than fail.  From the
-``find_defs`` counters on, an entry lists every test that fails on its
-mutant in a full tier-1 run; the seven entries before it list the twin
-tests written against them.  Tier 1 does not collect this file; add the
-mutants of a change here instead of describing them.
+counts a timeout.  A watermark that never advances makes saturation loop
+without firing, so most tests hang on its mutants; those two entries list
+only tests that fail in seconds, among them one that caps the passes.
+From the ``find_defs`` counters on, every other entry lists every test
+that fails on its mutant in a full tier-1 run; the seven entries before it
+list the twin tests written against them.  Tier 1 does not collect this
+file; add the mutants of a change here instead of describing them.
 """
 from __future__ import annotations
 
@@ -45,6 +46,12 @@ SPLIT_ONCE = ("tests/test_mbp.py::"
               "test_each_disequality_reaches_the_split_rule_at_most_once")
 WATERMARK_TWIN = ("tests/test_mbp.py::"
                   "test_watermarks_match_the_loop_with_per_key_marks")
+PASS_CAP = "tests/test_mbp.py::test_every_pass_starts_behind_the_counts"
+MONOTONE = "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress"
+DISEQS_ONLY = ("tests/test_mbp.py::"
+               "test_a_family_behind_only_in_disequalities_gets_a_pass")
+OFFERED_AT_ONCE = ("tests/test_mbp.py::"
+                   "test_partial_equalities_are_offered_in_the_pass_that_made_them")
 TAIL_TWIN = "tests/test_qel.py::test_tail_matches_reference"
 BY_CONTENT = "tests/test_model.py::test_array_keys_are_ordered_by_content"
 PARSER = "tests/test_parser.py::"
@@ -109,9 +116,8 @@ MUTANTS = [
      [ROOT_TWIN + "on_random_merges", ROOT_TWIN + "when_the_growing_class_is_absorbed",
       "tests/test_egraph.py::test_class_lists_and_parents_match_a_reference"]),
     ("the disequality watermark is never advanced", MBP,
-     "return size, peq_size, diseq_size", "return size, peq_size, diseq_start",
-     [SPLIT_ONCE, WATERMARK_TWIN,
-      "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress"]),
+     "return size, k, diseq_size", "return size, k, diseq_start",
+     [MONOTONE, PASS_CAP]),
     ("a partial equality of a node with itself is unwound from both sides",
      MBP, "dict.fromkeys(((lhs, rhs), (rhs, lhs)))", "((lhs, rhs), (rhs, lhs))",
      [WATERMARK_TWIN]),
@@ -228,8 +234,9 @@ MUTANTS = [
      "array_read(state.meval(v), state.meval(ix))",
      'state.meval(store.mk_app("read", (v, ix)))',
      ["tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
-      "tests/test_mbp.py::"
-      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made"]),
+      OFFERED_AT_ONCE,
+      "tests/test_mbp.py::test_writes_in_one_class_take_linear_fires_and_nodes",
+      "tests/test_mbp.py::test_a_write_chain_unwinds_in_a_fixed_number_of_passes"]),
     ("extraction reuses a node's term without comparing its children", EXTRACTION,
      "return term if args == term.children else store.mk_app(term.label, args)",
      "return term",
@@ -253,8 +260,8 @@ MUTANTS = [
       "tests/test_mbp.py::test_a_disequality_made_ground_earlier_in_the_pass_is_not_split",
       "tests/test_mbp.py::"
       "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
-      "tests/test_mbp.py::"
-      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      OFFERED_AT_ONCE,
       "tests/test_mbp.py::test_write_projections_keep_the_contract",
       "tests/test_oracle.py::test_qel_read_chain_equivalence_with_arithmetic",
       "tests/test_oracle.py::test_backtracking_matches_product_search_on_qel_demos[circular_defs.smt2]",
@@ -341,8 +348,8 @@ MUTANTS = [
      "",
      ["tests/test_mbp.py::"
       "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
-      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
-      WATERMARK_TWIN]),
+      WATERMARK_TWIN,
+      "tests/test_mbp.py::test_equal_arrays_take_one_partial_equality_per_array_but_one"]),
     ("elim_wr also excepts the index on a clash", MBP,
      "            state.partial_eq(s, u, exceptions)",
      "            state.partial_eq(s, u, {**exceptions, ival: i})",
@@ -352,8 +359,7 @@ MUTANTS = [
      "                or tried and g.ground_class(v.id):",
      "        if v.label in mentions:",
      ["tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
-      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
-      "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again"]),
     ("elim_eq solves a variable once whatever its solutions mention", MBP,
      "        if v.label in mentions or mentions in tried \\\n",
      "        if v.label in mentions or tried \\\n",
@@ -364,88 +370,34 @@ MUTANTS = [
      " \\\n                or tried and g.ground_class(v.id):",
      ":",
      ["tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again"]),
-    ("partial equalities are offered after all of a pass's nodes", MBP,
-     "        while k < peq_size and state.peq_at[k] <= n:",
-     "        while k < peq_size and n == size:",
-     ["tests/test_mbp.py::"
-      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
-      WATERMARK_TWIN]),
     ("the partial-equality watermark is never advanced", MBP,
-     "return size, peq_size, diseq_size", "return size, peq_start, diseq_size",
-     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
-      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
-      "tests/test_cli.py::test_mbp_golden_with_check",
-      "tests/test_cli.py::test_dot_output",
-      "tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
-      "tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without[nested_pair_array.smt2]",
-      "tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without[nested_pair_array.model]",
-      "tests/test_cli.py::test_mbp_check_failure_exits_3",
-      "tests/test_egraph.py::test_node_ids_are_term_ids_in_a_saturated_graph[nested_pair_array.model]",
-      "tests/test_egraph.py::test_node_ids_are_term_ids_in_a_saturated_graph[nested_pair_array_alt.model]",
-      "tests/test_mbp.py::test_projection_example_output",
-      "tests/test_mbp.py::test_saturated_projection_graph_has_no_distinct_node",
-      "tests/test_mbp.py::test_projection_example_model_independent",
-      "tests/test_mbp.py::test_projection_example_model_holds_on_output",
-      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
-      "tests/test_mbp.py::test_elim_eq_declares_an_array_valued_fresh_variable",
-      "tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
-      "tests/test_mbp.py::test_elim_wr_unwinds_write_and_keeps_read_fact",
-      "tests/test_mbp.py::test_adt_deconstruct_selector_equalities",
-      "tests/test_mbp.py::test_monotone_growth_and_second_pass_no_progress",
-      "tests/test_mbp.py::test_saturated_graph_keeps_congruent_terms_apart",
-      "tests/test_mbp.py::test_nested_write_unwinds_twice",
-      "tests/test_mbp.py::test_a_clash_keeps_the_first_index",
-      "tests/test_mbp.py::"
-      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
-      "tests/test_mbp.py::"
-      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
-      "tests/test_mbp.py::test_write_projections_keep_the_contract",
-      "tests/test_mbp.py::test_partitioned_ackermann_matches_all_pairs",
-      "tests/test_mbp.py::test_watermarks_match_the_loop_with_per_key_marks",
-      "tests/test_mbp.py::test_each_disequality_reaches_the_split_rule_at_most_once",
-      "tests/test_mbp.py::test_ground_analysis_matches_the_reference_at_every_pass",
-      "tests/test_model.py::test_holds_agrees_with_reference_on_demo_and_deep_models",
-      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo",
-      "tests/test_qel.py::test_makes_cycle_agrees_with_reference",
-      "tests/test_qel.py::test_tail_matches_reference",
-      "tests/test_qel.py::test_process_matches_reference_from_partial_reprs"]),
+     "return size, k, diseq_size", "return size, watermark[1], diseq_size",
+     [MONOTONE, PASS_CAP]),
+    ("partial_eq pairs with every member", MBP,
+     "    for m in [root] if root != n else g.class_of(n)[1:2]:",
+     "    for m in [m for m in g.class_of(n) if m != n]:",
+     ["tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      WATERMARK_TWIN,
+      "tests/test_mbp.py::test_equal_arrays_take_one_partial_equality_per_array_but_one",
+      "tests/test_mbp.py::test_writes_in_one_class_take_linear_fires_and_nodes"]),
+    ("partial_eq pairs only with the class root", MBP,
+     "[root] if root != n else g.class_of(n)[1:2]", "[root] if root != n else []",
+     ["tests/test_mbp.py::test_partial_eq_and_elim_eq_solve_variable",
+      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
+      WATERMARK_TWIN,
+      "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
     ("saturation compares only the node counts", MBP,
      "return watermarks[family] != (len(g.nodes), len(state.peqs), len(g.diseqs))",
      "return watermarks[family][0] != len(g.nodes)",
-     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
-      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
-      "tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
-      "tests/test_mbp.py::test_a_clash_keeps_the_first_index",
-      "tests/test_mbp.py::test_a_variable_in_a_ground_class_is_not_solved_again",
-      "tests/test_mbp.py::"
-      "test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one",
-      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
-      SPLIT_ONCE,
-      "tests/test_mbp.py::test_elim_eq_declares_an_array_valued_fresh_variable",
-      "tests/test_mbp.py::test_elim_eq_reads_the_fresh_value_off_the_model",
-      "tests/test_mbp.py::test_elim_wr_unwinds_write_and_keeps_read_fact",
-      "tests/test_mbp.py::test_nested_write_unwinds_twice",
-      "tests/test_mbp.py::test_projection_example_model_independent",
-      "tests/test_mbp.py::test_projection_example_output",
-      WATERMARK_TWIN,
-      "tests/test_mbp.py::test_write_projections_keep_the_contract",
-      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo"]),
+     [DISEQS_ONLY]),
     ("each family runs one pass per round", MBP,
      "            while behind(family):", "            if behind(family):",
-     ["tests/test_acceptance.py::test_criterion_1_golden_examples",
-      "tests/test_acceptance.py::test_criterion_6_cground_skip_on_projection_example",
-      "tests/test_mbp.py::test_cground_skip_blocks_disequality_split",
-      SPLIT_ONCE,
-      "tests/test_mbp.py::test_projection_example_model_independent",
-      "tests/test_mbp.py::test_projection_example_output",
-      WATERMARK_TWIN,
-      "tests/test_oracle.py::test_backtracking_matches_product_search_on_mbp_demo"]),
+     [DISEQS_ONLY,
+      "tests/test_mbp.py::test_a_write_chain_unwinds_in_a_fixed_number_of_passes"]),
     ("elim_wr_rd records no index disequality when the indices differ", MBP,
      "            g.assert_diseq(i, j)\n", "",
-     ["tests/test_cli.py::test_projecting_both_sides_of_a_written_equality_ends",
-      "tests/test_mbp.py::test_elim_wr_rd_diseq_branch",
-      "tests/test_mbp.py::"
-      "test_partial_equalities_meet_the_rules_in_the_order_they_were_made",
+     ["tests/test_mbp.py::test_elim_wr_rd_diseq_branch",
+      OFFERED_AT_ONCE,
       WATERMARK_TWIN,
       "tests/test_mbp.py::test_write_projections_keep_the_contract"]),
     ("elim_wr records no index equality on a clash", MBP,

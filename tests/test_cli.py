@@ -284,9 +284,9 @@ WRITTEN_BOTH_SIDES_MODEL = """(universe I 2) (universe V 1)
 
 
 def test_projecting_both_sides_of_a_written_equality_ends(tmp_path, capsys):
-    """Solving a puts writes into its class, which partial_eq pairs anew;
-    solving a again for each pair would mint fresh values until the budget
-    runs out."""
+    """Solving a puts writes into its class, which partial_eq pairs with
+    the class root; solving a again for each such record would mint fresh
+    values until the budget runs out."""
     problem, model = tmp_path / "p.smt2", tmp_path / "m.model"
     problem.write_text(WRITTEN_BOTH_SIDES)
     model.write_text(WRITTEN_BOTH_SIDES_MODEL)

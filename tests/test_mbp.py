@@ -7,7 +7,7 @@ import pytest
 from egraphqe import (Bounds, EGraph, InputError, Model,
                       ModelMismatchError, SaturationBudgetError, SearchSpaceError,
                       Signature, SortKind,
-                      TermStore, find_model,
+                      TermStore, Verdict, find_model,
                       formula_to_sexpr, implies_exists, mbp, parse_model, qel,
                       satisfies)
 from egraphqe.parser import parse_problem
@@ -498,19 +498,20 @@ def test_monotone_growth_and_second_pass_no_progress():
     before = len(g.nodes)
     watermark = apply_rules(state, _ARRAY_RULES, (0, 0, 0))
     assert state.total > 0
-    # the next pass starts at this one's nodes, at the partial equalities
-    # there were when it started (none: its node rules make the first), and
-    # at the disequalities there were when its disequality rules started
-    # (after its node rules)
-    assert watermark[:2] == (before, 0) and state.peqs
+    # the next pass starts at this one's nodes, at every partial equality
+    # (its node rules make the first, and it offers each record in the pass
+    # that made it, so the records its partial-equality rules make too),
+    # and at the disequalities there were when its disequality rules started
+    # (after its node and partial-equality rules)
+    assert watermark[:2] == (before, len(state.peqs)) and state.peqs
     assert watermark[2] == len(g.diseqs) > 0
     assert len(g.nodes) >= before
     grown = len(g.nodes)
     while watermark != counts():
-        seen, made = len(g.diseqs), len(state.peqs)
+        seen = len(g.diseqs)
         watermark = apply_rules(state, _ARRAY_RULES, watermark)
         assert len(g.nodes) >= grown
-        assert watermark[1] == made
+        assert watermark[1] == len(state.peqs)
         assert seen <= watermark[2] == len(g.diseqs)
         grown = len(g.nodes)
     # saturated: the watermark is the counts, and one more pass returns it
@@ -682,34 +683,46 @@ def test_a_variable_solved_over_a_projected_one_is_solved_again_over_a_kept_one(
 
 
 def test_a_variable_in_a_ground_class_is_not_solved_again():
-    """The class {a0, a1, write(b, i, e)} gives three partial equalities.
-    elim_eq solves a0 as a1, which adds nothing.  It skips a0 = write(b,
-    i, e), since a0 is solved and its class is ground, and solves a1 as
-    the write."""
-    prob = parse_problem("""
+    """a0 = write(b, i, e), and a1 = write(b, i, e) or a0 = write(a1, i, e).
+    The class of a0 gets two partial equalities: a0, the oldest member,
+    pairs with the next oldest, write(b, i, e), and the other write or a1
+    pairs with a0.  write(b, i, e) is ground, so it is never offered.
+    elim_eq solves a0 as it.  It skips a0 in the later records (a0 = a1,
+    or a0 = write(a1, i, e) and the a0 =_{i} a1 that elim_wr unwinds from
+    it), since a0 is solved and its class is ground, and solves a1."""
+    problem = """
     (declare-sort I 0) (declare-sort V 0)
     (declare-const b (Array I V)) (declare-const i I) (declare-const e V)
     (declare-var a0 (Array I V)) (declare-var a1 (Array I V))
     (assert (= a0 (write b i e)))
     (assert (= a1 (write b i e)))
-    """)
-    model = parse_model("""
+    """
+    model = """
     (universe I 1) (universe V 1)
     (define-value i (elem I 0)) (define-value e (elem V 0))
     (define-value b (array (default (elem V 0))))
     (define-value a0 (array (default (elem V 0))))
     (define-value a1 (array (default (elem V 0))))
-    """, prob.sig)
-    res = mbp(prob.sig, prob.store, prob.formula, ["a0", "a1"], model)
-    assert formula_to_sexpr(res.formula) == "true"
-    assert res.rule_fires == {"partial_eq": 3, "elim_eq": 2}
+    """
+    cases = ((problem, "true", {"partial_eq": 2, "elim_eq": 2}),
+             (problem.replace("(= a1 (write b i e))", "(= a0 (write a1 i e))"),
+              "(and (= e (read (write b i e) i))"
+              " (= (write b i e) (write (write (write b i e) i d!0) i e)))",
+              {"partial_eq": 2, "elim_wr": 1, "elim_eq": 2}))
+    for text, out, fires in cases:
+        prob = parse_problem(text)
+        res = mbp(prob.sig, prob.store, prob.formula, ["a0", "a1"],
+                  parse_model(model, prob.sig))
+        assert formula_to_sexpr(res.formula) == out, text
+        assert res.rule_fires == fires, text
 
 
-def test_partial_equalities_meet_the_rules_in_the_order_they_were_made():
-    """A pass offers each partial equality between the nodes made before it
-    and those made after it.  Offered after all of the pass's nodes
-    instead, they leave a read over a write that elim_wr_rd rewrites once
-    more, and the output differs."""
+def test_partial_equalities_are_offered_in_the_pass_that_made_them():
+    """A pass offers its nodes, then each partial equality its rules make,
+    until they make no more: the record of c1 and the write chain over a0
+    is made, unwound twice and solved for a0 before the next pass offers a
+    node.  elim_wr_rd then rewrites one read over a write, and the oracle
+    accepts the output."""
     prob = parse_problem("""
     (declare-sort I 0) (declare-sort V 0)
     (declare-const i0 I) (declare-const i1 I) (declare-const i2 I)
@@ -733,11 +746,11 @@ def test_partial_equalities_meet_the_rules_in_the_order_they_were_made():
         f" (= e1 (read (write (write (write (write {chain} i1 e1) i2 e0) i2 e1)"
         " i2 e0) i0))"
         f" (= e1 (read (write (write (write {chain} i1 e1) i2 e0) i2 e1) i0))"
-        f" (= e1 (read (write (write {chain} i1 e1) i2 e0) i0))"
-        f" (= e1 (read c1 i0)) (= e1 (read (write {chain} i1 e1) i0))"
-        " (= e0 (read c1 i2)) (distinct i2 i0))")
-    assert res.rule_fires == {"partial_eq": 1, "elim_wr_rd": 3, "elim_wr": 2,
+        " (= e1 (read c1 i0)) (= e0 (read c1 i2)) (distinct i2 i0))")
+    assert res.rule_fires == {"partial_eq": 1, "elim_wr_rd": 1, "elim_wr": 2,
                               "elim_eq": 1}
+    assert implies_exists(prob.sig, prob.store, res.formula, prob.formula,
+                          Bounds(universe=2)) == Verdict(True, None, 0)
 
 
 WRITE_INSTANCES = 120
@@ -917,10 +930,10 @@ def test_partitioned_ackermann_matches_all_pairs(monkeypatch):
 
 # -- the watermarks against the loop with per-key marks -------------------------
 # The saturation loop as it was before each disequality was offered once: one
-# node watermark per family, every partial equality made before the pass and
-# every disequality offered on every pass, and every rule remembering the
-# keys it has done.  Each copied rule differs from the library's only in its
-# mark.
+# node watermark per family, every partial equality there is (after the
+# pass's nodes, until none is made) and every disequality offered on every
+# pass, and every rule remembering the keys it has done.  Each copied rule
+# differs from the library's only in its mark.
 
 def _marked(state, rule, key):
     done = state.__dict__.setdefault("ref_marks", {}).setdefault(rule, set())
@@ -959,9 +972,7 @@ def _marked_partial_eq(state, n):
     node = g.nodes[n]
     if node.sort.kind.value != "array":
         return
-    for m in g.class_of(n):
-        if m == n:
-            continue
+    for m in [m for m in g.class_of(n) if m != n][:1]:
         a, b = min(n, m), max(n, m)
         if not (state.term_has_projected(g.nodes[a])
                 or state.term_has_projected(g.nodes[b])):
@@ -1054,16 +1065,16 @@ def _marked_apply_rules(state, family, watermark):
     node_rules, peq_rules, read_rules, diseq_rules = family
     g = state.g
     total = state.total
-    size, peq_size = len(g.nodes), len(state.peqs)
-    k = 0
-    for n in range(watermark, size + 1):
-        while k < peq_size and state.peq_at[k] <= n:
-            for rule in peq_rules:
-                rule(state, state.peqs[k])
-            k += 1
-        if n < size and not g.cground(n):
+    size = len(g.nodes)
+    for n in range(watermark, size):
+        if not g.cground(n):
             for rule in node_rules:
                 rule(state, n)
+    k = 0
+    while k < len(state.peqs):
+        for rule in peq_rules:
+            rule(state, state.peqs[k])
+        k += 1
     if read_rules:
         reads = [n for n in range(watermark, size) if g.nodes[n].label == "read"]
         for rule in read_rules:
@@ -1168,16 +1179,21 @@ def test_each_disequality_reaches_the_split_rule_at_most_once(monkeypatch):
     assert again > 1 and same_fires == fires
 
 
+MAX_PASSES = 20  # the most any twin instance takes is 5
+
+
 def test_every_pass_starts_behind_the_counts(monkeypatch):
     """Saturation runs a family's pass only while its watermark is behind
     the counts (nodes, partial equalities, disequalities): a pass from the
-    counts would offer nothing."""
+    counts would offer nothing.  A watermark that is never advanced stays
+    behind without end, so the passes are capped."""
     def checked(state, family, watermark):
         g = state.g
         counts = (len(g.nodes), len(state.peqs), len(g.diseqs))
         assert all(w <= c for w, c in zip(watermark, counts)), name
         assert watermark != counts, name
         passes.append(watermark)
+        assert len(passes) <= MAX_PASSES, name
         return apply_rules(state, family, watermark)
 
     apply_rules = mbp_module.apply_rules
@@ -1188,12 +1204,144 @@ def test_every_pass_starts_behind_the_counts(monkeypatch):
         assert passes, name
 
 
+def test_a_family_behind_only_in_disequalities_gets_a_pass(monkeypatch):
+    """The second family's node rule adds f(y) in the first round, so that
+    family runs again before the first one does.  The first family's pass
+    over f(y) asserts y != d, which adds no node, so the second family is
+    behind in disequalities alone; saturation runs it again, and its
+    disequality rule meets the pair."""
+    prob = parse_problem("(declare-sort S 0) (declare-fun f (S) S)"
+                         " (declare-const d S) (declare-var x S) (declare-var y S)"
+                         " (assert (= x (f d))) (assert (= y y))")
+    store = prob.store
+    model = find_model(prob.sig, store, prob.formula, Bounds(universe=2))
+    y, d = store.mk_const("y"), store.mk_const("d")
+    made, offered = [], []
+
+    def add_fy(state, n):
+        if not made:
+            made.append(state.g.add_term(store.mk_app("f", (y,))))
+
+    def split_new(state, n):
+        if made and n == made[0]:
+            size = len(state.g.nodes)
+            state.g.assert_diseq(y, d)
+            assert len(state.g.nodes) == size
+
+    def logged(state, family, watermark):
+        passes.append(families.index(family))
+        return apply_rules(state, family, watermark)
+
+    families = (((split_new,), (), (), ()),
+                ((add_fy,), (), (), (lambda state, a, b: offered.append((a, b)),)))
+    apply_rules, passes = mbp_module.apply_rules, []
+    monkeypatch.setattr(mbp_module, "_FAMILIES", families)
+    monkeypatch.setattr(mbp_module, "apply_rules", logged)
+    mbp(prob.sig, store, prob.formula, [], model)
+    assert passes == [0, 1, 1, 0, 1]
+    assert offered == [(y.id, d.id)]
+
+
 def test_320_reads_fit_the_default_budget():
     prob, model = _many_reads_instance(random.Random(320), 320)
     res = mbp(prob.sig, prob.store, prob.formula, ["a"], model)
     assert 0 < res.rule_fires["ackermann"] <= 400
     assert "a" not in res.formula.free_vars
     assert satisfies(res.model, prob.sig, res.formula)
+
+
+# -- growth by count: each probe at n and 2n -----------------------------------
+
+def _equal_arrays_instance(n):
+    """a0 = a1 = ... = a(n-1) = c, projecting the a's and keeping c."""
+    text = ["(declare-sort I 0) (declare-sort V 0) (declare-const c (Array I V))"]
+    text += [f"(declare-var a{k} (Array I V))" for k in range(n)]
+    text += [f"(assert (= a{k} a{k + 1}))" for k in range(n - 1)]
+    text.append(f"(assert (= a{n - 1} c))")
+    prob = parse_problem("\n".join(text))
+    model = parse_model("(universe I 2) (universe V 2)" + "".join(
+        f" (define-value {x} (array (default (elem V 0))))"
+        for x in ["c", *(f"a{k}" for k in range(n))]), prob.sig)
+    return prob, model
+
+
+def _writes_in_one_class_instance(n):
+    """c = write(a_k, i_k, v_k) for k < n, projecting the a's, plus the n
+    reads read(c, i_k) = v_k."""
+    text = ["(declare-const c (Array Int Int))"]
+    for k in range(n):
+        text.append(f"(declare-var a{k} (Array Int Int)) (declare-const i{k} Int)"
+                    f" (declare-const v{k} Int) (assert (= c (write a{k} i{k} v{k})))")
+    text += [f"(assert (= (read c i{k}) v{k}))" for k in range(n)]
+    prob = parse_problem("\n".join(text))
+    model = parse_model("(define-value c (array (default 0)))" + "".join(
+        f" (define-value a{k} (array (default 0))) (define-value i{k} {k})"
+        f" (define-value v{k} 0)" for k in range(n)), prob.sig)
+    return prob, model
+
+
+def _write_chain_instance(n):
+    """c = write(...write(a, i_1, v_1)..., i_n, v_n), projecting a, under a
+    model whose written values differ from the default."""
+    chain = "a"
+    for k in range(n):
+        chain = f"(write {chain} i{k} v{k})"
+    text = ["(declare-var a (Array Int Int)) (declare-const c (Array Int Int))"]
+    text += [f"(declare-const i{k} Int) (declare-const v{k} Int)" for k in range(n)]
+    text.append(f"(assert (= c {chain}))")
+    prob = parse_problem("\n".join(text))
+    rows = " ".join(f"({k} {k + 1})" for k in range(n))
+    model = parse_model(
+        f"(define-value a (array (default 0))) (define-value c (array (default 0) {rows}))"
+        + "".join(f" (define-value i{k} {k}) (define-value v{k} {k + 1})"
+                  for k in range(n)), prob.sig)
+    return prob, model
+
+
+def _projected(prob, model):
+    res = mbp(prob.sig, prob.store, prob.formula, prob.formula.free_vars, model)
+    assert not set(res.formula.free_vars) & set(prob.formula.free_vars)
+    assert satisfies(res.model, prob.sig, res.formula)
+    return res
+
+
+def test_equal_arrays_take_one_partial_equality_per_array_but_one():
+    """n equal projected arrays and a kept one: a0 and a1 pick each other,
+    every later a_k picks a0, and c, ground, is never offered.  Pairing
+    every member took n(n+1)/2 fires and ran out of the default budget at
+    n = 150."""
+    for n in (150, 300):
+        res = _projected(*_equal_arrays_instance(n))
+        assert res.rule_fires == {"partial_eq": n - 1, "elim_eq": n - 1}, n
+        assert formula_to_sexpr(res.formula) == "true"
+
+
+def test_writes_in_one_class_take_linear_fires_and_nodes():
+    """Each write pairs with c, the class root, so partial_eq, elim_wr and
+    elim_eq fire n times each and the graph has 7n + 1 nodes, where pairing
+    every member took n(2n-1) elim_wr fires and ran out of the default
+    budget at n = 80."""
+    for n in (80, 160):
+        res = _projected(*_writes_in_one_class_instance(n))
+        assert res.rule_fires == {"partial_eq": n, "elim_wr": n, "elim_eq": n}, n
+        assert len(res.graph.nodes) == 7 * n + 1, n
+
+
+def test_a_write_chain_unwinds_in_a_fixed_number_of_passes(monkeypatch):
+    """elim_wr makes the next record of the chain, and the pass offers it
+    at once: two array passes and one datatype pass, at n writes as at 2n,
+    where offering each record in the next pass took n + 4."""
+    def counted(*args):
+        calls.append(args[1])
+        return apply_rules(*args)
+
+    apply_rules = mbp_module.apply_rules
+    monkeypatch.setattr(mbp_module, "apply_rules", counted)
+    for n in (50, 100):
+        calls = []
+        res = _projected(*_write_chain_instance(n))
+        assert res.rule_fires == {"partial_eq": 1, "elim_wr": n, "elim_eq": 1}, n
+        assert calls == [mbp_module._ARRAY_RULES] * 2 + [mbp_module._ADT_RULES], n
 
 
 # -- constructive groundness, kept by the egraph across saturation passes ------
